@@ -290,7 +290,7 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for wall enumeration")
+                        help="accepted and validated; output never depends on it")
     if command == "exists":
         parser.add_argument("--r", type=int, default=None)
         parser.add_argument("--d", type=int, default=None)

@@ -11,7 +11,7 @@ here must be exact too.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -439,6 +439,14 @@ def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
                 for k in range(n):
                     a[k][i] -= factor * a[k][pivot]
     return (n_plus, n_zero, n_minus)
+
+
+def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:
+    """The integer row n and least d >= 1 with v = n / d."""
+    denom = 1
+    for c in v:
+        denom = lcm(denom, Fraction(c).denominator)
+    return tuple(int(c * denom) for c in v), denom
 
 
 def content_of(coords: Sequence[int]) -> int:

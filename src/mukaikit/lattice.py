@@ -238,15 +238,9 @@ def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> Orthogonal
             raise LatticeMismatchError("complement vectors must live in the given lattice")
     if not vs:
         return OrthogonalComplement(Lattice(l.gram, l.label), exactlin.identity(l.rank))
-    rows = []
-    for v in vs:
-        # x . gram . v = 0 is one integer linear condition after clearing
-        # denominators.
-        form = exactlin.mat_vec(l.gram, v.coords)
-        denom = 1
-        for c in form:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        rows.append(tuple(int(c * denom) for c in form))
+    # x . gram . v = 0 is one integer linear condition after clearing
+    # denominators.
+    rows = [exactlin.clear_denominators(exactlin.mat_vec(l.gram, v.coords))[0] for v in vs]
     basis = exactlin.integer_kernel_saturated(rows)
     if not basis:
         return OrthogonalComplement(Lattice((), f"{l.label}-perp"), ())

@@ -1,16 +1,20 @@
 """Enumeration of short vectors of positive definite rational forms.
 
-Fincke-Pohst style search driven entirely by exact rational arithmetic:
-the form is split as q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with
-d_i > 0, and coordinate intervals are cut with integer square roots plus
-an exact final filter, so no floating point enters the search.
+Fincke-Pohst style search in exact arithmetic: the form is split as
+q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with d_i > 0, once, in
+rationals; the split is then scaled to integers, and the search cuts
+each coordinate interval with integer square roots and floor divisions
+alone, so no floating point and no Fraction enters its loops. It keeps
+one of each pair +-x (the one whose last nonzero coordinate is
+positive), since q(-x) = q(x); ``short_vectors`` adds the negatives back.
+It runs in one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
@@ -46,84 +50,83 @@ def ldl_decompose(q: Sequence[Sequence]) -> tuple[list[Fraction], list[list[Frac
     return d, u
 
 
-def _sqrt_floor(x: Fraction) -> Fraction:
-    """Largest s with s <= sqrt(x), as floor(sqrt(num*den))/den."""
-    if x < 0:
-        raise ValidationError("square root of a negative rational")
-    return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
+def _integer_levels(q: Sequence[Sequence], bound: Fraction):
+    """The LDL split of ``q``, scaled so the search runs on integers.
+
+    With t_i = T_i / e_i (e_i the common denominator of row i of u, T_i
+    an integer form in x_{i+1..n-1}) the level-i term of q(x) is
+    d_i (x_i + t_i)^2 = d_i / e_i^2 * y_i^2 with y_i = e_i x_i + T_i.
+    Scaling by s, the least common denominator of the d_i / e_i^2 and
+    of ``bound``, gives integers c_i and R with s q(x) = sum c_i y_i^2
+    and q(x) <= bound iff sum c_i y_i^2 <= R. Returns (c, e, rows, R),
+    where rows[i][j] = e_i u_ij for j > i and 0 otherwise.
+    """
+    d, u = ldl_decompose(q)
+    n = len(d)
+    e = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    terms = [d[i] / (e[i] * e[i]) for i in range(n)]
+    s = lcm(bound.denominator, *(c.denominator for c in terms))
+    rows = [tuple(int(u[i][j] * e[i]) if j > i else 0 for j in range(n)) for i in range(n)]
+    return [int(c * s) for c in terms], e, rows, int(bound * s)
 
 
-def _int_range(center: Fraction, radius_sq: Fraction) -> range:
-    """Integers n with (n + center)^2 <= radius_sq, by exact filtering."""
-    if radius_sq < 0:
-        return range(0)
-    s = _sqrt_floor(radius_sq)
-    lo = floor(-center - s) - 1
-    hi = ceil(-center + s) + 1
-    while lo <= hi and (lo + center) ** 2 > radius_sq:
-        lo += 1
-    while hi >= lo and (hi + center) ** 2 > radius_sq:
-        hi -= 1
-    return range(lo, hi + 1)
-
-
-def _search(d, u, n, level, x, remaining, out):
-    # Coordinates are fixed from the last index downwards; the shift of
-    # level i depends only on x_j for j > i.
-    t = sum(u[level][j] * x[j] for j in range(level + 1, n))
-    for xi in _int_range(t, remaining / d[level]):
+def _search(c, e, rows, level, x, remaining, out):
+    # Coordinates are fixed from the last index downwards. On level i,
+    # c_i y^2 <= remaining with y = e_i x_i + T_i bounds |y| by
+    # s = isqrt(remaining // c_i), exactly, since y^2 is an integer.
+    t = sum(map(mul, rows[level], x))
+    s = isqrt(remaining // c[level])
+    den = e[level]
+    span = range(-((s + t) // den), (s - t) // den + 1)
+    if level == 0:
+        rest = tuple(x[1:])
+        out.extend((xi,) + rest for xi in span)
+        return
+    for xi in span:
         x[level] = xi
-        if level == 0:
-            if any(x):
-                out.append(tuple(x))
-        else:
-            used = d[level] * (xi + t) ** 2
-            _search(d, u, n, level - 1, x, remaining - used, out)
+        y = den * xi + t
+        _search(c, e, rows, level - 1, x, remaining - c[level] * y * y, out)
     x[level] = 0
 
 
-def short_vectors(q: Sequence[Sequence], bound, *, workers: int = 1) -> list[Vec]:
-    """All nonzero integer vectors x with x^T q x <= bound.
+def short_vectors_up_to_sign(q: Sequence[Sequence], bound) -> list[Vec]:
+    """One of each pair +-x of nonzero integer vectors with x^T q x <= bound.
 
-    ``q`` must be symmetric positive definite; both x and -x are returned.
-    The result is sorted, and therefore independent of ``workers``.
+    ``q`` must be symmetric positive definite. The vector kept is the one
+    whose last nonzero coordinate is positive: while the coordinates above
+    a level are all zero its interval is symmetric about 0, so the search
+    takes that level's positive half and leaves the rest free. Vectors
+    come in search order.
     """
     bound = Fraction(bound)
     n, _ = shape(rat_matrix(q))
     if n == 0 or bound < 0:
         return []
-    d, u = ldl_decompose(q)
-    top = n - 1
-    top_range = list(_int_range(Fraction(0), bound / d[top]))
-    if workers <= 1 or len(top_range) < 2:
-        out: list[Vec] = []
-        x = [0] * n
-        for xt in top_range:
-            x[top] = xt
-            if n == 1:
-                if xt:
-                    out.append(tuple(x))
+    c, e, rows, total = _integer_levels(q, bound)
+    out: list[Vec] = []
+    x = [0] * n
+    for lead in range(n - 1, -1, -1):
+        # x_j = 0 above ``lead``, so T_lead = 0 and y = e_lead x_lead.
+        for xl in range(1, isqrt(total // c[lead]) // e[lead] + 1):
+            x[lead] = xl
+            if lead == 0:
+                out.append(tuple(x))
             else:
-                _search(d, u, n, top - 1, x, bound - d[top] * Fraction(xt) ** 2, out)
-        return sorted(out)
+                y = e[lead] * xl
+                _search(c, e, rows, lead - 1, x, total - c[lead] * y * y, out)
+        x[lead] = 0
+    return out
 
-    def branch(xt: int) -> list[Vec]:
-        part: list[Vec] = []
-        x = [0] * n
-        x[top] = xt
-        if n == 1:
-            if xt:
-                part.append(tuple(x))
-        else:
-            _search(d, u, n, top - 1, x, bound - d[top] * Fraction(xt) ** 2, part)
-        return part
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(branch, top_range))
-    merged: list[Vec] = []
-    for chunk in chunks:
-        merged.extend(chunk)
-    return sorted(merged)
+def short_vectors(q: Sequence[Sequence], bound, *, workers: int = 1) -> list[Vec]:
+    """All nonzero integer vectors x with x^T q x <= bound, sorted.
+
+    ``q`` must be symmetric positive definite; both x and -x are returned.
+    ``workers`` is accepted for compatibility only: the search runs in one
+    thread, and its result never depended on the worker count.
+    """
+    half = short_vectors_up_to_sign(q, bound)
+    return sorted(half + [tuple(-c for c in x) for x in half])
 
 
 def coordinate_radii(q: Sequence[Sequence], bound) -> list[Fraction]:

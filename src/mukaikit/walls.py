@@ -3,20 +3,24 @@
 For a positive-rank class with discriminant Delta, the wall classes are
 the D in NS with -r^4 Delta / 2 <= D^2 < 0; a polarization is generic
 when no wall class is orthogonal to it. Everything here is decided in
-exact rational arithmetic: enumeration reduces to short vectors of
-definite forms, and sign tests are exact predicates.
+exact arithmetic: enumeration reduces to short vectors of definite forms,
+one of each pair +-x, and the filter after the search runs on integers.
+The forms G.omega of the polarizations are cleared of denominators once
+per call; primitive reduction, canonical sign, squares and sign tests
+then work on int tuples, and Wall objects are built only for the walls
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from operator import mul
 
 from . import shortvec
 from .errors import HypothesisViolation, ValidationError
-from .exactlin import integer_kernel_saturated, mat_vec, matmul, transpose
-from .lattice import LatticeVector
+from .exactlin import clear_denominators, content_of, mat_vec, vec_mat
+from .lattice import LatticeVector, orthogonal_complement
 from .mukai import MukaiVector, discriminant
 from .surface import H11Class, K3Model, is_polarization
 from .twisted import TwistData, TwistedSheafData, delta_E
@@ -77,15 +81,6 @@ class Wall:
             raise ValidationError("wall class must be nonzero with canonical sign")
 
 
-def _canonical_sign(d: LatticeVector) -> LatticeVector:
-    for c in d.coords:
-        if c > 0:
-            return d
-        if c < 0:
-            return -d
-    return d
-
-
 def is_wall(d: LatticeVector, v) -> bool:
     """Membership of an integral NS class in the wall set of v."""
     if not d.is_integral:
@@ -110,9 +105,10 @@ def wall_set_is_empty(m: K3Model, v) -> bool | None:
     n_plus, _, _ = m.ns.signature()
     if n_plus > 0:
         return None
+    # NS is nondegenerate with no positive direction, so every nonzero
+    # class has negative square.
     neg = tuple(tuple(-x for x in row) for row in m.ns.gram)
-    hits = shortvec.short_vectors(neg, bound)
-    return not any(m.ns.vector(x).square() < 0 for x in hits)
+    return not shortvec.short_vectors_up_to_sign(neg, bound)
 
 
 @dataclass(frozen=True)
@@ -153,56 +149,34 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
             "out_of_range", d, sq, bound, None,
             f"square {sq} below the wall bound {-bound}",
         )
-    wall = Wall(_make_primitive(_canonical_sign(d)), _primitive_square(d), bound, (s, zeta))
+    key = _primitive_canonical(clear_denominators(d.coords)[0])
+    wall = Wall(d.lattice.vector(key), Fraction(_square(d.lattice.gram, key)), bound, (s, zeta))
     return DestabilizerVerdict("wall", d, sq, bound, wall, "in range")
 
 
-def _make_primitive(d: LatticeVector) -> LatticeVector:
-    c = _integral_content(d)
-    return d.scale(Fraction(1, c)) if c > 1 else d
+def _primitive_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive vector on the line of nonzero ``coords``, first nonzero entry positive."""
+    g = content_of(coords)
+    if next(c for c in coords if c) < 0:
+        g = -g
+    return coords if g == 1 else tuple(c // g for c in coords)
 
 
-def _integral_content(d: LatticeVector) -> int:
-    g = 0
-    for c in d.coords:
-        g = gcd(g, abs(int(c)))
-    return g or 1
+def _square(gram, coords: tuple[int, ...]) -> int:
+    return sum(map(mul, coords, mat_vec(gram, coords)))
 
 
-def _primitive_square(d: LatticeVector) -> Fraction:
-    c = _integral_content(d)
-    return d.square() / (c * c)
-
-
-def _wall_sort_key(w: Wall):
-    return (-w.d_square, w.d.coords)
-
-
-def _candidate_primitives(m: K3Model, vectors, bound: Fraction, basis=None) -> list[Wall]:
-    """Map enumerated coordinate vectors to canonical primitive wall classes."""
-    seen = {}
-    for x in vectors:
-        if basis is not None:
-            coords = tuple(
-                sum(x[i] * basis[i][j] for i in range(len(basis)))
-                for j in range(m.ns.rank)
-            )
-        else:
-            coords = x
-        g = 0
-        for c in coords:
-            g = gcd(g, abs(c))
-        if g == 0:
-            continue
-        coords = tuple(c // g for c in coords)
-        d = _canonical_sign(m.ns.vector(coords))
-        key = d.coords
-        if key in seen:
-            continue
-        sq = d.square()
-        if -bound <= sq < 0:
-            seen[key] = Wall(d, sq, bound)
-    return sorted(seen.values(), key=_wall_sort_key)
+def _in_bound(gram, bound: Fraction, candidates) -> dict[tuple[int, ...], int]:
+    """Primitive canonical classes of the candidates with -bound <= D^2 < 0, with D^2."""
+    lo = -(bound.numerator // bound.denominator)  # D^2 >= -bound iff D^2 >= ceil(-bound)
+    found: dict[tuple[int, ...], int] = {}
+    for x in candidates:
+        key = _primitive_canonical(x)
+        if key not in found:
+            sq = _square(gram, key)
+            if lo <= sq < 0:
+                found[key] = sq
+    return found
 
 
 def walls_through_class(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> list[Wall]:
@@ -211,28 +185,22 @@ def walls_through_class(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> 
     The conditions D . omega = 0 cut a saturated sublattice of NS on
     which the form is negative definite (omega has positive square), so
     the wall inequality -bound <= D^2 < 0 confines D to a finite ball
-    which is enumerated exactly.
+    which is enumerated exactly. ``workers`` is accepted for compatibility;
+    the result never depended on it.
     """
     if not is_polarization(m, omega):
         raise HypothesisViolation("walls are computed through polarizations only")
     bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
-    form = mat_vec(m.ns.gram, omega.ns_part.coords)
-    denom = 1
-    for c in form:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    row = tuple(int(c * denom) for c in form)
-    if any(row):
-        basis = integer_kernel_saturated((row,))
-    else:
-        basis = tuple(tuple(int(i == j) for j in range(m.ns.rank)) for i in range(m.ns.rank))
-    if not basis:
+    perp = orthogonal_complement(m.ns, (omega.ns_part,))
+    if not perp.basis:
         return []
-    sub_gram = matmul(matmul(basis, m.ns.gram), transpose(basis))
-    neg = tuple(tuple(-x for x in r) for r in sub_gram)
-    hits = shortvec.short_vectors(neg, bound, workers=workers)
-    return _candidate_primitives(m, hits, bound, basis)
+    neg = tuple(tuple(-x for x in r) for r in perp.sub.gram)
+    hits = shortvec.short_vectors_up_to_sign(neg, bound)
+    found = _in_bound(m.ns.gram, bound, (vec_mat(x, perp.basis) for x in hits))
+    return [Wall(m.ns.vector(key), Fraction(sq), bound)
+            for key, sq in sorted(found.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
 @dataclass(frozen=True)
@@ -276,6 +244,8 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
 
     Both endpoints must be generic (no wall through either); walls are
     reported with the exact t in (0,1) where D . omega_t = 0, sorted by t.
+    ``workers`` is accepted for compatibility; the result never depended
+    on it.
     """
     omega, omega_prime = seg.start, seg.end
     for name, endpoint in (("start", omega), ("end", omega_prime)):
@@ -284,8 +254,11 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
     if m.pair(omega, omega_prime) <= 0:
         raise HypothesisViolation("endpoints lie in different positive-cone components")
     for name, endpoint in (("start", omega), ("end", omega_prime)):
-        if walls_through_class(m, v, endpoint, workers=workers):
-            raise HypothesisViolation(f"segment {name} point lies on a wall")
+        on = walls_through_class(m, v, endpoint)
+        if on:
+            raise HypothesisViolation(
+                f"segment {name} point lies on a wall D={on[0].d!r} with D^2={on[0].d_square}"
+            )
     bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
@@ -293,22 +266,24 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
     if mbound < 0:
         return []
     # Majorant Gram on NS: 2 w_i w_j / w^2 - G_ij with w = G . omega_ns.
-    w = mat_vec(m.ns.gram, omega.ns_part.coords)
+    gram = m.ns.gram
+    w = mat_vec(gram, omega.ns_part.coords)
     a = m.square(omega)
     n = m.ns.rank
-    maj = tuple(
-        tuple(2 * w[i] * w[j] / a - m.ns.gram[i][j] for j in range(n)) for i in range(n)
-    )
-    hits = shortvec.short_vectors(maj, mbound, workers=workers)
+    maj = tuple(tuple(2 * w[i] * w[j] / a - gram[i][j] for j in range(n)) for i in range(n))
+    hits = shortvec.short_vectors_up_to_sign(maj, mbound)
+    # D . omega = P / dp and D . omega' = Q / dq, with P and Q integers.
+    (row_p, dp), (row_q, dq) = (clear_denominators(mat_vec(gram, e.ns_part.coords))
+                                for e in (omega, omega_prime))
+    changing = (x for x in hits if sum(map(mul, row_p, x)) * sum(map(mul, row_q, x)) < 0)
     crossings = []
-    for wall in _candidate_primitives(m, hits, bound):
-        p = m.pair_ns(wall.d, omega)
-        q = m.pair_ns(wall.d, omega_prime)
-        if (p < 0 < q) or (q < 0 < p):
-            t = p / (p - q)
-            crossings.append(WallCrossing(wall, t))
-    crossings.sort(key=lambda c: (c.t, c.wall.d.coords))
-    return crossings
+    for key, sq in _in_bound(gram, bound, changing).items():
+        p = sum(map(mul, row_p, key)) * dq
+        q = sum(map(mul, row_q, key)) * dp
+        crossings.append((Fraction(p, p - q), key, sq))
+    crossings.sort()
+    return [WallCrossing(Wall(m.ns.vector(key), Fraction(sq), bound), t)
+            for t, key, sq in crossings]
 
 
 def is_generic(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> bool:

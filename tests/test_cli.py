@@ -237,6 +237,16 @@ class TestExitCodes:
         assert code == 3
         assert "wall" in err
 
+    def test_on_wall_message_names_the_wall(self, tmp_path):
+        cfg = json.loads(json.dumps(PROJECTIVE_CONFIG))
+        cfg["mukai"] = {"r": 2, "xi": [1, 1], "a": 0}
+        cfg["omega"] = {"ns": [1, 0], "t": []}
+        path = tmp_path / "onwall.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["crossings", "--config", str(path), "--format", "json"])
+        assert (code, out) == (3, "")
+        assert "segment start point lies on a wall D=(0, 1) with D^2=-2" in err
+
     def test_exists_needs_arguments(self):
         code, _, err = invoke(["exists"])
         assert code == 2
