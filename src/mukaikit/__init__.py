@@ -8,6 +8,7 @@ and projectivity/existence criteria, all over exact rational arithmetic.
 from .errors import (
     HypothesisViolation,
     IntegralityWarning,
+    InternalError,
     LatticeMismatchError,
     MukaikitError,
     ValidationError,

@@ -3,7 +3,7 @@
 Every verdict of the library is exposed as a subcommand over a JSON
 config file, with text and canonical-JSON output. Exit codes: 0 success,
 2 malformed input, 3 violated mathematical hypothesis, 64 unknown
-subcommand.
+subcommand, 70 broken internal invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import moduli as moduli_mod
 from . import twisted as twisted_mod
 from . import walls as walls_mod
 from .config import Config, load_config
-from .errors import HypothesisViolation, MukaikitError, ValidationError
+from .errors import HypothesisViolation, InternalError, MukaikitError, ValidationError
 from .exactlin import mat_vec
 from .mukai import discriminant, mukai_square, topological_type
 from .moduli import (
@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_HYPOTHESIS = 3
 EXIT_UNKNOWN_COMMAND = 64
+EXIT_INTERNAL = 70
 
 
 def _require(value, name: str):
@@ -350,6 +351,9 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     except HypothesisViolation as exc:
         stderr.write(f"mukaikit {command}: hypothesis violated: {exc}\n")
         return EXIT_HYPOTHESIS
+    except InternalError as exc:
+        stderr.write(f"internal error: mukaikit {command}: {exc}\n")
+        return EXIT_INTERNAL
     except MukaikitError as exc:
         stderr.write(f"mukaikit {command}: {exc}\n")
         return EXIT_VALIDATION

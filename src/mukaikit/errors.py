@@ -3,7 +3,9 @@
 Two error families matter to callers: malformed inputs (wrong shapes,
 mismatched lattices, unparseable config) and violated mathematical
 hypotheses (a polarization sitting on a wall, a rank-0 vector where a
-positive rank is required). The CLI maps them to distinct exit codes.
+positive rank is required). A third, broken internal invariants, is a
+defect of this package rather than of the input. The CLI maps the three
+to distinct exit codes.
 """
 
 
@@ -21,6 +23,10 @@ class LatticeMismatchError(ValidationError):
 
 class HypothesisViolation(MukaikitError):
     """A mathematical precondition of the requested operation fails."""
+
+
+class InternalError(MukaikitError):
+    """An invariant that holds for every valid input was found broken."""
 
 
 class IntegralityWarning(UserWarning):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 RatMatrix = tuple[tuple[Fraction, ...], ...]
@@ -113,29 +113,21 @@ def determinant(m: Sequence[Sequence]) -> Fraction:
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Invert an integer matrix with determinant +-1; result is integral."""
-    rows, cols = shape(m)
+    """Invert an integer matrix with determinant +-1; result is integral.
+
+    The row Hermite form of a unimodular matrix is the identity, so the
+    transform that reduces ``m`` to it is the inverse.
+    """
+    mat = int_matrix(m)
+    rows, cols = shape(mat)
     if rows != cols:
         raise ValidationError("cannot invert a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(rows)]
-         for i, row in enumerate(m)]
-    for col in range(rows):
-        pivot_row = next((i for i in range(col, rows) if a[i][col] != 0), None)
-        if pivot_row is None:
-            raise ValidationError("matrix is singular, not unimodular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for i in range(rows):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    inv = [row[rows:] for row in a]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValidationError("matrix inverse is not integral; input not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    a = [list(row) for row in mat]
+    inv = [list(row) for row in identity(rows)]
+    _row_hermite_inplace(a, inv, rows, cols)
+    if any(a[i][i] != 1 for i in range(rows)):
+        raise ValidationError("matrix is not unimodular")
+    return tuple(tuple(row) for row in inv)
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -146,24 +138,10 @@ def _swap_rows(a, t, i, j):
     t[i], t[j] = t[j], t[i]
 
 
-def _swap_cols(a, t, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in t:
-        row[i], row[j] = row[j], row[i]
-
-
 def _add_row(a, t, dst, src, q):
     # row_dst += q * row_src
     a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
     t[dst] = [x + q * y for x, y in zip(t[dst], t[src])]
-
-
-def _add_col(a, t, dst, src, q):
-    for row in a:
-        row[dst] += q * row[src]
-    for row in t:
-        row[dst] += q * row[src]
 
 
 def _xgcd_rows(a, t, i, j, c):
@@ -238,7 +216,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntM
         _row_hermite_inplace(at, right_t, cols, rows)
         a = [list(col) for col in zip(*at)] if at and at[0] else [[] for _ in range(rows)]
     else:
-        raise ValidationError("Smith reduction did not converge")
+        raise InternalError("Smith reduction did not converge")
 
     n = min(rows, cols)
 
@@ -309,30 +287,8 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     mat = int_matrix(m)
     rows, cols = shape(mat)
     a = [list(row) for row in mat]
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        for i in range(r + 1, rows):
-            while a[i][c] != 0:
-                g, x, y = _xgcd(a[r][c], a[i][c])
-                p, q = a[r][c] // g, a[i][c] // g
-                a[r], a[i] = (
-                    [x * u + y * v for u, v in zip(a[r], a[i])],
-                    [-q * u + p * v for u, v in zip(a[r], a[i])],
-                )
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                a[i] = [u - q * v for u, v in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return tuple(tuple(row) for row in a[:r] if any(row))
+    _row_hermite_inplace(a, [[] for _ in range(rows)], rows, cols)
+    return tuple(tuple(row) for row in a if any(row))
 
 
 def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
@@ -389,21 +345,20 @@ def solve_left(basis: Sequence[Sequence[int]], target: Sequence[int]) -> tuple[i
 # -- Signatures --------------------------------------------------------------
 
 
-def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Inertia ``(n_plus, n_zero, n_minus)`` of a symmetric rational matrix.
+def congruence_pivots(mat: RatMatrix) -> tuple[list[tuple[int, tuple[Fraction, ...]]], int]:
+    """Exact symmetric congruence reduction of a symmetric rational matrix.
 
-    Exact symmetric congruence reduction: diagonal pivots are consumed
-    directly; when the remaining block has an all-zero diagonal, a nonzero
-    off-diagonal entry is turned into a diagonal one by a congruence
-    (valid in characteristic 0). Rejects non-symmetric input.
+    Diagonal pivots are consumed directly, lowest live index first; when
+    the remaining block has an all-zero diagonal, a nonzero off-diagonal
+    entry is turned into a diagonal one by a congruence (valid in
+    characteristic 0). Returns the pivots in elimination order, each as
+    ``(index, row)`` with the row as it stood when it was eliminated, and
+    the number of zero directions left over. Callers check symmetry.
     """
-    mat = rat_matrix(g)
-    n, cols = shape(mat)
-    if n != cols or not is_symmetric(mat):
-        raise ValidationError("signature requires a symmetric matrix")
+    n, _ = shape(mat)
     a = [list(row) for row in mat]
     live = list(range(n))
-    n_plus = n_minus = n_zero = 0
+    pivots = []
     while live:
         pivot = next((i for i in live if a[i][i] != 0), None)
         if pivot is None:
@@ -416,8 +371,7 @@ def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
                 if pair:
                     break
             if pair is None:
-                n_zero += len(live)
-                break
+                return pivots, len(live)
             i, j = pair
             # Congruence x_i -> x_i + x_j makes the (i,i) entry 2*a[i][j] != 0.
             for k in range(n):
@@ -426,10 +380,7 @@ def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
                 a[k][i] += a[k][j]
             pivot = i
         p = a[pivot][pivot]
-        if p > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
+        pivots.append((pivot, tuple(a[pivot])))
         live.remove(pivot)
         for i in live:
             factor = a[i][pivot] / p
@@ -438,7 +389,22 @@ def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
                     a[i][k] -= factor * a[pivot][k]
                 for k in range(n):
                     a[k][i] -= factor * a[k][pivot]
-    return (n_plus, n_zero, n_minus)
+    return pivots, 0
+
+
+def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
+    """Inertia ``(n_plus, n_zero, n_minus)`` of a symmetric rational matrix.
+
+    Counts the signs of the pivots of ``congruence_pivots``. Rejects
+    non-symmetric input.
+    """
+    mat = rat_matrix(g)
+    n, cols = shape(mat)
+    if n != cols or not is_symmetric(mat):
+        raise ValidationError("signature requires a symmetric matrix")
+    pivots, n_zero = congruence_pivots(mat)
+    n_plus = sum(1 for i, row in pivots if row[i] > 0)
+    return (n_plus, n_zero, len(pivots) - n_plus)
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import exactlin
-from .errors import HypothesisViolation, ValidationError
+from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import IntMatrix, int_matrix, rational_signature
 from .lattice import (
     Lattice,
@@ -79,13 +79,7 @@ class EmbeddedMukaiVector:
         return full_mukai_lattice().vector(self.coords)
 
     def square(self) -> int:
-        gram = full_mukai_lattice().gram
-        c = self.coords
-        return sum(
-            ci * sum(row[j] * c[j] for j in range(len(c)) if c[j])
-            for ci, row in zip(c, gram)
-            if ci
-        )
+        return int(self.vector().square())
 
     @property
     def is_primitive(self) -> bool:
@@ -183,14 +177,14 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     gram = comp.sub.gram
     radical = exactlin.integer_kernel_saturated(gram)
     if len(radical) != 1:
-        raise HypothesisViolation("isotropic class has an unexpected radical rank")
+        raise InternalError("isotropic class has an unexpected radical rank")
     _, _, right = exactlin.smith_normal_form(radical)
     to_new = exactlin.invert_unimodular(right)
     # First row of to_new spans the radical; congruent Gram has zero first
     # row and column.
     new_gram = exactlin.matmul(exactlin.matmul(to_new, gram), exactlin.transpose(to_new))
     if any(new_gram[0][j] != 0 for j in range(len(new_gram))):
-        raise HypothesisViolation("radical reduction failed")
+        raise InternalError("radical reduction failed")
     reduced = tuple(tuple(int(x) for x in row[1:]) for row in new_gram[1:])
     lat = Lattice(reduced, "v-perp mod v")
     return H2LatticeResult(
@@ -235,7 +229,7 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     gens.append(extra)
     for g in gens:
         if mukai_pairing(g, v) != 0:
-            raise HypothesisViolation("generator is not orthogonal to v")
+            raise InternalError("generator is not orthogonal to v")
     gram = tuple(tuple(mukai_pairing(x, y) for y in gens) for x in gens)
     sig = rational_signature(gram)
     return ProjectivityCheck(

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
-from .exactlin import is_symmetric, rat_matrix, shape
+from .exactlin import congruence_pivots, determinant, is_symmetric, rat_matrix, shape
 
 Vec = tuple[int, ...]
 
@@ -34,19 +34,13 @@ def ldl_decompose(q: Sequence[Sequence]) -> tuple[list[Fraction], list[list[Frac
     n, cols = shape(mat)
     if n != cols or not is_symmetric(mat):
         raise ValidationError("ldl decomposition requires a symmetric matrix")
-    a = [list(row) for row in mat]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
-            raise ValidationError("form is not positive definite")
-        d.append(a[i][i])
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / a[i][i]
-        for p in range(i + 1, n):
-            for r in range(p, n):
-                a[p][r] -= d[i] * u[i][p] * u[i][r]
-                a[r][p] = a[p][r]
+    # Positive definite iff every pivot is positive and none is left zero;
+    # then each pivot is the lowest live index, so row i holds d_i and d_i u_ij.
+    pivots, n_zero = congruence_pivots(mat)
+    if n_zero or any(i != k or row[i] <= 0 for k, (i, row) in enumerate(pivots)):
+        raise ValidationError("form is not positive definite")
+    d = [row[i] for i, row in pivots]
+    u = [[row[j] / row[i] if j > i else Fraction(0) for j in range(n)] for i, row in pivots]
     return d, u
 
 
@@ -137,17 +131,10 @@ def coordinate_radii(q: Sequence[Sequence], bound) -> list[Fraction]:
     """
     bound = Fraction(bound)
     mat = rat_matrix(q)
+    det = determinant(mat)
+    if det == 0:
+        raise ValidationError("singular form has no coordinate radii")
     n, _ = shape(mat)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot_row is None:
-            raise ValidationError("singular form has no coordinate radii")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        a[col] = [entry / pivot for entry in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [entry - factor * other for entry, other in zip(a[i], a[col])]
-    return [bound * a[i][n + i] for i in range(n)]
+    # (q^-1)_ii is the (i, i) cofactor over det q.
+    minors = ([row[:i] + row[i + 1:] for k, row in enumerate(mat) if k != i] for i in range(n))
+    return [bound * determinant(minor) / det for minor in minors]

@@ -190,7 +190,11 @@ def walls_through_class(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> 
     """
     if not is_polarization(m, omega):
         raise HypothesisViolation("walls are computed through polarizations only")
-    bound = wall_bound(v)
+    return _walls_through(m, wall_bound(v), omega)
+
+
+def _walls_through(m: K3Model, bound: Fraction, omega: H11Class) -> list[Wall]:
+    """``walls_through_class`` for a polarization omega, given the wall bound."""
     if bound < 0 or m.ns.rank == 0:
         return []
     perp = orthogonal_complement(m.ns, (omega.ns_part,))
@@ -253,13 +257,13 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
             raise HypothesisViolation(f"segment {name} point is not a polarization")
     if m.pair(omega, omega_prime) <= 0:
         raise HypothesisViolation("endpoints lie in different positive-cone components")
+    bound = wall_bound(v)
     for name, endpoint in (("start", omega), ("end", omega_prime)):
-        on = walls_through_class(m, v, endpoint)
+        on = _walls_through(m, bound, endpoint)
         if on:
             raise HypothesisViolation(
                 f"segment {name} point lies on a wall D={on[0].d!r} with D^2={on[0].d_square}"
             )
-    bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
     mbound = segment_candidate_bound(m, omega, omega_prime, bound)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,12 @@ from mukaikit import (
     wall_bound,
 )
 from mukaikit.exactlin import rational_signature
+
+# ``pythonpath`` in pyproject.toml puts src/ on the path of this interpreter
+# only; child interpreters started by tests (``python -m mukaikit``) read it
+# from the environment.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture
