@@ -59,7 +59,7 @@ def _wall_json(w: walls_mod.Wall) -> dict[str, Any]:
     }
 
 
-def _cmd_pairing(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_pairing(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     sq = mukai_square(v)
     out: dict[str, Any] = {
@@ -72,7 +72,7 @@ def _cmd_pairing(cfg: Config, args, workers: int) -> dict[str, Any]:
     return out
 
 
-def _cmd_type(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_type(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     tau = topological_type(v)
     return {
@@ -82,10 +82,10 @@ def _cmd_type(cfg: Config, args, workers: int) -> dict[str, Any]:
     }
 
 
-def _cmd_walls(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_walls(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
-    found = walls_mod.walls_through_class(cfg.model, v, omega, workers=workers)
+    found = walls_mod.walls_through_class(cfg.model, v, omega)
     out: dict[str, Any] = {
         "bound": rational_to_json(walls_mod.wall_bound(v)),
         "count": len(found),
@@ -102,10 +102,10 @@ def _cmd_walls(cfg: Config, args, workers: int) -> dict[str, Any]:
     return out
 
 
-def _cmd_generic(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_generic(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
-    found = walls_mod.walls_through_class(cfg.model, v, omega, workers=workers)
+    found = walls_mod.walls_through_class(cfg.model, v, omega)
     bound = walls_mod.wall_bound(v)
     out = {
         "generic": not found,
@@ -120,20 +120,20 @@ def _cmd_generic(cfg: Config, args, workers: int) -> dict[str, Any]:
     return out
 
 
-def _cmd_chamber(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_chamber(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
     omega_prime = _require(cfg.omega_prime, "omega_prime")
-    same = walls_mod.same_chamber(cfg.model, v, omega, omega_prime, workers=workers)
+    same = walls_mod.same_chamber(cfg.model, v, omega, omega_prime)
     return {"same_chamber": same}
 
 
-def _cmd_crossings(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_crossings(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
     omega_prime = _require(cfg.omega_prime, "omega_prime")
     seg = walls_mod.Segment(omega, omega_prime)
-    found = walls_mod.walls_crossing_segment(cfg.model, v, seg, workers=workers)
+    found = walls_mod.walls_crossing_segment(cfg.model, v, seg)
     return {
         "count": len(found),
         "crossings": [
@@ -142,7 +142,7 @@ def _cmd_crossings(cfg: Config, args, workers: int) -> dict[str, Any]:
     }
 
 
-def _cmd_twist(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_twist(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     e = _require(cfg.twist, "twist")
     if v.v0.denominator != 1 or v.v0 < 1:
@@ -167,7 +167,7 @@ def _cmd_twist(cfg: Config, args, workers: int) -> dict[str, Any]:
     return out
 
 
-def _cmd_report(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_report(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
     rep = moduli_report(cfg.model, v, omega)
@@ -187,7 +187,7 @@ def _cmd_report(cfg: Config, args, workers: int) -> dict[str, Any]:
     }
 
 
-def _cmd_h2(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_h2(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     emb = cfg.embedding if cfg.embedding is not None else standard_ns_embedding(cfg.model.ns)
     embedded = EmbeddedMukaiVector.from_algebraic(v, emb)
@@ -202,7 +202,7 @@ def _cmd_h2(cfg: Config, args, workers: int) -> dict[str, Any]:
     }
 
 
-def _cmd_projective(cfg: Config, args, workers: int) -> dict[str, Any]:
+def _cmd_projective(cfg: Config, args) -> dict[str, Any]:
     v = _require(cfg.mukai, "mukai")
     check = projectivity_check(cfg.model, v)
     lhs, rhs = check.isotropy_identity
@@ -217,7 +217,7 @@ def _cmd_projective(cfg: Config, args, workers: int) -> dict[str, Any]:
     }
 
 
-def _cmd_exists(cfg: Config | None, args, workers: int) -> dict[str, Any]:
+def _cmd_exists(cfg: Config | None, args) -> dict[str, Any]:
     if args.r is not None or args.d is not None or args.g is not None:
         if None in (args.r, args.d, args.g):
             raise ValidationError("exists: provide all of --r, --d, --g or none")
@@ -299,21 +299,20 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_workers(args) -> int:
-    if args.threads is not None:
-        workers = args.threads
-    else:
+def _check_threads(args) -> None:
+    # --threads, else MUKAIKIT_THREADS, is parsed and validated; no code
+    # path reads the count.
+    threads = args.threads
+    if threads is None:
         env = os.environ.get("MUKAIKIT_THREADS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ValidationError(f"MUKAIKIT_THREADS={env!r} is not an integer") from exc
-        else:
-            workers = os.cpu_count() or 1
-    if workers < 1:
+        if env is None:
+            return
+        try:
+            threads = int(env)
+        except ValueError as exc:
+            raise ValidationError(f"MUKAIKIT_THREADS={env!r} is not an integer") from exc
+    if threads < 1:
         raise ValidationError("thread count must be >= 1")
-    return workers
 
 
 def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
@@ -337,14 +336,14 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     except SystemExit:
         return EXIT_VALIDATION
     try:
-        workers = _resolve_workers(args)
+        _check_threads(args)
         if args.config is not None:
             cfg = load_config(args.config)
         elif needs_config:
             raise ValidationError(f"{command}: --config is required")
         else:
             cfg = None
-        result = handler(cfg, args, workers)
+        result = handler(cfg, args)
     except ValidationError as exc:
         stderr.write(f"mukaikit {command}: invalid input: {exc}\n")
         return EXIT_VALIDATION

@@ -88,28 +88,20 @@ def is_symmetric(m: Sequence[Sequence]) -> bool:
 
 
 def determinant(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free style elimination over Q."""
+    """Exact determinant: each row cleared of denominators, then the row
+    Hermite loop triangularizes the integer matrix."""
     rows, cols = shape(m)
     if rows != cols:
         raise ValidationError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(rows):
-        pivot_row = next((i for i in range(col, rows) if a[i][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        pivot = a[col][col]
-        det *= pivot
-        inv = 1 / pivot
-        for i in range(col + 1, rows):
-            factor = a[i][col] * inv
-            if factor:
-                for j in range(col, rows):
-                    a[i][j] -= factor * a[col][j]
-    return det
+    a, denom = [], 1
+    for row in m:
+        ints, d = clear_denominators(row)
+        a.append(list(ints))
+        denom *= d
+    det = _row_hermite_inplace(a, [[] for _ in range(rows)], rows, cols)
+    for i in range(rows):
+        det *= a[i][i]
+    return Fraction(det, denom)
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
@@ -159,12 +151,15 @@ def _xgcd_rows(a, t, i, j, c):
     )
 
 
-def _row_hermite_inplace(a, left, rows, cols) -> None:
+def _row_hermite_inplace(a, left, rows, cols) -> int:
     """Row Hermite reduction with transform; entries above pivots reduced.
 
     Keeping everything reduced modulo the pivots is what bounds entry
-    growth (Kannan-Bachem style), unlike naive diagonal chasing.
+    growth (Kannan-Bachem style), unlike naive diagonal chasing. Returns
+    the determinant (+-1) of the row operations: swaps and negations flip
+    it, the xgcd step and ``_add_row`` have determinant 1.
     """
+    sign = 1
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
@@ -172,12 +167,14 @@ def _row_hermite_inplace(a, left, rows, cols) -> None:
             continue
         if pivot != r:
             _swap_rows(a, left, r, pivot)
+            sign = -sign
         for i in range(r + 1, rows):
             if a[i][c] != 0:
                 _xgcd_rows(a, left, r, i, c)
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
             left[r] = [-x for x in left[r]]
+            sign = -sign
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
@@ -185,6 +182,7 @@ def _row_hermite_inplace(a, left, rows, cols) -> None:
         r += 1
         if r == rows:
             break
+    return sign
 
 
 def _is_diagonal(a, rows, cols) -> bool:
@@ -301,14 +299,13 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
     rows, cols = shape(mat)
     if cols == 0:
         return ()
-    if rows == 0:
-        return identity(cols)
-    diag, _left, right = smith_normal_form(mat)
-    rank = sum(1 for d in diag if d != 0)
-    # Columns of `right` beyond the rank span the kernel; they are part of a
-    # unimodular matrix, hence the sublattice they span is saturated.
-    kernel_cols = range(rank, cols)
-    basis = tuple(tuple(right[i][j] for i in range(cols)) for j in kernel_cols)
+    # Row-reduce m^T with transform T, so T @ m^T = H. The rows of T whose
+    # rows of H vanish span the kernel; they are rows of a unimodular
+    # matrix, hence the sublattice they span is saturated.
+    a = [list(col) for col in zip(*mat)]
+    t = [list(row) for row in identity(cols)]
+    _row_hermite_inplace(a, t, cols, rows)
+    basis = [row for h, row in zip(a, t) if not any(h)]
     if not basis:
         return ()
     return hermite_normal_form(basis)
@@ -353,7 +350,10 @@ def congruence_pivots(mat: RatMatrix) -> tuple[list[tuple[int, tuple[Fraction, .
     entry is turned into a diagonal one by a congruence (valid in
     characteristic 0). Returns the pivots in elimination order, each as
     ``(index, row)`` with the row as it stood when it was eliminated, and
-    the number of zero directions left over. Callers check symmetry.
+    the number of zero directions left over. Only the live block is
+    updated (its rows cover it, since it is symmetric), so the entries of
+    a pivot row at indices eliminated before it are stale; its pivot and
+    its live entries are exact. Callers check symmetry.
     """
     n, _ = shape(mat)
     a = [list(row) for row in mat]
@@ -362,33 +362,26 @@ def congruence_pivots(mat: RatMatrix) -> tuple[list[tuple[int, tuple[Fraction, .
     while live:
         pivot = next((i for i in live if a[i][i] != 0), None)
         if pivot is None:
-            pair = None
-            for i in live:
-                for j in live:
-                    if i != j and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in live for j in live if i != j and a[i][j] != 0), None)
             if pair is None:
                 return pivots, len(live)
             i, j = pair
             # Congruence x_i -> x_i + x_j makes the (i,i) entry 2*a[i][j] != 0.
-            for k in range(n):
+            for k in live:
                 a[i][k] += a[j][k]
-            for k in range(n):
+            for k in live:
                 a[k][i] += a[k][j]
             pivot = i
-        p = a[pivot][pivot]
-        pivots.append((pivot, tuple(a[pivot])))
+        row = a[pivot]
+        p = row[pivot]
+        pivots.append((pivot, tuple(row)))
         live.remove(pivot)
         for i in live:
             factor = a[i][pivot] / p
             if factor:
-                for k in range(n):
-                    a[i][k] -= factor * a[pivot][k]
-                for k in range(n):
-                    a[k][i] -= factor * a[k][pivot]
+                ri = a[i]
+                for k in live:
+                    ri[k] -= factor * row[k]
     return pivots, 0
 
 

@@ -128,11 +128,12 @@ def pairing(x: LatticeVector, y: LatticeVector) -> Fraction:
     """Intersection pairing x^T . gram . y, exact."""
     _check_same_lattice(x, y)
     g = x.lattice.gram
+    ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
     total = Fraction(0)
     for i, xi in enumerate(x.coords):
         if xi:
             row = g[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y.coords) if yj)
+            total += xi * sum(row[j] * yj for j, yj in ys if row[j])
     return total
 
 
@@ -239,8 +240,8 @@ def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> Orthogonal
     if not vs:
         return OrthogonalComplement(Lattice(l.gram, l.label), exactlin.identity(l.rank))
     # x . gram . v = 0 is one integer linear condition after clearing
-    # denominators.
-    rows = [exactlin.clear_denominators(exactlin.mat_vec(l.gram, v.coords))[0] for v in vs]
+    # the denominators of v.
+    rows = [exactlin.mat_vec(l.gram, exactlin.clear_denominators(v.coords)[0]) for v in vs]
     basis = exactlin.integer_kernel_saturated(rows)
     if not basis:
         return OrthogonalComplement(Lattice((), f"{l.label}-perp"), ())

@@ -111,8 +111,8 @@ def validate_ns_embedding(ns: Lattice, emb: IntMatrix) -> None:
     induced = exactlin.matmul(exactlin.matmul(emb, lam.gram), exactlin.transpose(emb))
     if induced != ns.gram:
         raise ValidationError("embedding does not respect the intersection form")
-    diag, _, _ = exactlin.smith_normal_form(emb)
-    if any(d != 1 for d in diag):
+    # The rows are saturated iff the columns generate Z^rows.
+    if exactlin.hermite_normal_form(exactlin.transpose(emb)) != exactlin.identity(rows):
         raise ValidationError("embedding is not primitive (image is not saturated)")
 
 

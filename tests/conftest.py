@@ -179,42 +179,65 @@ def box_vectors(rank: int, box: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
+_WALL_ARRAYS: dict = {}
+
+
+def _wall_array(model: K3Model, v, box: int) -> np.ndarray:
+    """Primitive canonical wall classes of v in the box, one row each.
+
+    Cached per Gram matrix, wall bound and box, since the classes do not
+    depend on the polarization.
+    """
+    bound = wall_bound(v)
+    key = (model.ns.gram, bound, box)
+    if key not in _WALL_ARRAYS:
+        g = np.array(model.ns.gram, dtype=np.int64)
+        pts = box_vectors(model.ns.rank, box)
+        sq = pts @ g
+        sq *= pts
+        sq = sq.sum(1)
+        keep = (sq < 0) & (sq * bound.denominator >= -bound.numerator)
+        walls = pts[keep]
+        walls //= np.gcd.reduce(np.abs(walls), axis=1)[:, None]
+        first = walls[np.arange(len(walls)), (walls != 0).argmax(1)]
+        walls[first < 0] *= -1
+        walls = np.unique(walls, axis=0)
+        walls.flags.writeable = False
+        _WALL_ARRAYS[key] = walls
+    return _WALL_ARRAYS[key]
+
+
 def oracle_wall_set(model: K3Model, v, box: int = 50) -> set:
     """Primitive canonical wall classes of v with all coordinates in the box."""
-    bound = wall_bound(v)
-    g = np.array(model.ns.gram, dtype=np.int64)
-    pts = box_vectors(model.ns.rank, box)
-    sq = np.einsum("ij,jk,ik->i", pts, g, pts)
-    keep = (sq < 0) & (sq * bound.denominator >= -bound.numerator)
-    out = set()
-    for row in pts[keep]:
-        coords = tuple(int(c) for c in row)
-        g0 = 0
-        for c in coords:
-            g0 = gcd(g0, abs(c))
-        coords = tuple(c // g0 for c in coords)
-        first = next(c for c in coords if c != 0)
-        if first < 0:
-            coords = tuple(-c for c in coords)
-        out.add(coords)
-    return out
+    return {tuple(int(c) for c in row) for row in _wall_array(model, v, box)}
+
+
+def _pairings(model: K3Model, walls: np.ndarray, omega: H11Class, box: int):
+    """D . omega for each row D, scaled by the positive lcm of omega's
+    denominators: one integer per wall class and the scale."""
+    coords = omega.ns_part.coords
+    denom = 1
+    for c in coords:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    form = [sum(row[j] * int(c * denom) for j, c in enumerate(coords)) for row in model.ns.gram]
+    assert box * sum(abs(f) for f in form) < 2**62, "pairings would overflow int64"
+    return walls @ np.array(form, dtype=np.int64), denom
 
 
 def oracle_walls_through(model: K3Model, v, omega: H11Class, box: int = 50) -> set:
-    hits = set()
-    for coords in oracle_wall_set(model, v, box):
-        if model.pair_ns(model.ns.vector(coords), omega) == 0:
-            hits.add(coords)
-    return hits
+    walls = _wall_array(model, v, box)
+    p, _ = _pairings(model, walls, omega, box)
+    return {tuple(int(c) for c in row) for row in walls[p == 0]}
 
 
 def oracle_crossings(model: K3Model, v, omega: H11Class, omega_prime: H11Class,
                      box: int = 50) -> dict:
+    walls = _wall_array(model, v, box)
+    p, dp = _pairings(model, walls, omega, box)
+    q, dq = _pairings(model, walls, omega_prime, box)
     hits = {}
-    for coords in oracle_wall_set(model, v, box):
-        d = model.ns.vector(coords)
-        p = model.pair_ns(d, omega)
-        q = model.pair_ns(d, omega_prime)
-        if (p < 0 < q) or (q < 0 < p):
-            hits[coords] = p / (p - q)
+    for i in np.flatnonzero(((p < 0) & (q > 0)) | ((q < 0) & (p > 0))):
+        # With p = P / dp and q = Q / dq, p / (p - q) = P dq / (P dq - Q dp).
+        a, b = int(p[i]) * dq, int(q[i]) * dp
+        hits[tuple(int(c) for c in walls[i])] = Fraction(a, a - b)
     return hits

@@ -8,6 +8,10 @@ hit, reduces it to a primitive class with canonical sign, squares it and
 pairs it with the polarizations through ``K3Model.pair_ns``. It is slow
 and independent of the integer code it checks, apart from the shared
 LDL split and the model's own pairings.
+
+It also keeps two exact-layer routines as they ran before: the saturated
+kernel read off a Smith form, and the symmetric congruence that updated
+every row and column at each step.
 """
 
 from __future__ import annotations
@@ -15,7 +19,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from mukaikit.exactlin import integer_kernel_saturated, mat_vec, matmul, rat_matrix, shape, transpose
+from mukaikit.exactlin import (
+    hermite_normal_form,
+    integer_kernel_saturated,
+    mat_vec,
+    matmul,
+    rat_matrix,
+    shape,
+    smith_normal_form,
+    transpose,
+)
 from mukaikit.shortvec import ldl_decompose
 from mukaikit.surface import is_polarization
 from mukaikit.walls import wall_bound, segment_candidate_bound
@@ -157,3 +170,54 @@ def oracle_crossings(m, v, omega, omega_prime) -> list[tuple[tuple, Fraction, Fr
             crossings.append((d.coords, sq, p / (p - q)))
     crossings.sort(key=lambda c: (c[2], c[0]))
     return crossings
+
+
+def smith_kernel(m) -> tuple:
+    """Saturated kernel of m: the columns of Smith's ``right`` past the rank, in HNF."""
+    rows, cols = shape(m)
+    if cols == 0:
+        return ()
+    if rows == 0:
+        return tuple(tuple(int(i == j) for j in range(cols)) for i in range(cols))
+    diag, _left, right = smith_normal_form(m)
+    rank = sum(1 for d in diag if d != 0)
+    basis = tuple(tuple(right[i][j] for i in range(cols)) for j in range(rank, cols))
+    return hermite_normal_form(basis) if basis else ()
+
+
+def full_update_congruence_pivots(mat):
+    """The symmetric congruence updating all n entries of every live row and column."""
+    n, _ = shape(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    live = list(range(n))
+    pivots = []
+    while live:
+        pivot = next((i for i in live if a[i][i] != 0), None)
+        if pivot is None:
+            pair = None
+            for i in live:
+                for j in live:
+                    if i != j and a[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                return pivots, len(live)
+            i, j = pair
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            pivot = i
+        p = a[pivot][pivot]
+        pivots.append((pivot, tuple(a[pivot])))
+        live.remove(pivot)
+        for i in live:
+            factor = a[i][pivot] / p
+            if factor:
+                for k in range(n):
+                    a[i][k] -= factor * a[pivot][k]
+                for k in range(n):
+                    a[k][i] -= factor * a[k][pivot]
+    return pivots, 0

@@ -1,11 +1,13 @@
 """Property tests for the shared exact kernels.
 
-One row Hermite loop serves ``hermite_normal_form`` and
-``invert_unimodular``; one symmetric congruence serves
-``rational_signature`` and ``ldl_decompose``; ``coordinate_radii`` reads
-cofactors through ``determinant``. The checks are products with the
-inverse, row spans both ways, eigenvalue signs from numpy, exact
-reconstruction q = U^T D U, and inverses built from a known congruence.
+One row Hermite loop serves ``hermite_normal_form``,
+``invert_unimodular``, ``integer_kernel_saturated`` and ``determinant``;
+one symmetric congruence serves ``rational_signature`` and
+``ldl_decompose``; ``coordinate_radii`` reads cofactors through
+``determinant``. The checks are products with the inverse, row spans
+both ways, eigenvalue signs from numpy, exact reconstruction
+q = U^T D U, inverses built from a known congruence, a Leibniz
+expansion, and the Smith and full-update routines these replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import io
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,19 +26,27 @@ from mukaikit import exactlin
 from mukaikit.cli import run
 from mukaikit.errors import InternalError, ValidationError
 from mukaikit.exactlin import (
+    congruence_pivots,
     content_of,
+    determinant,
     hermite_normal_form,
     identity,
+    integer_kernel_saturated,
     invert_unimodular,
+    mat_vec,
     matmul,
+    rat_matrix,
     rational_signature,
     smith_normal_form,
     solve_left,
     transpose,
 )
+from mukaikit.lattice import Lattice, full_mukai_lattice, k3_lattice
+from mukaikit.moduli import standard_ns_embedding, validate_ns_embedding
 from mukaikit.shortvec import coordinate_radii, ldl_decompose
 
 from conftest import random_unimodular
+from fraction_oracle import full_update_congruence_pivots, smith_kernel
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -257,3 +268,158 @@ def test_smith_non_convergence_is_internal(monkeypatch, tmp_path):
     assert run(["h2", "--config", str(cfg), "--format", "json"], stdout=out, stderr=err) == 70
     assert out.getvalue() == ""
     assert err.getvalue().startswith("internal error")
+
+
+# -- determinant ------------------------------------------------------------------
+
+
+def _leibniz(m):
+    n = len(m)
+    total = F(0)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = F(sign)
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def _random_square(rng: random.Random, n: int):
+    if rng.random() < 0.5:
+        return tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+    return tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n))
+                 for _ in range(n))
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_determinant_equals_leibniz(seed):
+    rng = random.Random(seed)
+    m = _random_square(rng, rng.randint(1, 5))
+    assert determinant(m) == _leibniz(m)
+
+
+@given(SEEDS)
+@SETTINGS
+def test_determinant_of_singular_is_zero(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    m = [list(row) for row in _random_square(rng, n)]
+    i = rng.randrange(n)
+    if n == 1 or rng.random() < 0.3:
+        m[i] = [0] * n
+    else:
+        j, k = rng.sample([x for x in range(n) if x != i] * 2, 2)
+        a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-3, 3)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    assert determinant(m) == 0
+
+
+@given(SEEDS)
+@SETTINGS
+def test_determinant_sign_flips_with_a_row_swap(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    m = [list(row) for row in _random_square(rng, n)]
+    i, j = rng.sample(range(n), 2)
+    swapped = [list(row) for row in m]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert determinant(swapped) == -determinant(m)
+    u = random_unimodular(rng, n, steps=2 * n)
+    assert determinant(u) == _leibniz(u) and abs(determinant(u)) == 1
+
+
+def test_determinant_small_cases():
+    assert determinant(()) == 1
+    assert determinant(((0, 1), (1, 0))) == -1
+    assert determinant(((F(1, 2), 0), (0, F(-2, 3)))) == F(-1, 3)
+    with pytest.raises(ValidationError):
+        determinant(((1, 2),))
+
+
+# -- integer_kernel_saturated -------------------------------------------------------
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_kernel_equals_smith_construction(seed):
+    rng = random.Random(seed)
+    m = [list(row) for row in _random_int_matrix(rng)]
+    if rng.random() < 0.3:
+        c = rng.randrange(len(m[0]))
+        for row in m:
+            row[c] = 0
+    m = tuple(tuple(row) for row in m)
+    k = integer_kernel_saturated(m)
+    assert k == smith_kernel(m)
+    for row in k:
+        assert not any(mat_vec(m, row))
+
+
+@given(SEEDS)
+@SETTINGS
+def test_kernel_of_h2_rows_equals_smith_construction(seed):
+    # orthogonal_complement in the rank-24 Mukai lattice solves one row G v.
+    rng = random.Random(seed)
+    gram = full_mukai_lattice().gram
+    v = [rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(24)]
+    v[rng.randrange(24)] = rng.randint(1, 4)
+    row = (mat_vec(gram, v),)
+    k = integer_kernel_saturated(row)
+    assert len(k) == 23
+    assert k == smith_kernel(row)
+
+
+def test_kernel_edge_shapes():
+    assert integer_kernel_saturated(()) == smith_kernel(()) == ()
+    assert integer_kernel_saturated(((0, 0, 0),)) == identity(3)
+    assert integer_kernel_saturated(((1, 0), (0, 1))) == ()
+    assert integer_kernel_saturated(((0,), (0,))) == ((1,),)
+
+
+# -- validate_ns_embedding ------------------------------------------------------------
+
+
+def _induced(emb):
+    return matmul(matmul(emb, k3_lattice().gram), transpose(emb))
+
+
+def test_ns_embedding_primitivity():
+    ns = Lattice(((2, 0), (0, -2)))
+    emb = standard_ns_embedding(ns)
+    validate_ns_embedding(ns, emb)
+    # A primitive embedding whose image is not a coordinate sublattice.
+    mixed = ((1, 1, 1, 0) + (0,) * 18, (0, 0, 1, 1) + (0,) * 18)
+    validate_ns_embedding(Lattice(_induced(mixed)), mixed)
+    doubled = (tuple(2 * x for x in emb[0]), emb[1])
+    repeated = (emb[0], emb[0])
+    for bad in (doubled, repeated):
+        with pytest.raises(ValidationError, match=r"^embedding is not primitive \(image is not saturated\)$"):
+            validate_ns_embedding(Lattice(_induced(bad)), bad)
+
+
+# -- congruence_pivots ---------------------------------------------------------------
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_congruence_pivots_match_full_update(seed):
+    rng = random.Random(seed)
+    g = _random_symmetric(rng)
+    if rng.random() < 0.5:
+        s = F(rng.randint(1, 5), rng.randint(1, 5))
+        g = tuple(tuple(s * x for x in row) for row in g)
+    mat = rat_matrix(g)
+    pivots, n_zero = congruence_pivots(mat)
+    want, want_zero = full_update_congruence_pivots(mat)
+    assert n_zero == want_zero
+    assert [i for i, _ in pivots] == [i for i, _ in want]
+    live = set(range(len(g)))
+    for (i, row), (_, ref) in zip(pivots, want):
+        assert all(row[k] == ref[k] for k in live)
+        live.remove(i)
