@@ -53,9 +53,6 @@ class Lattice:
     def signature(self) -> tuple[int, int, int]:
         return rational_signature(self.gram)
 
-    def is_nondegenerate(self) -> bool:
-        return self.signature()[1] == 0
-
     def __repr__(self):
         name = self.label or f"rank-{self.rank} lattice"
         return f"Lattice({name})"

@@ -3,12 +3,13 @@
 For a positive-rank class with discriminant Delta, the wall classes are
 the D in NS with -r^4 Delta / 2 <= D^2 < 0; a polarization is generic
 when no wall class is orthogonal to it. Everything here is decided in
-exact arithmetic: enumeration reduces to short vectors of definite forms,
-one of each pair +-x, and the filter after the search runs on integers.
-The forms G.omega of the polarizations are cleared of denominators once
-per call; primitive reduction, canonical sign, squares and sign tests
-then work on int tuples, and Wall objects are built only for the walls
-returned.
+exact arithmetic: each query runs one search for short vectors of a
+definite form, one of each pair +-x (for a segment, on a majorant ball
+that also holds the walls through either endpoint), and the filter after
+the search runs on integers. The forms G.omega of the polarizations are
+cleared of denominators once per call; primitive reduction, canonical
+sign, squares and sign tests then work on int tuples, and Wall objects
+are built only for the walls returned.
 """
 
 from __future__ import annotations
@@ -190,11 +191,7 @@ def walls_through_class(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> 
     """
     if not is_polarization(m, omega):
         raise HypothesisViolation("walls are computed through polarizations only")
-    return _walls_through(m, wall_bound(v), omega)
-
-
-def _walls_through(m: K3Model, bound: Fraction, omega: H11Class) -> list[Wall]:
-    """``walls_through_class`` for a polarization omega, given the wall bound."""
+    bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
     perp = orthogonal_complement(m.ns, (omega.ns_part,))
@@ -229,13 +226,14 @@ class WallCrossing:
 
 def segment_candidate_bound(m: K3Model, omega: H11Class, omega_prime: H11Class,
                             bound: Fraction) -> Fraction:
-    """Upper bound for the majorant M(x) = 2 (x.w)^2/w^2 - x^2 on crossing walls.
+    """Upper bound for the majorant M(x) = 2 (x.w)^2/w^2 - x^2 on walls meeting the segment.
 
-    Write a = w^2, b = w.w', c = w'^2. A wall class D orthogonal to some
-    interior point of the segment satisfies, via Cauchy-Schwarz in the
-    negative definite orthogonal complement of w,
-        (D.w)^2 <= bound * (b^2 - ac) / c,
-    which gives M(D) <= bound * (2 b^2 - ac) / (ac).
+    Write a = w^2, b = w.w' > 0, c = w'^2; b^2 >= ac (H^{1,1} has one
+    positive direction). A wall D through w (t = 0) has M(D) = -D^2 <= bound.
+    Through w_t with 0 < t <= 1, D.w and D.w' have opposite signs or D.w' = 0;
+    splitting D along the span of w, w' (negative definite complement) gives
+    (D.w)^2 <= bound * (b^2 - ac) / c (at t = 1: Cauchy-Schwarz in w'^perp).
+    Either way M(D) <= bound * (2 b^2 - ac) / (ac), using b^2 >= ac at t = 0.
     """
     a = m.square(omega)
     b = m.pair(omega, omega_prime)
@@ -248,6 +246,7 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
 
     Both endpoints must be generic (no wall through either); walls are
     reported with the exact t in (0,1) where D . omega_t = 0, sorted by t.
+    The one majorant search also finds the walls through the endpoints.
     ``workers`` is accepted for compatibility; the result never depended
     on it.
     """
@@ -255,36 +254,39 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
     for name, endpoint in (("start", omega), ("end", omega_prime)):
         if not is_polarization(m, endpoint):
             raise HypothesisViolation(f"segment {name} point is not a polarization")
-    if m.pair(omega, omega_prime) <= 0:
-        raise HypothesisViolation("endpoints lie in different positive-cone components")
+    b = m.pair(omega, omega_prime)
+    if b <= 0:
+        raise HypothesisViolation(
+            f"endpoints lie in different positive-cone components (omega.omega'={b})"
+        )
     bound = wall_bound(v)
-    for name, endpoint in (("start", omega), ("end", omega_prime)):
-        on = _walls_through(m, bound, endpoint)
-        if on:
-            raise HypothesisViolation(
-                f"segment {name} point lies on a wall D={on[0].d!r} with D^2={on[0].d_square}"
-            )
-    if bound < 0 or m.ns.rank == 0:
-        return []
     mbound = segment_candidate_bound(m, omega, omega_prime, bound)
-    if mbound < 0:
-        return []
     # Majorant Gram on NS: 2 w_i w_j / w^2 - G_ij with w = G . omega_ns.
     gram = m.ns.gram
     w = mat_vec(gram, omega.ns_part.coords)
     a = m.square(omega)
     n = m.ns.rank
     maj = tuple(tuple(2 * w[i] * w[j] / a - gram[i][j] for j in range(n)) for i in range(n))
-    hits = shortvec.short_vectors_up_to_sign(maj, mbound)
     # D . omega = P / dp and D . omega' = Q / dq, with P and Q integers.
-    (row_p, dp), (row_q, dq) = (clear_denominators(mat_vec(gram, e.ns_part.coords))
-                                for e in (omega, omega_prime))
-    changing = (x for x in hits if sum(map(mul, row_p, x)) * sum(map(mul, row_q, x)) < 0)
-    crossings = []
-    for key, sq in _in_bound(gram, bound, changing).items():
+    row_p, dp = clear_denominators(w)
+    row_q, dq = clear_denominators(mat_vec(gram, omega_prime.ns_part.coords))
+    hits = shortvec.short_vectors_up_to_sign(maj, mbound)
+    meeting = (x for x in hits if sum(map(mul, row_p, x)) * sum(map(mul, row_q, x)) <= 0)
+    crossings, on_wall = [], []
+    for key, sq in _in_bound(gram, bound, meeting).items():
         p = sum(map(mul, row_p, key)) * dq
         q = sum(map(mul, row_q, key)) * dp
-        crossings.append((Fraction(p, p - q), key, sq))
+        if p and q:
+            crossings.append((Fraction(p, p - q), key, sq))
+        else:
+            # D meets an endpoint: start before end, then walls_through_class order.
+            on_wall.append((p != 0, -sq, key))
+    if on_wall:
+        at_end, neg_sq, key = min(on_wall)
+        raise HypothesisViolation(
+            f"segment {'end' if at_end else 'start'} point lies on a wall "
+            f"D={m.ns.vector(key)!r} with D^2={-neg_sq}"
+        )
     crossings.sort()
     return [WallCrossing(Wall(m.ns.vector(key), Fraction(sq), bound), t)
             for t, key, sq in crossings]

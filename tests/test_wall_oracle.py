@@ -14,14 +14,15 @@ from fractions import Fraction as F
 from itertools import product
 from math import isqrt
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mukaikit import H11Class, K3Model, Lattice, Segment, WallProfile
+from mukaikit import H11Class, K3Model, Lattice, Segment, WallProfile, diagonal_lattice, wall_bound
 from mukaikit.errors import HypothesisViolation
 from mukaikit.exactlin import invert_unimodular, mat_vec
 from mukaikit.shortvec import coordinate_radii, short_vectors, short_vectors_up_to_sign
-from mukaikit.walls import walls_crossing_segment, walls_through_class
+from mukaikit.walls import segment_candidate_bound, walls_crossing_segment, walls_through_class
 
 from conftest import random_unimodular
 from fraction_oracle import fraction_short_vectors, oracle_crossings, oracle_walls_through_class
@@ -102,6 +103,72 @@ def test_crossings_match_fraction_oracle(case):
     got = [(c.wall.d.coords, c.wall.d_square, c.t)
            for c in walls_crossing_segment(model, profile, seg)]
     assert got == oracle_crossings(model, profile, seg.start, seg.end)
+
+
+def _check_on_wall_message(model, profile, seg):
+    """An endpoint on a wall is named by walls_through_class's first wall, start before end.
+
+    Returns the message, or None when both endpoints are generic.
+    """
+    for name, endpoint in (("start", seg.start), ("end", seg.end)):
+        on = walls_through_class(model, profile, endpoint)
+        if on:
+            with pytest.raises(HypothesisViolation) as exc:
+                walls_crossing_segment(model, profile, seg)
+            w = on[0]
+            message = f"segment {name} point lies on a wall D={w.d!r} with D^2={w.d_square}"
+            assert str(exc.value) == message
+            return message
+    walls_crossing_segment(model, profile, seg)
+    return None
+
+
+def _check_candidate_bound(model, profile, seg):
+    """The majorant bound holds the walls through either endpoint (t = 0 and t = 1)."""
+    bound = wall_bound(profile)
+    mbound = segment_candidate_bound(model, seg.start, seg.end, bound)
+    assert bound <= mbound
+    a, w = model.square(seg.start), seg.start.ns_part.coords
+    for endpoint in (seg.start, seg.end):
+        for wall in walls_through_class(model, profile, endpoint):
+            dw = _dot(model.ns.gram, wall.d.coords, w)
+            assert 2 * dw * dw / a - wall.d_square <= mbound
+
+
+@settings(SETTINGS, max_examples=50)
+@given(crossing_cases())
+def test_on_wall_message_names_first_wall(case):
+    _check_on_wall_message(*case)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(crossing_cases())
+def test_candidate_bound_holds_walls_through_endpoints(case):
+    _check_candidate_bound(*case)
+
+
+# NS entries, start, end and the message (wall bound 8).
+ON_WALL = [
+    # End only; two walls of D^2 = -2 through it, the smaller key named.
+    ((2, -2, -2), (1, F(1, 7), F(1, 11)), (1, 0, 0),
+     "segment end point lies on a wall D=(0, 0, 1) with D^2=-2"),
+    # Both endpoints on D = (0, 1, 0): the start is named.
+    ((2, -2, -4), (1, 0, 0), (1, 0, F(1, 5)),
+     "segment start point lies on a wall D=(0, 1, 0) with D^2=-2"),
+    # Four walls through the start (D^2 = -2, -4, -6, -6): the largest D^2 is named.
+    ((2, -2, -4), (1, 0, 0), (1, F(1, 7), F(1, 11)),
+     "segment start point lies on a wall D=(0, 1, 0) with D^2=-2"),
+]
+
+
+@pytest.mark.parametrize("entries, start, end, message", ON_WALL)
+def test_on_wall_message_cases(entries, start, end, message):
+    ns = diagonal_lattice(entries, "NS")
+    model = K3Model(ns=ns, reference_positive=H11Class(ns.basis_vector(0), Lattice(()).zero()))
+    profile = WallProfile(2, F(1))
+    seg = Segment(model.h11(start), model.h11(end))
+    assert _check_on_wall_message(model, profile, seg) == message
+    _check_candidate_bound(model, profile, seg)
 
 
 @st.composite

@@ -221,6 +221,16 @@ class TestCrossings:
         with pytest.raises(HypothesisViolation):
             walls_crossing_segment(rank2_model, v, seg)
 
+    def test_cone_component_message_states_the_pairing(self, rank2_model, monkeypatch):
+        # Polarizations all pair positively with the reference, so they share a
+        # cone component; the check is reached only past a stubbed polarization test.
+        monkeypatch.setattr("mukaikit.walls.is_polarization", lambda m, omega: True)
+        h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
+        v = MukaiVector(F(2), h + f, F(0))
+        seg = Segment(rank2_model.h11((1, F(1, 4))), rank2_model.h11((-1, F(1, 4))))
+        with pytest.raises(HypothesisViolation, match=r"omega\.omega'=-17/8"):
+            walls_crossing_segment(rank2_model, v, seg)
+
     def test_chamber_relation_reflexive_symmetric(self, rank2_model):
         h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
         v = MukaiVector(F(2), h + f, F(0))
