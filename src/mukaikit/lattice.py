@@ -40,7 +40,7 @@ class Lattice:
         return len(self.gram)
 
     def vector(self, coords: Iterable) -> "LatticeVector":
-        return LatticeVector(self, tuple(Fraction(c) for c in coords))
+        return LatticeVector(self, tuple(coords))
 
     def basis_vector(self, i: int) -> "LatticeVector":
         if not 0 <= i < self.rank:

@@ -8,6 +8,22 @@ alone, so no floating point and no Fraction enters its loops. It keeps
 one of each pair +-x (the one whose last nonzero coordinate is
 positive), since q(-x) = q(x); ``short_vectors`` adds the negatives back.
 It runs in one thread.
+
+An optional leaf clip, a pair (p, r) of integer linear forms, keeps only
+the x with p(x) r(x) <= 0. Coordinates are fixed from the last down, so
+at level 0 both forms are affine in x_0: p(x) = p_0 x_0 + P and
+r(x) = r_0 x_0 + R with P, R fixed integers. The product is then <= 0
+exactly on
+  - the closed interval between the roots -P/p_0 and -R/r_0 when
+    p_0 r_0 > 0;
+  - the two closed rays outside them when p_0 r_0 < 0;
+  - the closed ray where the affine form has the sign opposite to the
+    constant one when exactly one of p_0, r_0 is 0 (everything when that
+    constant is 0);
+  - everything or nothing by the sign of P R when p_0 = r_0 = 0.
+Floor and ceiling divisions turn the rational roots into integer
+ranges, which are cut from x_0's interval in increasing order, so the
+vectors kept come in the order of the unclipped search.
 """
 
 from __future__ import annotations
@@ -64,26 +80,63 @@ def _integer_levels(q: Sequence[Sequence], bound: Fraction):
     return [int(c * s) for c in terms], e, rows, int(bound * s)
 
 
-def _search(c, e, rows, level, x, remaining, out):
+def _clip(lo, hi, clip, x):
+    """The integers x_0 in [lo, hi] with p(x) r(x) <= 0, as increasing ranges.
+
+    ``x`` holds x_1.. with x_0 = 0, so P = p(x) and R = r(x) are the
+    constant terms of the two forms, affine in x_0 (see the module notes).
+    """
+    p, r = clip
+    p0, r0 = p[0], r[0]
+    big_p, big_r = sum(map(mul, p, x)), sum(map(mul, r, x))
+    if p0 and r0:
+        # Roots -P/p0 and -R/r0: floors f and ceilings c.
+        f1, f2 = -big_p // p0, -big_r // r0
+        c1, c2 = -(big_p // p0), -(big_r // r0)
+        if (p0 > 0) == (r0 > 0):
+            return (range(max(lo, min(c1, c2)), min(hi, max(f1, f2)) + 1),)
+        f = min(f1, f2)
+        return range(lo, min(hi, f) + 1), range(max(lo, max(c1, c2), f + 1), hi + 1)
+    if p0 or r0:
+        # k (a x_0 + b) <= 0 with the constant factor k.
+        k, a, b = (big_r, p0, big_p) if p0 else (big_p, r0, big_r)
+        if k < 0:
+            a, b = -a, -b
+        elif not k:
+            return (range(lo, hi + 1),)
+        # a x_0 + b <= 0.
+        if a > 0:
+            return (range(lo, min(hi, -b // a) + 1),)
+        return (range(max(lo, -(b // a)), hi + 1),)
+    return (range(lo, hi + 1),) if big_p * big_r <= 0 else ()
+
+
+def _leaves(lo, hi, clip, x, out):
+    """Append (x_0, x_1, ...) for the x_0 in [lo, hi] that the clip keeps."""
+    rest = tuple(x[1:])
+    for span in (range(lo, hi + 1),) if clip is None else _clip(lo, hi, clip, x):
+        out.extend((xi,) + rest for xi in span)
+
+
+def _search(c, e, rows, level, x, remaining, out, clip):
     # Coordinates are fixed from the last index downwards. On level i,
     # c_i y^2 <= remaining with y = e_i x_i + T_i bounds |y| by
     # s = isqrt(remaining // c_i), exactly, since y^2 is an integer.
     t = sum(map(mul, rows[level], x))
     s = isqrt(remaining // c[level])
     den = e[level]
-    span = range(-((s + t) // den), (s - t) // den + 1)
+    lo, hi = -((s + t) // den), (s - t) // den
     if level == 0:
-        rest = tuple(x[1:])
-        out.extend((xi,) + rest for xi in span)
+        _leaves(lo, hi, clip, x, out)
         return
-    for xi in span:
+    for xi in range(lo, hi + 1):
         x[level] = xi
         y = den * xi + t
-        _search(c, e, rows, level - 1, x, remaining - c[level] * y * y, out)
+        _search(c, e, rows, level - 1, x, remaining - c[level] * y * y, out, clip)
     x[level] = 0
 
 
-def short_vectors_up_to_sign(q: Sequence[Sequence], bound) -> list[Vec]:
+def short_vectors_up_to_sign(q: Sequence[Sequence], bound, clip=None) -> list[Vec]:
     """One of each pair +-x of nonzero integer vectors with x^T q x <= bound.
 
     ``q`` must be symmetric positive definite. The vector kept is the one
@@ -91,6 +144,11 @@ def short_vectors_up_to_sign(q: Sequence[Sequence], bound) -> list[Vec]:
     a level are all zero its interval is symmetric about 0, so the search
     takes that level's positive half and leaves the rest free. Vectors
     come in search order.
+
+    ``clip``, if given, is a pair (p, r) of integer coefficient rows; then
+    only the x with (p . x)(r . x) <= 0 are kept, in the same order. The
+    test is exact and made on x_0's interval at level 0, where both forms
+    are affine in x_0 (see the module notes), so no other vector is built.
     """
     bound = Fraction(bound)
     n, _ = shape(rat_matrix(q))
@@ -99,16 +157,15 @@ def short_vectors_up_to_sign(q: Sequence[Sequence], bound) -> list[Vec]:
     c, e, rows, total = _integer_levels(q, bound)
     out: list[Vec] = []
     x = [0] * n
-    for lead in range(n - 1, -1, -1):
+    for lead in range(n - 1, 0, -1):
         # x_j = 0 above ``lead``, so T_lead = 0 and y = e_lead x_lead.
         for xl in range(1, isqrt(total // c[lead]) // e[lead] + 1):
             x[lead] = xl
-            if lead == 0:
-                out.append(tuple(x))
-            else:
-                y = e[lead] * xl
-                _search(c, e, rows, lead - 1, x, total - c[lead] * y * y, out)
+            y = e[lead] * xl
+            _search(c, e, rows, lead - 1, x, total - c[lead] * y * y, out, clip)
         x[lead] = 0
+    # Last, x = (x_0, 0, ..., 0) with x_0 > 0.
+    _leaves(1, isqrt(total // c[0]) // e[0], clip, x, out)
     return out
 
 

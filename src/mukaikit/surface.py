@@ -89,17 +89,30 @@ def is_projective_surface(m: K3Model) -> bool:
     return n_plus >= 1
 
 
+def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str | None:
+    """The first polarization condition that omega fails, with its value; None if none.
+
+    The conditions, in order: positive square, positive pairing with the
+    reference class (the same cone component), positive on every curve
+    class. ``name`` is how the message writes omega.
+    """
+    m._check_membership(omega)
+    square = m.square(omega)
+    if square <= 0:
+        return f"{name}^2={square} <= 0"
+    paired = m.pair(omega, m.reference_positive)
+    if paired <= 0:
+        return f"{name}.reference={paired} <= 0"
+    for c in m.curve_classes:
+        value = m.pair_ns(c, omega)
+        if value <= 0:
+            return f"C.{name}={value} <= 0 for the curve class C={c!r}"
+    return None
+
+
 def is_polarization(m: K3Model, omega: H11Class) -> bool:
     """Positive square, same cone component as the reference, positive on curves."""
-    m._check_membership(omega)
-    if m.square(omega) <= 0:
-        return False
-    if m.pair(omega, m.reference_positive) <= 0:
-        return False
-    for c in m.curve_classes:
-        if m.pair_ns(c, omega) <= 0:
-            return False
-    return True
+    return polarization_defect(m, omega) is None
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,8 @@ def project_to_ns(m: K3Model, omega: H11Class) -> NSProjection:
     polarization test inside NS (the model's ampleness check); on a
     non-projective model it never does.
     """
-    if not is_polarization(m, omega):
-        raise HypothesisViolation("projection is defined for polarizations only")
+    defect = polarization_defect(m, omega)
+    if defect:
+        raise HypothesisViolation(f"projection is defined for polarizations only ({defect})")
     projected = m.embed_ns(omega.ns_part)
     return NSProjection(omega.ns_part, is_polarization(m, projected), projected)

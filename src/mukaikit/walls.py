@@ -5,11 +5,12 @@ the D in NS with -r^4 Delta / 2 <= D^2 < 0; a polarization is generic
 when no wall class is orthogonal to it. Everything here is decided in
 exact arithmetic: each query runs one search for short vectors of a
 definite form, one of each pair +-x (for a segment, on a majorant ball
-that also holds the walls through either endpoint), and the filter after
-the search runs on integers. The forms G.omega of the polarizations are
-cleared of denominators once per call; primitive reduction, canonical
-sign, squares and sign tests then work on int tuples, and Wall objects
-are built only for the walls returned.
+that also holds the walls through either endpoint, with an integer Gram
+and clipped to the classes D with (D.omega)(D.omega') <= 0), and the
+filter after the search runs on integers. The forms G.omega of the
+polarizations are cleared of denominators once per call; primitive
+reduction, canonical sign, squares and sign tests then work on int
+tuples, and Wall objects are built only for the walls returned.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from fractions import Fraction
 from operator import mul
 
 from . import shortvec
-from .errors import HypothesisViolation, ValidationError
+from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import clear_denominators, content_of, mat_vec, vec_mat
-from .lattice import LatticeVector, orthogonal_complement
+from .lattice import LatticeVector, orthogonal_complement, pairing
 from .mukai import MukaiVector, discriminant
-from .surface import H11Class, K3Model, is_polarization
+from .surface import H11Class, K3Model, polarization_defect
 from .twisted import TwistData, TwistedSheafData, delta_E
 
 
@@ -189,8 +190,9 @@ def walls_through_class(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> 
     which is enumerated exactly. ``workers`` is accepted for compatibility;
     the result never depended on it.
     """
-    if not is_polarization(m, omega):
-        raise HypothesisViolation("walls are computed through polarizations only")
+    defect = polarization_defect(m, omega)
+    if defect:
+        raise HypothesisViolation(f"walls are computed through polarizations only ({defect})")
     bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
@@ -224,6 +226,11 @@ class WallCrossing:
     t: Fraction
 
 
+def _majorant_bound(bound: Fraction, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
+    """bound * (2 b^2 - ac) / (ac), for a = w^2, b = w.w' and c = w'^2."""
+    return bound * (2 * b * b - a * c) / (a * c)
+
+
 def segment_candidate_bound(m: K3Model, omega: H11Class, omega_prime: H11Class,
                             bound: Fraction) -> Fraction:
     """Upper bound for the majorant M(x) = 2 (x.w)^2/w^2 - x^2 on walls meeting the segment.
@@ -234,11 +241,29 @@ def segment_candidate_bound(m: K3Model, omega: H11Class, omega_prime: H11Class,
     splitting D along the span of w, w' (negative definite complement) gives
     (D.w)^2 <= bound * (b^2 - ac) / c (at t = 1: Cauchy-Schwarz in w'^perp).
     Either way M(D) <= bound * (2 b^2 - ac) / (ac), using b^2 >= ac at t = 0.
+    So every wall meeting the closed segment has M(D) <= this bound and
+    (D.w)(D.w') <= 0, the two conditions ``walls_crossing_segment`` searches
+    on: the first as the ball, the second as the search's leaf clip.
     """
-    a = m.square(omega)
-    b = m.pair(omega, omega_prime)
-    c = m.square(omega_prime)
-    return bound * (2 * b * b - a * c) / (a * c)
+    return _majorant_bound(bound, m.square(omega), m.pair(omega, omega_prime),
+                           m.square(omega_prime))
+
+
+def _majorant(gram, w, scale: Fraction):
+    """The majorant M as an integer Gram an * M, and an.
+
+    Here omega_ns = x / do with x integer, w = G x and scale = do^2 omega^2
+    = an / ad in lowest terms, an > 0. Then (y.omega)^2 / omega^2 =
+    ad (w.y)^2 / an, so an * M(y) = 2 ad (w.y)^2 - an y^2. The search on
+    an * M with bound an * mbound finds the vectors of M with mbound, in
+    the same order, since the LDL split and every interval it cuts are
+    invariant under a positive scale.
+    """
+    an, ad = scale.as_integer_ratio()
+    twice = 2 * ad
+    maj = tuple(tuple(twice * wi * wj - an * gij for wj, gij in zip(w, row))
+                for wi, row in zip(w, gram))
+    return maj, an
 
 
 def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> list[WallCrossing]:
@@ -251,31 +276,35 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
     on it.
     """
     omega, omega_prime = seg.start, seg.end
-    for name, endpoint in (("start", omega), ("end", omega_prime)):
-        if not is_polarization(m, endpoint):
-            raise HypothesisViolation(f"segment {name} point is not a polarization")
-    b = m.pair(omega, omega_prime)
+    for name, endpoint, symbol in (("start", omega, "omega"), ("end", omega_prime, "omega'")):
+        defect = polarization_defect(m, endpoint, symbol)
+        if defect:
+            raise HypothesisViolation(f"segment {name} point is not a polarization ({defect})")
+    gram = m.ns.gram
+    # NS parts x / do and x' / do' with x, x' integer, so D . omega = (w . D) / do
+    # and D . omega' = (w' . D) / do' with the integer rows w = G x and w' = G x'.
+    x, do = clear_denominators(omega.ns_part.coords)
+    x_prime, do_prime = clear_denominators(omega_prime.ns_part.coords)
+    w, w_prime = mat_vec(gram, x), mat_vec(gram, x_prime)
+    tp, tp_prime = omega.t_part, omega_prime.t_part
+    a = Fraction(sum(map(mul, w, x)), do * do) + pairing(tp, tp)
+    b = Fraction(sum(map(mul, w, x_prime)), do * do_prime) + pairing(tp, tp_prime)
+    c = Fraction(sum(map(mul, w_prime, x_prime)), do_prime * do_prime) + pairing(tp_prime, tp_prime)
     if b <= 0:
-        raise HypothesisViolation(
+        # Both endpoints pair positively with the reference class, so they
+        # share its cone component and b > 0 on every valid input.
+        raise InternalError(
             f"endpoints lie in different positive-cone components (omega.omega'={b})"
         )
     bound = wall_bound(v)
-    mbound = segment_candidate_bound(m, omega, omega_prime, bound)
-    # Majorant Gram on NS: 2 w_i w_j / w^2 - G_ij with w = G . omega_ns.
-    gram = m.ns.gram
-    w = mat_vec(gram, omega.ns_part.coords)
-    a = m.square(omega)
-    n = m.ns.rank
-    maj = tuple(tuple(2 * w[i] * w[j] / a - gram[i][j] for j in range(n)) for i in range(n))
-    # D . omega = P / dp and D . omega' = Q / dq, with P and Q integers.
-    row_p, dp = clear_denominators(w)
-    row_q, dq = clear_denominators(mat_vec(gram, omega_prime.ns_part.coords))
-    hits = shortvec.short_vectors_up_to_sign(maj, mbound)
-    meeting = (x for x in hits if sum(map(mul, row_p, x)) * sum(map(mul, row_q, x)) <= 0)
+    maj, an = _majorant(gram, w, do * do * a)
+    hits = shortvec.short_vectors_up_to_sign(maj, _majorant_bound(bound, a, b, c) * an,
+                                             (w, w_prime))
     crossings, on_wall = [], []
-    for key, sq in _in_bound(gram, bound, meeting).items():
-        p = sum(map(mul, row_p, key)) * dq
-        q = sum(map(mul, row_q, key)) * dp
+    for key, sq in _in_bound(gram, bound, hits).items():
+        # p and q are D . omega and D . omega' times do * do'.
+        p = sum(map(mul, w, key)) * do_prime
+        q = sum(map(mul, w_prime, key)) * do
         if p and q:
             crossings.append((Fraction(p, p - q), key, sq))
         else:

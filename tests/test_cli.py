@@ -247,6 +247,15 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "segment start point lies on a wall D=(0, 1) with D^2=-2" in err
 
+    def test_non_polarization_message_states_the_value(self, tmp_path):
+        cfg = json.loads(json.dumps(PROJECTIVE_CONFIG))
+        cfg["omega_prime"] = {"ns": [1, 2], "t": []}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["crossings", "--config", str(path), "--format", "json"])
+        assert (code, out) == (3, "")
+        assert "segment end point is not a polarization (omega'^2=-6 <= 0)" in err
+
     def test_exists_needs_arguments(self):
         code, _, err = invoke(["exists"])
         assert code == 2

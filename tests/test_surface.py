@@ -13,6 +13,7 @@ from mukaikit import (
     project_to_ns,
 )
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
+from mukaikit.surface import polarization_defect
 
 from conftest import random_hyperbolic_ns, random_negative_definite_ns, positive_reference
 
@@ -105,6 +106,19 @@ class TestPolarization:
         assert m.square(outside) < 0 or m.pair_ns(curve, outside) <= 0
         assert not is_polarization(m, outside)
 
+    def test_defect_names_the_failed_condition(self, projective):
+        assert polarization_defect(projective, projective.h11((1, F(1, 4)))) is None
+        assert polarization_defect(projective, projective.h11((0, 1))) == "omega^2=-2 <= 0"
+        flipped = projective.h11((-1, F(1, 2)))
+        assert polarization_defect(projective, flipped, "omega'") == "omega'.reference=-2 <= 0"
+        ns = projective.ns
+        m = K3Model(ns=ns, reference_positive=projective.reference_positive,
+                    curve_classes=(ns.vector((1, 2)),))
+        # Square 7/8 and reference pairing 2 pass; (1, 2).omega = 2 - 3 fails.
+        assert polarization_defect(m, m.h11((1, F(3, 4)))) == (
+            "C.omega=-1 <= 0 for the curve class C=(1, 2)"
+        )
+
 
 class TestProjection:
     def test_extraction(self, projective):
@@ -128,7 +142,7 @@ class TestProjection:
         assert not proj.ns_is_polarization
 
     def test_requires_polarization(self, nonprojective):
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match=r"\(omega\^2=-8 <= 0\)"):
             project_to_ns(nonprojective, nonprojective.h11((1,), (1,)))
 
 

@@ -2,9 +2,10 @@
 
 Random congruent rank-2 and rank-3 NS Grams at Mukai ranks 6-10, where
 wall classes reach coordinates past the 50-box of the numpy oracles, and
-segments with rational endpoints. The short-vector search is checked
-against a brute-force box and the Fraction search on random positive
-definite rational forms.
+segments with rational endpoints, some with an endpoint orthogonal to
+the first basis vector. The short-vector search is checked against a
+brute-force box and the Fraction search on random positive definite
+rational forms, and its leaf clip against filtering the unclipped search.
 """
 
 from __future__ import annotations
@@ -18,11 +19,25 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mukaikit import H11Class, K3Model, Lattice, Segment, WallProfile, diagonal_lattice, wall_bound
+from mukaikit import (
+    H11Class,
+    K3Model,
+    Lattice,
+    Segment,
+    WallProfile,
+    diagonal_lattice,
+    is_polarization,
+    wall_bound,
+)
 from mukaikit.errors import HypothesisViolation
-from mukaikit.exactlin import invert_unimodular, mat_vec
+from mukaikit.exactlin import clear_denominators, invert_unimodular, mat_vec
 from mukaikit.shortvec import coordinate_radii, short_vectors, short_vectors_up_to_sign
-from mukaikit.walls import segment_candidate_bound, walls_crossing_segment, walls_through_class
+from mukaikit.walls import (
+    _majorant,
+    segment_candidate_bound,
+    walls_crossing_segment,
+    walls_through_class,
+)
 
 from conftest import random_unimodular
 from fraction_oracle import fraction_short_vectors, oracle_crossings, oracle_walls_through_class
@@ -87,10 +102,61 @@ def crossing_cases(draw):
     return model, profile, Segment(*ends)
 
 
-@settings(SETTINGS, max_examples=50)
-@given(crossing_cases())
-def test_crossings_match_fraction_oracle(case):
-    model, profile, seg = case
+@st.composite
+def axis_cases(draw):
+    """A segment with G.omega = 0 in its first entry at the start, the end or both.
+
+    Such an endpoint zeroes the first coefficient of its row in the
+    search's leaf clip. It is orthogonal to the first basis vector e_0,
+    so e_0 must have negative square, and then e_0 is itself a wall
+    through it unless e_0^2 < -bound. So the basis is the diagonal one
+    with e_0 replaced by (1, k[, l]), k >= 5, of square at most -48, and
+    the wall bound is below 48. Points are drawn in the diagonal basis
+    with prime denominators and projected to e_0^perp, which has one
+    positive direction, by omega - (omega.e_0 / e_0^2) e_0.
+    """
+    rank = draw(st.sampled_from((2, 3)))
+    base = FAMILIES[rank]
+    e0 = [1, draw(st.integers(5, 8)) * draw(st.sampled_from((1, -1)))]
+    e0 += [draw(st.integers(-2, 2)) for _ in range(rank - 2)]
+    # Columns of p are the basis in diagonal coordinates; inv maps diagonal to model ones.
+    p = [[e0[i] if j == 0 else int(i == j) for j in range(rank)] for i in range(rank)]
+    gram = tuple(tuple(sum(p[k][i] * base[k] * p[k][j] for k in range(rank))
+                       for j in range(rank)) for i in range(rank))
+    inv = invert_unimodular(p)
+    ns = Lattice(gram, "NS")
+    ref = ns.vector(mat_vec(inv, [1] + [0] * (rank - 1)))
+    model = K3Model(ns=ns, reference_positive=H11Class(ref, Lattice(()).zero()))
+    # Bounds 10 or 45 on rank 2, at most 36 on rank 3.
+    profile = _profile(rank, draw(st.integers(2, 3)), draw(st.integers(1, 8)))
+    assert wall_bound(profile) < -gram[0][0]
+    e_sq = sum(b * c * c for b, c in zip(base, e0))
+
+    def point(centre):
+        prime = draw(st.sampled_from((99991, 10007, 1009, 101)))
+        return [F(1)] + [F(c * prime // 1000 + 1, prime) for c in centre]
+
+    def project(x):
+        k = sum(b * c * e for b, c, e in zip(base, x, e0)) / e_sq
+        return [c - k * e for c, e in zip(x, e0)]
+
+    centre = draw(st.lists(st.integers(-600, 600), min_size=rank - 1, max_size=rank - 1))
+    step = draw(st.lists(st.integers(-300, 300), min_size=rank - 1, max_size=rank - 1))
+    start = point(centre)
+    end = point([c + u for c, u in zip(centre, step)])
+    where = draw(st.sampled_from(("start", "end", "both")))
+    first = project(start)
+    shift = [f - c for f, c in zip(first, start)]
+    other = project(end) if where == "both" else [c + u for c, u in zip(end, shift)]
+    ends = [model.h11(mat_vec(inv, first)), model.h11(mat_vec(inv, other))]
+    assume(all(is_polarization(model, e) for e in ends))
+    seg = Segment(*(ends[::-1] if where == "end" else ends))
+    zeroed = {"start": (seg.start,), "end": (seg.end,), "both": (seg.start, seg.end)}[where]
+    assert all(mat_vec(gram, e.ns_part.coords)[0] == 0 for e in zeroed)
+    return model, profile, seg
+
+
+def _check_against_oracle(model, profile, seg):
     on_wall = [oracle_walls_through_class(model, profile, e) for e in (seg.start, seg.end)]
     if any(on_wall):
         try:
@@ -103,6 +169,33 @@ def test_crossings_match_fraction_oracle(case):
     got = [(c.wall.d.coords, c.wall.d_square, c.t)
            for c in walls_crossing_segment(model, profile, seg)]
     assert got == oracle_crossings(model, profile, seg.start, seg.end)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(crossing_cases())
+def test_crossings_match_fraction_oracle(case):
+    _check_against_oracle(*case)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(axis_cases())
+def test_crossings_with_axis_endpoint_match_fraction_oracle(case):
+    _check_against_oracle(*case)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(st.one_of(crossing_cases(), axis_cases()))
+def test_integer_majorant_scales_the_fraction_majorant(case):
+    model, _, seg = case
+    gram, omega = model.ns.gram, seg.start
+    x, do = clear_denominators(omega.ns_part.coords)
+    a = model.square(omega)
+    maj, an = _majorant(gram, mat_vec(gram, x), do * do * a)
+    assert an > 0 and all(type(e) is int for row in maj for e in row)
+    w = mat_vec(gram, omega.ns_part.coords)
+    n = len(gram)
+    former = [[2 * w[i] * w[j] / a - gram[i][j] for j in range(n)] for i in range(n)]
+    assert maj == tuple(tuple(an * e for e in row) for row in former)
 
 
 def _check_on_wall_message(model, profile, seg):
@@ -229,3 +322,43 @@ def test_half_search_matches_box_and_fraction_search(case):
             if any(x) and _dot(q, x, x) <= bound
         ]
         assert full == box
+
+
+CLIP_CASES = ("p0 r0 > 0", "p0 r0 < 0", "p0 = 0 != r0", "r0 = 0 != p0", "p0 = r0 = 0",
+              "p = 0", "r = 0", "r = k p", "r = -k p")
+
+
+@st.composite
+def clipped_forms(draw, case):
+    """A rational form and bound, and integer rows p, r whose first entries fit ``case``."""
+    q, bound = draw(rational_forms())
+    n = len(q)
+    coef = st.integers(-6, 6)
+    p, r = [draw(coef) for _ in range(n)], [draw(coef) for _ in range(n)]
+    p[0] = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
+    r[0] = draw(st.integers(1, 6)) * (1 if p[0] > 0 else -1)
+    if case == "p0 r0 < 0":
+        r[0] = -r[0]
+    elif case in ("p0 = 0 != r0", "p0 = r0 = 0"):
+        p[0] = 0
+    if case in ("r0 = 0 != p0", "p0 = r0 = 0"):
+        r[0] = 0
+    if case == "p = 0":
+        p = [0] * n
+    elif case == "r = 0":
+        r = [0] * n
+    elif case in ("r = k p", "r = -k p"):
+        # One common root: p0 r0 > 0 keeps only p(x) = 0, p0 r0 < 0 keeps everything once.
+        k = draw(st.integers(1, 3)) * (1 if case == "r = k p" else -1)
+        r = [k * c for c in p]
+    return q, bound, p, r
+
+
+@pytest.mark.parametrize("case", CLIP_CASES)
+@settings(SETTINGS, max_examples=25)
+@given(data=st.data())
+def test_clip_keeps_the_sign_change_in_search_order(case, data):
+    q, bound, p, r = data.draw(clipped_forms(case))
+    dot = lambda row, x: sum(a * b for a, b in zip(row, x))
+    want = [x for x in short_vectors_up_to_sign(q, bound) if dot(p, x) * dot(r, x) <= 0]
+    assert short_vectors_up_to_sign(q, bound, (p, r)) == want

@@ -21,7 +21,7 @@ from mukaikit import (
     walls_crossing_segment,
     walls_through_class,
 )
-from mukaikit.errors import HypothesisViolation
+from mukaikit.errors import HypothesisViolation, InternalError
 from mukaikit.shortvec import coordinate_radii, short_vectors
 from mukaikit.walls import segment_candidate_bound
 
@@ -159,7 +159,8 @@ class TestWallsThroughClass:
     def test_requires_polarization(self, rank2_model):
         h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
         v = MukaiVector(F(2), h + f, F(0))
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation,
+                           match=r"polarizations only \(omega\^2=-2 <= 0\)$"):
             walls_through_class(rank2_model, v, rank2_model.h11((0, 1)))
 
     def test_multiples_collapsed(self, rank2_model):
@@ -221,14 +222,28 @@ class TestCrossings:
         with pytest.raises(HypothesisViolation):
             walls_crossing_segment(rank2_model, v, seg)
 
+    @pytest.mark.parametrize("start, end, message", [
+        ((0, 1), (1, 0), "segment start point is not a polarization (omega^2=-2 <= 0)"),
+        ((1, 0), (-1, F(1, 2)),
+         "segment end point is not a polarization (omega'.reference=-2 <= 0)"),
+    ])
+    def test_endpoint_errors_name_the_failed_condition(self, rank2_model, start, end, message):
+        h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
+        v = MukaiVector(F(2), h + f, F(0))
+        seg = Segment(rank2_model.h11(start), rank2_model.h11(end))
+        with pytest.raises(HypothesisViolation) as exc:
+            walls_crossing_segment(rank2_model, v, seg)
+        assert str(exc.value) == message
+
     def test_cone_component_message_states_the_pairing(self, rank2_model, monkeypatch):
         # Polarizations all pair positively with the reference, so they share a
-        # cone component; the check is reached only past a stubbed polarization test.
-        monkeypatch.setattr("mukaikit.walls.is_polarization", lambda m, omega: True)
+        # cone component; the check is reached only past a stubbed polarization
+        # test, and firing it is an internal error.
+        monkeypatch.setattr("mukaikit.walls.polarization_defect", lambda m, omega, name: None)
         h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
         v = MukaiVector(F(2), h + f, F(0))
         seg = Segment(rank2_model.h11((1, F(1, 4))), rank2_model.h11((-1, F(1, 4))))
-        with pytest.raises(HypothesisViolation, match=r"omega\.omega'=-17/8"):
+        with pytest.raises(InternalError, match=r"omega\.omega'=-17/8"):
             walls_crossing_segment(rank2_model, v, seg)
 
     def test_chamber_relation_reflexive_symmetric(self, rank2_model):
