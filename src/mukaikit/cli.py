@@ -9,7 +9,6 @@ subcommand, 70 broken internal invariant.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Any, Callable, TextIO
 
@@ -290,29 +289,11 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"mukaikit {command}")
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and validated; output never depends on it")
     if command == "exists":
         parser.add_argument("--r", type=int, default=None)
         parser.add_argument("--d", type=int, default=None)
         parser.add_argument("--g", type=int, default=None)
     return parser
-
-
-def _check_threads(args) -> None:
-    # --threads, else MUKAIKIT_THREADS, is parsed and validated; no code
-    # path reads the count.
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("MUKAIKIT_THREADS")
-        if env is None:
-            return
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"MUKAIKIT_THREADS={env!r} is not an integer") from exc
-    if threads < 1:
-        raise ValidationError("thread count must be >= 1")
 
 
 def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
@@ -336,7 +317,6 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     except SystemExit:
         return EXIT_VALIDATION
     try:
-        _check_threads(args)
         if args.config is not None:
             cfg = load_config(args.config)
         elif needs_config:

@@ -73,7 +73,9 @@ def _parse_surface(raw: dict) -> K3Model:
     else:
         t11 = Lattice(())
     curves = []
-    for i, c in enumerate(surf.get("curve_classes", []) or []):
+    listed = surf.get("curve_classes")
+    listed = [] if listed is None else _expect_list(listed, "surface.curve_classes")
+    for i, c in enumerate(listed):
         coords = _rational_vector(c, f"surface.curve_classes[{i}]")
         if len(coords) != ns.rank:
             raise ValidationError(
@@ -177,8 +179,12 @@ def load_config(path: str | Path) -> Config:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"config: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config: {path} is not valid UTF-8: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config: invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"config: JSON in {path} is nested too deeply") from exc
     return parse_config(raw)

@@ -66,6 +66,31 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
     )
 
 
+def congruence(b: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> IntMatrix:
+    """``b @ g @ b^T`` for a symmetric integer matrix ``g``.
+
+    Walks the nonzero entries of ``g`` and of each row of ``b``, fills
+    the upper triangle and mirrors it. Lattice Grams and Hermite bases are
+    mostly zeros (the Mukai Gram has 52 nonzeros of 576), so this is a
+    fraction of the work of two dense products. Callers check symmetry.
+    """
+    rows, cols = shape(b)
+    n = len(g)
+    if rows and cols != n:
+        raise ValidationError(f"cannot form the congruence of a {n}x{n} matrix by {rows}x{cols}")
+    g_rows = [[(j, y) for j, y in enumerate(row) if y] for row in g]
+    b_rows = [[(i, x) for i, x in enumerate(row) if x] for row in b]
+    out = [[0] * rows for _ in range(rows)]
+    for k, bk in enumerate(b_rows):
+        c = [0] * n  # row k of b @ g
+        for i, x in bk:
+            for j, y in g_rows[i]:
+                c[j] += x * y
+        for l in range(k, rows):
+            out[k][l] = out[l][k] = sum(c[j] * y for j, y in b_rows[l])
+    return tuple(tuple(row) for row in out)
+
+
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     rows, cols = shape(m)
     if cols != len(v):
@@ -120,6 +145,22 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
     if any(a[i][i] != 1 for i in range(rows)):
         raise ValidationError("matrix is not unimodular")
     return tuple(tuple(row) for row in inv)
+
+
+def unimodular_completion(row: Sequence[int]) -> IntMatrix:
+    """A unimodular matrix whose first row is the primitive ``row``.
+
+    One row Hermite pass on the column ``row^T`` gives a transform T with
+    ``T @ row^T = e_1``, so ``row = e_1^T @ (T^T)^-1``. Raises
+    ``ValidationError`` if the row is zero or its entries share a factor.
+    """
+    col = [[x] for x in int_matrix((row,))[0]]
+    n = len(col)
+    t = [list(r) for r in identity(n)]
+    _row_hermite_inplace(col, t, n, 1)
+    if not col or col[0][0] != 1:
+        raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
+    return invert_unimodular(transpose(t))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -189,74 +230,44 @@ def _is_diagonal(a, rows, cols) -> bool:
     return all(a[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """Return ``(diag, left, right)`` with ``left @ m @ right`` diagonal.
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The Smith diagonal of ``m``: its invariant factors d1 | d2 | ... .
 
-    The diagonal entries are nonnegative and satisfy d1 | d2 | ... ;
-    ``left`` and ``right`` are unimodular. The diagonal has length
+    The entries are nonnegative, and the tuple has length
     ``min(rows, cols)`` including trailing zeros for rank deficiency.
     Alternating row and column Hermite passes diagonalize the matrix,
-    then a pairwise gcd/lcm sweep enforces the divisibility chain.
+    then a pairwise gcd/lcm sweep over the absolute diagonal enforces the
+    divisibility chain. No transform is kept.
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
     a = [list(row) for row in mat]
-    left = [list(row) for row in identity(rows)]
-    right_t = [list(row) for row in identity(cols)]  # transpose of the right transform
 
     for _ in range(200):
         if _is_diagonal(a, rows, cols):
             break
-        _row_hermite_inplace(a, left, rows, cols)
+        _row_hermite_inplace(a, [[] for _ in range(rows)], rows, cols)
         if _is_diagonal(a, rows, cols):
             break
         at = [list(col) for col in zip(*a)] if a and a[0] else [[] for _ in range(cols)]
-        _row_hermite_inplace(at, right_t, cols, rows)
+        _row_hermite_inplace(at, [[] for _ in range(cols)], cols, rows)
         a = [list(col) for col in zip(*at)] if at and at[0] else [[] for _ in range(rows)]
     else:
         raise InternalError("Smith reduction did not converge")
 
     n = min(rows, cols)
-
-    def pair_fix(i: int, j: int) -> None:
-        # Turn diag(d_i, d_j) into diag(gcd, lcm) by unimodular operations.
-        _add_col_t(a, right_t, i, j, 1)      # col_i += col_j, so a[j][i] = d_j
-        _xgcd_rows(a, left, i, j, i)
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            left[i] = [-x for x in left[i]]
-        q = a[i][j] // a[i][i]
-        if q:
-            _add_col_t(a, right_t, j, i, -q)
-        if a[j][j] < 0:
-            a[j] = [-x for x in a[j]]
-            left[j] = [-x for x in left[j]]
-
+    diag = [abs(a[i][i]) for i in range(n)]
     changed = True
     while changed:
         changed = False
         for i in range(n):
             for j in range(i + 1, n):
-                di, dj = a[i][i], a[j][j]
+                di, dj = diag[i], diag[j]
                 if (di == 0 and dj != 0) or (di != 0 and dj % di != 0):
-                    pair_fix(i, j)
+                    # diag(d_i, d_j) and diag(gcd, lcm) are equivalent.
+                    diag[i], diag[j] = gcd(di, dj), lcm(di, dj)
                     changed = True
-    for i in range(n):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            left[i] = [-x for x in left[i]]
-
-    diag = tuple(a[i][i] for i in range(n))
-    right = tuple(tuple(row) for row in zip(*right_t))
-    return diag, tuple(tuple(r) for r in left), right
-
-
-def _add_col_t(a, right_t, dst, src, q):
-    # Column operation col_dst += q * col_src, with the right transform
-    # tracked in transposed form (rows of right_t are columns of right).
-    for row in a:
-        row[dst] += q * row[src]
-    right_t[dst] = [x + q * y for x, y in zip(right_t[dst], right_t[src])]
+    return tuple(diag)
 
 
 # -- Hermite normal form and kernels ----------------------------------------
@@ -309,34 +320,6 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
     if not basis:
         return ()
     return hermite_normal_form(basis)
-
-
-def solve_left(basis: Sequence[Sequence[int]], target: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve ``x @ basis == target`` for an integer row vector, or None.
-
-    Used to express a lattice vector in a sublattice basis.
-    """
-    mat = int_matrix(basis)
-    rows, cols = shape(mat)
-    if len(target) != cols:
-        raise ValidationError("target length does not match basis width")
-    diag, left, right = smith_normal_form(mat)
-    # x @ m = v  <=>  (x @ left^-1) @ (left m right) = v @ right
-    v = vec_mat(tuple(target), right)
-    y = []
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            y.append(0)
-        else:
-            if v[i] % d != 0:
-                return None
-            y.append(v[i] // d)
-    for j in range(rows, cols):
-        if v[j] != 0:
-            return None
-    x = vec_mat(tuple(y), left)
-    return tuple(int(c) for c in x)
 
 
 # -- Signatures --------------------------------------------------------------

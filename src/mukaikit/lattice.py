@@ -242,8 +242,7 @@ def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> Orthogonal
     basis = exactlin.integer_kernel_saturated(rows)
     if not basis:
         return OrthogonalComplement(Lattice((), f"{l.label}-perp"), ())
-    gram = exactlin.matmul(exactlin.matmul(basis, l.gram), exactlin.transpose(basis))
-    sub = Lattice(tuple(tuple(int(x) for x in row) for row in gram), f"{l.label}-perp")
+    sub = Lattice(exactlin.congruence(basis, l.gram), f"{l.label}-perp")
     return OrthogonalComplement(sub, basis)
 
 
@@ -251,7 +250,7 @@ def discriminant_group(l: Lattice) -> tuple[int, ...]:
     """Invariant factors of the finite group l^* / l, unit factors dropped."""
     if l.rank == 0:
         return ()
-    diag, _, _ = exactlin.smith_normal_form(l.gram)
+    diag = exactlin.smith_normal_form(l.gram)
     if any(d == 0 for d in diag):
         raise HypothesisViolation("discriminant group of a degenerate lattice")
     return tuple(d for d in diag if d != 1)

@@ -108,8 +108,7 @@ def validate_ns_embedding(ns: Lattice, emb: IntMatrix) -> None:
         raise ValidationError(
             f"embedding must be {ns.rank}x{lam.rank}, got {rows}x{cols}"
         )
-    induced = exactlin.matmul(exactlin.matmul(emb, lam.gram), exactlin.transpose(emb))
-    if induced != ns.gram:
+    if exactlin.congruence(emb, lam.gram) != ns.gram:
         raise ValidationError("embedding does not respect the intersection form")
     # The rows are saturated iff the columns generate Z^rows.
     if exactlin.hermite_normal_form(exactlin.transpose(emb)) != exactlin.identity(rows):
@@ -178,14 +177,13 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     radical = exactlin.integer_kernel_saturated(gram)
     if len(radical) != 1:
         raise InternalError("isotropic class has an unexpected radical rank")
-    _, _, right = exactlin.smith_normal_form(radical)
-    to_new = exactlin.invert_unimodular(right)
+    to_new = exactlin.unimodular_completion(radical[0])
     # First row of to_new spans the radical; congruent Gram has zero first
     # row and column.
-    new_gram = exactlin.matmul(exactlin.matmul(to_new, gram), exactlin.transpose(to_new))
-    if any(new_gram[0][j] != 0 for j in range(len(new_gram))):
+    new_gram = exactlin.congruence(to_new, gram)
+    if any(new_gram[0]):
         raise InternalError("radical reduction failed")
-    reduced = tuple(tuple(int(x) for x in row[1:]) for row in new_gram[1:])
+    reduced = tuple(row[1:] for row in new_gram[1:])
     lat = Lattice(reduced, "v-perp mod v")
     return H2LatticeResult(
         lat, rational_signature(lat.gram), discriminant_group(lat), comp.basis, True

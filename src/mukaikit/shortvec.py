@@ -169,12 +169,10 @@ def short_vectors_up_to_sign(q: Sequence[Sequence], bound, clip=None) -> list[Ve
     return out
 
 
-def short_vectors(q: Sequence[Sequence], bound, *, workers: int = 1) -> list[Vec]:
+def short_vectors(q: Sequence[Sequence], bound) -> list[Vec]:
     """All nonzero integer vectors x with x^T q x <= bound, sorted.
 
     ``q`` must be symmetric positive definite; both x and -x are returned.
-    ``workers`` is accepted for compatibility only: the search runs in one
-    thread, and its result never depended on the worker count.
     """
     half = short_vectors_up_to_sign(q, bound)
     return sorted(half + [tuple(-c for c in x) for x in half])

@@ -181,14 +181,13 @@ def _in_bound(gram, bound: Fraction, candidates) -> dict[tuple[int, ...], int]:
     return found
 
 
-def walls_through_class(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> list[Wall]:
+def walls_through_class(m: K3Model, v, omega: H11Class) -> list[Wall]:
     """All wall classes of v orthogonal to the polarization omega.
 
     The conditions D . omega = 0 cut a saturated sublattice of NS on
     which the form is negative definite (omega has positive square), so
     the wall inequality -bound <= D^2 < 0 confines D to a finite ball
-    which is enumerated exactly. ``workers`` is accepted for compatibility;
-    the result never depended on it.
+    which is enumerated exactly.
     """
     defect = polarization_defect(m, omega)
     if defect:
@@ -266,14 +265,12 @@ def _majorant(gram, w, scale: Fraction):
     return maj, an
 
 
-def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> list[WallCrossing]:
+def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
     """All walls separating the endpoints, each with its crossing parameter.
 
     Both endpoints must be generic (no wall through either); walls are
     reported with the exact t in (0,1) where D . omega_t = 0, sorted by t.
     The one majorant search also finds the walls through the endpoints.
-    ``workers`` is accepted for compatibility; the result never depended
-    on it.
     """
     omega, omega_prime = seg.start, seg.end
     for name, endpoint, symbol in (("start", omega, "omega"), ("end", omega_prime, "omega'")):
@@ -321,16 +318,15 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment, *, workers: int = 1) -> 
             for t, key, sq in crossings]
 
 
-def is_generic(m: K3Model, v, omega: H11Class, *, workers: int = 1) -> bool:
+def is_generic(m: K3Model, v, omega: H11Class) -> bool:
     """True when no wall class of v is orthogonal to omega."""
-    return not walls_through_class(m, v, omega, workers=workers)
+    return not walls_through_class(m, v, omega)
 
 
-def same_chamber(m: K3Model, v, omega: H11Class, omega_prime: H11Class,
-                 *, workers: int = 1) -> bool:
+def same_chamber(m: K3Model, v, omega: H11Class, omega_prime: H11Class) -> bool:
     """Whether two generic polarizations see the same stable sheaves.
 
     Chambers are convex, so this is equivalent to the segment between
     the classes crossing no wall.
     """
-    return not walls_crossing_segment(m, v, Segment(omega, omega_prime), workers=workers)
+    return not walls_crossing_segment(m, v, Segment(omega, omega_prime))

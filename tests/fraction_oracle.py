@@ -9,9 +9,10 @@ pairs it with the polarizations through ``K3Model.pair_ns``. It is slow
 and independent of the integer code it checks, apart from the shared
 LDL split and the model's own pairings.
 
-It also keeps two exact-layer routines as they ran before: the saturated
-kernel read off a Smith form, and the symmetric congruence that updated
-every row and column at each step.
+It also keeps exact-layer routines the library no longer runs: the Smith
+form with both unimodular transforms and the saturated kernel read off
+it, the symmetric congruence that updated every row and column at each
+step, and a row-span test that reduces against Hermite pivots.
 """
 
 from __future__ import annotations
@@ -19,14 +20,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
+from mukaikit.errors import InternalError
 from mukaikit.exactlin import (
+    _is_diagonal,
+    _row_hermite_inplace,
+    _xgcd_rows,
     hermite_normal_form,
+    identity,
+    int_matrix,
     integer_kernel_saturated,
     mat_vec,
     matmul,
     rat_matrix,
     shape,
-    smith_normal_form,
     transpose,
 )
 from mukaikit.shortvec import ldl_decompose
@@ -84,24 +90,18 @@ def fraction_short_vectors(q, bound) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _canonical_sign(d):
-    for c in d.coords:
-        if c > 0:
-            return d
-        if c < 0:
-            return -d
-    return d
-
-
 def _candidate_primitives(m, vectors, bound, basis=None) -> list:
-    """(coords, D^2) of the primitive canonical wall classes, sorted like walls."""
-    seen = {}
+    """(D, D^2) of the primitive canonical wall classes, sorted like walls.
+
+    Each primitive class, first nonzero coordinate positive, is judged
+    once, squared by its own loop over the Gram; a ``LatticeVector`` is
+    built only for the kept ones.
+    """
+    gram, n = m.ns.gram, m.ns.rank
+    judged = {}
     for x in vectors:
         if basis is not None:
-            coords = tuple(
-                sum(x[i] * basis[i][j] for i in range(len(basis)))
-                for j in range(m.ns.rank)
-            )
+            coords = tuple(sum(x[i] * basis[i][j] for i in range(len(basis))) for j in range(n))
         else:
             coords = x
         g = 0
@@ -109,15 +109,19 @@ def _candidate_primitives(m, vectors, bound, basis=None) -> list:
             g = gcd(g, abs(c))
         if g == 0:
             continue
+        if next(c for c in coords if c) < 0:
+            g = -g
         coords = tuple(c // g for c in coords)
-        d = _canonical_sign(m.ns.vector(coords))
-        key = d.coords
-        if key in seen:
+        if coords in judged:
             continue
-        sq = d.square()
-        if -bound <= sq < 0:
-            seen[key] = (d, sq)
-    return sorted(seen.values(), key=lambda w: (-w[1], w[0].coords))
+        sq = 0
+        for i in range(n):
+            if coords[i]:
+                for j in range(n):
+                    sq += coords[i] * gram[i][j] * coords[j]
+        judged[coords] = sq if -bound <= sq < 0 else None
+    kept = [(m.ns.vector(c), Fraction(sq)) for c, sq in judged.items() if sq is not None]
+    return sorted(kept, key=lambda w: (-w[1], w[0].coords))
 
 
 def oracle_walls_through_class(m, v, omega) -> list[tuple[tuple, Fraction]]:
@@ -172,6 +176,90 @@ def oracle_crossings(m, v, omega, omega_prime) -> list[tuple[tuple, Fraction, Fr
     return crossings
 
 
+def reference_smith(m) -> tuple:
+    """``(diag, left, right)`` with ``left @ m @ right`` the Smith form of m.
+
+    ``left`` and ``right`` are unimodular; the diagonal is nonnegative with
+    d1 | d2 | ... and has length ``min(rows, cols)``. Alternating row and
+    column Hermite passes diagonalize m, then unimodular operations turn
+    each pair diag(d_i, d_j) into diag(gcd, lcm).
+    """
+    mat = int_matrix(m)
+    rows, cols = shape(mat)
+    a = [list(row) for row in mat]
+    left = [list(row) for row in identity(rows)]
+    right_t = [list(row) for row in identity(cols)]  # transpose of the right transform
+
+    for _ in range(200):
+        if _is_diagonal(a, rows, cols):
+            break
+        _row_hermite_inplace(a, left, rows, cols)
+        if _is_diagonal(a, rows, cols):
+            break
+        at = [list(col) for col in zip(*a)] if a and a[0] else [[] for _ in range(cols)]
+        _row_hermite_inplace(at, right_t, cols, rows)
+        a = [list(col) for col in zip(*at)] if at and at[0] else [[] for _ in range(rows)]
+    else:
+        raise InternalError("Smith reduction did not converge")
+
+    def add_col(dst, src, q):
+        # col_dst += q * col_src, with the right transform kept transposed.
+        for row in a:
+            row[dst] += q * row[src]
+        right_t[dst] = [x + q * y for x, y in zip(right_t[dst], right_t[src])]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        left[i] = [-x for x in left[i]]
+
+    def pair_fix(i, j):
+        add_col(i, j, 1)  # now a[j][i] = d_j
+        _xgcd_rows(a, left, i, j, i)
+        if a[i][i] < 0:
+            negate_row(i)
+        q = a[i][j] // a[i][i]
+        if q:
+            add_col(j, i, -q)
+        if a[j][j] < 0:
+            negate_row(j)
+
+    n = min(rows, cols)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                di, dj = a[i][i], a[j][j]
+                if (di == 0 and dj != 0) or (di != 0 and dj % di != 0):
+                    pair_fix(i, j)
+                    changed = True
+    for i in range(n):
+        if a[i][i] < 0:
+            negate_row(i)
+
+    diag = tuple(a[i][i] for i in range(n))
+    right = tuple(tuple(row) for row in zip(*right_t))
+    return diag, tuple(tuple(r) for r in left), right
+
+
+def hermite_solve_left(h, target):
+    """The integer x with ``x @ h == target`` for h in Hermite normal form, or None.
+
+    Each pivot column fixes one coefficient by exact division; the target
+    is in the row span iff every division is exact and nothing is left.
+    """
+    rest = list(target)
+    x = []
+    for row in h:
+        c = next(j for j, e in enumerate(row) if e)
+        q, r = divmod(rest[c], row[c])
+        if r:
+            return None
+        x.append(q)
+        rest = [u - q * e for u, e in zip(rest, row)]
+    return tuple(x) if not any(rest) else None
+
+
 def smith_kernel(m) -> tuple:
     """Saturated kernel of m: the columns of Smith's ``right`` past the rank, in HNF."""
     rows, cols = shape(m)
@@ -179,7 +267,7 @@ def smith_kernel(m) -> tuple:
         return ()
     if rows == 0:
         return tuple(tuple(int(i == j) for j in range(cols)) for i in range(cols))
-    diag, _left, right = smith_normal_form(m)
+    diag, _left, right = reference_smith(m)
     rank = sum(1 for d in diag if d != 0)
     basis = tuple(tuple(right[i][j] for i in range(cols)) for j in range(rank, cols))
     return hermite_normal_form(basis) if basis else ()

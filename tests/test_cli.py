@@ -260,30 +260,36 @@ class TestExitCodes:
         code, _, err = invoke(["exists"])
         assert code == 2
 
+    def test_curve_classes_not_a_list(self, tmp_path):
+        cfg = json.loads(json.dumps(PROJECTIVE_CONFIG))
+        cfg["surface"]["curve_classes"] = 5
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["report", "--config", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert "surface.curve_classes: expected a list" in err
+
+    def test_config_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        # A Latin-1 e-acute inside a string value: one byte 0xe9, not UTF-8.
+        path.write_bytes(b'{"surface": {"label": "caf\xe9"}}')
+        code, out, err = invoke(["report", "--config", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert f"{path} is not valid UTF-8" in err
+
+    def test_config_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"surface": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = invoke(["report", "--config", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert f"JSON in {path} is nested too deeply" in err
+
 
 class TestDeterminism:
     def test_json_roundtrip_byte_identical(self, projective_cfg):
         _, out, _ = invoke(["report", "--config", projective_cfg, "--format", "json"])
         reparsed = json.dumps(json.loads(out), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
         assert reparsed == out
-
-    def test_threads_do_not_change_output(self, projective_cfg, tmp_path):
-        cfg = json.loads(json.dumps(PROJECTIVE_CONFIG))
-        cfg["mukai"] = {"r": 2, "xi": [1, 1], "a": 0}
-        path = tmp_path / "cross.json"
-        path.write_text(json.dumps(cfg))
-        results = []
-        for threads in ("1", "3"):
-            _, out, _ = invoke(
-                ["crossings", "--config", str(path), "--format", "json", "--threads", threads]
-            )
-            results.append(out)
-        assert results[0] == results[1]
-
-    def test_threads_env_fallback(self, projective_cfg, monkeypatch):
-        monkeypatch.setenv("MUKAIKIT_THREADS", "2")
-        code, out, _ = invoke(["walls", "--config", projective_cfg, "--format", "json"])
-        assert code == 0
 
     def test_bad_threads_rejected(self, projective_cfg):
         code, _, err = invoke(["walls", "--config", projective_cfg, "--threads", "0"])

@@ -1,13 +1,15 @@
 """Property tests for the shared exact kernels.
 
 One row Hermite loop serves ``hermite_normal_form``,
-``invert_unimodular``, ``integer_kernel_saturated`` and ``determinant``;
+``invert_unimodular``, ``unimodular_completion``,
+``integer_kernel_saturated``, ``determinant`` and the Smith diagonal;
 one symmetric congruence serves ``rational_signature`` and
 ``ldl_decompose``; ``coordinate_radii`` reads cofactors through
-``determinant``. The checks are products with the inverse, row spans
-both ways, eigenvalue signs from numpy, exact reconstruction
-q = U^T D U, inverses built from a known congruence, a Leibniz
-expansion, and the Smith and full-update routines these replaced.
+``determinant``; ``congruence`` forms every induced Gram. The checks are
+products with the inverse, row spans both ways, eigenvalue signs from
+numpy, exact reconstruction q = U^T D U, inverses built from a known
+congruence, a Leibniz expansion, two dense products, and the
+transform-tracking Smith and full-update routines these replaced.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from mukaikit import exactlin
 from mukaikit.cli import run
 from mukaikit.errors import InternalError, ValidationError
 from mukaikit.exactlin import (
+    congruence,
     congruence_pivots,
     content_of,
     determinant,
@@ -38,23 +41,27 @@ from mukaikit.exactlin import (
     rat_matrix,
     rational_signature,
     smith_normal_form,
-    solve_left,
     transpose,
+    unimodular_completion,
 )
 from mukaikit.lattice import Lattice, full_mukai_lattice, k3_lattice
 from mukaikit.moduli import standard_ns_embedding, validate_ns_embedding
 from mukaikit.shortvec import coordinate_radii, ldl_decompose
 
 from conftest import random_unimodular
-from fraction_oracle import full_update_congruence_pivots, smith_kernel
+from fraction_oracle import (
+    full_update_congruence_pivots,
+    hermite_solve_left,
+    reference_smith,
+    smith_kernel,
+)
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 def _rank(m) -> int:
-    diag, _, _ = smith_normal_form(m)
-    return sum(1 for d in diag if d)
+    return sum(1 for d in smith_normal_form(m) if d)
 
 
 def _diag(entries):
@@ -83,13 +90,13 @@ def test_invert_unimodular_random(n):
 @given(SEEDS)
 @SETTINGS
 def test_invert_smith_right_transform_of_primitive_row(seed):
-    # The h2 path inverts the right Smith transform of a primitive row.
+    # The h2 path once inverted the right Smith transform of a primitive row.
     rng = random.Random(seed)
     n = rng.randint(2, 24)
     row = [rng.randint(-6, 6) for _ in range(n)]
     row[rng.randrange(n)] = 1
     assert content_of(row) == 1
-    _, _, right = smith_normal_form((tuple(row),))
+    _, _, right = reference_smith((tuple(row),))
     inv = invert_unimodular(right)
     assert matmul(right, inv) == identity(n)
 
@@ -151,10 +158,21 @@ def test_hermite_normal_form_shape_and_span(seed):
     if not h:
         assert not any(any(row) for row in m)
         return
+    # The rows of m reduce to zero against the pivots of h, so span(m) is
+    # inside span(h); equal products of the invariant factors then make
+    # the index 1.
     for row in m:
-        assert solve_left(h, row) is not None
-    for row in h:
-        assert solve_left(m, row) is not None
+        x = hermite_solve_left(h, row)
+        assert x is not None
+        assert tuple(sum(c * r[j] for c, r in zip(x, h)) for j in range(len(row))) == row
+
+    def volume(a):
+        out = 1
+        for d in smith_normal_form(a):
+            out *= d or 1
+        return out
+
+    assert volume(m) == volume(h)
 
 
 # -- rational_signature -----------------------------------------------------------
@@ -423,3 +441,127 @@ def test_congruence_pivots_match_full_update(seed):
     for (i, row), (_, ref) in zip(pivots, want):
         assert all(row[k] == ref[k] for k in live)
         live.remove(i)
+
+
+# -- congruence ------------------------------------------------------------------------
+
+
+def _random_b(rng: random.Random, rows: int, cols: int):
+    """Mostly-zero rows, as Hermite bases are, with zero and dependent rows mixed in."""
+    b = [[rng.choice([0, 0, 0, rng.randint(-7, 7)]) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(rows), 2)
+        b[i] = [rng.randint(-3, 3) * x for x in b[j]]
+    if rng.random() < 0.3:
+        b[rng.randrange(rows)] = [0] * cols
+    return tuple(tuple(row) for row in b)
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_congruence_equals_two_products(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        g = full_mukai_lattice().gram
+    else:
+        n = rng.randint(1, 8)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.choice([0, rng.randint(-9, 9)])
+        g = tuple(tuple(row) for row in g)
+    n = len(g)
+    rows = rng.choice([1, rng.randint(1, n + 2), n - 1 if n > 1 else 1])
+    b = _random_b(rng, rows, n)
+    got = congruence(b, g)
+    assert got == matmul(matmul(b, g), transpose(b))
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_congruence_edge_shapes():
+    gram = full_mukai_lattice().gram
+    assert congruence((), gram) == ()
+    assert congruence(((0,) * 24,), gram) == ((0,),)
+    assert congruence(identity(24), gram) == gram
+    with pytest.raises(ValidationError):
+        congruence(((1, 0),), gram)
+
+
+# -- smith_normal_form -------------------------------------------------------------------
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_smith_diagonal_equals_reference(seed):
+    rng = random.Random(seed)
+    m = [list(row) for row in _random_int_matrix(rng)]
+    if rng.random() < 0.3:
+        c = rng.randrange(len(m[0]))
+        for row in m:
+            row[c] = 0
+    if rng.random() < 0.3:
+        k = rng.choice([2, 3, 6])
+        m = [[k * x for x in row] for row in m]
+    m = tuple(tuple(row) for row in m)
+    diag = smith_normal_form(m)
+    assert diag == reference_smith(m)[0]
+    assert len(diag) == min(len(m), len(m[0]))
+
+
+def test_smith_diagonal_edge_shapes():
+    assert smith_normal_form(()) == ()
+    assert smith_normal_form(((0, 0, 0),)) == (0,)
+    assert smith_normal_form(((0,), (4,), (-6,))) == (2,)
+    assert smith_normal_form(((0, 0), (0, -3))) == (3, 0)
+    assert smith_normal_form(_diag([4, 0, 6, -10])) == (2, 2, 60, 0)
+
+
+# -- unimodular_completion -----------------------------------------------------------------
+
+
+def _random_primitive_row(rng: random.Random):
+    """A primitive row with first nonzero entry positive, as Hermite rows are."""
+    n = rng.randint(1, 24)
+    while True:
+        row = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+        if rng.random() < 0.5:
+            row[rng.randrange(n)] = rng.choice([2, 3, 6]) * rng.randint(1, 4)
+        lead = next((x for x in row if x), 0)
+        if content_of(row) == 1:
+            return tuple(x if lead > 0 else -x for x in row)
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_unimodular_completion_of_primitive_row(seed):
+    row = _random_primitive_row(random.Random(seed))
+    n = len(row)
+    u = unimodular_completion(row)
+    assert u[0] == row
+    assert matmul(u, invert_unimodular(u)) == identity(n)
+    _, _, right = reference_smith((row,))
+    assert u == invert_unimodular(right)
+
+
+@given(SEEDS)
+@SETTINGS
+def test_unimodular_completion_of_radical_row(seed):
+    # The h2 path completes the radical of an isotropic class's complement.
+    rng = random.Random(seed)
+    v = [rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(24)]
+    v[0], v[1] = 1, 0
+    v[1] = -sum(x * y for x, y in zip(mat_vec(full_mukai_lattice().gram, v), v)) // 2
+    gram = full_mukai_lattice().gram
+    assert sum(x * y for x, y in zip(mat_vec(gram, v), v)) == 0
+    comp = integer_kernel_saturated((mat_vec(gram, v),))
+    sub = congruence(comp, gram)
+    (radical,) = integer_kernel_saturated(sub)
+    u = unimodular_completion(radical)
+    assert u == invert_unimodular(reference_smith((radical,))[2])
+    assert not any(congruence(u, sub)[0])
+
+
+@pytest.mark.parametrize("row", [(), (0,), (0, 0, 0), (2,), (-3,), (2, 4, 0), (0, 6, -9)])
+def test_unimodular_completion_rejects_non_primitive(row):
+    with pytest.raises(ValidationError, match="non-primitive"):
+        unimodular_completion(row)

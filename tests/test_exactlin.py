@@ -15,11 +15,11 @@ from mukaikit.exactlin import (
     matmul,
     rational_signature,
     smith_normal_form,
-    solve_left,
     transpose,
 )
 
 from conftest import random_unimodular
+from fraction_oracle import hermite_solve_left, reference_smith
 
 
 def diag_matrix(entries):
@@ -29,30 +29,31 @@ def diag_matrix(entries):
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        diag, _, _ = smith_normal_form(diag_matrix([2, 3]))
-        assert diag == (1, 6)
+        assert smith_normal_form(diag_matrix([2, 3])) == (1, 6)
 
     def test_identity(self):
-        diag, left, right = smith_normal_form(identity(3))
+        assert smith_normal_form(identity(3)) == (1, 1, 1)
+        diag, left, right = reference_smith(identity(3))
         assert diag == (1, 1, 1)
         assert abs(determinant(left)) == 1 and abs(determinant(right)) == 1
 
     def test_worked_2x2(self):
         m = ((2, 4), (6, 8))
-        diag, left, right = smith_normal_form(m)
+        assert smith_normal_form(m) == (2, 4)
+        diag, left, right = reference_smith(m)
         assert diag == (2, 4)
         assert matmul(matmul(left, m), right) == diag_matrix([2, 4])
 
     def test_rank_deficient(self):
-        diag, _, _ = smith_normal_form(((1, 2), (2, 4)))
-        assert diag == (1, 0)
+        assert smith_normal_form(((1, 2), (2, 4))) == (1, 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_transform_identity(self, seed):
         rng = random.Random(seed)
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
-        diag, left, right = smith_normal_form(m)
+        diag, left, right = reference_smith(m)
+        assert smith_normal_form(m) == diag
         product = matmul(matmul(left, m), right)
         for i in range(rows):
             for j in range(cols):
@@ -89,8 +90,7 @@ class TestKernel:
             assert all(x == 0 for x in (sum(m[i][j] * row[j] for j in range(cols))
                                         for i in range(rows)))
         if k:
-            diag, _, _ = smith_normal_form(k)
-            assert all(d == 1 for d in diag)
+            assert all(d == 1 for d in smith_normal_form(k))
 
     def test_hnf_is_canonical(self):
         rng = random.Random(7)
@@ -140,12 +140,14 @@ class TestSolveAndInverse:
         u = random_unimodular(rng, 4)
         assert matmul(u, invert_unimodular(u)) == identity(4)
 
+    # The span checks of the Hermite tests solve x @ h = v against the
+    # pivots of h; these pin that test-side reduction down.
     def test_solve_left(self):
         basis = ((1, 2, 0), (0, 3, 1))
         target = (2, 7, 1)
-        x = solve_left(basis, target)
+        x = hermite_solve_left(basis, target)
         assert x == (2, 1)
 
     def test_solve_left_no_solution(self):
-        assert solve_left(((2, 0),), (1, 0)) is None
-        assert solve_left(((1, 0),), (0, 1)) is None
+        assert hermite_solve_left(((2, 0),), (1, 0)) is None
+        assert hermite_solve_left(((1, 0),), (0, 1)) is None

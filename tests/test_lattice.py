@@ -111,7 +111,7 @@ class TestOrthogonalComplement:
     def test_saturated(self):
         l = diagonal_lattice([2, -2, -4])
         oc = orthogonal_complement(l, [l.vector((2, 2, 0))])
-        diag, _, _ = smith_normal_form(oc.basis)
+        diag = smith_normal_form(oc.basis)
         assert all(d == 1 for d in diag)
         for row in oc.basis:
             assert pairing(l.vector(row), l.vector((2, 2, 0))) == 0

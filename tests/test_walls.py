@@ -56,10 +56,6 @@ class TestShortVectors:
             expected.discard((0,) * n)
             assert got == expected
 
-    def test_worker_invariance(self):
-        q = ((2, 1, 0), (1, 4, -1), (0, -1, 6))
-        assert short_vectors(q, 40, workers=1) == short_vectors(q, 40, workers=3)
-
     def test_coordinate_radii_cover(self):
         q = ((2, 1), (1, 4))
         radii = coordinate_radii(q, 20)
@@ -273,14 +269,6 @@ class TestCrossings:
             if same_chamber(rank2_model, v, a, b) and same_chamber(rank2_model, v, b, c):
                 assert same_chamber(rank2_model, v, a, c)
                 checked += 1
-
-    def test_worker_invariance(self, rank2_model):
-        h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
-        v = MukaiVector(F(2), h + f, F(0))
-        seg = Segment(rank2_model.h11((1, F(1, 4))), rank2_model.h11((1, F(-1, 4))))
-        one = walls_crossing_segment(rank2_model, v, seg, workers=1)
-        many = walls_crossing_segment(rank2_model, v, seg, workers=4)
-        assert one == many
 
 
 class TestTwistedWalls:
