@@ -183,7 +183,7 @@ def load_config(path: str | Path) -> Config:
         raise ValidationError(f"config: {path} is not valid UTF-8: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
         raise ValidationError(f"config: invalid JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError(f"config: JSON in {path} is nested too deeply") from exc

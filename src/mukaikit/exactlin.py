@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .errors import InternalError, ValidationError
 
 IntMatrix = tuple[tuple[int, ...], ...]
-RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
@@ -30,15 +29,6 @@ def int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
         for entry in row:
             if not isinstance(entry, int):
                 raise ValidationError(f"integer matrix entry {entry!r} is not an int")
-    return out
-
-
-def rat_matrix(rows: Iterable[Iterable]) -> RatMatrix:
-    """Freeze ``rows`` into a rational matrix (entries coerced to Fraction)."""
-    out = tuple(tuple(Fraction(entry) for entry in row) for row in rows)
-    widths = {len(row) for row in out}
-    if len(widths) > 1:
-        raise ValidationError("matrix rows have inconsistent lengths")
     return out
 
 
@@ -325,23 +315,31 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
 # -- Signatures --------------------------------------------------------------
 
 
-def congruence_pivots(mat: RatMatrix) -> tuple[list[tuple[int, tuple[Fraction, ...]]], int]:
-    """Exact symmetric congruence reduction of a symmetric rational matrix.
+def congruence_pivots(mat: Sequence[Sequence[int]]) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """Fraction-free symmetric congruence reduction of a symmetric integer matrix.
 
     Diagonal pivots are consumed directly, lowest live index first; when
-    the remaining block has an all-zero diagonal, a nonzero off-diagonal
-    entry is turned into a diagonal one by a congruence (valid in
-    characteristic 0). Returns the pivots in elimination order, each as
-    ``(index, row)`` with the row as it stood when it was eliminated, and
-    the number of zero directions left over. Only the live block is
-    updated (its rows cover it, since it is symmetric), so the entries of
-    a pivot row at indices eliminated before it are stale; its pivot and
-    its live entries are exact. Callers check symmetry.
+    the live block has an all-zero diagonal, the congruence x_i -> x_i + x_j
+    turns a nonzero a[i][j] into a diagonal entry. The live block is updated
+    as in Bareiss, a[i][k] = (p a[i][k] - a[i][piv] row[k]) // prev with p
+    the pivot and prev the one before it (1 at first), an exact division:
+    each live entry (i, l) is then the minor on rows {pivots, i} and columns
+    {pivots, l}, so pivot k holds D_k, the k-th leading minor in elimination
+    order, and D_k / D_{k-1} is the k-th pivot of the rational LDL split.
+    The pair step is a unimodular congruence E M E^T on live indices only;
+    as each live entry is a minor linear in its row and in its column, the
+    state stays that of Bareiss on E M E^T.
+
+    Returns the pivots in elimination order as ``(index, row)``, the row as
+    it stood when eliminated, and the number of zero directions left. Only
+    the live block is updated (its rows cover it, since it is symmetric),
+    so a pivot row's entries at indices eliminated before it are stale.
+    Callers check symmetry.
     """
-    n, _ = shape(mat)
     a = [list(row) for row in mat]
-    live = list(range(n))
+    live = list(range(len(a)))
     pivots = []
+    prev = 1
     while live:
         pivot = next((i for i in live if a[i][i] != 0), None)
         if pivot is None:
@@ -360,26 +358,30 @@ def congruence_pivots(mat: RatMatrix) -> tuple[list[tuple[int, tuple[Fraction, .
         pivots.append((pivot, tuple(row)))
         live.remove(pivot)
         for i in live:
-            factor = a[i][pivot] / p
-            if factor:
-                ri = a[i]
-                for k in live:
-                    ri[k] -= factor * row[k]
+            ri = a[i]
+            f = ri[pivot]
+            for k in live:
+                ri[k] = (p * ri[k] - f * row[k]) // prev
+        prev = p
     return pivots, 0
 
 
 def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
     """Inertia ``(n_plus, n_zero, n_minus)`` of a symmetric rational matrix.
 
-    Counts the signs of the pivots of ``congruence_pivots``. Rejects
-    non-symmetric input.
+    One positive scale clears every denominator; ``congruence_pivots``
+    then runs on integers, and its k-th pivot D_k / D_{k-1} is positive
+    iff D_k has the sign of D_{k-1}. Rejects non-symmetric input.
     """
-    mat = rat_matrix(g)
-    n, cols = shape(mat)
-    if n != cols or not is_symmetric(mat):
+    n = len(g)
+    if any(len(row) != n for row in g) or not is_symmetric(g):
         raise ValidationError("signature requires a symmetric matrix")
-    pivots, n_zero = congruence_pivots(mat)
-    n_plus = sum(1 for i, row in pivots if row[i] > 0)
+    scale = lcm(*(c.denominator for row in g for c in row))
+    pivots, n_zero = congruence_pivots(
+        [[c.numerator * (scale // c.denominator) for c in row] for row in g]
+    )
+    minors = [1] + [row[i] for i, row in pivots]
+    n_plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
     return (n_plus, n_zero, len(pivots) - n_plus)
 
 

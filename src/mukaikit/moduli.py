@@ -307,6 +307,11 @@ def irreducibility_oracle(r: int, xi_square, delta) -> IrreducibilityVerdict:
     If the minimum of LB over all decompositions exceeds delta, no
     destabilizing subsheaf can exist; otherwise the minimizer is returned
     as a witness decomposition.
+
+    As 0 < r2/r < 1, n2 is 0 or 1, where LB is -xi_square r2 / (2 r1 r^2)
+    or -xi_square r1 / (2 r2 r^2): least at (r-1, 0) and (1, 1), with
+    value -xi_square / (2 r^2 (r-1)). The least witness is (1, 0) when
+    r = 2 and (1, 1) otherwise.
     """
     xi_square = Fraction(xi_square)
     delta = Fraction(delta)
@@ -316,21 +321,9 @@ def irreducibility_oracle(r: int, xi_square, delta) -> IrreducibilityVerdict:
         raise HypothesisViolation("oracle requires a negative definite rank-1 NS lattice")
     if r == 1:
         return IrreducibilityVerdict(True, None, None, trivial=True)
-    best: Fraction | None = None
-    argmin: tuple[int, int] | None = None
-    for r1 in range(1, r):
-        r2 = r - r1
-        center = Fraction(r2, r)
-        # The quadratic in n2 is minimized at the integers nearest r2/r.
-        for n2 in {center.__floor__(), center.__ceil__()}:
-            lb = -(xi_square / (2 * r1 * r2)) * (center - n2) ** 2
-            if best is None or lb < best or (lb == best and (r1, n2) < argmin):
-                best = lb
-                argmin = (r1, n2)
-    assert best is not None and argmin is not None
-    if best > delta:
-        return IrreducibilityVerdict(True, best, argmin)
-    return IrreducibilityVerdict(False, best, argmin)
+    best = -xi_square / (2 * r * r * (r - 1))
+    argmin = (1, 0) if r == 2 else (1, 1)
+    return IrreducibilityVerdict(best > delta, best, argmin)
 
 
 @dataclass(frozen=True)

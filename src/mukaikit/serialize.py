@@ -8,7 +8,9 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from numbers import Real
 from typing import Any
 
 from .errors import ValidationError
@@ -16,6 +18,7 @@ from .lattice import LatticeVector
 from .mukai import MukaiVector
 
 SCHEMA_VERSION = "1"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational_to_json(x) -> str:
@@ -31,11 +34,15 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{where}: {value!r} is not a rational 'p/q' string") from exc
-    if isinstance(value, float):
+        # Only "p" or "p/q": Fraction alone would also take decimals and
+        # exponents, and "1e10000000" takes seconds to build.
+        if _RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValidationError(f"{where}: {value!r} is not a rational 'p/q' string")
+    if isinstance(value, Real):  # json.loads reads every non-integer number as a float
         raise ValidationError(f"{where}: floats are not accepted; use 'p/q' strings")
     raise ValidationError(f"{where}: expected a rational, got {type(value).__name__}")
 

@@ -1,13 +1,14 @@
 """Enumeration of short vectors of positive definite rational forms.
 
 Fincke-Pohst style search in exact arithmetic: the form is split as
-q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with d_i > 0, once, in
-rationals; the split is then scaled to integers, and the search cuts
-each coordinate interval with integer square roots and floor divisions
-alone, so no floating point and no Fraction enters its loops. It keeps
-one of each pair +-x (the one whose last nonzero coordinate is
-positive), since q(-x) = q(x); ``short_vectors`` adds the negatives back.
-It runs in one thread.
+q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with d_i > 0, once, read
+off the leading minors and pivot rows of a fraction-free (Bareiss)
+elimination of the integer form; the split is scaled to integers, and
+the search cuts each coordinate interval with integer square roots and
+floor divisions alone, so no floating point and no Fraction enters it.
+It keeps one of each pair +-x (the one whose last nonzero coordinate is
+positive), since q(-x) = q(x); ``short_vectors`` adds the negatives
+back. It runs in one thread.
 
 An optional leaf clip, a pair (p, r) of integer linear forms, keeps only
 the x with p(x) r(x) <= 0. Coordinates are fixed from the last down, so
@@ -29,55 +30,47 @@ vectors kept come in the order of the unclipped search.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
-from .exactlin import congruence_pivots, determinant, is_symmetric, rat_matrix, shape
+from .exactlin import congruence_pivots, determinant, is_symmetric
 
 Vec = tuple[int, ...]
 
 
-def ldl_decompose(q: Sequence[Sequence]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Split a symmetric positive definite matrix as q = U^T D U.
+def _integer_levels(q: Sequence[Sequence[int]], bound: Fraction):
+    """The LDL split of the integer form ``q``, scaled so the search runs on integers.
 
-    Returns ``(d, u)`` where ``u[i][j]`` (j > i) are the unit upper
-    triangular coefficients, so q(x) = sum d_i (x_i + sum_{j>i} u_ij x_j)^2.
-    Raises if the form is not positive definite (exact test).
+    Pivot row i of ``congruence_pivots`` holds D_i, the i-th leading minor,
+    and a_ij = D_i u_ij, so d_i = D_i / D_{i-1}. With g_i = gcd(D_i, a_ij
+    for j > i), e_i = D_i / g_i is the common denominator of row i of u,
+    and with T_i = sum_{j>i} (a_ij / g_i) x_j the level-i term of q(x) is
+    d_i (x_i + T_i / e_i)^2 = g_i^2 / (D_i D_{i-1}) * y_i^2, y_i = e_i x_i + T_i.
+    Scaling by s, the least common denominator of those coefficients and
+    of ``bound``, gives integers c_i and R with s q(x) = sum c_i y_i^2 and
+    q(x) <= bound iff sum c_i y_i^2 <= R. Returns (c, e, rows, R) with
+    rows[i][j] = a_ij / g_i for j > i, else 0. Raises if the form is not
+    positive definite (exact test).
     """
-    mat = rat_matrix(q)
-    n, cols = shape(mat)
-    if n != cols or not is_symmetric(mat):
-        raise ValidationError("ldl decomposition requires a symmetric matrix")
-    # Positive definite iff every pivot is positive and none is left zero;
-    # then each pivot is the lowest live index, so row i holds d_i and d_i u_ij.
-    pivots, n_zero = congruence_pivots(mat)
+    # Positive definite iff every D_i is positive and no direction is left
+    # zero; then each pivot is the lowest live index, so row i is pivot i.
+    pivots, n_zero = congruence_pivots(q)
     if n_zero or any(i != k or row[i] <= 0 for k, (i, row) in enumerate(pivots)):
         raise ValidationError("form is not positive definite")
-    d = [row[i] for i, row in pivots]
-    u = [[row[j] / row[i] if j > i else Fraction(0) for j in range(n)] for i, row in pivots]
-    return d, u
-
-
-def _integer_levels(q: Sequence[Sequence], bound: Fraction):
-    """The LDL split of ``q``, scaled so the search runs on integers.
-
-    With t_i = T_i / e_i (e_i the common denominator of row i of u, T_i
-    an integer form in x_{i+1..n-1}) the level-i term of q(x) is
-    d_i (x_i + t_i)^2 = d_i / e_i^2 * y_i^2 with y_i = e_i x_i + T_i.
-    Scaling by s, the least common denominator of the d_i / e_i^2 and
-    of ``bound``, gives integers c_i and R with s q(x) = sum c_i y_i^2
-    and q(x) <= bound iff sum c_i y_i^2 <= R. Returns (c, e, rows, R),
-    where rows[i][j] = e_i u_ij for j > i and 0 otherwise.
-    """
-    d, u = ldl_decompose(q)
-    n = len(d)
-    e = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    terms = [d[i] / (e[i] * e[i]) for i in range(n)]
-    s = lcm(bound.denominator, *(c.denominator for c in terms))
-    rows = [tuple(int(u[i][j] * e[i]) if j > i else 0 for j in range(n)) for i in range(n)]
-    return [int(c * s) for c in terms], e, rows, int(bound * s)
+    terms, e, rows, prev = [], [], [], 1
+    for i, row in pivots:
+        minor = row[i]
+        g = gcd(minor, *row[i + 1:])
+        h = gcd(g * g, minor * prev)
+        terms.append((g * g // h, minor * prev // h))
+        e.append(minor // g)
+        rows.append((0,) * (i + 1) + tuple(x // g for x in row[i + 1:]))
+        prev = minor
+    s = lcm(bound.denominator, *(den for _, den in terms))
+    c = [num * (s // den) for num, den in terms]
+    return c, e, rows, bound.numerator * (s // bound.denominator)
 
 
 def _clip(lo, hi, clip, x):
@@ -151,10 +144,15 @@ def short_vectors_up_to_sign(q: Sequence[Sequence], bound, clip=None) -> list[Ve
     are affine in x_0 (see the module notes), so no other vector is built.
     """
     bound = Fraction(bound)
-    n, _ = shape(rat_matrix(q))
+    n = len(q)
     if n == 0 or bound < 0:
         return []
-    c, e, rows, total = _integer_levels(q, bound)
+    if any(len(row) != n for row in q) or not is_symmetric(q):
+        raise ValidationError("short vectors require a symmetric form")
+    # A rational form and its bound are scaled by one common denominator.
+    scale = lcm(*(c.denominator for row in q for c in row))
+    q = [[c.numerator * (scale // c.denominator) for c in row] for row in q]
+    c, e, rows, total = _integer_levels(q, bound * scale)
     out: list[Vec] = []
     x = [0] * n
     for lead in range(n - 1, 0, -1):
@@ -185,11 +183,9 @@ def coordinate_radii(q: Sequence[Sequence], bound) -> list[Fraction]:
     Returns the exact values bound * (q^-1)_ii (squares of the radii).
     """
     bound = Fraction(bound)
-    mat = rat_matrix(q)
-    det = determinant(mat)
+    det = determinant(q)
     if det == 0:
         raise ValidationError("singular form has no coordinate radii")
-    n, _ = shape(mat)
     # (q^-1)_ii is the (i, i) cofactor over det q.
-    minors = ([row[:i] + row[i + 1:] for k, row in enumerate(mat) if k != i] for i in range(n))
+    minors = ([row[:i] + row[i + 1:] for k, row in enumerate(q) if k != i] for i in range(len(q)))
     return [bound * determinant(minor) / det for minor in minors]

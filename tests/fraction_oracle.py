@@ -6,13 +6,15 @@ search whose intervals are cut in rational arithmetic and which returns
 both x and -x, then a filter that builds a ``LatticeVector`` for every
 hit, reduces it to a primitive class with canonical sign, squares it and
 pairs it with the polarizations through ``K3Model.pair_ns``. It is slow
-and independent of the integer code it checks, apart from the shared
-LDL split and the model's own pairings.
+and independent of the integer code it checks, apart from the model's own
+pairings: its LDL split comes from the full-update congruence below.
 
 It also keeps exact-layer routines the library no longer runs: the Smith
 form with both unimodular transforms and the saturated kernel read off
 it, the symmetric congruence that updated every row and column at each
-step, and a row-span test that reduces against Hermite pivots.
+step in Fractions, the rational LDL split read off it, a row-span test
+that reduces against Hermite pivots, and the loop over rank splits that
+the irreducibility oracle's closed form replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from mukaikit.errors import InternalError
+from mukaikit.errors import InternalError, ValidationError
 from mukaikit.exactlin import (
     _is_diagonal,
     _row_hermite_inplace,
@@ -31,11 +33,10 @@ from mukaikit.exactlin import (
     integer_kernel_saturated,
     mat_vec,
     matmul,
-    rat_matrix,
     shape,
     transpose,
 )
-from mukaikit.shortvec import ldl_decompose
+from mukaikit.moduli import IrreducibilityVerdict
 from mukaikit.surface import is_polarization
 from mukaikit.walls import wall_bound, segment_candidate_bound
 
@@ -74,7 +75,7 @@ def _search(d, u, n, level, x, remaining, out):
 def fraction_short_vectors(q, bound) -> list[tuple[int, ...]]:
     """All nonzero integer x with x^T q x <= bound, both signs, sorted."""
     bound = Fraction(bound)
-    n, _ = shape(rat_matrix(q))
+    n = len(q)
     if n == 0 or bound < 0:
         return []
     d, u = ldl_decompose(q)
@@ -174,6 +175,22 @@ def oracle_crossings(m, v, omega, omega_prime) -> list[tuple[tuple, Fraction, Fr
             crossings.append((d.coords, sq, p / (p - q)))
     crossings.sort(key=lambda c: (c[2], c[0]))
     return crossings
+
+
+def ldl_decompose(q) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Split a symmetric positive definite matrix as q = U^T D U, in Fractions.
+
+    Returns ``(d, u)`` where ``u[i][j]`` (j > i) are the unit upper
+    triangular coefficients, so q(x) = sum d_i (x_i + sum_{j>i} u_ij x_j)^2.
+    The pivots of ``full_update_congruence_pivots`` are d_i and d_i u_ij.
+    """
+    n = len(q)
+    pivots, n_zero = full_update_congruence_pivots(q)
+    if n_zero or any(i != k or row[i] <= 0 for k, (i, row) in enumerate(pivots)):
+        raise ValidationError("form is not positive definite")
+    d = [row[i] for i, row in pivots]
+    u = [[row[j] / row[i] if j > i else Fraction(0) for j in range(n)] for i, row in pivots]
+    return d, u
 
 
 def reference_smith(m) -> tuple:
@@ -309,3 +326,18 @@ def full_update_congruence_pivots(mat):
                 for k in range(n):
                     a[k][i] -= factor * a[k][pivot]
     return pivots, 0
+
+
+def loop_irreducibility_oracle(r: int, xi_square: int, delta) -> IrreducibilityVerdict:
+    """``moduli.irreducibility_oracle`` by trying every split r = r1 + r2, r > 1.
+
+    For each r1 the bound -(xi_square / (2 r1 r2)) (r2/r - n2)^2 is least
+    at the integers n2 nearest r2/r, its floor and ceiling; the least
+    (bound, r1, n2) wins.
+    """
+    best, r1, n2 = min(
+        (Fraction(-xi_square * (r - r1 - n2 * r) ** 2, 2 * r1 * (r - r1) * r * r), r1, n2)
+        for r1 in range(1, r)
+        for n2 in {(r - r1) // r, -((r1 - r) // r)}
+    )
+    return IrreducibilityVerdict(best > delta, best, (r1, n2))

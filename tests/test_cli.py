@@ -284,6 +284,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert f"JSON in {path} is nested too deeply" in err
 
+    @pytest.mark.parametrize("value", ["1e5000", "1e10000000", "1.5", "1_000", " 1/2", "1/0"])
+    def test_rational_string_must_be_p_or_p_over_q(self, tmp_path, value):
+        # Fraction alone takes decimals and exponents; "1e10000000" would
+        # take seconds to build and then fail to serialize.
+        cfg = json.loads(json.dumps(NONPROJECTIVE_CONFIG))
+        cfg["omega"]["t"] = [value]
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["report", "--config", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert f"omega.t[0]: {value!r} is not a rational 'p/q' string" in err
+
+    def test_integer_literal_over_the_digit_limit(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"surface": {"ns_gram": [[' + "1" * 5000 + "]]}}")
+        code, out, err = invoke(["report", "--config", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert f"config: invalid JSON in {path}" in err
+
 
 class TestDeterminism:
     def test_json_roundtrip_byte_identical(self, projective_cfg):

@@ -3,13 +3,14 @@
 One row Hermite loop serves ``hermite_normal_form``,
 ``invert_unimodular``, ``unimodular_completion``,
 ``integer_kernel_saturated``, ``determinant`` and the Smith diagonal;
-one symmetric congruence serves ``rational_signature`` and
-``ldl_decompose``; ``coordinate_radii`` reads cofactors through
-``determinant``; ``congruence`` forms every induced Gram. The checks are
-products with the inverse, row spans both ways, eigenvalue signs from
-numpy, exact reconstruction q = U^T D U, inverses built from a known
-congruence, a Leibniz expansion, two dense products, and the
-transform-tracking Smith and full-update routines these replaced.
+one fraction-free symmetric congruence serves ``rational_signature`` and
+the short-vector split ``_integer_levels``; ``coordinate_radii`` reads
+cofactors through ``determinant``; ``congruence`` forms every induced
+Gram. The checks are products with the inverse, row spans both ways,
+eigenvalue signs from numpy, exact reconstruction q = U^T D U of the
+oracle's rational LDL, inverses built from a known congruence, a Leibniz
+expansion, two dense products, and the transform-tracking Smith and
+full-update Fraction routines these replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -38,7 +40,6 @@ from mukaikit.exactlin import (
     invert_unimodular,
     mat_vec,
     matmul,
-    rat_matrix,
     rational_signature,
     smith_normal_form,
     transpose,
@@ -46,12 +47,13 @@ from mukaikit.exactlin import (
 )
 from mukaikit.lattice import Lattice, full_mukai_lattice, k3_lattice
 from mukaikit.moduli import standard_ns_embedding, validate_ns_embedding
-from mukaikit.shortvec import coordinate_radii, ldl_decompose
+from mukaikit.shortvec import _integer_levels, coordinate_radii, short_vectors_up_to_sign
 
 from conftest import random_unimodular
 from fraction_oracle import (
     full_update_congruence_pivots,
     hermite_solve_left,
+    ldl_decompose,
     reference_smith,
     smith_kernel,
 )
@@ -214,7 +216,30 @@ def test_rational_signature_against_rank_and_eigenvalues(seed):
     assert n_minus == int((eig < -tol).sum())
 
 
-# -- ldl_decompose ---------------------------------------------------------------
+def _reference_signature(g):
+    """Signs of the full-update Fraction pivots."""
+    pivots, n_zero = full_update_congruence_pivots(g)
+    n_plus = sum(1 for i, row in pivots if row[i] > 0)
+    return (n_plus, n_zero, len(pivots) - n_plus)
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_rational_signature_of_rational_and_row_scaled_matrices(seed):
+    # Scaling row and column i by s_i != 0 is a congruence, so the
+    # inertia is that of g; with a common rational factor the scale that
+    # clears the denominators is no longer 1.
+    rng = random.Random(seed)
+    g = _random_symmetric(rng)
+    n = len(g)
+    s = [F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(n)]
+    common = F(rng.randint(1, 5), rng.randint(1, 5))
+    scaled = tuple(tuple(common * s[i] * g[i][j] * s[j] for j in range(n)) for i in range(n))
+    assert rational_signature(scaled) == _reference_signature(scaled) == rational_signature(g)
+    assert rational_signature(g) == _reference_signature(g)
+
+
+# -- the short-vector split --------------------------------------------------------
 
 
 def _random_rational_diag(rng: random.Random, n: int, signs):
@@ -237,7 +262,7 @@ def test_ldl_reconstructs_positive_definite(seed):
 
 @given(SEEDS)
 @SETTINGS
-def test_ldl_rejects_semidefinite_and_indefinite(seed):
+def test_short_vectors_reject_semidefinite_and_indefinite(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     p = random_unimodular(rng, n, steps=2 * n)
@@ -245,7 +270,54 @@ def test_ldl_rejects_semidefinite_and_indefinite(seed):
     signs[rng.randrange(n)] = rng.choice([0, -1])
     q = _congruent(p, _random_rational_diag(rng, n, signs))
     with pytest.raises(ValidationError, match="not positive definite"):
+        short_vectors_up_to_sign(q, 10)
+    with pytest.raises(ValidationError, match="not positive definite"):
         ldl_decompose(q)
+
+
+def _levels_from_ldl(q, bound):
+    """The (c, e, rows, R) of the search, built from the oracle's rational LDL."""
+    d, u = ldl_decompose(q)
+    n = len(d)
+    e = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    terms = [d[i] / (e[i] * e[i]) for i in range(n)]
+    s = lcm(bound.denominator, *(c.denominator for c in terms))
+    rows = [tuple(int(u[i][j] * e[i]) if j > i else 0 for j in range(n)) for i in range(n)]
+    return [int(c * s) for c in terms], e, rows, int(bound * s)
+
+
+_PRIMES = (1000003, 1299709, 2750159, 4256249, 7368787, 9999991)
+
+
+def _majorant_form(rng: random.Random):
+    """2 (Gx)(Gx)^T - (x^T G x) G on a hyperbolic G = P^T D P, x^T G x > 0.
+
+    Px has 7-digit prime coordinates, its first large enough that the
+    positive diagonal entry of D wins.
+    """
+    n = rng.randint(2, 4)
+    p = random_unimodular(rng, n, steps=2 * n)
+    g = _congruent(p, [2 * rng.randint(1, 3)] + [-2 * rng.randint(1, 3) for _ in range(n - 1)])
+    y = [rng.choice(_PRIMES) * rng.randint(40, 60)]
+    y += [rng.choice(_PRIMES) * rng.choice([-1, 1]) for _ in range(n - 1)]
+    x = mat_vec(invert_unimodular(p), y)
+    w = mat_vec(g, x)
+    a = sum(wi * xi for wi, xi in zip(w, x))
+    assert a > 0
+    return tuple(tuple(2 * w[i] * w[j] - a * g[i][j] for j in range(n)) for i in range(n))
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_integer_levels_equal_the_rational_split(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        q = _majorant_form(rng)
+    else:
+        n = rng.randint(1, 7)
+        q = _congruent(random_unimodular(rng, n, steps=2 * n), [rng.randint(1, 9) for _ in range(n)])
+    bound = F(rng.randint(0, 10**6), rng.randint(1, 10**4))
+    assert _integer_levels(q, bound) == _levels_from_ldl(q, bound)
 
 
 # -- coordinate_radii --------------------------------------------------------------
@@ -427,20 +499,25 @@ def test_ns_embedding_primitivity():
 @given(SEEDS)
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_congruence_pivots_match_full_update(seed):
+    # On the denominator-cleared matrix, pivot row k is D_{k-1} times the
+    # full-update Fraction row at every live index (D_0 = 1).
     rng = random.Random(seed)
     g = _random_symmetric(rng)
     if rng.random() < 0.5:
         s = F(rng.randint(1, 5), rng.randint(1, 5))
         g = tuple(tuple(s * x for x in row) for row in g)
-    mat = rat_matrix(g)
+    scale = lcm(*(F(x).denominator for row in g for x in row))
+    mat = tuple(tuple(int(x * scale) for x in row) for row in g)
     pivots, n_zero = congruence_pivots(mat)
     want, want_zero = full_update_congruence_pivots(mat)
     assert n_zero == want_zero
     assert [i for i, _ in pivots] == [i for i, _ in want]
     live = set(range(len(g)))
+    prev = 1
     for (i, row), (_, ref) in zip(pivots, want):
-        assert all(row[k] == ref[k] for k in live)
+        assert all(isinstance(row[k], int) and row[k] == prev * ref[k] for k in live)
         live.remove(i)
+        prev = row[i]
 
 
 # -- congruence ------------------------------------------------------------------------

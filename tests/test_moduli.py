@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,7 @@ from mukaikit.errors import HypothesisViolation, ValidationError
 from mukaikit.moduli import validate_ns_embedding
 
 from conftest import random_hyperbolic_ns, positive_reference
+from fraction_oracle import loop_irreducibility_oracle
 
 
 def random_positive_embedded(rng: random.Random) -> EmbeddedMukaiVector:
@@ -224,6 +226,20 @@ class TestIrreducibilityOracle:
                 xi2 = 2 * g - 2
                 verdict = irreducibility_oracle(r, xi2, F(0))
                 assert verdict.min_lower_bound == F(-xi2, 2 * r * r * (r - 1))
+
+    def test_large_rank_is_closed_form(self):
+        verdict = irreducibility_oracle(10**12, -10, F(0))
+        assert verdict.witness == (1, 1)
+        assert verdict.min_lower_bound == F(10, 2 * 10**24 * (10**12 - 1))
+
+    def test_closed_form_matches_the_loop(self):
+        for r in range(2, 201):
+            for xi2 in (-2, -6, -10, -58, -122, -2 * r * r):
+                want = loop_irreducibility_oracle(r, xi2, 0)
+                assert want.irreducible and irreducibility_oracle(r, xi2, 0) == want
+                # At delta equal to the least bound the sheaf may be reducible.
+                least = want.min_lower_bound
+                assert irreducibility_oracle(r, xi2, least) == replace(want, irreducible=False)
 
 
 class TestExistence:
