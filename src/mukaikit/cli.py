@@ -9,6 +9,7 @@ subcommand, 70 broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Any, Callable, TextIO
 
@@ -31,6 +32,7 @@ from .serialize import (
     SCHEMA_VERSION,
     canonical_dumps,
     coords_to_json,
+    digit_limit_error,
     matrix_to_json,
     mukai_to_json,
     rational_to_json,
@@ -285,6 +287,21 @@ def _render_text(payload: dict[str, Any], stream: TextIO, indent: str = "") -> N
             stream.write(f"{indent}{key}: {value}\n")
 
 
+def _render(command: str, result: dict[str, Any], fmt: str) -> str:
+    """The whole output, built before any of it is written."""
+    try:
+        if fmt == "json":
+            return canonical_dumps(
+                {"schema_version": SCHEMA_VERSION, "command": command, "result": result}
+            )
+        out = io.StringIO()
+        out.write(f"command: {command}\n")
+        _render_text(result, out)
+        return out.getvalue()
+    except ValueError:  # str() of a raw int over the interpreter's digit limit
+        raise digit_limit_error() from None
+
+
 def _build_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"mukaikit {command}")
     parser.add_argument("--config", help="path to a JSON config file")
@@ -323,7 +340,7 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
             raise ValidationError(f"{command}: --config is required")
         else:
             cfg = None
-        result = handler(cfg, args)
+        text = _render(command, handler(cfg, args), args.format)
     except ValidationError as exc:
         stderr.write(f"mukaikit {command}: invalid input: {exc}\n")
         return EXIT_VALIDATION
@@ -336,16 +353,7 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     except MukaikitError as exc:
         stderr.write(f"mukaikit {command}: {exc}\n")
         return EXIT_VALIDATION
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "result": result,
-    }
-    if args.format == "json":
-        stdout.write(canonical_dumps(payload))
-    else:
-        stdout.write(f"command: {command}\n")
-        _render_text(result, stdout)
+    stdout.write(text)
     return EXIT_OK
 
 

@@ -386,16 +386,11 @@ def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:
-    """The integer row n and least d >= 1 with v = n / d."""
-    denom = 1
-    for c in v:
-        denom = lcm(denom, Fraction(c).denominator)
-    return tuple(int(c * denom) for c in v), denom
+    """The integer row n and least d >= 1 with v = n / d, for int or Fraction entries."""
+    denom = lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (denom // c.denominator) for c in v), denom
 
 
 def content_of(coords: Sequence[int]) -> int:
     """gcd of the entries; 0 for the zero vector."""
-    g = 0
-    for c in coords:
-        g = gcd(g, abs(c))
-    return g
+    return gcd(*coords)

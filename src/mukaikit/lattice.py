@@ -66,7 +66,7 @@ class LatticeVector:
     coords: tuple[Fraction, ...] = field(default=())
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise ValidationError(
@@ -122,16 +122,23 @@ def _check_same_lattice(x: LatticeVector, y: LatticeVector) -> None:
 
 
 def pairing(x: LatticeVector, y: LatticeVector) -> Fraction:
-    """Intersection pairing x^T . gram . y, exact."""
+    """Intersection pairing x^T . gram . y, exact.
+
+    Both operands are cleared of denominators, x = a / dx and y = b / dy,
+    and a^T . gram . b is summed on ints over the nonzero entries; the one
+    Fraction built is the result (a^T gram b) / (dx dy).
+    """
     _check_same_lattice(x, y)
     g = x.lattice.gram
-    ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
-    total = Fraction(0)
-    for i, xi in enumerate(x.coords):
-        if xi:
+    a, dx = exactlin.clear_denominators(x.coords)
+    b, dy = (a, dx) if y is x else exactlin.clear_denominators(y.coords)
+    bs = [(j, bj) for j, bj in enumerate(b) if bj]
+    total = 0
+    for i, ai in enumerate(a):
+        if ai:
             row = g[i]
-            total += xi * sum(row[j] * yj for j, yj in ys if row[j])
-    return total
+            total += ai * sum(row[j] * bj for j, bj in bs if row[j])
+    return Fraction(total, dx * dy)
 
 
 # -- Standard lattices --------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from numbers import Real
 from typing import Any
@@ -23,9 +24,20 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 def rational_to_json(x) -> str:
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # str() of an int over the interpreter's digit limit
+        raise digit_limit_error() from None
+
+
+def digit_limit_error() -> ValidationError:
+    """The error for a result int too long to print (``sys.get_int_max_str_digits``)."""
+    return ValidationError(
+        f"a result has a number over the {sys.get_int_max_str_digits()}-digit limit "
+        "for integer output"
+    )
 
 
 def parse_rational(value, where: str) -> Fraction:

@@ -10,7 +10,9 @@ and clipped to the classes D with (D.omega)(D.omega') <= 0), and the
 filter after the search runs on integers. The forms G.omega of the
 polarizations are cleared of denominators once per call; primitive
 reduction, canonical sign, squares and sign tests then work on int
-tuples, and Wall objects are built only for the walls returned.
+tuples. Crossings are sorted by an exact integer key (see
+``walls_crossing_segment``), and the Fractions t, D and D^2 and the Wall
+objects are built only for the walls returned.
 """
 
 from __future__ import annotations
@@ -76,10 +78,13 @@ class Wall:
     source: tuple[int, LatticeVector] | None = None
 
     def __post_init__(self):
-        if not (-self.bound <= self.d_square < 0):
+        # -bound <= D^2 < 0 on numerators and (positive) denominators.
+        sq, bound = self.d_square, self.bound
+        if not (sq.numerator < 0
+                and -bound.numerator * sq.denominator <= sq.numerator * bound.denominator):
             raise ValidationError("wall square out of range")
-        first = next((c for c in self.d.coords if c != 0), None)
-        if first is None or first < 0:
+        first = next((c.numerator for c in self.d.coords if c), 0)
+        if first <= 0:
             raise ValidationError("wall class must be nonzero with canonical sign")
 
 
@@ -165,7 +170,7 @@ def _primitive_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _square(gram, coords: tuple[int, ...]) -> int:
-    return sum(map(mul, coords, mat_vec(gram, coords)))
+    return sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, gram) if c)
 
 
 def _in_bound(gram, bound: Fraction, candidates) -> dict[tuple[int, ...], int]:
@@ -265,12 +270,32 @@ def _majorant(gram, w, scale: Fraction):
     return maj, an
 
 
+def _sort_by_t(crossings: list) -> None:
+    """Sort (p, n, key, ...) entries by t = p / n and then by key, on ints.
+
+    The key floor(N^2 p / n) with N = max |n| is exact; the proof is in
+    ``walls_crossing_segment``.
+    """
+    scale = max((abs(c[1]) for c in crossings), default=0) ** 2
+    crossings.sort(key=lambda c: ((c[0] * scale) // c[1], c[2]))
+
+
 def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
     """All walls separating the endpoints, each with its crossing parameter.
 
     Both endpoints must be generic (no wall through either); walls are
-    reported with the exact t in (0,1) where D . omega_t = 0, sorted by t.
-    The one majorant search also finds the walls through the endpoints.
+    reported with the exact t in (0,1) where D . omega_t = 0, sorted by t
+    and then by D. The one majorant search also finds the walls through
+    the endpoints.
+
+    Each t is kept as an integer pair (p, n) with t = p / n and sorted by
+    the key floor(N^2 p / n), with N = max |n| over the crossings. The
+    reduced denominator of every t divides its n, so it is at most N, and
+    two different t differ by at least 1/N^2. So N^2 t values of different
+    t are at least 1 apart and their floors are strictly ordered like t;
+    equal t give equal floors, and ties fall back to D. Python's ``//``
+    floors for either sign of n. ``Fraction(p, n)`` is built only for the
+    returned list.
     """
     omega, omega_prime = seg.start, seg.end
     for name, endpoint, symbol in (("start", omega, "omega"), ("end", omega_prime, "omega'")):
@@ -303,7 +328,7 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
         p = sum(map(mul, w, key)) * do_prime
         q = sum(map(mul, w_prime, key)) * do
         if p and q:
-            crossings.append((Fraction(p, p - q), key, sq))
+            crossings.append((p, p - q, key, sq))
         else:
             # D meets an endpoint: start before end, then walls_through_class order.
             on_wall.append((p != 0, -sq, key))
@@ -313,9 +338,9 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
             f"segment {'end' if at_end else 'start'} point lies on a wall "
             f"D={m.ns.vector(key)!r} with D^2={-neg_sq}"
         )
-    crossings.sort()
-    return [WallCrossing(Wall(m.ns.vector(key), Fraction(sq), bound), t)
-            for t, key, sq in crossings]
+    _sort_by_t(crossings)
+    return [WallCrossing(Wall(m.ns.vector(key), Fraction(sq), bound), Fraction(p, n))
+            for p, n, key, sq in crossings]
 
 
 def is_generic(m: K3Model, v, omega: H11Class) -> bool:

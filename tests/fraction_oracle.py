@@ -5,9 +5,11 @@ This is the enumeration and filter that ``mukaikit.walls`` and
 search whose intervals are cut in rational arithmetic and which returns
 both x and -x, then a filter that builds a ``LatticeVector`` for every
 hit, reduces it to a primitive class with canonical sign, squares it and
-pairs it with the polarizations through ``K3Model.pair_ns``. It is slow
-and independent of the integer code it checks, apart from the model's own
-pairings: its LDL split comes from the full-update congruence below.
+pairs it with the polarizations. It is slow and independent of the
+integer code it checks: every pairing, polarization test and the segment
+bound go through ``_pair`` below, a per-coordinate sum in Fractions, and
+never through ``lattice.pairing`` or ``K3Model.pair``; its LDL split
+comes from the full-update congruence below.
 
 It also keeps exact-layer routines the library no longer runs: the Smith
 form with both unimodular transforms and the saturated kernel read off
@@ -37,8 +39,29 @@ from mukaikit.exactlin import (
     transpose,
 )
 from mukaikit.moduli import IrreducibilityVerdict
-from mukaikit.surface import is_polarization
-from mukaikit.walls import wall_bound, segment_candidate_bound
+from mukaikit.walls import wall_bound
+
+
+def _pair(gram, x, y) -> Fraction:
+    """x^T . gram . y, one Fraction product per pair of coordinates."""
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            total += Fraction(xi) * gram[i][j] * Fraction(yj)
+    return total
+
+
+def _pair_h11(m, x, y) -> Fraction:
+    """The (1,1) pairing of the model: NS and transcendental blocks are orthogonal."""
+    return (_pair(m.ns.gram, x.ns_part.coords, y.ns_part.coords)
+            + _pair(m.t11.gram, x.t_part.coords, y.t_part.coords))
+
+
+def _is_polarization(m, omega) -> bool:
+    return (_pair_h11(m, omega, omega) > 0
+            and _pair_h11(m, omega, m.reference_positive) > 0
+            and all(_pair(m.ns.gram, c.coords, omega.ns_part.coords) > 0
+                    for c in m.curve_classes))
 
 
 def _sqrt_floor(x: Fraction) -> Fraction:
@@ -127,7 +150,7 @@ def _candidate_primitives(m, vectors, bound, basis=None) -> list:
 
 def oracle_walls_through_class(m, v, omega) -> list[tuple[tuple, Fraction]]:
     """(coords, D^2) of every wall class orthogonal to omega."""
-    assert is_polarization(m, omega)
+    assert _is_polarization(m, omega)
     bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
@@ -157,11 +180,13 @@ def oracle_crossings(m, v, omega, omega_prime) -> list[tuple[tuple, Fraction, Fr
     bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
-    mbound = segment_candidate_bound(m, omega, omega_prime, bound)
+    a = _pair_h11(m, omega, omega)
+    b = _pair_h11(m, omega, omega_prime)
+    c = _pair_h11(m, omega_prime, omega_prime)
+    mbound = bound * (2 * b * b - a * c) / (a * c)
     if mbound < 0:
         return []
     w = mat_vec(m.ns.gram, omega.ns_part.coords)
-    a = m.square(omega)
     n = m.ns.rank
     maj = tuple(
         tuple(2 * w[i] * w[j] / a - m.ns.gram[i][j] for j in range(n)) for i in range(n)
@@ -169,8 +194,8 @@ def oracle_crossings(m, v, omega, omega_prime) -> list[tuple[tuple, Fraction, Fr
     hits = fraction_short_vectors(maj, mbound)
     crossings = []
     for d, sq in _candidate_primitives(m, hits, bound):
-        p = m.pair_ns(d, omega)
-        q = m.pair_ns(d, omega_prime)
+        p = _pair(m.ns.gram, d.coords, omega.ns_part.coords)
+        q = _pair(m.ns.gram, d.coords, omega_prime.ns_part.coords)
         if (p < 0 < q) or (q < 0 < p):
             crossings.append((d.coords, sq, p / (p - q)))
     crossings.sort(key=lambda c: (c[2], c[0]))

@@ -303,6 +303,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert f"config: invalid JSON in {path}" in err
 
+    @pytest.mark.parametrize("command", ["pairing", "type"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_result_over_the_digit_limit(self, tmp_path, command, fmt):
+        # A 3,001-digit xi reads fine, but v^2 and c2 have about 6,000 digits:
+        # pairing prints them as rational strings, type prints c2 as a raw int.
+        cfg = json.loads(json.dumps(PROJECTIVE_CONFIG))
+        cfg["mukai"]["xi"] = [int("1" * 3001), 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke([command, "--config", str(path), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert "a result has a number over the 4300-digit limit for integer output" in err
+
 
 class TestDeterminism:
     def test_json_roundtrip_byte_identical(self, projective_cfg):
