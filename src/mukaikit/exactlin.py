@@ -6,34 +6,56 @@ entries, which are always stored in lowest terms with positive
 denominator. No floating point is used anywhere: wall membership and
 signature verdicts downstream are exact predicates, so every primitive
 here must be exact too.
+
+Blocks. A symmetric matrix splits into the connected components of the
+graph i ~ j when m[i][j] != 0. After a permutation it is the block sum of
+its principal submatrices on those components.
+- Signatures add over the blocks.
+- So do Smith forms. If P A Q and P' B Q' are diagonal, so is
+  diag(P, P') diag(A, B) diag(Q, Q'). The gcd/lcm sweep turns any
+  diagonal into the Smith form of the matrix it is equivalent to, and
+  that form is unique.
+- A kernel splits along the blocks of columns that share a nonzero row.
+  Such blocks meet disjoint rows, so the equations decouple. The kernel
+  is the direct sum of the block kernels, and it is saturated since
+  each summand is. Write each block kernel in Hermite form back on its
+  own columns and merge the rows by pivot column. The result is in
+  Hermite form: the pivots strictly increase, and above a pivot the rows
+  of other blocks hold 0 while the rows of its own block are reduced.
+  The Hermite form is unique, so this is the basis that the loop over
+  the whole matrix returns.
+Lattice Grams are block sums: the Mukai Gram U^4 (+) E8(-1)^2 has 6
+blocks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from math import gcd, lcm
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalError, ValidationError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
 
 def int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
     """Freeze ``rows`` into an integer matrix, validating rectangularity."""
-    out = tuple(tuple(entry for entry in row) for row in rows)
-    widths = {len(row) for row in out}
-    if len(widths) > 1:
+    out = tuple(map(tuple, rows))
+    if len(set(map(len, out))) > 1:
         raise ValidationError("matrix rows have inconsistent lengths")
-    for row in out:
-        for entry in row:
-            if not isinstance(entry, int):
-                raise ValidationError(f"integer matrix entry {entry!r} is not an int")
+    if not all(map(isinstance, chain.from_iterable(out), repeat(int))):
+        entry = next(e for e in chain.from_iterable(out) if not isinstance(e, int))
+        raise ValidationError(f"integer matrix entry {entry!r} is not an int")
     return out
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def shape(m: Sequence[Sequence]) -> tuple[int, int]:
@@ -59,8 +81,10 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
 def congruence(b: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> IntMatrix:
     """``b @ g @ b^T`` for a symmetric integer matrix ``g``.
 
-    Walks the nonzero entries of ``g`` and of each row of ``b``, fills
-    the upper triangle and mirrors it. Lattice Grams and Hermite bases are
+    Walks the nonzero entries only: row k of ``b @ g`` from the nonzero
+    entries of row k of ``b`` and of the rows of ``g`` they pick, then row
+    k of the result from each nonzero entry c_j of it and the nonzero
+    entries of column j of ``b``. Lattice Grams and Hermite bases are
     mostly zeros (the Mukai Gram has 52 nonzeros of 576), so this is a
     fraction of the work of two dense products. Callers check symmetry.
     """
@@ -68,38 +92,107 @@ def congruence(b: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> IntMat
     n = len(g)
     if rows and cols != n:
         raise ValidationError(f"cannot form the congruence of a {n}x{n} matrix by {rows}x{cols}")
-    g_rows = [[(j, y) for j, y in enumerate(row) if y] for row in g]
-    b_rows = [[(i, x) for i, x in enumerate(row) if x] for row in b]
-    out = [[0] * rows for _ in range(rows)]
-    for k, bk in enumerate(b_rows):
+    idx = range(n)
+    g_rows = [[(j, row[j]) for j in compress(idx, row)] for row in g]
+    b_rows = [[(i, row[i]) for i in compress(idx, row)] for row in b]
+    b_cols = [[] for _ in idx]
+    for l, bl in enumerate(b_rows):
+        for j, y in bl:
+            b_cols[j].append((l, y))
+    out = []
+    for bk in b_rows:
         c = [0] * n  # row k of b @ g
         for i, x in bk:
             for j, y in g_rows[i]:
                 c[j] += x * y
-        for l in range(k, rows):
-            out[k][l] = out[l][k] = sum(c[j] * y for j, y in b_rows[l])
-    return tuple(tuple(row) for row in out)
+        row = [0] * rows
+        for j in compress(idx, c):
+            cj = c[j]
+            for l, y in b_cols[j]:
+                row[l] += cj * y
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     rows, cols = shape(m)
     if cols != len(v):
         raise ValidationError(f"cannot apply {rows}x{cols} matrix to length-{len(v)} vector")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def vec_mat(v: Sequence, m: Sequence[Sequence]) -> tuple:
     rows, cols = shape(m)
     if rows != len(v):
         raise ValidationError(f"cannot apply length-{len(v)} row vector to {rows}x{cols} matrix")
-    return tuple(sum(v[i] * m[i][j] for i in range(rows)) for j in range(cols))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def is_symmetric(m: Sequence[Sequence]) -> bool:
-    rows, cols = shape(m)
-    if rows != cols:
-        return False
-    return all(m[i][j] == m[j][i] for i in range(rows) for j in range(i + 1, cols))
+    """Equal to its transpose. ``zip`` stops at the shortest row, so the
+    transpose has as many rows as that row is long, each of length
+    ``len(m)``: a matrix with a row of another length never equals it."""
+    return tuple(map(tuple, m)) == tuple(zip(*m))
+
+
+def _symmetric_blocks(m: Sequence[Sequence]) -> list[list[int]]:
+    """The index sets of the diagonal blocks of a symmetric matrix, the
+    components of i ~ j when m[i][j] != 0, each sorted, by least index."""
+    n = len(m)
+    idx = range(n)
+    seen = bytearray(n)
+    out = []
+    for s in idx:
+        if not seen[s]:
+            seen[s] = 1
+            block = [s]
+            for i in block:
+                for j in compress(idx, m[i]):
+                    if not seen[j]:
+                        seen[j] = 1
+                        block.append(j)
+                if len(block) == n:
+                    return [list(idx)]
+            block.sort()
+            out.append(block)
+    return out
+
+
+def _principal(m, block, blocks):
+    """The principal submatrix of m on ``block``; m itself when it is the only block."""
+    if len(blocks) == 1:
+        return m
+    return [[m[i][j] for j in block] for i in block]
+
+
+def _column_blocks(m: Sequence[Sequence], rows: int, cols: int) -> list[tuple[list[int], list[int]]]:
+    """``(rows, columns)`` of each block of columns that share nonzero rows,
+    both sorted, by least column. A zero column is a block with no rows;
+    when one block holds every column it gets every row."""
+    ridx, cidx = range(rows), range(cols)
+    by_col = tuple(zip(*m))
+    seen_rows, seen_cols = bytearray(rows), bytearray(cols)
+    out = []
+    for s in cidx:
+        if seen_cols[s]:
+            continue
+        seen_cols[s] = 1
+        block_rows, block_cols = [], [s]
+        for j in block_cols:
+            for i in compress(ridx, by_col[j]):
+                if not seen_rows[i]:
+                    seen_rows[i] = 1
+                    block_rows.append(i)
+                    for k in compress(cidx, m[i]):
+                        if not seen_cols[k]:
+                            seen_cols[k] = 1
+                            block_cols.append(k)
+            if len(block_cols) == cols:
+                return [(list(ridx), list(cidx))]
+        block_rows.sort()
+        block_cols.sort()
+        out.append((block_rows, block_cols))
+    return out
 
 
 def determinant(m: Sequence[Sequence]) -> Fraction:
@@ -143,14 +236,30 @@ def unimodular_completion(row: Sequence[int]) -> IntMatrix:
     One row Hermite pass on the column ``row^T`` gives a transform T with
     ``T @ row^T = e_1``, so ``row = e_1^T @ (T^T)^-1``. Raises
     ``ValidationError`` if the row is zero or its entries share a factor.
+
+    The pass runs on the indices S = {0} + supp(row) only: it swaps and
+    combines rows whose entry is nonzero, and row 0, so T is the identity
+    off S x S, and so are T^T and its inverse, which is unique. The
+    completion is the inverse on S x S written into the identity.
     """
-    col = [[x] for x in int_matrix((row,))[0]]
-    n = len(col)
-    t = [list(r) for r in identity(n)]
-    _row_hermite_inplace(col, t, n, 1)
+    row = int_matrix((row,))[0]
+    n = len(row)
+    s = [0, *compress(range(1, n), row[1:])] if n else []
+    k = len(s)
+    col = [[row[j]] for j in s]
+    t = [list(r) for r in identity(k)]
+    _row_hermite_inplace(col, t, k, 1)
     if not col or col[0][0] != 1:
         raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
-    return invert_unimodular(transpose(t))
+    inv = invert_unimodular(transpose(t))
+    if k == n:
+        return inv
+    out = [list(r) for r in identity(n)]
+    for i, inv_row in zip(s, inv):
+        out_row = out[i]
+        for j, x in zip(s, inv_row):
+            out_row[j] = x
+    return tuple(map(tuple, out))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -220,19 +329,9 @@ def _is_diagonal(a, rows, cols) -> bool:
     return all(a[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The Smith diagonal of ``m``: its invariant factors d1 | d2 | ... .
-
-    The entries are nonnegative, and the tuple has length
-    ``min(rows, cols)`` including trailing zeros for rank deficiency.
-    Alternating row and column Hermite passes diagonalize the matrix,
-    then a pairwise gcd/lcm sweep over the absolute diagonal enforces the
-    divisibility chain. No transform is kept.
-    """
-    mat = int_matrix(m)
-    rows, cols = shape(mat)
-    a = [list(row) for row in mat]
-
+def _smith_diagonal(a: list[list[int]], rows: int, cols: int) -> list[int]:
+    """The absolute diagonal after alternating row and column Hermite
+    passes have made ``a`` diagonal; not yet a divisibility chain."""
     for _ in range(200):
         if _is_diagonal(a, rows, cols):
             break
@@ -244,9 +343,45 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
         a = [list(col) for col in zip(*at)] if at and at[0] else [[] for _ in range(rows)]
     else:
         raise InternalError("Smith reduction did not converge")
+    return [abs(a[i][i]) for i in range(min(rows, cols))]
 
-    n = min(rows, cols)
-    diag = [abs(a[i][i]) for i in range(n)]
+
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The Smith diagonal of ``m``: its invariant factors d1 | d2 | ... .
+
+    The entries are nonnegative, and the tuple has length
+    ``min(rows, cols)`` including trailing zeros for rank deficiency.
+    Alternating row and column Hermite passes diagonalize the matrix,
+    then a pairwise gcd/lcm sweep over the absolute diagonal enforces the
+    divisibility chain. No transform is kept.
+
+    A symmetric matrix is reduced block by block (module docstring): a
+    1x1 block is its own diagonal, and a block whose Bareiss minor D_n,
+    its determinant, is +-1 is unimodular and adds only 1s. A 1 divides
+    everything, so the sweep runs on the other entries only.
+    """
+    mat = int_matrix(m)
+    rows, cols = shape(mat)
+    if rows == cols and is_symmetric(mat):
+        diag = []
+        blocks = _symmetric_blocks(mat)
+        for block in blocks:
+            if len(block) == 1:
+                diag.append(abs(mat[block[0]][block[0]]))
+                continue
+            sub = _principal(mat, block, blocks)
+            pivots, n_zero = congruence_pivots(sub)
+            i, last = pivots[-1]
+            if not n_zero and abs(last[i]) == 1:
+                diag += [1] * len(block)
+            else:
+                diag += _smith_diagonal([list(r) for r in sub], len(block), len(block))
+    else:
+        diag = _smith_diagonal([list(row) for row in mat], rows, cols)
+
+    ones = diag.count(1)
+    diag = [d for d in diag if d != 1]
+    n = len(diag)
     changed = True
     while changed:
         changed = False
@@ -257,7 +392,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
                     # diag(d_i, d_j) and diag(gcd, lcm) are equivalent.
                     diag[i], diag[j] = gcd(di, dj), lcm(di, dj)
                     changed = True
-    return tuple(diag)
+    return (1,) * ones + tuple(diag)
 
 
 # -- Hermite normal form and kernels ----------------------------------------
@@ -295,11 +430,38 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
 
     The rows span a primitive sublattice (equal to its saturation) and are
     returned in Hermite normal form, so the output is deterministic.
+
+    Each block of columns that share nonzero rows is solved on its own and
+    the rows are merged by pivot column (module docstring). A zero column
+    gives its unit row, and a square symmetric block with no zero Bareiss
+    direction gives nothing.
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
     if cols == 0:
         return ()
+    blocks = _column_blocks(mat, rows, cols)
+    if len(blocks) == 1:
+        return _block_kernel(mat, rows, cols)
+    found = []
+    for block_rows, block_cols in blocks:
+        if not block_rows:
+            j = block_cols[0]
+            found.append((j, (0,) * j + (1,) + (0,) * (cols - j - 1)))
+            continue
+        sub = [[mat[i][j] for j in block_cols] for i in block_rows]
+        if block_rows == block_cols and is_symmetric(sub) and not congruence_pivots(sub)[1]:
+            continue
+        for local in _block_kernel(sub, len(block_rows), len(block_cols)):
+            row = [0] * cols
+            for j, x in zip(block_cols, local):
+                row[j] = x
+            found.append((next(compress(block_cols, local)), tuple(row)))
+    found.sort()
+    return tuple(row for _, row in found)
+
+
+def _block_kernel(mat, rows: int, cols: int) -> IntMatrix:
     # Row-reduce m^T with transform T, so T @ m^T = H. The rows of T whose
     # rows of H vanish span the kernel; they are rows of a unimodular
     # matrix, hence the sublattice they span is saturated.
@@ -371,23 +533,40 @@ def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
 
     One positive scale clears every denominator; ``congruence_pivots``
     then runs on integers, and its k-th pivot D_k / D_{k-1} is positive
-    iff D_k has the sign of D_{k-1}. Rejects non-symmetric input.
+    iff D_k has the sign of D_{k-1}. Inertia adds over the diagonal
+    blocks (module docstring): a 1x1 block is its own pivot, and each
+    larger one is reduced on its own. Rejects non-symmetric input.
     """
-    n = len(g)
-    if any(len(row) != n for row in g) or not is_symmetric(g):
+    if not is_symmetric(g):
         raise ValidationError("signature requires a symmetric matrix")
-    scale = lcm(*(c.denominator for row in g for c in row))
-    pivots, n_zero = congruence_pivots(
-        [[c.numerator * (scale // c.denominator) for c in row] for row in g]
-    )
-    minors = [1] + [row[i] for i, row in pivots]
-    n_plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
-    return (n_plus, n_zero, len(pivots) - n_plus)
+    scale = lcm(*map(_denominator, chain.from_iterable(g)))
+    if scale == 1:
+        a = [list(map(_numerator, row)) for row in g]
+    else:
+        a = [[c.numerator * (scale // c.denominator) for c in row] for row in g]
+    blocks = _symmetric_blocks(a)
+    n_plus = n_zero = n_minus = 0
+    for block in blocks:
+        if len(block) == 1:
+            d = a[block[0]][block[0]]
+            n_plus += d > 0
+            n_zero += d == 0
+            n_minus += d < 0
+            continue
+        pivots, zero = congruence_pivots(_principal(a, block, blocks))
+        minors = [1] + [row[i] for i, row in pivots]
+        plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
+        n_plus += plus
+        n_zero += zero
+        n_minus += len(pivots) - plus
+    return (n_plus, n_zero, n_minus)
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:
     """The integer row n and least d >= 1 with v = n / d, for int or Fraction entries."""
-    denom = lcm(*(c.denominator for c in v))
+    denom = lcm(*map(_denominator, v))
+    if denom == 1:
+        return tuple(map(_numerator, v)), 1
     return tuple(c.numerator * (denom // c.denominator) for c in v), denom
 
 

@@ -79,7 +79,10 @@ class EmbeddedMukaiVector:
         return full_mukai_lattice().vector(self.coords)
 
     def square(self) -> int:
-        return int(self.vector().square())
+        """v^2 summed on ints over the nonzero coordinates of v."""
+        gram = full_mukai_lattice().gram
+        nonzero = [(i, c) for i, c in enumerate(self.coords) if c]
+        return sum(x * sum(gram[i][j] * y for j, y in nonzero) for i, x in nonzero)
 
     @property
     def is_primitive(self) -> bool:
@@ -157,6 +160,22 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     For v^2 > 0 this is the orthogonal complement of v in the rank-24
     Mukai lattice; for v^2 = 0 the complement contains v in its radical
     and the result is the quotient by that line.
+
+    Every step runs only on the orthogonal summands of
+    U^4 (+) E8(-1)^2 that v meets; ``exactlin`` splits along blocks. A
+    standard embedding of an NS of rank <= 3 lands in U^3, so v lies in
+    U^4 and v-perp = (v-perp in U^4) (+) E8(-1)^2:
+    - The equation (G v) . x = 0 has one block, the columns where G v is
+      nonzero. Every other column gives its unit row. The merged rows are
+      the Hermite form of the whole kernel: the blocks have disjoint
+      columns, so the pivots still increase, and the entries above a
+      pivot that lie in other blocks are 0.
+    - The signature adds over the diagonal blocks of the Gram. So does
+      the Smith form: diag(P, P') diag(A, B) diag(Q, Q') is diagonal when
+      P A Q and P' B Q' are, and the gcd/lcm sweep makes any diagonal the
+      unique Smith form. Each E8(-1) block has determinant 1, so it adds
+      only 1s.
+    - The radical row is completed on its support and index 0 only.
     """
     if not v.is_primitive:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")

@@ -147,7 +147,7 @@ def short_vectors_up_to_sign(q: Sequence[Sequence], bound, clip=None) -> list[Ve
     n = len(q)
     if n == 0 or bound < 0:
         return []
-    if any(len(row) != n for row in q) or not is_symmetric(q):
+    if not is_symmetric(q):
         raise ValidationError("short vectors require a symmetric form")
     # A rational form and its bound are scaled by one common denominator.
     scale = lcm(*(c.denominator for row in q for c in row))

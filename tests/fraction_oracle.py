@@ -14,9 +14,11 @@ comes from the full-update congruence below.
 It also keeps exact-layer routines the library no longer runs: the Smith
 form with both unimodular transforms and the saturated kernel read off
 it, the symmetric congruence that updated every row and column at each
-step in Fractions, the rational LDL split read off it, a row-span test
-that reduces against Hermite pivots, and the loop over rank splits that
-the irreducibility oracle's closed form replaced.
+step in Fractions, the rational LDL split and the signature read off it,
+the saturated kernel and the unimodular completion by one Hermite pass
+over the whole matrix (the library now splits both along blocks), a
+row-span test that reduces against Hermite pivots, and the loop over
+rank splits that the irreducibility oracle's closed form replaced.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from mukaikit.exactlin import (
     identity,
     int_matrix,
     integer_kernel_saturated,
+    invert_unimodular,
     mat_vec,
     matmul,
     shape,
@@ -313,6 +316,41 @@ def smith_kernel(m) -> tuple:
     rank = sum(1 for d in diag if d != 0)
     basis = tuple(tuple(right[i][j] for i in range(cols)) for j in range(rank, cols))
     return hermite_normal_form(basis) if basis else ()
+
+
+def full_kernel_saturated(m) -> tuple:
+    """Saturated kernel of m by one Hermite pass over the whole of m^T.
+
+    The rows of the transform whose Hermite rows vanish are rows of a
+    unimodular matrix, so they span the saturated kernel; returned in HNF.
+    """
+    mat = int_matrix(m)
+    rows, cols = shape(mat)
+    if cols == 0:
+        return ()
+    a = [list(col) for col in zip(*mat)]
+    t = [list(row) for row in identity(cols)]
+    _row_hermite_inplace(a, t, cols, rows)
+    basis = [row for h, row in zip(a, t) if not any(h)]
+    return hermite_normal_form(basis) if basis else ()
+
+
+def full_unimodular_completion(row) -> tuple:
+    """The unimodular completion of a primitive row by a Hermite pass on all of row^T."""
+    col = [[x] for x in int_matrix((row,))[0]]
+    n = len(col)
+    t = [list(r) for r in identity(n)]
+    _row_hermite_inplace(col, t, n, 1)
+    if not col or col[0][0] != 1:
+        raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
+    return invert_unimodular(transpose(t))
+
+
+def reference_signature(g) -> tuple[int, int, int]:
+    """Inertia from the signs of the full-update Fraction pivots."""
+    pivots, n_zero = full_update_congruence_pivots(g)
+    n_plus = sum(1 for i, row in pivots if row[i] > 0)
+    return (n_plus, n_zero, len(pivots) - n_plus)
 
 
 def full_update_congruence_pivots(mat):

@@ -1,0 +1,215 @@
+"""The exact layer split along orthogonal blocks, against whole-matrix references.
+
+``exactlin`` reduces a symmetric matrix block by block, solves kernels per
+block of columns and completes a row on its support only. These tests
+build matrices whose blocks are shuffled by a permutation and compare
+every result with the loops over the whole matrix that
+``tests/fraction_oracle.py`` keeps.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mukaikit.errors import ValidationError
+from mukaikit.exactlin import (
+    content_of,
+    integer_kernel_saturated,
+    is_symmetric,
+    mat_vec,
+    matmul,
+    rational_signature,
+    smith_normal_form,
+    transpose,
+    unimodular_completion,
+)
+from mukaikit.lattice import Lattice, e8_minus_lattice, full_mukai_lattice, k3_lattice, u_lattice
+from mukaikit.moduli import EmbeddedMukaiVector, h2_lattice, validate_ns_embedding
+from mukaikit.mukai import MukaiVector
+
+from fraction_oracle import (
+    full_kernel_saturated,
+    full_unimodular_completion,
+    reference_signature,
+    reference_smith,
+    smith_kernel,
+)
+
+SEEDS = st.integers(min_value=0, max_value=10**6)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _random_block(rng: random.Random):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return u_lattice().gram
+    if kind == 1:
+        return e8_minus_lattice().gram
+    if kind == 2:
+        return ((2 * rng.choice([-3, -2, -1, 0, 1, 2, 3]),),)
+    n = rng.randint(2, 4)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.choice([0, 0, rng.randint(-4, 4)])
+    if rng.random() < 0.3:
+        g[0] = [0] * n
+        for row in g:
+            row[0] = 0
+    return tuple(tuple(row) for row in g)
+
+
+def _permuted_block_sum(rng: random.Random):
+    """P^T diag(B_1, ..., B_k) P for random blocks and a random permutation P."""
+    blocks = [_random_block(rng) for _ in range(rng.randint(1, 4))]
+    n = sum(len(b) for b in blocks)
+    m = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                m[offset + i][offset + j] = x
+        offset += len(b)
+    p = list(range(n))
+    rng.shuffle(p)
+    return tuple(tuple(m[p[i]][p[j]] for j in range(n)) for i in range(n)), blocks
+
+
+@given(SEEDS)
+@SETTINGS
+def test_signature_of_permuted_block_sums(seed):
+    m, blocks = _permuted_block_sum(random.Random(seed))
+    got = rational_signature(m)
+    assert got == reference_signature(m)
+    assert got == tuple(map(sum, zip(*(reference_signature(b) for b in blocks))))
+    scaled = tuple(tuple(Fraction(x, 3) for x in row) for row in m)
+    assert rational_signature(scaled) == got
+
+
+@given(SEEDS)
+@SETTINGS
+def test_smith_of_permuted_block_sums(seed):
+    m, _ = _permuted_block_sum(random.Random(seed))
+    assert smith_normal_form(m) == reference_smith(m)[0]
+
+
+@given(SEEDS)
+@SETTINGS
+def test_kernel_of_permuted_block_sums(seed):
+    rng = random.Random(seed)
+    m, _ = _permuted_block_sum(rng)
+    k = integer_kernel_saturated(m)
+    assert k == full_kernel_saturated(m) == smith_kernel(m)
+    # Some of the rows: column blocks that are not square, and zero columns.
+    rows = sorted(rng.sample(range(len(m)), rng.randint(1, len(m))))
+    sub = tuple(m[i] for i in rows)
+    assert integer_kernel_saturated(sub) == full_kernel_saturated(sub) == smith_kernel(sub)
+
+
+def _sparse_primitive_row(rng: random.Random):
+    """A primitive row of length 2..24 whose support is not a prefix."""
+    n = rng.randint(2, 24)
+    while True:
+        row = [0] * n
+        for j in rng.sample(range(n), rng.randint(1, min(n, 5))):
+            row[j] = rng.choice([-1, 1]) * rng.randint(1, 12)
+        if rng.random() < 0.5:
+            row[0] = 0
+        support = [j for j, x in enumerate(row) if x]
+        if support and support != list(range(len(support))) and content_of(row) == 1:
+            if next(x for x in row if x) < 0:
+                row = [-x for x in row]
+            return tuple(row)
+
+
+@given(SEEDS)
+@SETTINGS
+def test_completion_of_sparse_rows(seed):
+    row = _sparse_primitive_row(random.Random(seed))
+    u = unimodular_completion(row)
+    assert u[0] == row
+    assert u == full_unimodular_completion(row)
+
+
+def _summand_row(rng: random.Random, where: str):
+    """A primitive row of LambdaK3 inside its third U (coordinates 4, 5)
+    or inside one E8(-1) summand (coordinates 6..13 or 14..21)."""
+    row = [0] * k3_lattice().rank
+    if where == "U3":
+        row[4], row[5] = 1, rng.choice([-3, -2, -1, 1, 2, 3])
+        return tuple(row)
+    start = rng.choice([6, 14])
+    while True:
+        part = [rng.choice([0, 0, rng.randint(-2, 2)]) for _ in range(8)]
+        if any(part) and content_of(part) == 1:
+            row[start:start + 8] = part
+            return tuple(row)
+
+
+def _full_matrix_h2(coords):
+    """(perp basis, Gram) of h2 by the whole-matrix loops and two dense products."""
+    gram = full_mukai_lattice().gram
+    basis = full_kernel_saturated((mat_vec(gram, coords),))
+    sub = matmul(matmul(basis, gram), transpose(basis))
+    if sum(x * y for x, y in zip(mat_vec(gram, coords), coords)) > 0:
+        return basis, sub
+    (radical,) = full_kernel_saturated(sub)
+    u = full_unimodular_completion(radical)
+    new = matmul(matmul(u, sub), transpose(u))
+    assert not any(new[0])
+    return basis, tuple(row[1:] for row in new[1:])
+
+
+@pytest.mark.parametrize("where", [("U3",), ("E8",), ("U3", "E8")])
+@given(seed=SEEDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_h2_from_embeddings_into_u_and_e8(where, seed):
+    rng = random.Random(seed)
+    emb = tuple(_summand_row(rng, w) for w in where)
+    lam = k3_lattice().gram
+    ns = Lattice(tuple(tuple(sum(x * lam[i][j] * y for i, x in enumerate(a) for j, y in enumerate(b))
+                             for b in emb) for a in emb))
+    validate_ns_embedding(ns, emb)
+    while True:
+        xi = [rng.randint(-3, 3) for _ in emb]
+        xi2 = sum(x * ns.gram[i][j] * y for i, x in enumerate(xi) for j, y in enumerate(xi))
+        if rng.random() < 0.5:
+            r, a = 1, xi2 // 2  # v^2 = 0
+        else:
+            r = rng.randint(1, 3)
+            a = (xi2 - 2) // (2 * r) - rng.randint(0, 2)
+        v = MukaiVector(Fraction(r), ns.vector(xi), Fraction(a))
+        embedded = EmbeddedMukaiVector.from_algebraic(v, emb)
+        if embedded.is_primitive:
+            break
+    res = h2_lattice(embedded)
+    basis, gram = _full_matrix_h2(embedded.coords)
+    assert res.perp_basis == basis
+    assert res.lattice.gram == gram
+    assert res.quotient_by_v == (embedded.square() == 0)
+    assert res.signature == reference_signature(gram)
+    assert res.discriminant == tuple(d for d in reference_smith(gram)[0] if d != 1)
+
+
+def test_embedded_square_equals_the_lattice_pairing():
+    rng = random.Random(11)
+    for _ in range(50):
+        coords = [rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(24)]
+        v = EmbeddedMukaiVector(tuple(coords))
+        assert v.square() == v.vector().square()
+        assert type(v.square()) is int
+
+
+def test_is_symmetric_rejects_ragged_rows():
+    assert not is_symmetric(((1, 2), (2,)))
+    assert not is_symmetric(((1,), (1, 2)))
+    assert not is_symmetric(((0, 1, 0), (1, 0, 0)))
+    assert is_symmetric(((0, 1), (1, 0)))
+    assert is_symmetric(())
+    with pytest.raises(ValidationError, match="symmetric"):
+        rational_signature(((1, 2), (2,)))

@@ -54,6 +54,7 @@ from fraction_oracle import (
     full_update_congruence_pivots,
     hermite_solve_left,
     ldl_decompose,
+    reference_signature,
     reference_smith,
     smith_kernel,
 )
@@ -216,13 +217,6 @@ def test_rational_signature_against_rank_and_eigenvalues(seed):
     assert n_minus == int((eig < -tol).sum())
 
 
-def _reference_signature(g):
-    """Signs of the full-update Fraction pivots."""
-    pivots, n_zero = full_update_congruence_pivots(g)
-    n_plus = sum(1 for i, row in pivots if row[i] > 0)
-    return (n_plus, n_zero, len(pivots) - n_plus)
-
-
 @given(SEEDS)
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_rational_signature_of_rational_and_row_scaled_matrices(seed):
@@ -235,8 +229,8 @@ def test_rational_signature_of_rational_and_row_scaled_matrices(seed):
     s = [F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(n)]
     common = F(rng.randint(1, 5), rng.randint(1, 5))
     scaled = tuple(tuple(common * s[i] * g[i][j] * s[j] for j in range(n)) for i in range(n))
-    assert rational_signature(scaled) == _reference_signature(scaled) == rational_signature(g)
-    assert rational_signature(g) == _reference_signature(g)
+    assert rational_signature(scaled) == reference_signature(scaled) == rational_signature(g)
+    assert rational_signature(g) == reference_signature(g)
 
 
 # -- the short-vector split --------------------------------------------------------
