@@ -158,9 +158,9 @@ def _symmetric_blocks(m: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def _principal(m, block, blocks):
-    """The principal submatrix of m on ``block``; m itself when it is the only block."""
-    if len(blocks) == 1:
+def _principal(m, block):
+    """The principal submatrix of m on ``block``; m itself when the block is every index."""
+    if len(block) == len(m):
         return m
     return [[m[i][j] for j in block] for i in block]
 
@@ -362,14 +362,13 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
-    if rows == cols and is_symmetric(mat):
+    if is_symmetric(mat):
         diag = []
-        blocks = _symmetric_blocks(mat)
-        for block in blocks:
+        for block in _symmetric_blocks(mat):
             if len(block) == 1:
                 diag.append(abs(mat[block[0]][block[0]]))
                 continue
-            sub = _principal(mat, block, blocks)
+            sub = _principal(mat, block)
             pivots, n_zero = congruence_pivots(sub)
             i, last = pivots[-1]
             if not n_zero and abs(last[i]) == 1:
@@ -544,16 +543,15 @@ def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
         a = [list(map(_numerator, row)) for row in g]
     else:
         a = [[c.numerator * (scale // c.denominator) for c in row] for row in g]
-    blocks = _symmetric_blocks(a)
     n_plus = n_zero = n_minus = 0
-    for block in blocks:
+    for block in _symmetric_blocks(a):
         if len(block) == 1:
             d = a[block[0]][block[0]]
             n_plus += d > 0
             n_zero += d == 0
             n_minus += d < 0
             continue
-        pivots, zero = congruence_pivots(_principal(a, block, blocks))
+        pivots, zero = congruence_pivots(_principal(a, block))
         minors = [1] + [row[i] for i, row in pivots]
         plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
         n_plus += plus
