@@ -1,9 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Matrices are immutable tuples of row tuples. Integer matrices hold Python
-ints (arbitrary precision); rational matrices hold ``fractions.Fraction``
-entries, which are always stored in lowest terms with positive
-denominator. No floating point is used anywhere: wall membership and
+Matrices are immutable tuples of row tuples of Python ints (arbitrary
+precision). Rational data stays at the API boundary: a caller clears
+denominators (``clear_denominators``) before it hands a matrix here, and
+the signature and short-vector entry points reject any entry that is not
+an int. No floating point is used anywhere: wall membership and
 signature verdicts downstream are exact predicates, so every primitive
 here must be exact too.
 
@@ -30,7 +31,6 @@ blocks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -65,17 +65,6 @@ def shape(m: Sequence[Sequence]) -> tuple[int, int]:
 def transpose(m: Sequence[Sequence]) -> tuple[tuple, ...]:
     rows, cols = shape(m)
     return tuple(tuple(m[i][j] for i in range(rows)) for j in range(cols))
-
-
-def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValidationError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def congruence(b: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> IntMatrix:
@@ -193,23 +182,6 @@ def _column_blocks(m: Sequence[Sequence], rows: int, cols: int) -> list[tuple[li
         block_cols.sort()
         out.append((block_rows, block_cols))
     return out
-
-
-def determinant(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant: each row cleared of denominators, then the row
-    Hermite loop triangularizes the integer matrix."""
-    rows, cols = shape(m)
-    if rows != cols:
-        raise ValidationError("determinant of a non-square matrix")
-    a, denom = [], 1
-    for row in m:
-        ints, d = clear_denominators(row)
-        a.append(list(ints))
-        denom *= d
-    det = _row_hermite_inplace(a, [[] for _ in range(rows)], rows, cols)
-    for i in range(rows):
-        det *= a[i][i]
-    return Fraction(det, denom)
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
@@ -357,27 +329,28 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     A symmetric matrix is reduced block by block (module docstring): a
     1x1 block is its own diagonal, and a block whose Bareiss minor D_n,
-    its determinant, is +-1 is unimodular and adds only 1s. A 1 divides
-    everything, so the sweep runs on the other entries only.
+    its determinant, is +-1 is unimodular and adds only 1s.
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
     if is_symmetric(mat):
-        diag = []
-        for block in _symmetric_blocks(mat):
-            if len(block) == 1:
-                diag.append(abs(mat[block[0]][block[0]]))
-                continue
-            sub = _principal(mat, block)
-            pivots, n_zero = congruence_pivots(sub)
-            i, last = pivots[-1]
-            if not n_zero and abs(last[i]) == 1:
-                diag += [1] * len(block)
-            else:
-                diag += _smith_diagonal([list(r) for r in sub], len(block), len(block))
+        diag = [d for sub, pivots, n_zero in _block_pivots(mat)
+                for d in _block_smith(sub, pivots, n_zero)]
     else:
         diag = _smith_diagonal([list(row) for row in mat], rows, cols)
+    return _divisibility_chain(diag)
 
+
+def _block_smith(sub, pivots, n_zero) -> list[int]:
+    """The absolute Smith diagonal of one symmetric block, not yet a chain."""
+    if not n_zero and abs(pivots[-1][1][pivots[-1][0]]) == 1:
+        return [1] * len(sub)
+    return _smith_diagonal([list(r) for r in sub], len(sub), len(sub))
+
+
+def _divisibility_chain(diag: list[int]) -> tuple[int, ...]:
+    """The Smith form of a diagonal: the gcd/lcm sweep over its absolute
+    entries. A 1 divides everything, so the sweep runs on the others."""
     ones = diag.count(1)
     diag = [d for d in diag if d != 1]
     n = len(diag)
@@ -527,37 +500,58 @@ def congruence_pivots(mat: Sequence[Sequence[int]]) -> tuple[list[tuple[int, tup
     return pivots, 0
 
 
-def rational_signature(g: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Inertia ``(n_plus, n_zero, n_minus)`` of a symmetric rational matrix.
+def _block_pivots(mat):
+    """``(sub, pivots, n_zero)`` for each diagonal block of the symmetric
+    integer ``mat``: the principal submatrix and its ``congruence_pivots``.
+    A 1x1 block (d) is its own pivot and is read without a reduction."""
+    for block in _symmetric_blocks(mat):
+        if len(block) == 1:
+            d = mat[block[0]][block[0]]
+            yield ((d,),), ([(0, (d,))] if d else []), int(not d)
+        else:
+            sub = _principal(mat, block)
+            yield (sub, *congruence_pivots(sub))
 
-    One positive scale clears every denominator; ``congruence_pivots``
-    then runs on integers, and its k-th pivot D_k / D_{k-1} is positive
-    iff D_k has the sign of D_{k-1}. Inertia adds over the diagonal
-    blocks (module docstring): a 1x1 block is its own pivot, and each
-    larger one is reduced on its own. Rejects non-symmetric input.
-    """
+
+def _block_inertia(pivots, n_zero) -> tuple[int, int, int]:
+    # The k-th pivot D_k / D_{k-1} is positive iff D_k has the sign of D_{k-1}.
+    minors = [1, *(row[i] for i, row in pivots)]
+    plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
+    return plus, n_zero, len(pivots) - plus
+
+
+def _symmetric_int_matrix(g: Sequence[Sequence]) -> IntMatrix:
     if not is_symmetric(g):
         raise ValidationError("signature requires a symmetric matrix")
-    scale = lcm(*map(_denominator, chain.from_iterable(g)))
-    if scale == 1:
-        a = [list(map(_numerator, row)) for row in g]
-    else:
-        a = [[c.numerator * (scale // c.denominator) for c in row] for row in g]
-    n_plus = n_zero = n_minus = 0
-    for block in _symmetric_blocks(a):
-        if len(block) == 1:
-            d = a[block[0]][block[0]]
-            n_plus += d > 0
-            n_zero += d == 0
-            n_minus += d < 0
-            continue
-        pivots, zero = congruence_pivots(_principal(a, block))
-        minors = [1] + [row[i] for i, row in pivots]
-        plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
-        n_plus += plus
-        n_zero += zero
-        n_minus += len(pivots) - plus
-    return (n_plus, n_zero, n_minus)
+    return int_matrix(g)
+
+
+def rational_signature(g: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Inertia ``(n_plus, n_zero, n_minus)`` over Q of a symmetric integer matrix.
+
+    ``congruence_pivots`` runs on each diagonal block (module docstring),
+    and inertia adds over the blocks. Rejects non-symmetric input and any
+    entry that is not an int; a rational form is scaled to integers by
+    its caller, which leaves the inertia unchanged.
+    """
+    blocks = _block_pivots(_symmetric_int_matrix(g))
+    return tuple(map(sum, zip((0, 0, 0), *(_block_inertia(p, z) for _, p, z in blocks))))
+
+
+def signature_and_smith(
+    g: Sequence[Sequence[int]],
+) -> tuple[tuple[int, int, int], tuple[int, ...]]:
+    """``rational_signature(g)`` and ``smith_normal_form(g)`` from one block walk.
+
+    Each block is reduced once; its pivots give both the inertia and,
+    through D_n, whether it adds only 1s to the Smith diagonal.
+    """
+    inertia, diag = [0, 0, 0], []
+    for sub, pivots, n_zero in _block_pivots(_symmetric_int_matrix(g)):
+        for k, x in enumerate(_block_inertia(pivots, n_zero)):
+            inertia[k] += x
+        diag += _block_smith(sub, pivots, n_zero)
+    return tuple(inertia), _divisibility_chain(diag)
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:

@@ -16,13 +16,12 @@ from math import gcd
 
 from . import exactlin
 from .errors import HypothesisViolation, InternalError, ValidationError
-from .exactlin import IntMatrix, int_matrix, rational_signature
+from .exactlin import IntMatrix, int_matrix
 from .lattice import (
     Lattice,
     LatticeVector,
     content,
     coprime_rank_class,
-    discriminant_group,
     full_mukai_lattice,
     k3_lattice,
     orthogonal_complement,
@@ -70,7 +69,7 @@ class EmbeddedMukaiVector:
 
     def __post_init__(self):
         ambient = full_mukai_lattice()
-        coords = tuple(int(c) for c in self.coords)
+        coords = int_matrix((self.coords,))[0]
         if len(coords) != ambient.rank:
             raise ValidationError(f"embedded vector must have length {ambient.rank}")
         object.__setattr__(self, "coords", coords)
@@ -95,7 +94,8 @@ class EmbeddedMukaiVector:
         emb = int_matrix(ns_embedding)
         validate_ns_embedding(v.lattice, emb)
         xi = tuple(int(c) for c in v.v1.coords)
-        image = exactlin.vec_mat(xi, emb)
+        # NS = 0 has the empty embedding, which has no columns to read.
+        image = exactlin.vec_mat(xi, emb) if emb else (0,) * k3_lattice().rank
         coords = (int(v.v0), -int(v.v2)) + tuple(image)
         out = cls(coords, origin=v)
         if out.square() != mukai_square(v):
@@ -104,9 +104,12 @@ class EmbeddedMukaiVector:
 
 
 def validate_ns_embedding(ns: Lattice, emb: IntMatrix) -> None:
-    """Check that emb rows give a primitive isometric embedding NS -> LambdaK3."""
+    """Check that emb rows give a primitive isometric embedding NS -> LambdaK3.
+
+    An empty matrix is the 0 x 22 embedding of NS = 0.
+    """
     lam = k3_lattice()
-    rows, cols = exactlin.shape(emb)
+    rows, cols = exactlin.shape(emb) if emb else (0, lam.rank)
     if rows != ns.rank or cols != lam.rank:
         raise ValidationError(
             f"embedding must be {ns.rank}x{lam.rank}, got {rows}x{cols}"
@@ -174,7 +177,7 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
       the Smith form: diag(P, P') diag(A, B) diag(Q, Q') is diagonal when
       P A Q and P' B Q' are, and the gcd/lcm sweep makes any diagonal the
       unique Smith form. Each E8(-1) block has determinant 1, so it adds
-      only 1s.
+      only 1s. One reduction per block gives both.
     - The radical row is completed on its support and index 0 only.
     """
     if not v.is_primitive:
@@ -185,10 +188,7 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     ambient = full_mukai_lattice()
     comp = orthogonal_complement(ambient, [ambient.vector(v.coords)])
     if sq > 0:
-        lat = Lattice(comp.sub.gram, "v-perp")
-        return H2LatticeResult(
-            lat, rational_signature(lat.gram), discriminant_group(lat), comp.basis, False
-        )
+        return _h2_result(Lattice(comp.sub.gram, "v-perp"), comp.basis, False)
     # Isotropic case: the Gram of v-perp has a rank-one radical spanned by
     # v itself; quotient it out through a unimodular change of basis that
     # puts the radical first.
@@ -203,10 +203,15 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     if any(new_gram[0]):
         raise InternalError("radical reduction failed")
     reduced = tuple(row[1:] for row in new_gram[1:])
-    lat = Lattice(reduced, "v-perp mod v")
-    return H2LatticeResult(
-        lat, rational_signature(lat.gram), discriminant_group(lat), comp.basis, True
-    )
+    return _h2_result(Lattice(reduced, "v-perp mod v"), comp.basis, True)
+
+
+def _h2_result(lat: Lattice, basis: IntMatrix, quotient: bool) -> H2LatticeResult:
+    """The signature and discriminant group of ``lat`` from one reduction."""
+    sig, smith = exactlin.signature_and_smith(lat.gram)
+    if 0 in smith:
+        raise InternalError("the second-cohomology lattice is degenerate")
+    return H2LatticeResult(lat, sig, tuple(d for d in smith if d != 1), basis, quotient)
 
 
 # -- Projectivity criterion ----------------------------------------------------
@@ -218,7 +223,6 @@ class ProjectivityCheck:
     surface_projective: bool
     gram: tuple[tuple[Fraction, ...], ...]
     signature: tuple[int, int, int]
-    generators: tuple[MukaiVector, ...]
     isotropy_identity: tuple[Fraction, Fraction]  # ((e^(xi/r)(2r^2,0,v^2))^2, -4 r^2 v^2)
 
 
@@ -226,10 +230,15 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     """Decide projectivity of the moduli space from the algebraic part of v-perp.
 
     The (1,1) part of v-perp is spanned over Q by the exp(xi/r)-twists of
-    the NS classes and of (2r^2, 0, v^2). The moduli space is projective
-    iff that span represents a positive square, which happens iff the
-    surface itself is projective: the extra generator has square
-    -4 r^2 v^2 <= 0 and is orthogonal to the twisted NS block.
+    the NS classes and of (2r^2, 0, v^2). Multiplying by exp(xi/r) is an
+    isometry, so the twisted NS classes have the NS Gram; the extra class
+    (2r^2, 2r xi, xi^2 + v^2) is orthogonal to them and has square
+    -4 r^2 v^2. The Gram is therefore NS (+) <-4 r^2 v^2>, and its
+    signature is that of NS with one negative direction added (v^2 > 0)
+    or one zero direction (v^2 = 0). The moduli space is projective iff
+    that span represents a positive square, which happens iff the surface
+    itself is projective. Only the extra class is built: its square is
+    the isotropy identity, and its orthogonality to v is checked.
     """
     if v.lattice.gram != m.ns.gram:
         raise ValidationError("Mukai vector must live over the model's NS lattice")
@@ -239,22 +248,19 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     if v.v0 < 2 or v.v0.denominator != 1:
         raise HypothesisViolation("projectivity criterion requires integer rank >= 2")
     r = v.v0
-    twist = exp_class(v.v1.scale(1 / r))
-    gens = [mukai_product(twist, MukaiVector(Fraction(0), m.ns.basis_vector(i), Fraction(0)))
-            for i in range(m.ns.rank)]
-    extra = mukai_product(twist, MukaiVector(2 * r ** 2, m.ns.zero(), sq))
-    gens.append(extra)
-    for g in gens:
-        if mukai_pairing(g, v) != 0:
-            raise InternalError("generator is not orthogonal to v")
-    gram = tuple(tuple(mukai_pairing(x, y) for y in gens) for x in gens)
-    sig = rational_signature(gram)
+    extra = MukaiVector(2 * r ** 2, v.v1.scale(2 * r), v.v1.square() + sq)
+    if mukai_pairing(extra, v) != 0:
+        raise InternalError("the twisted class (2r^2, 0, v^2) is not orthogonal to v")
+    zero = Fraction(0)
+    gram = tuple((*map(Fraction, row), zero) for row in m.ns.gram)
+    gram += ((zero,) * m.ns.rank + (-4 * r ** 2 * sq,),)
+    n_plus, n_zero, n_minus = m.ns.signature()
+    sig = (n_plus, n_zero + (sq == 0), n_minus + (sq > 0))
     return ProjectivityCheck(
-        projective_moduli=sig[0] >= 1,
+        projective_moduli=n_plus >= 1,
         surface_projective=is_projective_surface(m),
         gram=gram,
         signature=sig,
-        generators=tuple(gens),
         isotropy_identity=(mukai_square(extra), -4 * r ** 2 * sq),
     )
 

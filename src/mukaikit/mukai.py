@@ -136,10 +136,6 @@ def exp_class(delta: LatticeVector) -> MukaiVector:
     return MukaiVector(Fraction(1), delta, delta.square() / 2)
 
 
-def unit(lattice: Lattice) -> MukaiVector:
-    return MukaiVector(Fraction(1), lattice.zero(), Fraction(0))
-
-
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None

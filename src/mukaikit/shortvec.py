@@ -1,4 +1,4 @@
-"""Enumeration of short vectors of positive definite rational forms.
+"""Enumeration of short vectors of positive definite integer forms.
 
 Fincke-Pohst style search in exact arithmetic: the form is split as
 q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 with d_i > 0, once, read
@@ -7,8 +7,10 @@ elimination of the integer form; the split is scaled to integers, and
 the search cuts each coordinate interval with integer square roots and
 floor divisions alone, so no floating point and no Fraction enters it.
 It keeps one of each pair +-x (the one whose last nonzero coordinate is
-positive), since q(-x) = q(x); ``short_vectors`` adds the negatives
-back. It runs in one thread.
+positive), since q(-x) = q(x). It runs in one thread. The form has int
+entries and the bound may be rational; a caller with a rational form
+scales it and the bound by one positive common denominator, which keeps
+every vector and the search order.
 
 An optional leaf clip, a pair (p, r) of integer linear forms, keeps only
 the x with p(x) r(x) <= 0. Coordinates are fixed from the last down, so
@@ -35,7 +37,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
-from .exactlin import congruence_pivots, determinant, is_symmetric
+from .exactlin import congruence_pivots, int_matrix, is_symmetric
 
 Vec = tuple[int, ...]
 
@@ -129,14 +131,15 @@ def _search(c, e, rows, level, x, remaining, out, clip):
     x[level] = 0
 
 
-def short_vectors_up_to_sign(q: Sequence[Sequence], bound, clip=None) -> list[Vec]:
+def short_vectors_up_to_sign(q: Sequence[Sequence[int]], bound, clip=None) -> list[Vec]:
     """One of each pair +-x of nonzero integer vectors with x^T q x <= bound.
 
-    ``q`` must be symmetric positive definite. The vector kept is the one
-    whose last nonzero coordinate is positive: while the coordinates above
-    a level are all zero its interval is symmetric about 0, so the search
-    takes that level's positive half and leaves the rest free. Vectors
-    come in search order.
+    ``q`` must be a symmetric positive definite matrix of ints; ``bound``
+    is any rational. The vector kept is the one whose last nonzero
+    coordinate is positive: while the coordinates above a level are all
+    zero its interval is symmetric about 0, so the search takes that
+    level's positive half and leaves the rest free. Vectors come in search
+    order.
 
     ``clip``, if given, is a pair (p, r) of integer coefficient rows; then
     only the x with (p . x)(r . x) <= 0 are kept, in the same order. The
@@ -144,15 +147,13 @@ def short_vectors_up_to_sign(q: Sequence[Sequence], bound, clip=None) -> list[Ve
     are affine in x_0 (see the module notes), so no other vector is built.
     """
     bound = Fraction(bound)
+    q = int_matrix(q)
     n = len(q)
     if n == 0 or bound < 0:
         return []
     if not is_symmetric(q):
         raise ValidationError("short vectors require a symmetric form")
-    # A rational form and its bound are scaled by one common denominator.
-    scale = lcm(*(c.denominator for row in q for c in row))
-    q = [[c.numerator * (scale // c.denominator) for c in row] for row in q]
-    c, e, rows, total = _integer_levels(q, bound * scale)
+    c, e, rows, total = _integer_levels(q, bound)
     out: list[Vec] = []
     x = [0] * n
     for lead in range(n - 1, 0, -1):
@@ -165,27 +166,3 @@ def short_vectors_up_to_sign(q: Sequence[Sequence], bound, clip=None) -> list[Ve
     # Last, x = (x_0, 0, ..., 0) with x_0 > 0.
     _leaves(1, isqrt(total // c[0]) // e[0], clip, x, out)
     return out
-
-
-def short_vectors(q: Sequence[Sequence], bound) -> list[Vec]:
-    """All nonzero integer vectors x with x^T q x <= bound, sorted.
-
-    ``q`` must be symmetric positive definite; both x and -x are returned.
-    """
-    half = short_vectors_up_to_sign(q, bound)
-    return sorted(half + [tuple(-c for c in x) for x in half])
-
-
-def coordinate_radii(q: Sequence[Sequence], bound) -> list[Fraction]:
-    """Per-coordinate bounds: |x_i| <= sqrt(bound * (q^-1)_ii) on the ball.
-
-    Used by tests to certify that an enumeration stays inside a given box.
-    Returns the exact values bound * (q^-1)_ii (squares of the radii).
-    """
-    bound = Fraction(bound)
-    det = determinant(q)
-    if det == 0:
-        raise ValidationError("singular form has no coordinate radii")
-    # (q^-1)_ii is the (i, i) cofactor over det q.
-    minors = ([row[:i] + row[i + 1:] for k, row in enumerate(q) if k != i] for i in range(len(q)))
-    return [bound * determinant(minor) / det for minor in minors]

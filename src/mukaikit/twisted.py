@@ -63,13 +63,6 @@ def v_E(f: TwistedSheafData, e: TwistData) -> MukaiVector:
     return MukaiVector(c.v0, c.v1, c.v2 + f.r)
 
 
-def v_E_square_closed_form(f: TwistedSheafData, e: TwistData) -> Fraction:
-    """xi^2/s^2 - 2ra/s + r^2 b/s^2 - 2r^2, bypassing the Mukai pairing."""
-    s = Fraction(e.s)
-    r = Fraction(f.r)
-    return f.xi.square() / s ** 2 - 2 * r * f.a / s + r ** 2 * e.b / s ** 2 - 2 * r ** 2
-
-
 def slope_E(f: TwistedSheafData, e: TwistData, omega: H11Class) -> Fraction:
     """xi . omega / (r s). The B-field drops out of slope comparisons."""
     return f.xi.dot(omega.ns_part) / (f.r * e.s)
@@ -162,8 +155,3 @@ def twisted_subobject_wall(
     if d_square != -f.r * sub.r * quot.r * k:
         raise HypothesisViolation("inconsistent splitting: wall identity fails")
     return SubobjectWall(d, k, d_square)
-
-
-def trivial_twist() -> TwistData:
-    """The untwisted case: a rank-1 twisting sheaf with vanishing ch2."""
-    return TwistData(1, Fraction(0))

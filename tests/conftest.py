@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from mukaikit import (
     wall_bound,
 )
 from mukaikit.exactlin import rational_signature
+from mukaikit.shortvec import short_vectors_up_to_sign
 
 # ``pythonpath`` in pyproject.toml puts src/ on the path of this interpreter
 # only; child interpreters started by tests (``python -m mukaikit``) read it
@@ -110,6 +111,23 @@ def random_mukai(rng: random.Random, lattice: Lattice, rmax: int = 4) -> MukaiVe
     xi = random_integral_vector(rng, lattice)
     a = rng.randint(-6, 6)
     return MukaiVector(Fraction(r), xi, Fraction(a))
+
+
+def short_vectors(q, bound) -> list[tuple[int, ...]]:
+    """All nonzero integer x with x^T q x <= bound, sorted: the library's
+    search of one of each pair +-x, with the negatives added back."""
+    half = short_vectors_up_to_sign(q, bound)
+    return sorted(half + [tuple(-c for c in x) for x in half])
+
+
+def cleared_form(q, bound):
+    """(s q, s bound) for the least s >= 1 that makes the rational form q integral.
+
+    A positive scale keeps every short vector and the search order, so the
+    library's integer search on the result answers for q and bound.
+    """
+    s = lcm(*(Fraction(c).denominator for row in q for c in row))
+    return tuple(tuple(int(c * s) for c in row) for row in q), Fraction(bound) * s
 
 
 def _positive_vector_exact(gram):

@@ -19,6 +19,14 @@ the saturated kernel and the unimodular completion by one Hermite pass
 over the whole matrix (the library now splits both along blocks), a
 row-span test that reduces against Hermite pivots, and the loop over
 rank splits that the irreducibility oracle's closed form replaced.
+
+Last, it holds checkers that the library dropped once nothing in it
+called them: a dense matrix product, a determinant by Gaussian
+elimination in Fractions and the coordinate radii of a ball read off its
+cofactors, the Mukai unit, the trivial twist and the closed form of the
+twisted Mukai square; and the generator route of the projectivity
+criterion, which builds the exp(xi/r)-twists as Mukai products and
+reduces their whole Gram in Fractions.
 """
 
 from __future__ import annotations
@@ -37,11 +45,12 @@ from mukaikit.exactlin import (
     integer_kernel_saturated,
     invert_unimodular,
     mat_vec,
-    matmul,
     shape,
     transpose,
 )
 from mukaikit.moduli import IrreducibilityVerdict
+from mukaikit.mukai import MukaiVector, exp_class, mukai_pairing, mukai_product, mukai_square
+from mukaikit.twisted import TwistData
 from mukaikit.walls import wall_bound
 
 
@@ -404,3 +413,86 @@ def loop_irreducibility_oracle(r: int, xi_square: int, delta) -> IrreducibilityV
         for n2 in {(r - r1) // r, -((r1 - r) // r)}
     )
     return IrreducibilityVerdict(best > delta, best, (r1, n2))
+
+
+# -- checkers the library dropped --------------------------------------------------
+
+
+def matmul(a, b) -> tuple:
+    """The dense product of two matrices."""
+    if len(a[0] if a else ()) != len(b):
+        raise ValidationError("cannot multiply: inner dimensions differ")
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def determinant(m) -> Fraction:
+    """Exact determinant by Gaussian elimination in Fractions."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValidationError("determinant of a non-square matrix")
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def coordinate_radii(q, bound) -> list[Fraction]:
+    """bound * (q^-1)_ii for each i: the squared radius of the ball x^T q x <= bound
+    along coordinate i, so |x_i| <= sqrt of it on the ball."""
+    bound = Fraction(bound)
+    det = determinant(q)
+    if det == 0:
+        raise ValidationError("singular form has no coordinate radii")
+    # (q^-1)_ii is the (i, i) cofactor over det q.
+    minors = ([row[:i] + row[i + 1:] for k, row in enumerate(q) if k != i] for i in range(len(q)))
+    return [bound * determinant(minor) / det for minor in minors]
+
+
+def mukai_unit(lattice) -> MukaiVector:
+    """(1, 0, 0), the unit of the Mukai product."""
+    return MukaiVector(Fraction(1), lattice.zero(), Fraction(0))
+
+
+def trivial_twist() -> TwistData:
+    """The untwisted case: a rank-1 twisting sheaf with vanishing ch2."""
+    return TwistData(1, Fraction(0))
+
+
+def v_E_square_closed_form(f, e) -> Fraction:
+    """xi^2/s^2 - 2ra/s + r^2 b/s^2 - 2r^2, bypassing the Mukai pairing."""
+    s, r = Fraction(e.s), Fraction(f.r)
+    return f.xi.square() / s ** 2 - 2 * r * f.a / s + r ** 2 * e.b / s ** 2 - 2 * r ** 2
+
+
+def generator_projectivity(m, v) -> tuple:
+    """``(gram, signature, projective_moduli, isotropy_identity)`` of the
+    projectivity criterion by the generator route.
+
+    The exp(xi/r)-twists of the NS basis and of (2r^2, 0, v^2) are built
+    as Mukai products, each is checked orthogonal to v, and their whole
+    Gram is formed by Mukai pairings and reduced in Fractions.
+    """
+    r, sq = v.v0, mukai_square(v)
+    twist = exp_class(v.v1.scale(1 / r))
+    gens = [mukai_product(twist, MukaiVector(Fraction(0), m.ns.basis_vector(i), Fraction(0)))
+            for i in range(m.ns.rank)]
+    extra = mukai_product(twist, MukaiVector(2 * r ** 2, m.ns.zero(), sq))
+    gens.append(extra)
+    for g in gens:
+        if mukai_pairing(g, v) != 0:
+            raise AssertionError(f"generator {g!r} is not orthogonal to v")
+    gram = tuple(tuple(mukai_pairing(x, y) for y in gens) for x in gens)
+    sig = reference_signature(gram)
+    return gram, sig, sig[0] >= 1, (mukai_square(extra), -4 * r ** 2 * sq)

@@ -48,7 +48,6 @@ from mukaikit import (
 )
 from mukaikit.cli import run as cli_run
 from mukaikit.mukai import discriminant_from_chern
-from mukaikit.shortvec import coordinate_radii
 from mukaikit.twisted import endo_ch2, twisted_subobject_wall
 from mukaikit.walls import segment_candidate_bound
 
@@ -60,6 +59,7 @@ from conftest import (
     random_integral_vector,
     random_negative_definite_ns,
 )
+from fraction_oracle import coordinate_radii
 
 EMPTY = Lattice(())
 

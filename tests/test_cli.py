@@ -166,6 +166,24 @@ class TestSubcommands:
         assert code == 2
         assert "intersection form" in err
 
+    @pytest.mark.parametrize("r, a, expected", [
+        (2, -1, (23, [3, 0, 20], [4], False)),  # v = (2, 0, -1), v^2 = 4
+        (1, 0, (22, [3, 0, 19], [], True)),  # v = (1, 0, 0), v^2 = 0
+    ])
+    def test_h2_on_ns_zero(self, tmp_path, r, a, expected):
+        # A generic non-projective K3 has NS = 0; xi = 0 embeds as 22 zeros.
+        cfg = {"surface": {"ns_gram": [], "t11_gram": [[2]], "reference_positive": [1]},
+               "mukai": {"r": r, "xi": [], "a": a}}
+        path = tmp_path / "ns0.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["h2", "--config", str(path), "--format", "json"])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        got = (result["rank"], result["signature"], result["discriminant_group"],
+               result["quotient_by_v"])
+        assert got == expected
+        assert result["square"] == str(-2 * r * a)
+
     def test_projective_witness(self, nonprojective_cfg):
         code, out, _ = invoke(["projective", "--config", nonprojective_cfg, "--format", "json"])
         assert code == 0

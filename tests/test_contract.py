@@ -3,7 +3,9 @@
 Each ``src/mukaikit/*.py`` is parsed with ``ast``. Every import must name
 a standard-library module or ``mukaikit`` itself (relative imports
 included), and no float literal or ``float`` name may appear, so no
-verdict can pass through floating point.
+verdict can pass through floating point. The exact layer is integer-only:
+``exactlin`` imports nothing from ``fractions``, and its signature and the
+short-vector search reject a Fraction entry instead of scaling it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,14 @@ import ast
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import mukaikit
+from mukaikit.errors import ValidationError
+from mukaikit.exactlin import rational_signature
+from mukaikit.shortvec import short_vectors_up_to_sign
 
 SOURCES = sorted(Path(mukaikit.__file__).parent.glob("*.py"))
 
@@ -47,3 +54,18 @@ def test_no_float_literal_or_name(path):
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"exactlin.py", "shortvec.py", "walls.py", "cli.py"}
+
+
+def test_exact_layer_imports_nothing_from_fractions():
+    path = Path(mukaikit.__file__).parent / "exactlin.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "fractions" not in set(_imported_roots(tree))
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2)])
+def test_exact_layer_rejects_fraction_entries(entry):
+    form = ((entry, 0), (0, 1))
+    with pytest.raises(ValidationError, match="not an int"):
+        rational_signature(form)
+    with pytest.raises(ValidationError, match="not an int"):
+        short_vectors_up_to_sign(form, 3)

@@ -2,15 +2,17 @@
 
 One row Hermite loop serves ``hermite_normal_form``,
 ``invert_unimodular``, ``unimodular_completion``,
-``integer_kernel_saturated``, ``determinant`` and the Smith diagonal;
-one fraction-free symmetric congruence serves ``rational_signature`` and
-the short-vector split ``_integer_levels``; ``coordinate_radii`` reads
-cofactors through ``determinant``; ``congruence`` forms every induced
-Gram. The checks are products with the inverse, row spans both ways,
-eigenvalue signs from numpy, exact reconstruction q = U^T D U of the
-oracle's rational LDL, inverses built from a known congruence, a Leibniz
-expansion, two dense products, and the transform-tracking Smith and
-full-update Fraction routines these replaced.
+``integer_kernel_saturated`` and the Smith diagonal; one fraction-free
+symmetric congruence serves ``rational_signature`` and the short-vector
+split ``_integer_levels``; ``congruence`` forms every induced Gram. The
+checks are products with the inverse, row spans both ways, eigenvalue
+signs from numpy, exact reconstruction q = U^T D U of the oracle's
+rational LDL, two dense products, and the transform-tracking Smith and
+full-update Fraction routines these replaced. Rational forms are scaled
+to integers here before the library sees them. The oracle's own
+determinant and coordinate radii, which other tests use as checkers, are
+checked against a Leibniz expansion and an inverse built from a known
+congruence.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ from mukaikit.exactlin import (
     congruence,
     congruence_pivots,
     content_of,
-    determinant,
     hermite_normal_form,
     identity,
     integer_kernel_saturated,
     invert_unimodular,
     mat_vec,
-    matmul,
     rational_signature,
     smith_normal_form,
     transpose,
@@ -47,13 +47,16 @@ from mukaikit.exactlin import (
 )
 from mukaikit.lattice import Lattice, full_mukai_lattice, k3_lattice
 from mukaikit.moduli import standard_ns_embedding, validate_ns_embedding
-from mukaikit.shortvec import _integer_levels, coordinate_radii, short_vectors_up_to_sign
+from mukaikit.shortvec import _integer_levels, short_vectors_up_to_sign
 
-from conftest import random_unimodular
+from conftest import cleared_form, random_unimodular
 from fraction_oracle import (
+    coordinate_radii,
+    determinant,
     full_update_congruence_pivots,
     hermite_solve_left,
     ldl_decompose,
+    matmul,
     reference_signature,
     reference_smith,
     smith_kernel,
@@ -222,14 +225,16 @@ def test_rational_signature_against_rank_and_eigenvalues(seed):
 def test_rational_signature_of_rational_and_row_scaled_matrices(seed):
     # Scaling row and column i by s_i != 0 is a congruence, so the
     # inertia is that of g; with a common rational factor the scale that
-    # clears the denominators is no longer 1.
+    # clears the denominators is no longer 1. The library sees the form
+    # once its denominators are cleared, by a positive scale.
     rng = random.Random(seed)
     g = _random_symmetric(rng)
     n = len(g)
     s = [F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(n)]
     common = F(rng.randint(1, 5), rng.randint(1, 5))
     scaled = tuple(tuple(common * s[i] * g[i][j] * s[j] for j in range(n)) for i in range(n))
-    assert rational_signature(scaled) == reference_signature(scaled) == rational_signature(g)
+    cleared, _ = cleared_form(scaled, 0)
+    assert rational_signature(cleared) == reference_signature(scaled) == rational_signature(g)
     assert rational_signature(g) == reference_signature(g)
 
 
@@ -263,8 +268,9 @@ def test_short_vectors_reject_semidefinite_and_indefinite(seed):
     signs = [1] * n
     signs[rng.randrange(n)] = rng.choice([0, -1])
     q = _congruent(p, _random_rational_diag(rng, n, signs))
+    cleared, bound = cleared_form(q, 10)
     with pytest.raises(ValidationError, match="not positive definite"):
-        short_vectors_up_to_sign(q, 10)
+        short_vectors_up_to_sign(cleared, bound)
     with pytest.raises(ValidationError, match="not positive definite"):
         ldl_decompose(q)
 
@@ -314,7 +320,7 @@ def test_integer_levels_equal_the_rational_split(seed):
     assert _integer_levels(q, bound) == _levels_from_ldl(q, bound)
 
 
-# -- coordinate_radii --------------------------------------------------------------
+# -- the oracle's coordinate_radii ---------------------------------------------------
 
 
 @given(SEEDS)
@@ -354,7 +360,7 @@ def test_smith_non_convergence_is_internal(monkeypatch, tmp_path):
     assert err.getvalue().startswith("internal error")
 
 
-# -- determinant ------------------------------------------------------------------
+# -- the oracle's determinant ------------------------------------------------------
 
 
 def _leibniz(m):

@@ -7,19 +7,23 @@ from hypothesis import strategies as st
 
 from mukaikit.errors import ValidationError
 from mukaikit.exactlin import (
-    determinant,
     hermite_normal_form,
     identity,
     integer_kernel_saturated,
     invert_unimodular,
-    matmul,
     rational_signature,
     smith_normal_form,
     transpose,
 )
 
 from conftest import random_unimodular
-from fraction_oracle import hermite_solve_left, reference_smith
+from fraction_oracle import (
+    determinant,
+    hermite_solve_left,
+    matmul,
+    reference_signature,
+    reference_smith,
+)
 
 
 def diag_matrix(entries):
@@ -115,9 +119,12 @@ class TestSignature:
         assert rational_signature(((0, 0), (0, -2))) == (0, 1, 1)
 
     def test_rational_entries(self):
+        # A rational form is scaled to integers first; 30 clears every denominator.
         g = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), Fraction(-1, 5)))
-        n_plus, n_zero, n_minus = rational_signature(g)
-        assert (n_plus, n_zero, n_minus) == (1, 0, 1)
+        cleared = tuple(tuple(int(30 * x) for x in row) for row in g)
+        assert rational_signature(cleared) == reference_signature(g) == (1, 0, 1)
+        with pytest.raises(ValidationError, match="not an int"):
+            rational_signature(g)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)

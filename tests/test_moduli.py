@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mukaikit import (
     EmbeddedMukaiVector,
@@ -28,8 +30,8 @@ from mukaikit import (
 from mukaikit.errors import HypothesisViolation, ValidationError
 from mukaikit.moduli import validate_ns_embedding
 
-from conftest import random_hyperbolic_ns, positive_reference
-from fraction_oracle import loop_irreducibility_oracle
+from conftest import positive_reference, random_hyperbolic_ns, random_negative_definite_ns
+from fraction_oracle import generator_projectivity, loop_irreducibility_oracle
 
 
 def random_positive_embedded(rng: random.Random) -> EmbeddedMukaiVector:
@@ -87,6 +89,21 @@ class TestEmbedding:
         v = MukaiVector(F(2), zl.basis_vector(0), F(-3))
         ev = EmbeddedMukaiVector.from_algebraic(v, standard_ns_embedding(zl))
         assert ev.square() == mukai_square(v) == 2
+
+    def test_ns_zero_has_the_empty_embedding(self):
+        ns = Lattice(())
+        emb = standard_ns_embedding(ns)
+        assert emb == ()
+        validate_ns_embedding(ns, emb)
+        ev = EmbeddedMukaiVector.from_algebraic(MukaiVector(F(2), ns.zero(), F(-1)), emb)
+        assert ev.coords == (2, 1) + (0,) * 22
+
+    @pytest.mark.parametrize("bad", [F(1, 2), F(3), 2.7, "3", None])
+    def test_coordinates_must_be_ints(self, bad):
+        coords = [1, 0] + [0] * 22
+        coords[3] = bad
+        with pytest.raises(ValidationError, match="not an int"):
+            EmbeddedMukaiVector(tuple(coords))
 
     def test_bad_embedding_rejected(self, zl):
         bad = tuple((0,) * 22 for _ in range(1))
@@ -165,6 +182,37 @@ class TestProjectivityCheck:
             e = exp_class(xi.scale(F(1, r)))
             vec = MukaiVector(F(2 * r * r), ns.zero(), c)
             assert mukai_square(mukai_product(e, vec)) == -4 * r * r * c
+
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.booleans(), st.integers(2, 6),
+           st.sampled_from(("isotropic", "positive")))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_closed_form_matches_generator_route(self, seed, rank, hyperbolic, r, kind):
+        rng = random.Random(seed)
+        if hyperbolic:
+            ns = random_hyperbolic_ns(rng, rank)
+            m = K3Model(ns=ns, reference_positive=H11Class(positive_reference(ns, rng),
+                                                           Lattice(()).zero()))
+        else:
+            ns = random_negative_definite_ns(rng, rank)
+            t11 = diagonal_lattice([2], "T")
+            m = K3Model(ns=ns, t11=t11, reference_positive=H11Class(ns.zero(), t11.vector((1,))))
+        xi = ns.vector([rng.randint(-4, 4) for _ in range(rank)])
+        xi2 = int(xi.square())
+        if kind == "isotropic":
+            if xi2 % (2 * r):
+                xi, xi2 = xi.scale(r), xi2 * r * r
+            a = xi2 // (2 * r)
+        else:
+            a = (xi2 - 1) // (2 * r) - rng.randint(0, 3)
+        v = MukaiVector(F(r), xi, F(a))
+        assert (mukai_square(v) == 0) == (kind == "isotropic") and mukai_square(v) >= 0
+        chk = projectivity_check(m, v)
+        gram, sig, projective_moduli, identity = generator_projectivity(m, v)
+        assert chk.gram == gram
+        assert all(type(x) is F for row in chk.gram for x in row)
+        assert chk.signature == sig
+        assert chk.projective_moduli == projective_moduli == chk.surface_projective
+        assert chk.isotropy_identity == identity
 
     def test_requires_nonnegative_square(self, nonprojective, zl):
         with pytest.raises(HypothesisViolation):

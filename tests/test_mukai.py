@@ -17,9 +17,10 @@ from mukaikit import (
     topological_type,
 )
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError
-from mukaikit.mukai import discriminant_from_chern, mukai_divide, unit
+from mukaikit.mukai import discriminant_from_chern, mukai_divide
 
 from conftest import random_mukai, random_integral_vector, random_hyperbolic_ns
+from fraction_oracle import mukai_unit as unit
 
 
 @pytest.fixture

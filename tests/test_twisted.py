@@ -23,9 +23,10 @@ from mukaikit import (
     w_xi,
 )
 from mukaikit.errors import HypothesisViolation, IntegralityWarning, ValidationError
-from mukaikit.twisted import endo_ch2, trivial_twist, v_E_square_closed_form
+from mukaikit.twisted import endo_ch2
 
 from conftest import random_hyperbolic_ns, random_integral_vector
+from fraction_oracle import trivial_twist, v_E_square_closed_form
 
 
 @pytest.fixture

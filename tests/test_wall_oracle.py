@@ -5,7 +5,8 @@ wall classes reach coordinates past the 50-box of the numpy oracles, and
 segments with rational endpoints, some with an endpoint orthogonal to
 the first basis vector. The short-vector search is checked against a
 brute-force box and the Fraction search on random positive definite
-rational forms, and its leaf clip against filtering the unclipped search.
+rational forms, which it sees with their denominators cleared, and its
+leaf clip against filtering the unclipped search.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from mukaikit import (
 )
 from mukaikit.errors import HypothesisViolation
 from mukaikit.exactlin import clear_denominators, invert_unimodular, mat_vec
-from mukaikit.shortvec import coordinate_radii, short_vectors, short_vectors_up_to_sign
+from mukaikit.shortvec import short_vectors_up_to_sign
 from mukaikit.walls import (
     _majorant,
     segment_candidate_bound,
@@ -39,8 +40,13 @@ from mukaikit.walls import (
     walls_through_class,
 )
 
-from conftest import random_unimodular
-from fraction_oracle import fraction_short_vectors, oracle_crossings, oracle_walls_through_class
+from conftest import cleared_form, random_unimodular
+from fraction_oracle import (
+    coordinate_radii,
+    fraction_short_vectors,
+    oracle_crossings,
+    oracle_walls_through_class,
+)
 
 SETTINGS = settings(deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -293,7 +299,11 @@ def test_walls_through_class_match_fraction_oracle(case):
 
 @st.composite
 def rational_forms(draw):
-    """A positive definite rational form A^T A + c I and a rational bound."""
+    """A positive definite rational form A^T A + c I and a rational bound.
+
+    The library searches integer forms: tests hand it ``cleared_form`` of
+    these and check it against the oracles on the rational form itself.
+    """
     n = draw(st.integers(1, 4))
     entry = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
     a = [[draw(entry) for _ in range(n)] for _ in range(n)]
@@ -310,11 +320,12 @@ def rational_forms(draw):
 def test_half_search_matches_box_and_fraction_search(case):
     q, bound = case
     n = len(q)
-    half = short_vectors_up_to_sign(q, bound)
+    cleared = cleared_form(q, bound)
+    half = short_vectors_up_to_sign(*cleared)
     assert all(next(c for c in reversed(x) if c) > 0 for x in half)
     full = sorted(half + [tuple(-c for c in x) for x in half])
     assert len(set(full)) == len(full)
-    assert full == short_vectors(q, bound) == fraction_short_vectors(q, bound)
+    assert full == fraction_short_vectors(q, bound)
     radii = [isqrt(r2.numerator // r2.denominator) for r2 in coordinate_radii(q, bound)]
     if all(r <= 12 for r in radii) and n <= 3:
         box = [
@@ -330,8 +341,9 @@ CLIP_CASES = ("p0 r0 > 0", "p0 r0 < 0", "p0 = 0 != r0", "r0 = 0 != p0", "p0 = r0
 
 @st.composite
 def clipped_forms(draw, case):
-    """A rational form and bound, and integer rows p, r whose first entries fit ``case``."""
-    q, bound = draw(rational_forms())
+    """A rational form and bound, cleared to an integer form, and integer
+    rows p, r whose first entries fit ``case``."""
+    q, bound = cleared_form(*draw(rational_forms()))
     n = len(q)
     coef = st.integers(-6, 6)
     p, r = [draw(coef) for _ in range(n)], [draw(coef) for _ in range(n)]

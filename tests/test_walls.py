@@ -22,7 +22,6 @@ from mukaikit import (
     walls_through_class,
 )
 from mukaikit.errors import HypothesisViolation, InternalError
-from mukaikit.shortvec import coordinate_radii, short_vectors
 from mukaikit.walls import segment_candidate_bound
 
 from conftest import (
@@ -31,7 +30,9 @@ from conftest import (
     oracle_walls_through,
     positive_reference,
     random_hyperbolic_ns,
+    short_vectors,
 )
+from fraction_oracle import coordinate_radii
 
 
 # -- Short-vector enumeration ---------------------------------------------------
