@@ -16,17 +16,15 @@ its principal submatrices on those components.
   diag(P, P') diag(A, B) diag(Q, Q'). The gcd/lcm sweep turns any
   diagonal into the Smith form of the matrix it is equivalent to, and
   that form is unique.
-- A kernel splits along the blocks of columns that share a nonzero row.
-  Such blocks meet disjoint rows, so the equations decouple. The kernel
-  is the direct sum of the block kernels, and it is saturated since
-  each summand is. Write each block kernel in Hermite form back on its
-  own columns and merge the rows by pivot column. The result is in
-  Hermite form: the pivots strictly increase, and above a pivot the rows
-  of other blocks hold 0 while the rows of its own block are reduced.
-  The Hermite form is unique, so this is the basis that the loop over
-  the whole matrix returns.
 Lattice Grams are block sums: the Mukai Gram U^4 (+) E8(-1)^2 has 6
 blocks.
+
+Kernels split only off their zero columns. A zero column gives its unit
+row, and the other columns are solved together. Merged by pivot column
+the rows are in Hermite form: the pivots strictly increase, a unit row
+is 0 on every other column, and the solved rows are reduced among
+themselves. The Hermite form is unique, so this is the basis that the
+loop over the whole matrix returns.
 """
 
 from __future__ import annotations
@@ -117,6 +115,11 @@ def vec_mat(v: Sequence, m: Sequence[Sequence]) -> tuple:
     return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
+def bilinear(g: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
+    """``a @ g @ b^T`` on ints: the dense rows of ``g`` where ``a`` is nonzero."""
+    return sum(x * sum(map(mul, row, b)) for x, row in zip(a, g) if x)
+
+
 def is_symmetric(m: Sequence[Sequence]) -> bool:
     """Equal to its transpose. ``zip`` stops at the shortest row, so the
     transpose has as many rows as that row is long, each of length
@@ -152,36 +155,6 @@ def _principal(m, block):
     if len(block) == len(m):
         return m
     return [[m[i][j] for j in block] for i in block]
-
-
-def _column_blocks(m: Sequence[Sequence], rows: int, cols: int) -> list[tuple[list[int], list[int]]]:
-    """``(rows, columns)`` of each block of columns that share nonzero rows,
-    both sorted, by least column. A zero column is a block with no rows;
-    when one block holds every column it gets every row."""
-    ridx, cidx = range(rows), range(cols)
-    by_col = tuple(zip(*m))
-    seen_rows, seen_cols = bytearray(rows), bytearray(cols)
-    out = []
-    for s in cidx:
-        if seen_cols[s]:
-            continue
-        seen_cols[s] = 1
-        block_rows, block_cols = [], [s]
-        for j in block_cols:
-            for i in compress(ridx, by_col[j]):
-                if not seen_rows[i]:
-                    seen_rows[i] = 1
-                    block_rows.append(i)
-                    for k in compress(cidx, m[i]):
-                        if not seen_cols[k]:
-                            seen_cols[k] = 1
-                            block_cols.append(k)
-            if len(block_cols) == cols:
-                return [(list(ridx), list(cidx))]
-        block_rows.sort()
-        block_cols.sort()
-        out.append((block_rows, block_cols))
-    return out
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
@@ -403,32 +376,23 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
     The rows span a primitive sublattice (equal to its saturation) and are
     returned in Hermite normal form, so the output is deterministic.
 
-    Each block of columns that share nonzero rows is solved on its own and
-    the rows are merged by pivot column (module docstring). A zero column
-    gives its unit row, and a square symmetric block with no zero Bareiss
-    direction gives nothing.
+    A zero column gives its unit row; the other columns are solved as one
+    block and the rows are merged by pivot column (module docstring).
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
     if cols == 0:
         return ()
-    blocks = _column_blocks(mat, rows, cols)
-    if len(blocks) == 1:
+    live = [j for j, col in enumerate(zip(*mat)) if any(col)]
+    if len(live) == cols:
         return _block_kernel(mat, rows, cols)
-    found = []
-    for block_rows, block_cols in blocks:
-        if not block_rows:
-            j = block_cols[0]
-            found.append((j, (0,) * j + (1,) + (0,) * (cols - j - 1)))
-            continue
-        sub = [[mat[i][j] for j in block_cols] for i in block_rows]
-        if block_rows == block_cols and is_symmetric(sub) and not congruence_pivots(sub)[1]:
-            continue
-        for local in _block_kernel(sub, len(block_rows), len(block_cols)):
-            row = [0] * cols
-            for j, x in zip(block_cols, local):
-                row[j] = x
-            found.append((next(compress(block_cols, local)), tuple(row)))
+    found = [(j, (0,) * j + (1,) + (0,) * (cols - j - 1)) for j in range(cols) if j not in live]
+    sub = [[row[j] for j in live] for row in mat]
+    for local in _block_kernel(sub, rows, len(live)):
+        row = [0] * cols
+        for j, x in zip(live, local):
+            row[j] = x
+        found.append((next(compress(live, local)), tuple(row)))
     found.sort()
     return tuple(row for _, row in found)
 

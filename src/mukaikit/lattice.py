@@ -125,20 +125,13 @@ def pairing(x: LatticeVector, y: LatticeVector) -> Fraction:
     """Intersection pairing x^T . gram . y, exact.
 
     Both operands are cleared of denominators, x = a / dx and y = b / dy,
-    and a^T . gram . b is summed on ints over the nonzero entries; the one
-    Fraction built is the result (a^T gram b) / (dx dy).
+    and a^T . gram . b is ``exactlin.bilinear`` on ints; the one Fraction
+    built is the result (a^T gram b) / (dx dy).
     """
     _check_same_lattice(x, y)
-    g = x.lattice.gram
     a, dx = exactlin.clear_denominators(x.coords)
     b, dy = (a, dx) if y is x else exactlin.clear_denominators(y.coords)
-    bs = [(j, bj) for j, bj in enumerate(b) if bj]
-    total = 0
-    for i, ai in enumerate(a):
-        if ai:
-            row = g[i]
-            total += ai * sum(row[j] * bj for j, bj in bs if row[j])
-    return Fraction(total, dx * dy)
+    return Fraction(exactlin.bilinear(x.lattice.gram, a, b), dx * dy)
 
 
 # -- Standard lattices --------------------------------------------------------

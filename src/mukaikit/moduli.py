@@ -65,7 +65,6 @@ class EmbeddedMukaiVector:
     """
 
     coords: tuple[int, ...]
-    origin: MukaiVector | None = None
 
     def __post_init__(self):
         ambient = full_mukai_lattice()
@@ -78,10 +77,7 @@ class EmbeddedMukaiVector:
         return full_mukai_lattice().vector(self.coords)
 
     def square(self) -> int:
-        """v^2 summed on ints over the nonzero coordinates of v."""
-        gram = full_mukai_lattice().gram
-        nonzero = [(i, c) for i, c in enumerate(self.coords) if c]
-        return sum(x * sum(gram[i][j] * y for j, y in nonzero) for i, x in nonzero)
+        return exactlin.bilinear(full_mukai_lattice().gram, self.coords, self.coords)
 
     @property
     def is_primitive(self) -> bool:
@@ -97,7 +93,7 @@ class EmbeddedMukaiVector:
         # NS = 0 has the empty embedding, which has no columns to read.
         image = exactlin.vec_mat(xi, emb) if emb else (0,) * k3_lattice().rank
         coords = (int(v.v0), -int(v.v2)) + tuple(image)
-        out = cls(coords, origin=v)
+        out = cls(coords)
         if out.square() != mukai_square(v):
             raise ValidationError("embedding does not preserve the Mukai square")
         return out
@@ -161,24 +157,27 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     """The lattice isometric to H^2 of the moduli space.
 
     For v^2 > 0 this is the orthogonal complement of v in the rank-24
-    Mukai lattice; for v^2 = 0 the complement contains v in its radical
-    and the result is the quotient by that line.
+    Mukai lattice; for v^2 = 0 it is the quotient of that complement by
+    its radical. The Mukai lattice is unimodular, so the complement of
+    v-perp is the saturation of Zv, which is Zv since v is primitive; as
+    v^2 = 0 the radical of v-perp is Zv itself, and no kernel is needed.
 
     Every step runs only on the orthogonal summands of
     U^4 (+) E8(-1)^2 that v meets; ``exactlin`` splits along blocks. A
     standard embedding of an NS of rank <= 3 lands in U^3, so v lies in
     U^4 and v-perp = (v-perp in U^4) (+) E8(-1)^2:
-    - The equation (G v) . x = 0 has one block, the columns where G v is
+    - The equation (G v) . x = 0 is solved on the columns where G v is
       nonzero. Every other column gives its unit row. The merged rows are
-      the Hermite form of the whole kernel: the blocks have disjoint
-      columns, so the pivots still increase, and the entries above a
-      pivot that lie in other blocks are 0.
+      the Hermite form of the whole kernel: the pivots still increase,
+      and a unit row is 0 above every other pivot.
     - The signature adds over the diagonal blocks of the Gram. So does
       the Smith form: diag(P, P') diag(A, B) diag(Q, Q') is diagonal when
       P A Q and P' B Q' are, and the gcd/lcm sweep makes any diagonal the
       unique Smith form. Each E8(-1) block has determinant 1, so it adds
       only 1s. One reduction per block gives both.
-    - The radical row is completed on its support and index 0 only.
+    - The coordinates of v in the Hermite basis of v-perp come from
+      forward substitution, and are completed on their support and
+      index 0 only.
     """
     if not v.is_primitive:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
@@ -189,14 +188,10 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     comp = orthogonal_complement(ambient, [ambient.vector(v.coords)])
     if sq > 0:
         return _h2_result(Lattice(comp.sub.gram, "v-perp"), comp.basis, False)
-    # Isotropic case: the Gram of v-perp has a rank-one radical spanned by
-    # v itself; quotient it out through a unimodular change of basis that
-    # puts the radical first.
+    # Isotropic case: the radical of v-perp is spanned by v itself; quotient
+    # it out through a unimodular change of basis that puts v first.
     gram = comp.sub.gram
-    radical = exactlin.integer_kernel_saturated(gram)
-    if len(radical) != 1:
-        raise InternalError("isotropic class has an unexpected radical rank")
-    to_new = exactlin.unimodular_completion(radical[0])
+    to_new = exactlin.unimodular_completion(_hermite_coordinates(comp.basis, v.coords))
     # First row of to_new spans the radical; congruent Gram has zero first
     # row and column.
     new_gram = exactlin.congruence(to_new, gram)
@@ -204,6 +199,24 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
         raise InternalError("radical reduction failed")
     reduced = tuple(row[1:] for row in new_gram[1:])
     return _h2_result(Lattice(reduced, "v-perp mod v"), comp.basis, True)
+
+
+def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
+    """The c with c @ basis = +-v, first nonzero entry positive.
+
+    ``basis`` is in Hermite form, so at the pivot column of row k every
+    later row is 0, and forward substitution over the pivots fixes c_k
+    from c_0, ..., c_{k-1}. Raises ``InternalError`` if v is not in the
+    span. For the v of ``h2_lattice`` this is the Hermite form of the
+    radical of v-perp, the one-row kernel of its Gram.
+    """
+    c: list[int] = []
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        c.append((v[p] - sum(ci * b[p] for ci, b in zip(c, basis))) // row[p])
+    if exactlin.vec_mat(c, basis) != v:
+        raise InternalError("v is not in the span of the basis of v-perp")
+    return tuple(c) if next(filter(None, c), 0) >= 0 else tuple(-x for x in c)
 
 
 def _h2_result(lat: Lattice, basis: IntMatrix, quotient: bool) -> H2LatticeResult:
@@ -258,7 +271,7 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     sig = (n_plus, n_zero + (sq == 0), n_minus + (sq > 0))
     return ProjectivityCheck(
         projective_moduli=n_plus >= 1,
-        surface_projective=is_projective_surface(m),
+        surface_projective=n_plus >= 1,
         gram=gram,
         signature=sig,
         isotropy_identity=(mukai_square(extra), -4 * r ** 2 * sq),

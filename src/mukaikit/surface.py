@@ -96,7 +96,6 @@ def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str
     reference class (the same cone component), positive on every curve
     class. ``name`` is how the message writes omega.
     """
-    m._check_membership(omega)
     square = m.square(omega)
     if square <= 0:
         return f"{name}^2={square} <= 0"

@@ -23,7 +23,7 @@ from operator import mul
 
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
-from .exactlin import clear_denominators, content_of, mat_vec, vec_mat
+from .exactlin import bilinear, clear_denominators, content_of, mat_vec, vec_mat
 from .lattice import LatticeVector, orthogonal_complement, pairing
 from .mukai import MukaiVector, discriminant
 from .surface import H11Class, K3Model, polarization_defect
@@ -157,7 +157,8 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
             f"square {sq} below the wall bound {-bound}",
         )
     key = _primitive_canonical(clear_denominators(d.coords)[0])
-    wall = Wall(d.lattice.vector(key), Fraction(_square(d.lattice.gram, key)), bound, (s, zeta))
+    key_sq = Fraction(bilinear(d.lattice.gram, key, key))
+    wall = Wall(d.lattice.vector(key), key_sq, bound, (s, zeta))
     return DestabilizerVerdict("wall", d, sq, bound, wall, "in range")
 
 
@@ -169,10 +170,6 @@ def _primitive_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
     return coords if g == 1 else tuple(c // g for c in coords)
 
 
-def _square(gram, coords: tuple[int, ...]) -> int:
-    return sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, gram) if c)
-
-
 def _in_bound(gram, bound: Fraction, candidates) -> dict[tuple[int, ...], int]:
     """Primitive canonical classes of the candidates with -bound <= D^2 < 0, with D^2."""
     lo = -(bound.numerator // bound.denominator)  # D^2 >= -bound iff D^2 >= ceil(-bound)
@@ -180,7 +177,7 @@ def _in_bound(gram, bound: Fraction, candidates) -> dict[tuple[int, ...], int]:
     for x in candidates:
         key = _primitive_canonical(x)
         if key not in found:
-            sq = _square(gram, key)
+            sq = bilinear(gram, key, key)
             if lo <= sq < 0:
                 found[key] = sq
     return found

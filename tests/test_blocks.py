@@ -1,10 +1,12 @@
 """The exact layer split along orthogonal blocks, against whole-matrix references.
 
-``exactlin`` reduces a symmetric matrix block by block, solves kernels per
-block of columns and completes a row on its support only. These tests
+``exactlin`` reduces a symmetric matrix block by block, splits the zero
+columns off a kernel and completes a row on its support only. These tests
 build matrices whose blocks are shuffled by a permutation and compare
 every result with the loops over the whole matrix that
-``tests/fraction_oracle.py`` keeps.
+``tests/fraction_oracle.py`` keeps. ``h2`` reads the radical of an
+isotropic v-perp off the coordinates of v, checked against the kernel of
+its Gram.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mukaikit.errors import ValidationError
+from mukaikit.errors import InternalError, ValidationError
 from mukaikit.exactlin import (
     content_of,
     integer_kernel_saturated,
@@ -28,7 +30,12 @@ from mukaikit.exactlin import (
     unimodular_completion,
 )
 from mukaikit.lattice import Lattice, e8_minus_lattice, full_mukai_lattice, k3_lattice, u_lattice
-from mukaikit.moduli import EmbeddedMukaiVector, h2_lattice, validate_ns_embedding
+from mukaikit.moduli import (
+    EmbeddedMukaiVector,
+    _hermite_coordinates,
+    h2_lattice,
+    validate_ns_embedding,
+)
 from mukaikit.mukai import MukaiVector
 
 from fraction_oracle import (
@@ -196,6 +203,27 @@ def test_h2_from_embeddings_into_u_and_e8(where, seed):
     assert res.quotient_by_v == (embedded.square() == 0)
     assert res.signature == reference_signature(gram)
     assert res.discriminant == tuple(d for d in reference_smith(gram)[0] if d != 1)
+    # -v has the same complement and radical; when v^2 = 0 its coordinates
+    # in the Hermite basis start negative wherever those of v start positive.
+    negated = EmbeddedMukaiVector(tuple(-c for c in embedded.coords))
+    assert h2_lattice(negated) == res
+    assert _full_matrix_h2(negated.coords) == (basis, gram)
+
+
+def test_hermite_coordinates_of_an_isotropic_class():
+    v = (1, -1, 1, 1) + (0,) * 20
+    minus_v = tuple(-x for x in v)
+    basis = full_kernel_saturated((mat_vec(full_mukai_lattice().gram, v),))
+    c = _hermite_coordinates(basis, v)
+    assert _hermite_coordinates(basis, minus_v) == c
+    assert next(x for x in c if x) > 0
+    assert tuple(sum(x * row[j] for x, row in zip(c, basis)) for j in range(24)) in (v, minus_v)
+
+
+@pytest.mark.parametrize("v", [(0, 1, 0), (0, 0, 1), (1, 1, 1)])
+def test_hermite_coordinates_outside_the_span(v):
+    with pytest.raises(InternalError, match="not in the span"):
+        _hermite_coordinates(((1, 0, 0), (0, 2, 0)), v)
 
 
 def test_embedded_square_equals_the_lattice_pairing():

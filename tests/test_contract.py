@@ -6,6 +6,8 @@ included), and no float literal or ``float`` name may appear, so no
 verdict can pass through floating point. The exact layer is integer-only:
 ``exactlin`` imports nothing from ``fractions``, and its signature and the
 short-vector search reject a Fraction entry instead of scaling it.
+Every module-level private function is used somewhere in the library, so
+a deletion cannot leave a helper behind.
 """
 
 from __future__ import annotations
@@ -69,3 +71,29 @@ def test_exact_layer_rejects_fraction_entries(entry):
         rational_signature(form)
     with pytest.raises(ValidationError, match="not an int"):
         short_vectors_up_to_sign(form, 3)
+
+
+def _names_outside(tree: ast.AST, skip: ast.AST):
+    """Every name, attribute and imported name in ``tree`` outside ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_private_function_is_used():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    orphans = [f"{name}:{node.name}"
+               for name, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and not any(node.name in set(_names_outside(t, node)) for t in trees.values())]
+    assert not orphans

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mukaikit.errors import ValidationError
 from mukaikit.exactlin import (
+    bilinear,
     hermite_normal_form,
     identity,
     integer_kernel_saturated,
@@ -158,3 +159,15 @@ class TestSolveAndInverse:
     def test_solve_left_no_solution(self):
         assert hermite_solve_left(((2, 0),), (1, 0)) is None
         assert hermite_solve_left(((1, 0),), (0, 1)) is None
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_bilinear_matches_the_double_sum(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    g = [[rng.choice([0, rng.randint(-5, 5)]) for _ in range(cols)] for _ in range(rows)]
+    a = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(rows)]
+    b = [rng.randint(-9, 9) for _ in range(cols)]
+    expected = sum(a[i] * g[i][j] * b[j] for i in range(rows) for j in range(cols))
+    assert bilinear(g, a, b) == expected
