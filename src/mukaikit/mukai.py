@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import HypothesisViolation, LatticeMismatchError
+from .exactlin import bilinear, clear_denominators
 from .lattice import Lattice, LatticeVector, pairing
 
 
@@ -96,10 +97,16 @@ def mukai_square(x: MukaiVector) -> Fraction:
 
 
 def discriminant(v: MukaiVector) -> Fraction:
-    """v^2 / (2 v0^2) + 1; the Bogomolov-inequality quantity."""
+    """v^2 / (2 v0^2) + 1; the Bogomolov-inequality quantity.
+
+    Cleared of denominators together, v = (r, x, a) / d with integers, so
+    v^2 = (x^2 - 2 r a) / d^2 and v0^2 = r^2 / d^2. The d^2 cancels:
+    Delta = (x^2 - 2 r a + 2 r^2) / (2 r^2), one Fraction built from ints.
+    """
     if v.v0 == 0:
         raise HypothesisViolation("discriminant requires nonzero rank")
-    return mukai_square(v) / (2 * v.v0 ** 2) + 1
+    (r, a, *x), _ = clear_denominators((v.v0, v.v2) + v.v1.coords)
+    return Fraction(bilinear(v.lattice.gram, x, x) - 2 * r * a + 2 * r * r, 2 * r * r)
 
 
 def discriminant_from_chern(tau: TopologicalType) -> Fraction:

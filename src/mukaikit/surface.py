@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import HypothesisViolation, LatticeMismatchError, ValidationError
+from .exactlin import clear_denominators, mat_vec
 from .lattice import Lattice, LatticeVector, pairing
 
 
@@ -95,18 +97,36 @@ def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str
     The conditions, in order: positive square, positive pairing with the
     reference class (the same cone component), positive on every curve
     class. ``name`` is how the message writes omega.
+
+    Decided on ints. With omega = (x / dx; y / dy) and the rows Gx, Ty of
+    the two Grams, omega^2 = x.Gx / dx^2 + y.Ty / dy^2 has the sign of
+    dy^2 x.Gx + dx^2 y.Ty; with the reference (u / du; z / dz),
+    omega.reference has the sign of dy dz u.Gx + dx du z.Ty; and C.omega
+    that of c.Gx for C = c / dc. A Fraction is built only for the message.
     """
-    square = m.square(omega)
-    if square <= 0:
-        return f"{name}^2={square} <= 0"
-    paired = m.pair(omega, m.reference_positive)
-    if paired <= 0:
+    m._check_membership(omega)
+    x, dx = clear_denominators(omega.ns_part.coords)
+    y, dy = clear_denominators(omega.t_part.coords)
+    gx, ty = mat_vec(m.ns.gram, x), mat_vec(m.t11.gram, y)
+    ns_sq, t_sq = _dot(x, gx), _dot(y, ty)
+    if dy * dy * ns_sq + dx * dx * t_sq <= 0:
+        return f"{name}^2={Fraction(ns_sq, dx * dx) + Fraction(t_sq, dy * dy)} <= 0"
+    u, du = clear_denominators(m.reference_positive.ns_part.coords)
+    z, dz = clear_denominators(m.reference_positive.t_part.coords)
+    ns_ref, t_ref = _dot(u, gx), _dot(z, ty)
+    if dy * dz * ns_ref + dx * du * t_ref <= 0:
+        paired = Fraction(ns_ref, dx * du) + Fraction(t_ref, dy * dz)
         return f"{name}.reference={paired} <= 0"
     for c in m.curve_classes:
-        value = m.pair_ns(c, omega)
+        cx, dc = clear_denominators(c.coords)
+        value = _dot(cx, gx)
         if value <= 0:
-            return f"C.{name}={value} <= 0 for the curve class C={c!r}"
+            return f"C.{name}={Fraction(value, dc * dx)} <= 0 for the curve class C={c!r}"
     return None
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
 def is_polarization(m: K3Model, omega: H11Class) -> bool:

@@ -8,23 +8,32 @@ definite form, one of each pair +-x (for a segment, on a majorant ball
 that also holds the walls through either endpoint, with an integer Gram
 and clipped to the classes D with (D.omega)(D.omega') <= 0), and the
 filter after the search runs on integers. The forms G.omega of the
-polarizations are cleared of denominators once per call; primitive
-reduction, canonical sign, squares and sign tests then work on int
-tuples. Crossings are sorted by an exact integer key (see
-``walls_crossing_segment``), and the Fractions t, D and D^2 and the Wall
-objects are built only for the walls returned.
+polarizations are cleared of denominators once per call; the filter
+keeps the primitive hits only (``_in_bound`` shows that no wall is
+lost), and canonical sign, squares and sign tests work on int tuples.
+Crossings are sorted by an exact integer key (see
+``walls_crossing_segment``).
+
+Each fact is checked once. The search and the filter prove on ints that
+a returned class is primitive, has canonical sign and satisfies
+-bound <= D^2 < 0, so the returned ``Wall`` and ``WallCrossing`` objects
+and their vectors are built by private ``_trusted`` constructors that
+skip the public checks; they store the same Fractions t, D, D^2 and
+bound, and only for the walls returned. The public constructors keep
+every check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import bilinear, clear_denominators, content_of, mat_vec, vec_mat
-from .lattice import LatticeVector, orthogonal_complement, pairing
+from .lattice import Lattice, LatticeVector, orthogonal_complement, pairing
 from .mukai import MukaiVector, discriminant
 from .surface import H11Class, K3Model, polarization_defect
 from .twisted import TwistData, TwistedSheafData, delta_E
@@ -40,6 +49,10 @@ class WallProfile:
     def __post_init__(self):
         if self.rank < 1:
             raise HypothesisViolation("wall sets are defined for positive rank")
+        rank = Fraction(self.rank)
+        if rank.denominator != 1:
+            raise HypothesisViolation("wall sets are defined for integral positive rank")
+        object.__setattr__(self, "rank", rank.numerator)
         object.__setattr__(self, "delta", Fraction(self.delta))
 
     @classmethod
@@ -49,7 +62,7 @@ class WallProfile:
         if isinstance(v, MukaiVector):
             if v.v0 < 1:
                 raise HypothesisViolation("wall sets are defined for positive rank")
-            return cls(int(v.v0), discriminant(v))
+            return cls(v.v0, discriminant(v))
         raise ValidationError(f"cannot derive a wall profile from {v!r}")
 
     @classmethod
@@ -59,9 +72,16 @@ class WallProfile:
 
 
 def wall_bound(v) -> Fraction:
-    """r^4 Delta / 2. Negative exactly when the wall set is empty."""
+    """r^4 Delta / 2 = r^2 (v^2 + 2 r^2) / 4. Negative exactly when the wall set is empty.
+
+    ``discriminant`` reads Delta = (v^2 + 2 r^2) / (2 r^2) off the integer
+    Mukai square as one Fraction n / d in lowest terms, and a twisted
+    profile carries its Delta the same way; the bound is the Fraction
+    r^4 n / (2 d).
+    """
     profile = WallProfile.of(v)
-    return Fraction(profile.rank) ** 4 * profile.delta / 2
+    delta = profile.delta
+    return Fraction(profile.rank ** 4 * delta.numerator, 2 * delta.denominator)
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,18 @@ class Wall:
         first = next((c.numerator for c in self.d.coords if c), 0)
         if first <= 0:
             raise ValidationError("wall class must be nonzero with canonical sign")
+
+    @classmethod
+    def _trusted(cls, ns: Lattice, key: tuple[int, ...], sq: int, bound: Fraction) -> "Wall":
+        """The wall of the primitive canonical ``key`` with square ``sq``, unchecked.
+
+        For classes that ``_in_bound`` has proved to be walls; stores the
+        same Fractions as the public constructor and skips ``__post_init__``.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(d=LatticeVector._trusted(ns, key), d_square=Fraction(sq),
+                             bound=bound, source=None)
+        return self
 
 
 def is_wall(d: LatticeVector, v) -> bool:
@@ -170,16 +202,33 @@ def _primitive_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
     return coords if g == 1 else tuple(c // g for c in coords)
 
 
-def _in_bound(gram, bound: Fraction, candidates) -> dict[tuple[int, ...], int]:
-    """Primitive canonical classes of the candidates with -bound <= D^2 < 0, with D^2."""
+def _in_bound(gram, bound: Fraction, hits) -> list[tuple[tuple[int, ...], int]]:
+    """(D, D^2) for the primitive hits D with -bound <= D^2 < 0, D with canonical sign.
+
+    A non-primitive hit is skipped, not reduced, and no wall is lost. Each
+    search keeps the x with q(x) <= B for a quadratic form q (the negated
+    form on omega-perp, or the majorant), and the segment search also
+    needs (p.x)(r.x) <= 0 for two linear forms p, r. If x = k y with
+    k >= 2 is a hit, then q(y) = q(x) / k^2 <= B and
+    (p.y)(r.y) = (p.x)(r.x) / k^2 <= 0, so y or -y, whichever of the pair
+    the search keeps, is a hit too; the primitive class that reducing x
+    would give is reached directly. ``walls_through_class`` searches in
+    the coordinates of a saturated basis of omega-perp and hands over the
+    NS vectors; saturation makes a vector primitive in NS exactly when its
+    coordinates are primitive, so the argument carries over. The search
+    returns distinct vectors, one of each pair +-x, so every primitive
+    class comes once and nothing is deduplicated.
+    """
     lo = -(bound.numerator // bound.denominator)  # D^2 >= -bound iff D^2 >= ceil(-bound)
-    found: dict[tuple[int, ...], int] = {}
-    for x in candidates:
-        key = _primitive_canonical(x)
-        if key not in found:
-            sq = bilinear(gram, key, key)
-            if lo <= sq < 0:
-                found[key] = sq
+    found = []
+    for x in hits:
+        if gcd(*x) != 1:
+            continue
+        sq = bilinear(gram, x, x)
+        if lo <= sq < 0:
+            if next(c for c in x if c) < 0:
+                x = tuple(-c for c in x)
+            found.append((x, sq))
     return found
 
 
@@ -203,8 +252,8 @@ def walls_through_class(m: K3Model, v, omega: H11Class) -> list[Wall]:
     neg = tuple(tuple(-x for x in r) for r in perp.sub.gram)
     hits = shortvec.short_vectors_up_to_sign(neg, bound)
     found = _in_bound(m.ns.gram, bound, (vec_mat(x, perp.basis) for x in hits))
-    return [Wall(m.ns.vector(key), Fraction(sq), bound)
-            for key, sq in sorted(found.items(), key=lambda kv: (-kv[1], kv[0]))]
+    found.sort(key=lambda kv: (-kv[1], kv[0]))
+    return [Wall._trusted(m.ns, key, sq, bound) for key, sq in found]
 
 
 @dataclass(frozen=True)
@@ -225,6 +274,13 @@ class Segment:
 class WallCrossing:
     wall: Wall
     t: Fraction
+
+    @classmethod
+    def _trusted(cls, wall: Wall, p: int, n: int) -> "WallCrossing":
+        """The crossing of ``wall`` at t = p / n, built without a dataclass ``__init__``."""
+        self = object.__new__(cls)
+        self.__dict__.update(wall=wall, t=Fraction(p, n))
+        return self
 
 
 def _majorant_bound(bound: Fraction, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
@@ -320,7 +376,7 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
     hits = shortvec.short_vectors_up_to_sign(maj, _majorant_bound(bound, a, b, c) * an,
                                              (w, w_prime))
     crossings, on_wall = [], []
-    for key, sq in _in_bound(gram, bound, hits).items():
+    for key, sq in _in_bound(gram, bound, hits):
         # p and q are D . omega and D . omega' times do * do'.
         p = sum(map(mul, w, key)) * do_prime
         q = sum(map(mul, w_prime, key)) * do
@@ -336,7 +392,8 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
             f"D={m.ns.vector(key)!r} with D^2={-neg_sq}"
         )
     _sort_by_t(crossings)
-    return [WallCrossing(Wall(m.ns.vector(key), Fraction(sq), bound), Fraction(p, n))
+    ns = m.ns
+    return [WallCrossing._trusted(Wall._trusted(ns, key, sq, bound), p, n)
             for p, n, key, sq in crossings]
 
 

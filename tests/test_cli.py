@@ -274,6 +274,18 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "segment end point is not a polarization (omega'^2=-6 <= 0)" in err
 
+    @pytest.mark.parametrize("command", ["walls", "generic", "chamber", "crossings"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_integral_rank_has_no_wall_set(self, tmp_path, command, fmt):
+        cfg = json.loads(json.dumps(PROJECTIVE_CONFIG))
+        cfg["mukai"] = {"r": "3/2", "xi": [1, 0], "a": 0}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke([command, "--config", str(path), "--format", fmt])
+        assert (code, out) == (3, "")
+        assert err == (f"mukaikit {command}: hypothesis violated: "
+                       "wall sets are defined for integral positive rank\n")
+
     def test_exists_needs_arguments(self):
         code, _, err = invoke(["exists"])
         assert code == 2
