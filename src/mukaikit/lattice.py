@@ -81,7 +81,8 @@ class LatticeVector:
         and skips ``__post_init__``.
         """
         self = object.__new__(cls)
-        self.__dict__.update(lattice=lattice, coords=tuple(map(Fraction, coords)))
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coords", tuple(map(Fraction, coords)))
         return self
 
     def __eq__(self, other) -> bool:

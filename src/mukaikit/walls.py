@@ -115,8 +115,10 @@ class Wall:
         same Fractions as the public constructor and skips ``__post_init__``.
         """
         self = object.__new__(cls)
-        self.__dict__.update(d=LatticeVector._trusted(ns, key), d_square=Fraction(sq),
-                             bound=bound, source=None)
+        object.__setattr__(self, "d", LatticeVector._trusted(ns, key))
+        object.__setattr__(self, "d_square", Fraction(sq))
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "source", None)
         return self
 
 
@@ -279,7 +281,8 @@ class WallCrossing:
     def _trusted(cls, wall: Wall, p: int, n: int) -> "WallCrossing":
         """The crossing of ``wall`` at t = p / n, built without a dataclass ``__init__``."""
         self = object.__new__(cls)
-        self.__dict__.update(wall=wall, t=Fraction(p, n))
+        object.__setattr__(self, "wall", wall)
+        object.__setattr__(self, "t", Fraction(p, n))
         return self
 
 
@@ -392,8 +395,7 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
             f"D={m.ns.vector(key)!r} with D^2={-neg_sq}"
         )
     _sort_by_t(crossings)
-    ns = m.ns
-    return [WallCrossing._trusted(Wall._trusted(ns, key, sq, bound), p, n)
+    return [WallCrossing._trusted(Wall._trusted(m.ns, key, sq, bound), p, n)
             for p, n, key, sq in crossings]
 
 
