@@ -163,6 +163,7 @@ def test_wall_square_at_a_non_integral_bound_is_accepted(ns):
     ((0, -1, 1), F(-6), F(25, 2), "wall class must be nonzero with canonical sign"),
     ((F(-1, 3), 1, 0), F(-16, 9), F(25, 2), "wall class must be nonzero with canonical sign"),
     ((0, 0, 0), F(-2), F(25, 2), "wall class must be nonzero with canonical sign"),
+    ((1, 0, 0), F(2), F(25, 2), "wall square out of range"),
 ])
 def test_wall_rejects_out_of_range_and_non_canonical(ns, coords, d_square, bound, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -12,7 +12,8 @@ and read the wall bound off a closed form. Here:
 - ``polarization_defect``, decided on ints, gives the verdict and message
   of the Fraction pairings;
 - ``wall_bound`` equals r^4 Delta / 2 computed in Fractions;
-- the public constructors keep the checks the trusted ones skip.
+- the public ``LatticeVector`` keeps the checks the trusted one skips
+  (``tests/test_integer_paths.py`` has those of ``Wall``).
 """
 
 from __future__ import annotations
@@ -369,7 +370,7 @@ def test_profile_keeps_an_integral_rank_as_int():
     assert WallProfile(F(4), F(1)) == WallProfile(4, F(1))
 
 
-# -- The public constructors keep their checks -------------------------------------------
+# -- The public vector keeps its checks ----------------------------------------------------
 
 
 def test_vector_length_must_match_the_rank():
@@ -386,19 +387,3 @@ def test_vector_coordinates_become_fractions():
         vector = LatticeVector(ns, coords)
         assert all(type(c) is F for c in vector.coords)
         assert vector.coords == tuple(F(c) for c in coords)
-
-
-def test_public_wall_checks_each_condition():
-    ns = diagonal_lattice([2, -2, -4])
-    ok = Wall(ns.vector((0, 1, 0)), F(-2), F(2))  # D^2 = -bound, on the boundary
-    assert ok.d_square == -2
-    cases = [
-        ((0, 1, 0), F(-2), F(1), "wall square out of range"),  # below -bound
-        ((1, 0, 0), F(2), F(10), "wall square out of range"),  # positive
-        ((1, 1, 0), F(0), F(10), "wall square out of range"),  # zero
-        ((0, -1, 0), F(-2), F(10), "wall class must be nonzero with canonical sign"),
-        ((0, 0, 0), F(-2), F(10), "wall class must be nonzero with canonical sign"),
-    ]
-    for coords, sq, bound, message in cases:
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            Wall(ns.vector(coords), sq, bound)
