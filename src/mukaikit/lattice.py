@@ -73,18 +73,6 @@ class LatticeVector:
                 f"vector of length {len(coords)} in a rank-{self.lattice.rank} lattice"
             )
 
-    @classmethod
-    def _trusted(cls, lattice: Lattice, coords: Sequence[int]) -> "LatticeVector":
-        """The vector with int ``coords``, which the caller has checked to have the lattice's rank.
-
-        Stores each coordinate as a Fraction, like the public constructor,
-        and skips ``__post_init__``.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "coords", tuple(map(Fraction, coords)))
-        return self
-
     def __eq__(self, other) -> bool:
         # Labels are display data; two vectors agree when their coordinates
         # and Gram matrices do.

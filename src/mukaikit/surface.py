@@ -108,25 +108,21 @@ def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str
     x, dx = clear_denominators(omega.ns_part.coords)
     y, dy = clear_denominators(omega.t_part.coords)
     gx, ty = mat_vec(m.ns.gram, x), mat_vec(m.t11.gram, y)
-    ns_sq, t_sq = _dot(x, gx), _dot(y, ty)
+    ns_sq, t_sq = sum(map(mul, x, gx)), sum(map(mul, y, ty))
     if dy * dy * ns_sq + dx * dx * t_sq <= 0:
         return f"{name}^2={Fraction(ns_sq, dx * dx) + Fraction(t_sq, dy * dy)} <= 0"
     u, du = clear_denominators(m.reference_positive.ns_part.coords)
     z, dz = clear_denominators(m.reference_positive.t_part.coords)
-    ns_ref, t_ref = _dot(u, gx), _dot(z, ty)
+    ns_ref, t_ref = sum(map(mul, u, gx)), sum(map(mul, z, ty))
     if dy * dz * ns_ref + dx * du * t_ref <= 0:
         paired = Fraction(ns_ref, dx * du) + Fraction(t_ref, dy * dz)
         return f"{name}.reference={paired} <= 0"
     for c in m.curve_classes:
         cx, dc = clear_denominators(c.coords)
-        value = _dot(cx, gx)
+        value = sum(map(mul, cx, gx))
         if value <= 0:
             return f"C.{name}={Fraction(value, dc * dx)} <= 0 for the curve class C={c!r}"
     return None
-
-
-def _dot(a, b) -> int:
-    return sum(map(mul, a, b))
 
 
 def is_polarization(m: K3Model, omega: H11Class) -> bool:

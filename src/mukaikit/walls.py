@@ -16,11 +16,10 @@ Crossings are sorted by an exact integer key (see
 
 Each fact is checked once. The search and the filter prove on ints that
 a returned class is primitive, has canonical sign and satisfies
--bound <= D^2 < 0, so the returned ``Wall`` and ``WallCrossing`` objects
-and their vectors are built by private ``_trusted`` constructors that
-skip the public checks; they store the same Fractions t, D, D^2 and
-bound, and only for the walls returned. The public constructors keep
-every check.
+-bound <= D^2 < 0, so the returned walls are built by the private
+``Wall._trusted``, which skips the range and sign checks of ``Wall``; it
+stores the same Fractions D, D^2 and bound, and only for the walls
+returned. The public constructors keep every check.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ class Wall:
         same Fractions as the public constructor and skips ``__post_init__``.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "d", LatticeVector._trusted(ns, key))
+        object.__setattr__(self, "d", LatticeVector(ns, key))
         object.__setattr__(self, "d_square", Fraction(sq))
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "source", None)
@@ -277,14 +276,6 @@ class WallCrossing:
     wall: Wall
     t: Fraction
 
-    @classmethod
-    def _trusted(cls, wall: Wall, p: int, n: int) -> "WallCrossing":
-        """The crossing of ``wall`` at t = p / n, built without a dataclass ``__init__``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "wall", wall)
-        object.__setattr__(self, "t", Fraction(p, n))
-        return self
-
 
 def _majorant_bound(bound: Fraction, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
     """bound * (2 b^2 - ac) / (ac), for a = w^2, b = w.w' and c = w'^2."""
@@ -395,7 +386,7 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
             f"D={m.ns.vector(key)!r} with D^2={-neg_sq}"
         )
     _sort_by_t(crossings)
-    return [WallCrossing._trusted(Wall._trusted(m.ns, key, sq, bound), p, n)
+    return [WallCrossing(Wall._trusted(m.ns, key, sq, bound), Fraction(p, n))
             for p, n, key, sq in crossings]
 
 
