@@ -4,6 +4,10 @@ Every verdict of the library is exposed as a subcommand over a JSON
 config file, with text and canonical-JSON output. Exit codes: 0 success,
 2 malformed input, 3 violated mathematical hypothesis, 64 unknown
 subcommand, 70 broken internal invariant.
+
+Each subcommand imports its compute modules in its own handler, and the
+config parser is imported only when a config is given, so a one-shot
+process loads only what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -11,23 +15,9 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from typing import Any, Callable, TextIO
+from typing import TYPE_CHECKING, Any, Callable, TextIO
 
-from . import moduli as moduli_mod
-from . import twisted as twisted_mod
-from . import walls as walls_mod
-from .config import Config, load_config
 from .errors import HypothesisViolation, InternalError, MukaikitError, ValidationError
-from .exactlin import mat_vec
-from .mukai import discriminant, mukai_square, topological_type
-from .moduli import (
-    EmbeddedMukaiVector,
-    bundle_existence_check,
-    h2_lattice,
-    moduli_report,
-    projectivity_check,
-    standard_ns_embedding,
-)
 from .serialize import (
     SCHEMA_VERSION,
     canonical_dumps,
@@ -38,7 +28,10 @@ from .serialize import (
     rational_to_json,
     vector_to_json,
 )
-from .twisted import TwistedSheafData
+
+if TYPE_CHECKING:
+    from .config import Config
+    from .walls import Wall
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,7 +46,7 @@ def _require(value, name: str):
     return value
 
 
-def _wall_json(w: walls_mod.Wall) -> dict[str, Any]:
+def _wall_json(w: Wall) -> dict[str, Any]:
     return {
         "d": vector_to_json(w.d),
         "d_square": rational_to_json(w.d_square),
@@ -61,6 +54,8 @@ def _wall_json(w: walls_mod.Wall) -> dict[str, Any]:
 
 
 def _cmd_pairing(cfg: Config, args) -> dict[str, Any]:
+    from .mukai import discriminant, mukai_square
+
     v = _require(cfg.mukai, "mukai")
     sq = mukai_square(v)
     out: dict[str, Any] = {
@@ -74,6 +69,8 @@ def _cmd_pairing(cfg: Config, args) -> dict[str, Any]:
 
 
 def _cmd_type(cfg: Config, args) -> dict[str, Any]:
+    from .mukai import topological_type
+
     v = _require(cfg.mukai, "mukai")
     tau = topological_type(v)
     return {
@@ -84,11 +81,14 @@ def _cmd_type(cfg: Config, args) -> dict[str, Any]:
 
 
 def _cmd_walls(cfg: Config, args) -> dict[str, Any]:
+    from .exactlin import mat_vec
+    from .walls import wall_bound, walls_through_class
+
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
-    found = walls_mod.walls_through_class(cfg.model, v, omega)
+    found = walls_through_class(cfg.model, v, omega)
     out: dict[str, Any] = {
-        "bound": rational_to_json(walls_mod.wall_bound(v)),
+        "bound": rational_to_json(wall_bound(v)),
         "count": len(found),
         "walls": [_wall_json(w) for w in found],
     }
@@ -104,16 +104,18 @@ def _cmd_walls(cfg: Config, args) -> dict[str, Any]:
 
 
 def _cmd_generic(cfg: Config, args) -> dict[str, Any]:
+    from .walls import wall_bound, wall_set_is_empty, walls_through_class
+
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
-    found = walls_mod.walls_through_class(cfg.model, v, omega)
-    bound = walls_mod.wall_bound(v)
+    found = walls_through_class(cfg.model, v, omega)
+    bound = wall_bound(v)
     out = {
         "generic": not found,
         "walls": [_wall_json(w) for w in found],
         "bound": rational_to_json(bound),
     }
-    empty = walls_mod.wall_set_is_empty(cfg.model, v)
+    empty = wall_set_is_empty(cfg.model, v)
     if empty is not None:
         out["wall_set_empty"] = empty
     if empty:
@@ -122,19 +124,23 @@ def _cmd_generic(cfg: Config, args) -> dict[str, Any]:
 
 
 def _cmd_chamber(cfg: Config, args) -> dict[str, Any]:
+    from .walls import same_chamber
+
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
     omega_prime = _require(cfg.omega_prime, "omega_prime")
-    same = walls_mod.same_chamber(cfg.model, v, omega, omega_prime)
+    same = same_chamber(cfg.model, v, omega, omega_prime)
     return {"same_chamber": same}
 
 
 def _cmd_crossings(cfg: Config, args) -> dict[str, Any]:
+    from .walls import Segment, walls_crossing_segment
+
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
     omega_prime = _require(cfg.omega_prime, "omega_prime")
-    seg = walls_mod.Segment(omega, omega_prime)
-    found = walls_mod.walls_crossing_segment(cfg.model, v, seg)
+    seg = Segment(omega, omega_prime)
+    found = walls_crossing_segment(cfg.model, v, seg)
     return {
         "count": len(found),
         "crossings": [
@@ -144,31 +150,38 @@ def _cmd_crossings(cfg: Config, args) -> dict[str, Any]:
 
 
 def _cmd_twist(cfg: Config, args) -> dict[str, Any]:
+    from .mukai import mukai_square
+    from .twisted import TwistedSheafData, ch_B, ch_E, delta_E, v_E, w_xi
+
     v = _require(cfg.mukai, "mukai")
     e = _require(cfg.twist, "twist")
     if v.v0.denominator != 1 or v.v0 < 1:
         raise HypothesisViolation("twist subcommand needs integer rank >= 1")
     f = TwistedSheafData(int(v.v0), v.v1, v.v2)
-    che = twisted_mod.ch_E(f, e)
-    ve = twisted_mod.v_E(f, e)
+    che = ch_E(f, e)
+    ve = v_E(f, e)
     out: dict[str, Any] = {
         "ch_E": mukai_to_json(che),
         "v_E": mukai_to_json(ve),
         "v_E_square": rational_to_json(mukai_square(ve)),
-        "delta_E": rational_to_json(twisted_mod.delta_E(f, e)),
+        "delta_E": rational_to_json(delta_E(f, e)),
     }
     if v.is_integral:
-        w = moduli_mod.transfer_image_of_v(v)
-        back = twisted_mod.w_xi(w, v.v1, int(v.v0))
+        from .moduli import transfer_image_of_v
+
+        w = transfer_image_of_v(v)
+        back = w_xi(w, v.v1, int(v.v0))
         out["self_twist_w"] = mukai_to_json(w)
         out["w_xi"] = mukai_to_json(back)
         out["w_xi_roundtrip_ok"] = back == v
     if e.b_field is not None:
-        out["ch_B"] = mukai_to_json(twisted_mod.ch_B(che, e))
+        out["ch_B"] = mukai_to_json(ch_B(che, e))
     return out
 
 
 def _cmd_report(cfg: Config, args) -> dict[str, Any]:
+    from .moduli import moduli_report
+
     v = _require(cfg.mukai, "mukai")
     omega = _require(cfg.omega, "omega")
     rep = moduli_report(cfg.model, v, omega)
@@ -189,6 +202,8 @@ def _cmd_report(cfg: Config, args) -> dict[str, Any]:
 
 
 def _cmd_h2(cfg: Config, args) -> dict[str, Any]:
+    from .moduli import EmbeddedMukaiVector, h2_lattice, standard_ns_embedding
+
     v = _require(cfg.mukai, "mukai")
     emb = cfg.embedding if cfg.embedding is not None else standard_ns_embedding(cfg.model.ns)
     embedded = EmbeddedMukaiVector.from_algebraic(v, emb)
@@ -204,6 +219,8 @@ def _cmd_h2(cfg: Config, args) -> dict[str, Any]:
 
 
 def _cmd_projective(cfg: Config, args) -> dict[str, Any]:
+    from .moduli import projectivity_check
+
     v = _require(cfg.mukai, "mukai")
     check = projectivity_check(cfg.model, v)
     lhs, rhs = check.isotropy_identity
@@ -227,6 +244,8 @@ def _cmd_exists(cfg: Config | None, args) -> dict[str, Any]:
         triple = cfg.existence
     else:
         raise ValidationError("exists: needs --r/--d/--g or an 'existence' config section")
+    from .moduli import bundle_existence_check
+
     verdict = bundle_existence_check(*triple)
     out: dict[str, Any] = {
         "r": verdict.r,
@@ -335,6 +354,8 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
         return EXIT_VALIDATION
     try:
         if args.config is not None:
+            from .config import load_config
+
             cfg = load_config(args.config)
         elif needs_config:
             raise ValidationError(f"{command}: --config is required")

@@ -11,14 +11,17 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .exactlin import IntMatrix
 from .lattice import Lattice
 from .mukai import MukaiVector
 from .surface import H11Class, K3Model
-from .twisted import TwistData
 from .serialize import parse_int, parse_rational
+
+if TYPE_CHECKING:
+    from .twisted import TwistData
 
 
 def _expect_dict(value, where: str) -> dict:
@@ -134,6 +137,8 @@ def parse_config(raw: dict) -> Config:
 
     twist = None
     if "twist" in raw:
+        from .twisted import TwistData
+
         body = _expect_dict(raw["twist"], "twist")
         s = parse_int(body.get("s"), "twist.s")
         b = parse_rational(body.get("b", 0), "twist.b")

@@ -40,7 +40,6 @@ from .mukai import (
     topological_type,
 )
 from .surface import H11Class, K3Model, is_polarization, is_projective_surface
-from .walls import is_generic
 
 COPRIMALITY_NOTE = (
     "coprimality of the rank and the first Chern class is read as "
@@ -483,6 +482,8 @@ def moduli_report(m: K3Model, v: MukaiVector, omega: H11Class) -> ModuliReport:
     if not is_polarization(m, omega):
         reasons.append("omega is not a polarization of the model")
     elif rank_ok and v.is_integral and sq >= -2:
+        from .walls import is_generic
+
         genericity = is_generic(m, v, omega)
         if not genericity:
             reasons.append("omega lies on a wall of v")

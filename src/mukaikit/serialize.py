@@ -12,11 +12,13 @@ import re
 import sys
 from fractions import Fraction
 from numbers import Real
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import ValidationError
-from .lattice import LatticeVector
-from .mukai import MukaiVector
+
+if TYPE_CHECKING:
+    from .lattice import LatticeVector
+    from .mukai import MukaiVector
 
 SCHEMA_VERSION = "1"
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from typing import TYPE_CHECKING
 
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
@@ -35,7 +36,9 @@ from .exactlin import bilinear, clear_denominators, content_of, mat_vec, vec_mat
 from .lattice import Lattice, LatticeVector, orthogonal_complement, pairing
 from .mukai import MukaiVector, discriminant
 from .surface import H11Class, K3Model, polarization_defect
-from .twisted import TwistData, TwistedSheafData, delta_E
+
+if TYPE_CHECKING:
+    from .twisted import TwistData, TwistedSheafData
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,8 @@ class WallProfile:
     @classmethod
     def twisted(cls, f: TwistedSheafData, e: TwistData) -> "WallProfile":
         """Profile of a twisted class; same machinery, twisted discriminant."""
+        from .twisted import delta_E
+
         return cls(f.r, delta_E(f, e))
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -367,3 +368,118 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["accepted"] is True
+
+
+# -- start-up: what a one-shot child imports, and that it prints the same bytes --
+
+WALLS_CONFIG = {  # PROJECTIVE_CONFIG with one wall and no twist section
+    **{k: v for k, v in PROJECTIVE_CONFIG.items() if k != "twist"},
+    "mukai": {"r": 2, "xi": [1, 1], "a": 0},
+}
+ON_WALL_CONFIG = {**WALLS_CONFIG, "omega": {"ns": [1, 0], "t": []}}
+FLOAT_CONFIG = {**WALLS_CONFIG, "omega": {"ns": [1, 0.25], "t": []}}
+
+_REPORT_MODULES = (
+    "import io, sys\n"
+    "import mukaikit.cli\n"
+    "code = mukaikit.cli.run(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO())\n"
+    "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'mukaikit'))\n"
+)
+
+
+def _write(tmp_path, name, cfg) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _loaded_by_child(argv) -> tuple[int, set[str]]:
+    """Exit code of ``cli.run(argv)`` in a fresh interpreter, and the
+    ``mukaikit`` modules that interpreter has loaded when it returns."""
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv],
+                          capture_output=True, text=True, check=True)
+    code, *modules = proc.stdout.split()
+    return int(code), {m.removeprefix("mukaikit.") for m in modules}
+
+
+class TestDispatchImports:
+    def test_unknown_subcommand_loads_only_the_front_end(self):
+        code, loaded = _loaded_by_child(["frobnicate"])
+        assert code == 64
+        assert loaded == {"mukaikit", "cli", "errors", "serialize"}
+
+    @pytest.mark.parametrize("case", ["malformed_config", "float_in_config", "partial_flags"])
+    def test_validation_errors_load_no_search(self, tmp_path, case):
+        (tmp_path / "bad.json").write_text("{not json")
+        argv = {
+            "malformed_config": ["walls", "--config", str(tmp_path / "bad.json")],
+            "float_in_config": ["walls", "--config", _write(tmp_path, "float", FLOAT_CONFIG)],
+            "partial_flags": ["exists", "--r", "2"],
+        }[case]
+        code, loaded = _loaded_by_child(argv)
+        assert code == 2
+        assert not loaded & {"walls", "shortvec", "moduli"}
+
+    def test_exists_from_flags_loads_no_search_and_no_config(self):
+        code, loaded = _loaded_by_child(["exists", "--r", "2", "--d", "0", "--g", "-4"])
+        assert code == 0
+        assert "moduli" in loaded
+        assert not loaded & {"walls", "shortvec", "config"}
+
+    @pytest.mark.parametrize("command, absent", [
+        ("pairing", {"walls", "shortvec", "moduli", "twisted"}),
+        ("type", {"walls", "shortvec", "moduli", "twisted"}),
+        ("walls", {"moduli", "twisted"}),
+        ("crossings", {"moduli", "twisted"}),
+        ("h2", {"walls", "shortvec"}),
+        ("projective", {"walls", "shortvec"}),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, command, absent):
+        cfg = NONPROJECTIVE_CONFIG if command in ("pairing", "type", "h2", "projective") \
+            else WALLS_CONFIG
+        code, loaded = _loaded_by_child([command, "--config", _write(tmp_path, command, cfg)])
+        assert code == 0
+        assert not loaded & absent
+
+
+def _subcommand_config(command: str) -> dict:
+    if command == "twist":
+        return PROJECTIVE_CONFIG
+    if command in ("walls", "generic", "chamber", "crossings"):
+        return WALLS_CONFIG
+    return NONPROJECTIVE_CONFIG
+
+
+# case -> (exit code, argv without --config, config)
+CHILD_CASES = {
+    f"{command}-{fmt}": (0, [command, "--format", fmt], _subcommand_config(command))
+    for command in ("pairing", "type", "walls", "generic", "chamber", "crossings", "twist",
+                    "report", "h2", "projective", "exists")
+    for fmt in ("text", "json")
+}
+CHILD_CASES.update({
+    "float-in-config": (2, ["walls"], FLOAT_CONFIG),
+    "endpoint-on-wall": (3, ["crossings"], ON_WALL_CONFIG),
+    "unknown-subcommand": (64, ["frobnicate"], WALLS_CONFIG),
+})
+
+
+@pytest.mark.parametrize("case", CHILD_CASES)
+def test_child_matches_in_process(tmp_path, case):
+    # This process has every exported module loaded; the child loads only
+    # what its subcommand runs. Output that depended on import order (a
+    # warning printed once per process, a registration done at import)
+    # would differ between the two.
+    import mukaikit
+
+    for name in mukaikit.__all__:
+        getattr(mukaikit, name)
+    expected, head, cfg = CHILD_CASES[case]
+    argv = [*head, "--config", _write(tmp_path, "case", cfg)]
+    child = subprocess.run([sys.executable, "-m", "mukaikit", *argv],
+                           capture_output=True, text=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code == expected
+    assert (child.returncode, child.stdout, child.stderr) == (code, out.getvalue(), err.getvalue())
