@@ -29,10 +29,6 @@ def test_exported_name_is_its_module_attribute(name):
     assert obj.__module__.startswith("mukaikit.")
 
 
-def test_all_has_no_duplicates():
-    assert len(set(mukaikit.__all__)) == len(mukaikit.__all__)
-
-
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         mukaikit.no_such_name  # noqa: B018
