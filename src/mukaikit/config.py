@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .exactlin import IntMatrix
-from .lattice import Lattice
+from .lattice import Lattice, LatticeVector
 from .mukai import MukaiVector
 from .surface import H11Class, K3Model
 from .serialize import parse_int, parse_rational
@@ -53,6 +53,12 @@ def _rational_vector(value, where: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x, f"{where}[{i}]") for i, x in enumerate(items))
 
 
+def _checked_vector(lattice: Lattice, coords: tuple[Fraction, ...], where: str) -> LatticeVector:
+    if len(coords) != lattice.rank:
+        raise ValidationError(f"{where}: expected length {lattice.rank}, got {len(coords)}")
+    return lattice.vector(coords)
+
+
 @dataclass(frozen=True)
 class Config:
     model: K3Model
@@ -79,12 +85,8 @@ def _parse_surface(raw: dict) -> K3Model:
     listed = surf.get("curve_classes")
     listed = [] if listed is None else _expect_list(listed, "surface.curve_classes")
     for i, c in enumerate(listed):
-        coords = _rational_vector(c, f"surface.curve_classes[{i}]")
-        if len(coords) != ns.rank:
-            raise ValidationError(
-                f"surface.curve_classes[{i}]: expected length {ns.rank}, got {len(coords)}"
-            )
-        curves.append(ns.vector(coords))
+        where = f"surface.curve_classes[{i}]"
+        curves.append(_checked_vector(ns, _rational_vector(c, where), where))
     if "reference_positive" not in surf:
         raise ValidationError("surface.reference_positive: field is required")
     ref = _rational_vector(surf["reference_positive"], "surface.reference_positive")
@@ -104,11 +106,11 @@ def _parse_h11(raw, model: K3Model, where: str) -> H11Class:
     body = _expect_dict(raw, where)
     ns_coords = _rational_vector(body.get("ns", []), f"{where}.ns")
     t_coords = _rational_vector(body.get("t", []), f"{where}.t")
-    if len(ns_coords) != model.ns.rank:
-        raise ValidationError(f"{where}.ns: expected length {model.ns.rank}, got {len(ns_coords)}")
-    if len(t_coords) != model.t11.rank:
-        raise ValidationError(f"{where}.t: expected length {model.t11.rank}, got {len(t_coords)}")
-    return H11Class(model.ns.vector(ns_coords), model.t11.vector(t_coords))
+    # Both parses come first, so a parse error in t wins over a length error in ns.
+    return H11Class(
+        _checked_vector(model.ns, ns_coords, f"{where}.ns"),
+        _checked_vector(model.t11, t_coords, f"{where}.t"),
+    )
 
 
 def parse_config(raw: dict) -> Config:
@@ -122,13 +124,9 @@ def parse_config(raw: dict) -> Config:
             if key not in body:
                 raise ValidationError(f"mukai.{key}: field is required")
         r = parse_rational(body["r"], "mukai.r")
-        xi_coords = _rational_vector(body["xi"], "mukai.xi")
-        if len(xi_coords) != model.ns.rank:
-            raise ValidationError(
-                f"mukai.xi: expected length {model.ns.rank}, got {len(xi_coords)}"
-            )
+        xi = _checked_vector(model.ns, _rational_vector(body["xi"], "mukai.xi"), "mukai.xi")
         a = parse_rational(body["a"], "mukai.a")
-        mukai = MukaiVector(r, model.ns.vector(xi_coords), a)
+        mukai = MukaiVector(r, xi, a)
 
     omega = _parse_h11(raw["omega"], model, "omega") if "omega" in raw else None
     omega_prime = (
@@ -145,11 +143,7 @@ def parse_config(raw: dict) -> Config:
         b_field = None
         if body.get("b_field") is not None:
             coords = _rational_vector(body["b_field"], "twist.b_field")
-            if len(coords) != model.ns.rank:
-                raise ValidationError(
-                    f"twist.b_field: expected length {model.ns.rank}, got {len(coords)}"
-                )
-            b_field = model.ns.vector(coords)
+            b_field = _checked_vector(model.ns, coords, "twist.b_field")
         try:
             twist = TwistData(s, b, b_field)
         except Exception as exc:

@@ -21,10 +21,14 @@ from .exactlin import IntMatrix, int_matrix, rational_signature
 
 @dataclass(frozen=True)
 class Lattice:
-    """Free abelian group of finite rank with an integer Gram matrix."""
+    """Free abelian group of finite rank with an integer Gram matrix.
+
+    A lattice is its Gram: ``==`` and ``hash`` read ``gram`` only, and
+    ``label`` is display data for ``repr``.
+    """
 
     gram: IntMatrix
-    label: str = ""
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         gram = int_matrix(self.gram)
@@ -58,7 +62,7 @@ class Lattice:
         return f"Lattice({name})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LatticeVector:
     """A rational vector written in the basis of a fixed lattice."""
 
@@ -72,16 +76,6 @@ class LatticeVector:
             raise ValidationError(
                 f"vector of length {len(coords)} in a rank-{self.lattice.rank} lattice"
             )
-
-    def __eq__(self, other) -> bool:
-        # Labels are display data; two vectors agree when their coordinates
-        # and Gram matrices do.
-        if not isinstance(other, LatticeVector):
-            return NotImplemented
-        return self.coords == other.coords and self.lattice.gram == other.lattice.gram
-
-    def __hash__(self):
-        return hash((self.coords, self.lattice.gram))
 
     @property
     def is_zero(self) -> bool:
@@ -117,7 +111,7 @@ class LatticeVector:
 
 
 def _check_same_lattice(x: LatticeVector, y: LatticeVector) -> None:
-    if x.lattice.gram != y.lattice.gram:
+    if x.lattice != y.lattice:
         raise LatticeMismatchError("vectors live in different lattices")
 
 
@@ -232,10 +226,10 @@ class OrthogonalComplement:
 def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> OrthogonalComplement:
     """Saturated sublattice of all x with pairing(x, v) = 0 for v in vs."""
     for v in vs:
-        if v.lattice.gram != l.gram:
+        if v.lattice != l:
             raise LatticeMismatchError("complement vectors must live in the given lattice")
     if not vs:
-        return OrthogonalComplement(Lattice(l.gram, l.label), exactlin.identity(l.rank))
+        return OrthogonalComplement(l, exactlin.identity(l.rank))
     # x . gram . v = 0 is one integer linear condition after clearing
     # the denominators of v.
     rows = [exactlin.mat_vec(l.gram, exactlin.clear_denominators(v.coords)[0]) for v in vs]

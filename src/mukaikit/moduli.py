@@ -91,11 +91,10 @@ class EmbeddedMukaiVector:
         xi = tuple(int(c) for c in v.v1.coords)
         # NS = 0 has the empty embedding, which has no columns to read.
         image = exactlin.vec_mat(xi, emb) if emb else (0,) * k3_lattice().rank
-        coords = (int(v.v0), -int(v.v2)) + tuple(image)
-        out = cls(coords)
-        if out.square() != mukai_square(v):
-            raise ValidationError("embedding does not preserve the Mukai square")
-        return out
+        # The square needs no check: validate_ns_embedding proved
+        # E G_Lambda E^T = G_NS, so the image has square xi^2, and (r, -a) in
+        # the first U adds -2ra; the total is xi^2 - 2ra = v^2.
+        return cls((int(v.v0), -int(v.v2)) + tuple(image))
 
 
 def validate_ns_embedding(ns: Lattice, emb: IntMatrix) -> None:
@@ -252,7 +251,7 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     itself is projective. Only the extra class is built: its square is
     the isotropy identity, and its orthogonality to v is checked.
     """
-    if v.lattice.gram != m.ns.gram:
+    if v.lattice != m.ns:
         raise ValidationError("Mukai vector must live over the model's NS lattice")
     sq = mukai_square(v)
     if sq < 0:
@@ -449,7 +448,7 @@ def moduli_report(m: K3Model, v: MukaiVector, omega: H11Class) -> ModuliReport:
     Hypothesis violations are enumerated in ``reasons`` instead of raised,
     so a single run reports every defect of the input at once.
     """
-    if v.lattice.gram != m.ns.gram:
+    if v.lattice != m.ns:
         raise ValidationError("Mukai vector must live over the model's NS lattice")
     reasons: list[str] = []
     notes: list[str] = [COPRIMALITY_NOTE, RATIONAL_GENERICITY_NOTE]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import HypothesisViolation, LatticeMismatchError
+from .errors import HypothesisViolation
 from .exactlin import bilinear, clear_denominators
 from .lattice import Lattice, LatticeVector, pairing
 
@@ -48,19 +48,6 @@ class MukaiVector:
     def __mul__(self, other: "MukaiVector") -> "MukaiVector":
         return mukai_product(self, other)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MukaiVector):
-            return NotImplemented
-        return (
-            self.v0 == other.v0
-            and self.v2 == other.v2
-            and self.v1.lattice.gram == other.v1.lattice.gram
-            and self.v1.coords == other.v1.coords
-        )
-
-    def __hash__(self):
-        return hash((self.v0, self.v1.coords, self.v2, self.v1.lattice.gram))
-
     def __repr__(self):
         return f"({self.v0}, {self.v1!r}, {self.v2})"
 
@@ -87,8 +74,6 @@ def mukai_from_chern(r, c1: LatticeVector, ch2) -> MukaiVector:
 
 
 def mukai_pairing(x: MukaiVector, y: MukaiVector) -> Fraction:
-    if x.v1.lattice.gram != y.v1.lattice.gram:
-        raise LatticeMismatchError("Mukai vectors over different NS lattices")
     return pairing(x.v1, y.v1) - x.v0 * y.v2 - x.v2 * y.v0
 
 
@@ -129,8 +114,6 @@ def topological_type(v: MukaiVector) -> TopologicalType:
 
 def mukai_product(x: MukaiVector, y: MukaiVector) -> MukaiVector:
     """Cup product of even-degree classes, componentwise on (r, c1, s)."""
-    if x.v1.lattice.gram != y.v1.lattice.gram:
-        raise LatticeMismatchError("Mukai vectors over different NS lattices")
     return MukaiVector(
         x.v0 * y.v0,
         y.v1.scale(x.v0) + x.v1.scale(y.v0),

@@ -51,15 +51,15 @@ class K3Model:
             raise ValidationError("H^{1,1} model has more than one positive direction")
         self._check_membership(self.reference_positive)
         for c in self.curve_classes:
-            if c.lattice.gram != self.ns.gram:
+            if c.lattice != self.ns:
                 raise LatticeMismatchError("curve classes must live in NS")
         if self.square(self.reference_positive) <= 0:
             raise ValidationError("reference class must have positive square")
 
     def _check_membership(self, omega: H11Class) -> None:
-        if omega.ns_part.lattice.gram != self.ns.gram:
+        if omega.ns_part.lattice != self.ns:
             raise LatticeMismatchError("NS part lives in the wrong lattice")
-        if omega.t_part.lattice.gram != self.t11.gram:
+        if omega.t_part.lattice != self.t11:
             raise LatticeMismatchError("transcendental part lives in the wrong lattice")
 
     def h11(self, ns_coords, t_coords=()) -> H11Class:
@@ -77,8 +77,6 @@ class K3Model:
     def pair_ns(self, xi: LatticeVector, omega: H11Class) -> Fraction:
         """xi . omega for xi in NS; only the NS part of omega contributes."""
         self._check_membership(omega)
-        if xi.lattice.gram != self.ns.gram:
-            raise LatticeMismatchError("class must live in NS")
         return pairing(xi, omega.ns_part)
 
     def embed_ns(self, xi: LatticeVector) -> H11Class:

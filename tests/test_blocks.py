@@ -36,7 +36,7 @@ from mukaikit.moduli import (
     h2_lattice,
     validate_ns_embedding,
 )
-from mukaikit.mukai import MukaiVector
+from mukaikit.mukai import MukaiVector, mukai_square
 
 from fraction_oracle import (
     full_kernel_saturated,
@@ -194,6 +194,8 @@ def test_h2_from_embeddings_into_u_and_e8(where, seed):
             a = (xi2 - 2) // (2 * r) - rng.randint(0, 2)
         v = MukaiVector(Fraction(r), ns.vector(xi), Fraction(a))
         embedded = EmbeddedMukaiVector.from_algebraic(v, emb)
+        # The embedding is an isometry, so from_algebraic keeps the square.
+        assert embedded.square() == mukai_square(v)
         if embedded.is_primitive:
             break
     res = h2_lattice(embedded)

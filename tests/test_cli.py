@@ -32,6 +32,12 @@ NONPROJECTIVE_CONFIG = {
     "existence": {"r": 2, "d": 0, "g": -4},
 }
 
+USAGE = (
+    "usage: mukaikit <subcommand> [--config PATH] [--format {text,json}]\n"
+    "subcommands: chamber, crossings, exists, generic, h2, pairing, projective, report, twist,"
+    " type, walls\n"
+)
+
 
 @pytest.fixture
 def projective_cfg(tmp_path):
@@ -346,6 +352,46 @@ class TestExitCodes:
         code, out, err = invoke([command, "--config", str(path), "--format", fmt])
         assert (code, out) == (2, "")
         assert "a result has a number over the 4300-digit limit for integer output" in err
+
+    def test_no_arguments_prints_usage(self):
+        code, out, err = invoke([])
+        assert (code, out) == (64, "")
+        assert err == USAGE
+        for flag in ("-h", "--help"):
+            assert invoke([flag]) == (0, "", USAGE)
+
+    @pytest.mark.parametrize("base, edits, message", [
+        # The README's example.
+        ("nonprojective", {("omega", "ns"): [1, 2]}, "omega.ns: expected length 1, got 2"),
+        ("projective", {("surface", "curve_classes"): [[1, 0], [1]]},
+         "surface.curve_classes[1]: expected length 2, got 1"),
+        ("projective", {("surface", "reference_positive"): [1]},
+         "surface.reference_positive: expected length 2 (NS rank + transcendental rank), got 1"),
+        ("projective", {("mukai", "xi"): [1, 0, 0]}, "mukai.xi: expected length 2, got 3"),
+        ("projective", {("omega", "t"): [1]}, "omega.t: expected length 0, got 1"),
+        ("projective", {("omega_prime", "ns"): [1]}, "omega_prime.ns: expected length 2, got 1"),
+        ("projective", {("omega_prime", "t"): [1]}, "omega_prime.t: expected length 0, got 1"),
+        ("projective", {("twist", "b_field"): [0]}, "twist.b_field: expected length 2, got 1"),
+        # Both parts of a class are parsed before either length is checked,
+        # and ns is checked before t.
+        ("nonprojective", {("omega", "ns"): [1, 2], ("omega", "t"): [3, 4]},
+         "omega.ns: expected length 1, got 2"),
+        ("nonprojective", {("omega", "ns"): [1, 2], ("omega", "t"): [0.5]},
+         "omega.t[0]: floats are not accepted; use 'p/q' strings"),
+        # A section's lengths are checked before the next section is read.
+        ("projective", {("mukai", "xi"): [1], ("omega", "ns"): [1]},
+         "mukai.xi: expected length 2, got 1"),
+    ])
+    def test_length_messages(self, tmp_path, base, edits, message):
+        cfg = json.loads(json.dumps(PROJECTIVE_CONFIG if base == "projective"
+                                    else NONPROJECTIVE_CONFIG))
+        for (section, key), value in edits.items():
+            cfg[section][key] = value
+        path = tmp_path / "length.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["report", "--config", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err == f"mukaikit report: invalid input: {message}\n"
 
 
 class TestDeterminism:

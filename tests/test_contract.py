@@ -97,3 +97,35 @@ def test_every_private_function_is_used():
                and node.name.startswith("_") and not node.name.startswith("__")
                and not any(node.name in set(_names_outside(t, node)) for t in trees.values())]
     assert not orphans
+
+
+def _gram_comparisons(tree: ast.AST):
+    """Line numbers of comparisons with a ``.gram`` attribute on two sides."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if sum(isinstance(s, ast.Attribute) and s.attr == "gram" for s in sides) >= 2:
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "lattice.py"],
+                         ids=lambda p: p.name)
+def test_lattice_identity_is_decided_in_lattice(path):
+    """A lattice is its Gram, and ``Lattice.__eq__`` says so; no other
+    module compares two Grams to decide whether two lattices agree."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not list(_gram_comparisons(tree))
+
+
+def test_gram_comparison_check_sees_a_membership_test():
+    tree = ast.parse("if x.lattice.gram != m.ns.gram:\n    pass\n")
+    assert list(_gram_comparisons(tree)) == [1]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_equality_is_dataclass_generated(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    written = [f"{node.name}:{item.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")]
+    assert not written

@@ -62,6 +62,29 @@ class TestConstructors:
             Lattice(((0, 1), (2, 0)))
 
 
+class TestIdentity:
+    """A lattice is its Gram; the label is display data."""
+
+    G = ((2, 1), (1, -2))
+
+    def test_labels_do_not_distinguish_lattices(self):
+        a, b = Lattice(self.G, "A"), Lattice(self.G, "B")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert (repr(a), repr(b)) == ("Lattice(A)", "Lattice(B)")
+        assert a != Lattice(((2, 0), (0, -2)), "A")
+
+    def test_vectors_over_relabelled_lattices_agree(self):
+        ns, zl = Lattice(self.G, "NS"), Lattice(self.G, "ZL")
+        x, y = ns.vector((1, 2)), zl.vector((1, 2))
+        assert x == y
+        assert hash(x) == hash(y)
+        assert x != ns.vector((2, 1))
+        assert pairing(x, y) == x.square() == -2
+        assert x + y == x.scale(2)
+        assert orthogonal_complement(zl, (x,)).basis == orthogonal_complement(ns, (x,)).basis
+
+
 class TestPairing:
     def test_u_basis(self):
         u = u_lattice()

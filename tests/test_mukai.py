@@ -46,6 +46,14 @@ class TestConstruction:
         v = mukai_from_chern(0, L, 5)
         assert (v.v0, v.v2) == (0, 5)
 
+    def test_equality_ignores_lattice_labels(self, L):
+        other = diagonal_lattice([-10], "other")
+        v, w = MukaiVector(F(2), L, F(-2)), MukaiVector(F(2), other.basis_vector(0), F(-2))
+        assert v == w
+        assert hash(v) == hash(w)
+        assert v != MukaiVector(F(2), diagonal_lattice([-12]).basis_vector(0), F(-2))
+        assert mukai_pairing(v, w) == mukai_square(v) == -2
+
 
 class TestPairing:
     def test_ideal_sheaf_square(self, zl):
@@ -62,6 +70,11 @@ class TestPairing:
         w = MukaiVector(F(1), other.zero(), F(0))
         with pytest.raises(LatticeMismatchError):
             mukai_pairing(MukaiVector(F(1), L, F(0)), w)
+        # Both operations leave the check to the lattice layer.
+        with pytest.raises(LatticeMismatchError, match="^vectors live in different lattices$"):
+            mukai_pairing(w, MukaiVector(F(1), L, F(0)))
+        with pytest.raises(LatticeMismatchError, match="^vectors live in different lattices$"):
+            mukai_product(MukaiVector(F(1), L, F(0)), w)
 
 
 class TestDiscriminant:

@@ -61,6 +61,14 @@ class TestModelValidation:
             K3Model(ns=ns, reference_positive=H11Class(ns.basis_vector(0), Lattice(()).zero()),
                     curve_classes=(other.basis_vector(0),))
 
+    def test_membership_reads_the_gram_not_the_label(self):
+        ns, relabelled = diagonal_lattice([2, -2], "NS"), diagonal_lattice([2, -2], "other")
+        reference = H11Class(relabelled.basis_vector(0), Lattice(()).zero())
+        m = K3Model(ns=ns, reference_positive=reference, curve_classes=(relabelled.vector((1, 1)),))
+        assert m.pair_ns(relabelled.basis_vector(1), m.h11((1, 1))) == -2
+        with pytest.raises(LatticeMismatchError, match="^vectors live in different lattices$"):
+            m.pair_ns(diagonal_lattice([2, -4]).basis_vector(1), m.h11((1, 1)))
+
 
 class TestProjectivity:
     def test_negative_definite_is_not_projective(self, nonprojective):

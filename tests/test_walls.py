@@ -18,6 +18,7 @@ from mukaikit import (
     is_wall,
     same_chamber,
     wall_bound,
+    wall_set_is_empty,
     walls_crossing_segment,
     walls_through_class,
 )
@@ -127,6 +128,12 @@ class TestDestabilizer:
         v = MukaiVector(F(2), h, F(0))
         got = destabilizer_wall(v, 1, f.scale(3))
         assert got.kind == "out_of_range" and got.d_square == -70
+        assert got.reason == "square -70 below the wall bound -10"
+        # D = 2 zeta has positive square, which no wall class has.
+        got = destabilizer_wall(MukaiVector(F(2), rank2_model.ns.zero(), F(0)), 1, h)
+        assert (got.kind, got.d.coords, got.d_square, got.wall) == ("out_of_range", (2, 0), 8, None)
+        assert got.reason == ("nonnegative square is impossible for a class orthogonal"
+                              " to a polarization")
 
 
 class TestWallsThroughClass:
@@ -152,6 +159,16 @@ class TestWallsThroughClass:
         v = MukaiVector(F(2), ns.basis_vector(0), F(-2))
         omega = m.h11((1,), (3,))
         assert walls_through_class(m, v, omega) == []
+        # Three ways to an empty wall set: no class in the ball of a negative
+        # definite NS, a negative bound (v^2 = -18 < -2r^2), and NS of rank 0.
+        ns0 = Lattice(())
+        m0 = K3Model(ns=ns0, t11=t11, reference_positive=H11Class(ns0.zero(), t11.vector((1,))))
+        negative = MukaiVector(F(2), ns.basis_vector(0), F(2))
+        assert wall_bound(negative) < 0
+        for model, vec, pol in [(m, v, omega), (m, negative, omega),
+                                (m0, MukaiVector(F(2), ns0.zero(), F(-1)), m0.h11((), (1,)))]:
+            assert wall_set_is_empty(model, vec) is True
+            assert walls_through_class(model, vec, pol) == []
 
     def test_requires_polarization(self, rank2_model):
         h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
