@@ -8,15 +8,15 @@ lattice membership) is checked here before any computation runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import HypothesisViolation, ValidationError
 from .exactlin import IntMatrix
 from .lattice import Lattice, LatticeVector
 from .mukai import MukaiVector
+from .records import record
 from .surface import H11Class, K3Model
 from .serialize import parse_int, parse_rational
 
@@ -59,7 +59,7 @@ def _checked_vector(lattice: Lattice, coords: tuple[Fraction, ...], where: str) 
     return lattice.vector(coords)
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     model: K3Model
     mukai: MukaiVector | None
@@ -146,7 +146,7 @@ def parse_config(raw: dict) -> Config:
             b_field = _checked_vector(model.ns, coords, "twist.b_field")
         try:
             twist = TwistData(s, b, b_field)
-        except Exception as exc:
+        except HypothesisViolation as exc:
             raise ValidationError(f"twist: {exc}") from exc
 
     embedding = None
@@ -162,15 +162,7 @@ def parse_config(raw: dict) -> Config:
             parse_int(body.get("g"), "existence.g"),
         )
 
-    return Config(
-        model=model,
-        mukai=mukai,
-        omega=omega,
-        omega_prime=omega_prime,
-        twist=twist,
-        embedding=embedding,
-        existence=existence,
-    )
+    return Config(model, mukai, omega, omega_prime, twist, embedding, existence)
 
 
 def load_config(path: str | Path) -> Config:

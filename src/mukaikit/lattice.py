@@ -8,7 +8,6 @@ in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -17,9 +16,10 @@ from typing import Iterable, Sequence
 from . import exactlin
 from .errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from .exactlin import IntMatrix, int_matrix, rational_signature
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(uncompared=("label",))
 class Lattice:
     """Free abelian group of finite rank with an integer Gram matrix.
 
@@ -28,7 +28,7 @@ class Lattice:
     """
 
     gram: IntMatrix
-    label: str = field(default="", compare=False)
+    label: str = ""
 
     def __post_init__(self):
         gram = int_matrix(self.gram)
@@ -62,12 +62,12 @@ class Lattice:
         return f"Lattice({name})"
 
 
-@dataclass(frozen=True)
+@record
 class LatticeVector:
     """A rational vector written in the basis of a fixed lattice."""
 
     lattice: Lattice
-    coords: tuple[Fraction, ...] = field(default=())
+    coords: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
@@ -211,7 +211,7 @@ def full_mukai_lattice() -> Lattice:
 # -- Invariants ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OrthogonalComplement:
     """Saturated orthogonal complement with its inclusion basis.
 

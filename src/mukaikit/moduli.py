@@ -10,7 +10,6 @@ stable bundles on surfaces with cyclic Neron-Severi group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -39,6 +38,7 @@ from .mukai import (
     mukai_square,
     topological_type,
 )
+from .records import record
 from .surface import H11Class, K3Model, is_polarization, is_projective_surface
 
 COPRIMALITY_NOTE = (
@@ -54,7 +54,7 @@ RATIONAL_GENERICITY_NOTE = (
 # -- Embedding into the abstract Mukai lattice --------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddedMukaiVector:
     """An integer vector of the rank-24 Mukai lattice U^4 (+) E8(-1)^2.
 
@@ -142,7 +142,7 @@ def standard_ns_embedding(ns: Lattice) -> IntMatrix:
 # -- The second cohomology lattice of the moduli space ------------------------
 
 
-@dataclass(frozen=True)
+@record
 class H2LatticeResult:
     lattice: Lattice
     signature: tuple[int, int, int]
@@ -228,7 +228,7 @@ def _h2_result(lat: Lattice, basis: IntMatrix, quotient: bool) -> H2LatticeResul
 # -- Projectivity criterion ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProjectivityCheck:
     projective_moduli: bool
     surface_projective: bool
@@ -268,11 +268,8 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     n_plus, n_zero, n_minus = m.ns.signature()
     sig = (n_plus, n_zero + (sq == 0), n_minus + (sq > 0))
     return ProjectivityCheck(
-        projective_moduli=n_plus >= 1,
-        surface_projective=n_plus >= 1,
-        gram=gram,
-        signature=sig,
-        isotropy_identity=(mukai_square(extra), -4 * r ** 2 * sq),
+        projective_moduli=n_plus >= 1, surface_projective=n_plus >= 1, gram=gram,
+        signature=sig, isotropy_identity=(mukai_square(extra), -4 * r ** 2 * sq),
     )
 
 
@@ -326,7 +323,7 @@ def transfer_image_of_v(v: MukaiVector) -> MukaiVector:
 # -- Existence and irreducibility on cyclic NS ---------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IrreducibilityVerdict:
     irreducible: bool
     min_lower_bound: Fraction | None
@@ -362,7 +359,7 @@ def irreducibility_oracle(r: int, xi_square, delta) -> IrreducibilityVerdict:
     return IrreducibilityVerdict(best > delta, best, argmin)
 
 
-@dataclass(frozen=True)
+@record
 class ExistenceVerdict:
     accepted: bool
     failures: tuple[str, ...]
@@ -426,7 +423,7 @@ def bundle_existence_check(r: int, d: int, g: int) -> ExistenceVerdict:
 # -- The moduli report -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ModuliReport:
     valid: bool
     reasons: tuple[str, ...]
@@ -503,16 +500,8 @@ def moduli_report(m: K3Model, v: MukaiVector, omega: H11Class) -> ModuliReport:
         deformation_class = f"Hilb^{n} of a projective K3"
 
     return ModuliReport(
-        valid=valid,
-        reasons=tuple(reasons),
-        mukai_square=sq,
-        dim=dim,
-        n=n,
-        deformation_class=deformation_class,
-        b2=b2,
-        rigid=rigid,
-        genericity=genericity,
-        projective_surface=projective_surface,
-        projective_moduli=projective_moduli,
+        valid=valid, reasons=tuple(reasons), mukai_square=sq, dim=dim, n=n,
+        deformation_class=deformation_class, b2=b2, rigid=rigid, genericity=genericity,
+        projective_surface=projective_surface, projective_moduli=projective_moduli,
         interpretation_notes=tuple(notes),
     )

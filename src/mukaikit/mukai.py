@@ -8,16 +8,16 @@ them; integrality is a checked property, not a type constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .errors import HypothesisViolation
 from .exactlin import bilinear, clear_denominators
 from .lattice import Lattice, LatticeVector, pairing
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class MukaiVector:
     v0: Fraction
     v1: LatticeVector
@@ -52,7 +52,7 @@ class MukaiVector:
         return f"({self.v0}, {self.v1!r}, {self.v2})"
 
 
-@dataclass(frozen=True)
+@record
 class TopologicalType:
     """Chern-class data (r, c1, c2) of a positive-rank sheaf."""
 

@@ -10,16 +10,16 @@ is signature-level, so desk-scale models suffice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from .exactlin import clear_denominators, mat_vec
 from .lattice import Lattice, LatticeVector, pairing
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class H11Class:
     """A (1,1) class split into its NS and transcendental parts."""
 
@@ -30,7 +30,7 @@ class H11Class:
         return f"({self.ns_part!r}; {self.t_part!r})"
 
 
-@dataclass(frozen=True)
+@record
 class K3Model:
     ns: Lattice
     reference_positive: H11Class
@@ -128,7 +128,7 @@ def is_polarization(m: K3Model, omega: H11Class) -> bool:
     return polarization_defect(m, omega) is None
 
 
-@dataclass(frozen=True)
+@record
 class NSProjection:
     """The NS component of a polarization, with its own positivity verdict."""
 

@@ -10,16 +10,16 @@ consumes exactly this data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolation, IntegralityWarning, ValidationError
 from .lattice import LatticeVector
 from .mukai import MukaiVector, exp_class, mukai_product, mukai_square
+from .records import record
 from .surface import H11Class
 
 
-@dataclass(frozen=True)
+@record
 class TwistData:
     """Invariants of a locally free twisting sheaf E."""
 
@@ -33,7 +33,7 @@ class TwistData:
         object.__setattr__(self, "b", Fraction(self.b))
 
 
-@dataclass(frozen=True)
+@record
 class TwistedSheafData:
     """Invariants (r, xi, a) of F relative to the twisting sheaf."""
 
@@ -121,7 +121,7 @@ def ch_B(che: MukaiVector, e: TwistData) -> MukaiVector:
     return mukai_product(che, exp_class(e.b_field))
 
 
-@dataclass(frozen=True)
+@record
 class SubobjectWall:
     """Wall data of a destabilizing subobject in the twisted setting."""
 

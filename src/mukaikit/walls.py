@@ -24,7 +24,6 @@ returned. The public constructors keep every check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -35,13 +34,14 @@ from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import bilinear, clear_denominators, content_of, mat_vec, vec_mat
 from .lattice import Lattice, LatticeVector, orthogonal_complement, pairing
 from .mukai import MukaiVector, discriminant
+from .records import record
 from .surface import H11Class, K3Model, polarization_defect
 
 if TYPE_CHECKING:
     from .twisted import TwistData, TwistedSheafData
 
 
-@dataclass(frozen=True)
+@record
 class WallProfile:
     """The two numbers the wall machinery needs: a rank and a discriminant."""
 
@@ -88,7 +88,7 @@ def wall_bound(v) -> Fraction:
     return Fraction(profile.rank ** 4 * delta.numerator, 2 * delta.denominator)
 
 
-@dataclass(frozen=True)
+@record
 class Wall:
     """A primitive NS class of negative square within the wall bound.
 
@@ -156,7 +156,7 @@ def wall_set_is_empty(m: K3Model, v) -> bool | None:
     return not shortvec.short_vectors_up_to_sign(neg, bound)
 
 
-@dataclass(frozen=True)
+@record
 class DestabilizerVerdict:
     """Classification of D = r zeta - s xi for a potential destabilizer."""
 
@@ -262,7 +262,7 @@ def walls_through_class(m: K3Model, v, omega: H11Class) -> list[Wall]:
     return [Wall._trusted(m.ns, key, sq, bound) for key, sq in found]
 
 
-@dataclass(frozen=True)
+@record
 class Segment:
     """The affine segment t -> (1-t) start + t end between two polarizations."""
 
@@ -276,7 +276,7 @@ class Segment:
         return H11Class(ns, tp)
 
 
-@dataclass(frozen=True)
+@record
 class WallCrossing:
     wall: Wall
     t: Fraction

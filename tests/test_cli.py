@@ -293,6 +293,15 @@ class TestExitCodes:
         assert err == (f"mukaikit {command}: hypothesis violated: "
                        "wall sets are defined for integral positive rank\n")
 
+    def test_twisting_sheaf_of_rank_zero(self, tmp_path):
+        # TwistData's own HypothesisViolation is reported as invalid input.
+        cfg = {**PROJECTIVE_CONFIG, "twist": {"s": 0, "b": 0}}
+        path = tmp_path / "rank0.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["twist", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "mukaikit twist: invalid input: twist: twisting sheaf must have rank >= 1\n"
+
     def test_exists_needs_arguments(self):
         code, _, err = invoke(["exists"])
         assert code == 2
@@ -425,11 +434,15 @@ WALLS_CONFIG = {  # PROJECTIVE_CONFIG with one wall and no twist section
 ON_WALL_CONFIG = {**WALLS_CONFIG, "omega": {"ns": [1, 0], "t": []}}
 FLOAT_CONFIG = {**WALLS_CONFIG, "omega": {"ns": [1, 0.25], "t": []}}
 
+# Standard-library modules no start-up path may load: ``dataclasses`` brings
+# in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each child compiles them.
+_NEVER_LOADED = ("dataclasses", "inspect")
 _REPORT_MODULES = (
     "import io, sys\n"
     "import mukaikit.cli\n"
     "code = mukaikit.cli.run(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO())\n"
     "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'mukaikit'))\n"
+    f"print(*sorted(m for m in {_NEVER_LOADED!r} if m in sys.modules))\n"
 )
 
 
@@ -441,10 +454,14 @@ def _write(tmp_path, name, cfg) -> str:
 
 def _loaded_by_child(argv) -> tuple[int, set[str]]:
     """Exit code of ``cli.run(argv)`` in a fresh interpreter, and the
-    ``mukaikit`` modules that interpreter has loaded when it returns."""
+    ``mukaikit`` modules that interpreter has loaded when it returns.
+
+    Asserts on the way that none of ``_NEVER_LOADED`` was loaded."""
     proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv],
                           capture_output=True, text=True, check=True)
-    code, *modules = proc.stdout.split()
+    ours, never = proc.stdout.split("\n")[:2]
+    assert never == ""
+    code, *modules = ours.split()
     return int(code), {m.removeprefix("mukaikit.") for m in modules}
 
 
@@ -486,6 +503,14 @@ class TestDispatchImports:
         code, loaded = _loaded_by_child([command, "--config", _write(tmp_path, command, cfg)])
         assert code == 0
         assert not loaded & absent
+
+    @pytest.mark.parametrize("command", ["generic", "chamber", "twist", "report", "exists"])
+    def test_no_subcommand_loads_dataclasses(self, tmp_path, command):
+        # The paths above assert it too; these are the subcommands they do not run.
+        cfg = _write(tmp_path, command, _subcommand_config(command))
+        code, loaded = _loaded_by_child([command, "--config", cfg])
+        assert code == 0
+        assert "cli" in loaded
 
 
 def _subcommand_config(command: str) -> dict:

@@ -7,7 +7,7 @@ verdict can pass through floating point. The exact layer is integer-only:
 ``exactlin`` imports nothing from ``fractions``, and its signature and the
 short-vector search reject a Fraction entry instead of scaling it.
 Every module-level private function is used somewhere in the library, so
-a deletion cannot leave a helper behind.
+a deletion cannot leave a helper behind. No module imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -123,7 +123,18 @@ def test_gram_comparison_check_sees_a_membership_test():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """``records.record`` makes the value classes; ``dataclasses`` would
+    load ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every CLI child."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "dataclasses" not in set(_imported_roots(tree))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_equality_is_dataclass_generated(path):
+    """No class body writes ``__eq__`` or ``__hash__``: the record generator
+    (``records.record``) now makes equality and hash for every value class,
+    as ``dataclass`` did before it, so identity has one definition."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     written = [f"{node.name}:{item.name}" for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef) for item in node.body

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +27,7 @@ from mukaikit import (
     transfer_multiplier,
 )
 from mukaikit.errors import HypothesisViolation, ValidationError
-from mukaikit.moduli import validate_ns_embedding
+from mukaikit.moduli import IrreducibilityVerdict, validate_ns_embedding
 
 from conftest import positive_reference, random_hyperbolic_ns, random_negative_definite_ns
 from fraction_oracle import generator_projectivity, loop_irreducibility_oracle
@@ -287,7 +286,8 @@ class TestIrreducibilityOracle:
                 assert want.irreducible and irreducibility_oracle(r, xi2, 0) == want
                 # At delta equal to the least bound the sheaf may be reducible.
                 least = want.min_lower_bound
-                assert irreducibility_oracle(r, xi2, least) == replace(want, irreducible=False)
+                assert irreducibility_oracle(r, xi2, least) == IrreducibilityVerdict(
+                    False, want.min_lower_bound, want.witness, want.trivial)
 
 
 class TestExistence:
