@@ -506,7 +506,8 @@ class TestDispatchImports:
 
     @pytest.mark.parametrize("command", ["generic", "chamber", "twist", "report", "exists"])
     def test_no_subcommand_loads_dataclasses(self, tmp_path, command):
-        # The paths above assert it too; these are the subcommands they do not run.
+        # _loaded_by_child asserts that dataclasses and inspect stay unloaded; the
+        # tests above run the other subcommands.
         cfg = _write(tmp_path, command, _subcommand_config(command))
         code, loaded = _loaded_by_child([command, "--config", cfg])
         assert code == 0
