@@ -26,7 +26,6 @@ from .serialize import (
     matrix_to_json,
     mukai_to_json,
     rational_to_json,
-    vector_to_json,
 )
 
 if TYPE_CHECKING:
@@ -48,7 +47,7 @@ def _require(value, name: str):
 
 def _wall_json(w: Wall) -> dict[str, Any]:
     return {
-        "d": vector_to_json(w.d),
+        "d": coords_to_json(w.d.coords),
         "d_square": rational_to_json(w.d_square),
     }
 
@@ -75,7 +74,7 @@ def _cmd_type(cfg: Config, args) -> dict[str, Any]:
     tau = topological_type(v)
     return {
         "r": tau.r,
-        "c1": vector_to_json(tau.c1),
+        "c1": coords_to_json(tau.c1.coords),
         "c2": tau.c2,
     }
 
@@ -95,11 +94,7 @@ def _cmd_walls(cfg: Config, args) -> dict[str, Any]:
     if cfg.model.ns.rank == 2:
         # Coefficient pairs (a, b) of the wall lines a x1 + b x2 = 0 in the
         # NS plane, ready for external plotting.
-        lines = []
-        for w in found:
-            form = mat_vec(cfg.model.ns.gram, w.d.coords)
-            lines.append(coords_to_json(form))
-        out["lines"] = lines
+        out["lines"] = [coords_to_json(mat_vec(cfg.model.ns.gram, w.d.num)) for w in found]
     return out
 
 

@@ -1,12 +1,12 @@
 """Exact integer linear algebra.
 
 Matrices are immutable tuples of row tuples of Python ints (arbitrary
-precision). Rational data stays at the API boundary: a caller clears
-denominators (``clear_denominators``) before it hands a matrix here, and
-the signature and short-vector entry points reject any entry that is not
-an int. No floating point is used anywhere: wall membership and
-signature verdicts downstream are exact predicates, so every primitive
-here must be exact too.
+precision). Rational data stays at the API boundary: a ``LatticeVector``
+keeps integer numerators over one denominator, callers hand those ints
+here, and the signature and short-vector entry points reject any entry
+that is not an int. No floating point is used anywhere: wall membership
+and signature verdicts downstream are exact predicates, so every
+primitive here must be exact too.
 
 Blocks. A symmetric matrix splits into the connected components of the
 graph i ~ j when m[i][j] != 0. After a permutation it is the block sum of

@@ -44,7 +44,7 @@ class Lattice:
         return len(self.gram)
 
     def vector(self, coords: Iterable) -> "LatticeVector":
-        return LatticeVector(self, tuple(coords))
+        return LatticeVector(self, coords)
 
     def basis_vector(self, i: int) -> "LatticeVector":
         if not 0 <= i < self.rank:
@@ -64,26 +64,46 @@ class Lattice:
 
 @record
 class LatticeVector:
-    """A rational vector written in the basis of a fixed lattice."""
+    """A rational vector of a fixed lattice, as ints ``num`` over one ``den``.
+
+    Kept in lowest terms, den >= 1 and gcd(den, *num) = 1, so equal vectors
+    have equal fields; ``coords`` gives the Fractions.
+    """
 
     lattice: Lattice
-    coords: tuple[Fraction, ...] = ()
+    num: tuple[int, ...] = ()
+    den: int = 1
 
     def __post_init__(self):
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != self.lattice.rank:
+        if type(self.den) is not int or self.den < 1:
+            raise ValidationError(f"vector denominator must be a positive int, got {self.den!r}")
+        num = tuple(self.num)
+        try:
+            num, den = exactlin.clear_denominators(num)
+        except AttributeError:  # an entry that is neither int nor Fraction, e.g. "1/2"
+            return self.__init__(self.lattice, tuple(map(Fraction, num)), self.den)
+        den *= self.den
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        if len(num) != self.lattice.rank:
             raise ValidationError(
-                f"vector of length {len(coords)} in a rank-{self.lattice.rank} lattice"
+                f"vector of length {len(num)} in a rank-{self.lattice.rank} lattice"
             )
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def dot(self, other: "LatticeVector") -> Fraction:
         return pairing(self, other)
@@ -93,18 +113,19 @@ class LatticeVector:
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         _check_same_lattice(self, other)
-        return LatticeVector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d, e = self.den, other.den
+        num = tuple(a * e + b * d for a, b in zip(self.num, other.num))
+        return LatticeVector(self.lattice, num, d * e)
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        _check_same_lattice(self, other)
-        return LatticeVector(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.lattice, tuple(-a for a in self.coords))
+        return LatticeVector(self.lattice, tuple(-a for a in self.num), self.den)
 
     def scale(self, k) -> "LatticeVector":
-        k = Fraction(k)
-        return LatticeVector(self.lattice, tuple(k * a for a in self.coords))
+        n, d = Fraction(k).as_integer_ratio()
+        return LatticeVector(self.lattice, tuple(n * a for a in self.num), d * self.den)
 
     def __repr__(self):
         return f"({', '.join(str(c) for c in self.coords)})"
@@ -118,14 +139,11 @@ def _check_same_lattice(x: LatticeVector, y: LatticeVector) -> None:
 def pairing(x: LatticeVector, y: LatticeVector) -> Fraction:
     """Intersection pairing x^T . gram . y, exact.
 
-    Both operands are cleared of denominators, x = a / dx and y = b / dy,
-    and a^T . gram . b is ``exactlin.bilinear`` on ints; the one Fraction
-    built is the result (a^T gram b) / (dx dy).
+    With x = a / dx and y = b / dy as stored, the one Fraction built is
+    (a^T gram b) / (dx dy), with ``exactlin.bilinear`` on ints.
     """
     _check_same_lattice(x, y)
-    a, dx = exactlin.clear_denominators(x.coords)
-    b, dy = (a, dx) if y is x else exactlin.clear_denominators(y.coords)
-    return Fraction(exactlin.bilinear(x.lattice.gram, a, b), dx * dy)
+    return Fraction(exactlin.bilinear(x.lattice.gram, x.num, y.num), x.den * y.den)
 
 
 # -- Standard lattices --------------------------------------------------------
@@ -230,9 +248,8 @@ def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> Orthogonal
             raise LatticeMismatchError("complement vectors must live in the given lattice")
     if not vs:
         return OrthogonalComplement(l, exactlin.identity(l.rank))
-    # x . gram . v = 0 is one integer linear condition after clearing
-    # the denominators of v.
-    rows = [exactlin.mat_vec(l.gram, exactlin.clear_denominators(v.coords)[0]) for v in vs]
+    # x . gram . v = 0 is one integer linear condition on the numerators of v.
+    rows = [exactlin.mat_vec(l.gram, v.num) for v in vs]
     basis = exactlin.integer_kernel_saturated(rows)
     if not basis:
         return OrthogonalComplement(Lattice((), f"{l.label}-perp"), ())
@@ -260,7 +277,7 @@ def content(x: LatticeVector) -> int:
         raise HypothesisViolation("content of the zero vector is undefined")
     if not x.is_integral:
         raise ValidationError("content requires integer coordinates")
-    return exactlin.content_of(tuple(int(c) for c in x.coords))
+    return exactlin.content_of(x.num)
 
 
 def coprime_rank_class(r: int, xi: LatticeVector) -> bool:
@@ -269,8 +286,4 @@ def coprime_rank_class(r: int, xi: LatticeVector) -> bool:
     Implemented as gcd(r, content(xi)) = 1, with content(0) read as 0 so
     the zero class is coprime to nothing once r >= 2.
     """
-    if xi.is_zero:
-        return abs(r) == 1
-    if not xi.is_integral:
-        return False
-    return gcd(r, content(xi)) == 1
+    return xi.is_integral and gcd(r, *xi.num) == 1

@@ -88,9 +88,8 @@ class EmbeddedMukaiVector:
             raise ValidationError("only integral Mukai vectors embed in the integral lattice")
         emb = int_matrix(ns_embedding)
         validate_ns_embedding(v.lattice, emb)
-        xi = tuple(int(c) for c in v.v1.coords)
         # NS = 0 has the empty embedding, which has no columns to read.
-        image = exactlin.vec_mat(xi, emb) if emb else (0,) * k3_lattice().rank
+        image = exactlin.vec_mat(v.v1.num, emb) if emb else (0,) * k3_lattice().rank
         # The square needs no check: validate_ns_embedding proved
         # E G_Lambda E^T = G_NS, so the image has square xi^2, and (r, -a) in
         # the first U adds -2ra; the total is xi^2 - 2ra = v^2.

@@ -84,13 +84,14 @@ def mukai_square(x: MukaiVector) -> Fraction:
 def discriminant(v: MukaiVector) -> Fraction:
     """v^2 / (2 v0^2) + 1; the Bogomolov-inequality quantity.
 
-    Cleared of denominators together, v = (r, x, a) / d with integers, so
-    v^2 = (x^2 - 2 r a) / d^2 and v0^2 = r^2 / d^2. The d^2 cancels:
+    Delta has degree 0 in v. Scaled by the denominator of v1 and cleared
+    of denominators together, k v = (r, x, a) with integers, so
+    v^2 = (x^2 - 2 r a) / k^2 and v0^2 = r^2 / k^2. The k^2 cancels:
     Delta = (x^2 - 2 r a + 2 r^2) / (2 r^2), one Fraction built from ints.
     """
     if v.v0 == 0:
         raise HypothesisViolation("discriminant requires nonzero rank")
-    (r, a, *x), _ = clear_denominators((v.v0, v.v2) + v.v1.coords)
+    (r, a, *x), _ = clear_denominators((v.v0 * v.v1.den, v.v2 * v.v1.den) + v.v1.num)
     return Fraction(bilinear(v.lattice.gram, x, x) - 2 * r * a + 2 * r * r, 2 * r * r)
 
 

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any
 from .errors import ValidationError
 
 if TYPE_CHECKING:
-    from .lattice import LatticeVector
     from .mukai import MukaiVector
 
 SCHEMA_VERSION = "1"
@@ -67,10 +66,6 @@ def parse_int(value, where: str) -> int:
     return value
 
 
-def vector_to_json(v: LatticeVector) -> list[str]:
-    return [rational_to_json(c) for c in v.coords]
-
-
 def coords_to_json(coords) -> list[str]:
     return [rational_to_json(c) for c in coords]
 
@@ -78,7 +73,7 @@ def coords_to_json(coords) -> list[str]:
 def mukai_to_json(v: MukaiVector) -> dict[str, Any]:
     return {
         "v0": rational_to_json(v.v0),
-        "v1": vector_to_json(v.v1),
+        "v1": coords_to_json(v.v1.coords),
         "v2": rational_to_json(v.v2),
     }
 

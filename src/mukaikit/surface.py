@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import HypothesisViolation, LatticeMismatchError, ValidationError
-from .exactlin import clear_denominators, mat_vec
+from .exactlin import mat_vec
 from .lattice import Lattice, LatticeVector, pairing
 from .records import record
 
@@ -103,23 +103,22 @@ def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str
     that of c.Gx for C = c / dc. A Fraction is built only for the message.
     """
     m._check_membership(omega)
-    x, dx = clear_denominators(omega.ns_part.coords)
-    y, dy = clear_denominators(omega.t_part.coords)
+    x, dx = omega.ns_part.num, omega.ns_part.den
+    y, dy = omega.t_part.num, omega.t_part.den
     gx, ty = mat_vec(m.ns.gram, x), mat_vec(m.t11.gram, y)
     ns_sq, t_sq = sum(map(mul, x, gx)), sum(map(mul, y, ty))
     if dy * dy * ns_sq + dx * dx * t_sq <= 0:
         return f"{name}^2={Fraction(ns_sq, dx * dx) + Fraction(t_sq, dy * dy)} <= 0"
-    u, du = clear_denominators(m.reference_positive.ns_part.coords)
-    z, dz = clear_denominators(m.reference_positive.t_part.coords)
+    u, du = m.reference_positive.ns_part.num, m.reference_positive.ns_part.den
+    z, dz = m.reference_positive.t_part.num, m.reference_positive.t_part.den
     ns_ref, t_ref = sum(map(mul, u, gx)), sum(map(mul, z, ty))
     if dy * dz * ns_ref + dx * du * t_ref <= 0:
         paired = Fraction(ns_ref, dx * du) + Fraction(t_ref, dy * dz)
         return f"{name}.reference={paired} <= 0"
     for c in m.curve_classes:
-        cx, dc = clear_denominators(c.coords)
-        value = sum(map(mul, cx, gx))
+        value = sum(map(mul, c.num, gx))
         if value <= 0:
-            return f"C.{name}={Fraction(value, dc * dx)} <= 0 for the curve class C={c!r}"
+            return f"C.{name}={Fraction(value, c.den * dx)} <= 0 for the curve class C={c!r}"
     return None
 
 

@@ -8,17 +8,17 @@ definite form, one of each pair +-x (for a segment, on a majorant ball
 that also holds the walls through either endpoint, with an integer Gram
 and clipped to the classes D with (D.omega)(D.omega') <= 0), and the
 filter after the search runs on integers. The forms G.omega of the
-polarizations are cleared of denominators once per call; the filter
-keeps the primitive hits only (``_in_bound`` shows that no wall is
-lost), and canonical sign, squares and sign tests work on int tuples.
-Crossings are sorted by an exact integer key (see
-``walls_crossing_segment``).
+polarizations are built once per call from the stored numerators
+(``LatticeVector.num``); the filter keeps the primitive hits only
+(``_in_bound`` shows that no wall is lost), and canonical sign, squares
+and sign tests work on int tuples. Crossings are sorted by an exact
+integer key (see ``walls_crossing_segment``).
 
 Each fact is checked once. The search and the filter prove on ints that
 a returned class is primitive, has canonical sign and satisfies
 -bound <= D^2 < 0, so the returned walls are built by the private
 ``Wall._trusted``, which skips the range and sign checks of ``Wall``; it
-stores the same Fractions D, D^2 and bound, and only for the walls
+stores the same D, D^2 and bound as ``Wall``, and only for the walls
 returned. The public constructors keep every check.
 """
 
@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING
 
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
-from .exactlin import bilinear, clear_denominators, content_of, mat_vec, vec_mat
-from .lattice import Lattice, LatticeVector, orthogonal_complement, pairing
+from .exactlin import bilinear, content_of, mat_vec, vec_mat
+from .lattice import Lattice, LatticeVector, orthogonal_complement
 from .mukai import MukaiVector, discriminant
 from .records import record
 from .surface import H11Class, K3Model, polarization_defect
@@ -107,7 +107,7 @@ class Wall:
         if not (sq.numerator < 0
                 and -bound.numerator * sq.denominator <= sq.numerator * bound.denominator):
             raise ValidationError("wall square out of range")
-        first = next((c.numerator for c in self.d.coords if c), 0)
+        first = next((c for c in self.d.num if c), 0)
         if first <= 0:
             raise ValidationError("wall class must be nonzero with canonical sign")
 
@@ -116,7 +116,7 @@ class Wall:
         """The wall of the primitive canonical ``key`` with square ``sq``, unchecked.
 
         For classes that ``_in_bound`` has proved to be walls; stores the
-        same Fractions as the public constructor and skips ``__post_init__``.
+        same fields as the public constructor and skips ``__post_init__``.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "d", LatticeVector(ns, key))
@@ -194,7 +194,7 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
             "out_of_range", d, sq, bound, None,
             f"square {sq} below the wall bound {-bound}",
         )
-    key = _primitive_canonical(clear_denominators(d.coords)[0])
+    key = _primitive_canonical(d.num)
     key_sq = Fraction(bilinear(d.lattice.gram, key, key))
     wall = Wall(d.lattice.vector(key), key_sq, bound, (s, zeta))
     return DestabilizerVerdict("wall", d, sq, bound, wall, "in range")
@@ -357,13 +357,9 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
     gram = m.ns.gram
     # NS parts x / do and x' / do' with x, x' integer, so D . omega = (w . D) / do
     # and D . omega' = (w' . D) / do' with the integer rows w = G x and w' = G x'.
-    x, do = clear_denominators(omega.ns_part.coords)
-    x_prime, do_prime = clear_denominators(omega_prime.ns_part.coords)
-    w, w_prime = mat_vec(gram, x), mat_vec(gram, x_prime)
-    tp, tp_prime = omega.t_part, omega_prime.t_part
-    a = Fraction(sum(map(mul, w, x)), do * do) + pairing(tp, tp)
-    b = Fraction(sum(map(mul, w, x_prime)), do * do_prime) + pairing(tp, tp_prime)
-    c = Fraction(sum(map(mul, w_prime, x_prime)), do_prime * do_prime) + pairing(tp_prime, tp_prime)
+    do, do_prime = omega.ns_part.den, omega_prime.ns_part.den
+    w, w_prime = mat_vec(gram, omega.ns_part.num), mat_vec(gram, omega_prime.ns_part.num)
+    a, b, c = m.square(omega), m.pair(omega, omega_prime), m.square(omega_prime)
     if b <= 0:
         # Both endpoints pair positively with the reference class, so they
         # share its cone component and b > 0 on every valid input.

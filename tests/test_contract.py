@@ -8,6 +8,8 @@ verdict can pass through floating point. The exact layer is integer-only:
 short-vector search reject a Fraction entry instead of scaling it.
 Every module-level private function is used somewhere in the library, so
 a deletion cannot leave a helper behind. No module imports ``dataclasses``.
+Denominators are cleared where a ``LatticeVector`` is built and in
+``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
 """
 
 from __future__ import annotations
@@ -140,3 +142,23 @@ def test_equality_is_dataclass_generated(path):
                if isinstance(node, ast.ClassDef) for item in node.body
                if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")]
     assert not written
+
+
+def _calls_of(tree: ast.AST, name: str) -> list[int]:
+    """Line numbers of calls to ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_denominators_are_cleared_once_in_lattice_and_mukai():
+    """A ``LatticeVector`` is integer numerators over one denominator, decided
+    in its constructor; ``mukai.discriminant`` clears a whole Mukai vector."""
+    sites = [path.name for path in SOURCES
+             for _ in _calls_of(ast.parse(path.read_text(encoding="utf-8")), "clear_denominators")]
+    assert sorted(sites) == ["lattice.py", "mukai.py"]
+
+
+def test_call_check_sees_bare_and_attribute_calls():
+    tree = ast.parse("clear_denominators(v)\nexactlin.clear_denominators(w)\nf(clear_denominators)\n")
+    assert _calls_of(tree, "clear_denominators") == [1, 2]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from mukaikit import (
 )
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from mukaikit.exactlin import smith_normal_form
+from mukaikit.lattice import LatticeVector
 
 from conftest import random_unimodular
+from fraction_oracle import _pair as fraction_pair
 
 
 class TestConstructors:
@@ -210,3 +213,86 @@ class TestContent:
 def test_direct_sum_block_structure():
     l = direct_sum([u_lattice(), diagonal_lattice([-2])])
     assert l.gram == ((0, 1, 0), (1, 0, 0), (0, 0, -2))
+
+
+# -- Vectors in lowest terms ------------------------------------------------------
+
+_ENTRY = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=60))
+
+
+@st.composite
+def _lattice_and_entries(draw):
+    """A random symmetric Gram of rank 1-4, two coordinate tuples and a scalar."""
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    entries = st.lists(_ENTRY, min_size=n, max_size=n).map(tuple)
+    return Lattice(tuple(map(tuple, gram))), draw(entries), draw(entries), draw(_ENTRY)
+
+
+class TestNormalForm:
+    """A vector is stored as ints ``num`` over one ``den``, in lowest terms."""
+
+    @given(_lattice_and_entries())
+    @settings(max_examples=60, deadline=None)
+    def test_lowest_terms_and_round_trip(self, case):
+        l, a, _, _ = case
+        x = l.vector(a)
+        assert all(type(c) is int for c in x.num) and type(x.den) is int
+        assert x.den >= 1 and gcd(x.den, *x.num) == 1
+        assert x.coords == tuple(Fraction(c) for c in a)
+        assert all(type(c) is Fraction for c in x.coords)
+        assert LatticeVector(l, x.num, x.den) == x == LatticeVector(l, x.coords)
+
+    @given(_lattice_and_entries())
+    @settings(max_examples=60, deadline=None)
+    def test_every_route_gives_equal_fields_and_hash(self, case):
+        l, a, b, k = case
+        x, y = l.vector(a), l.vector(b)
+        routes = [
+            (x + y, [p + q for p, q in zip(a, b)]),
+            (x - y, [p - q for p, q in zip(a, b)]),
+            (-x, [-p for p in a]),
+            (x.scale(k), [k * p for p in a]),
+            (x + y - y, a),
+            (y + x, [q + p for p, q in zip(a, b)]),
+        ]
+        for got, coords in routes:
+            want = l.vector(coords)
+            assert (got.lattice, got.num, got.den) == (want.lattice, want.num, want.den)
+            assert got == want and hash(got) == hash(want)
+
+    @given(_lattice_and_entries())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_matches_the_fraction_oracle(self, case):
+        l, a, b, k = case
+        x, y = l.vector(a), l.vector(b)
+        fa, fb, fk = [Fraction(c) for c in a], [Fraction(c) for c in b], Fraction(k)
+        assert (x + y).coords == tuple(p + q for p, q in zip(fa, fb))
+        assert (x - y).coords == tuple(p - q for p, q in zip(fa, fb))
+        assert x.scale(k).coords == tuple(fk * p for p in fa)
+        assert pairing(x, y) == fraction_pair(l.gram, fa, fb)
+        assert x.square() == fraction_pair(l.gram, fa, fa)
+
+    @pytest.mark.parametrize("den", [0, -1, Fraction(1, 2)])
+    def test_denominator_must_be_a_positive_int(self, den):
+        with pytest.raises(ValidationError, match="denominator must be a positive int"):
+            LatticeVector(diagonal_lattice([2, -2]), (1, 1), den)
+
+    def test_given_denominator_divides_the_entries(self):
+        ns = diagonal_lattice([2, -2])
+        x = LatticeVector(ns, (Fraction(2, 3), 4), 6)
+        assert (x.num, x.den) == ((1, 6), 9)
+        assert x.coords == (Fraction(1, 9), Fraction(2, 3))
+
+    def test_entries_that_fraction_reads_are_accepted(self):
+        ns = diagonal_lattice([2, -2])
+        x = LatticeVector(ns, ("1/2", 3))
+        assert (x.num, x.den) == ((1, 6), 2)
+        assert x == ns.vector((Fraction(1, 2), 3)) == ns.vector(["1/2", "3"])
+        assert LatticeVector(ns, (True, "-4/6")) == ns.vector((1, Fraction(-2, 3)))
+        assert LatticeVector(ns, ("1/3", 1), 5).coords == (Fraction(1, 15), Fraction(1, 5))
+        with pytest.raises(ValueError):
+            LatticeVector(ns, ("x", 1))
