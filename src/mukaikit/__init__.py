@@ -35,7 +35,6 @@ _EXPORTS = {
         "k3_lattice",
         "orthogonal_complement",
         "pairing",
-        "standard_lattice",
         "u_lattice",
     ),
     "mukai": (

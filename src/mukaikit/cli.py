@@ -13,6 +13,7 @@ process loads only what its subcommand runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import sys
 from typing import TYPE_CHECKING, Any, Callable, TextIO
@@ -344,9 +345,11 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     handler, needs_config = _COMMANDS[command]
     parser = _build_parser(command)
     try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return EXIT_VALIDATION
+        # argparse prints help to sys.stdout and usage errors to sys.stderr.
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(rest)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         if args.config is not None:
             from .config import load_config

@@ -17,7 +17,9 @@ its principal submatrices on those components.
   diagonal into the Smith form of the matrix it is equivalent to, and
   that form is unique.
 Lattice Grams are block sums: the Mukai Gram U^4 (+) E8(-1)^2 has 6
-blocks.
+blocks. ``rational_signature`` and ``signature_and_smith`` walk the
+blocks; ``signature_and_smith`` is the only Smith form split by block,
+and ``smith_normal_form`` reduces the whole matrix.
 
 Kernels split only off their zero columns. A zero column gives its unit
 row, and the other columns are solved together. Merged by pivot column
@@ -143,17 +145,13 @@ def _symmetric_blocks(m: Sequence[Sequence]) -> list[list[int]]:
                     if not seen[j]:
                         seen[j] = 1
                         block.append(j)
-                if len(block) == n:
-                    return [list(idx)]
             block.sort()
             out.append(block)
     return out
 
 
 def _principal(m, block):
-    """The principal submatrix of m on ``block``; m itself when the block is every index."""
-    if len(block) == len(m):
-        return m
+    """The principal submatrix of m on ``block``."""
     return [[m[i][j] for j in block] for i in block]
 
 
@@ -197,8 +195,6 @@ def unimodular_completion(row: Sequence[int]) -> IntMatrix:
     if not col or col[0][0] != 1:
         raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
     inv = invert_unimodular(transpose(t))
-    if k == n:
-        return inv
     out = [list(r) for r in identity(n)]
     for i, inv_row in zip(s, inv):
         out_row = out[i]
@@ -283,9 +279,9 @@ def _smith_diagonal(a: list[list[int]], rows: int, cols: int) -> list[int]:
         _row_hermite_inplace(a, [[] for _ in range(rows)], rows, cols)
         if _is_diagonal(a, rows, cols):
             break
-        at = [list(col) for col in zip(*a)] if a and a[0] else [[] for _ in range(cols)]
+        at = [list(col) for col in zip(*a)]
         _row_hermite_inplace(at, [[] for _ in range(cols)], cols, rows)
-        a = [list(col) for col in zip(*at)] if at and at[0] else [[] for _ in range(rows)]
+        a = [list(col) for col in zip(*at)]
     else:
         raise InternalError("Smith reduction did not converge")
     return [abs(a[i][i]) for i in range(min(rows, cols))]
@@ -298,20 +294,13 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     ``min(rows, cols)`` including trailing zeros for rank deficiency.
     Alternating row and column Hermite passes diagonalize the matrix,
     then a pairwise gcd/lcm sweep over the absolute diagonal enforces the
-    divisibility chain. No transform is kept.
-
-    A symmetric matrix is reduced block by block (module docstring): a
-    1x1 block is its own diagonal, and a block whose Bareiss minor D_n,
-    its determinant, is +-1 is unimodular and adds only 1s.
+    divisibility chain. No transform is kept. The whole matrix is reduced
+    at once; ``signature_and_smith`` is the one entry point that splits a
+    symmetric matrix into blocks.
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
-    if is_symmetric(mat):
-        diag = [d for sub, pivots, n_zero in _block_pivots(mat)
-                for d in _block_smith(sub, pivots, n_zero)]
-    else:
-        diag = _smith_diagonal([list(row) for row in mat], rows, cols)
-    return _divisibility_chain(diag)
+    return _divisibility_chain(_smith_diagonal([list(row) for row in mat], rows, cols))
 
 
 def _block_smith(sub, pivots, n_zero) -> list[int]:
@@ -381,8 +370,6 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
-    if cols == 0:
-        return ()
     live = [j for j, col in enumerate(zip(*mat)) if any(col)]
     if len(live) == cols:
         return _block_kernel(mat, rows, cols)
@@ -404,10 +391,7 @@ def _block_kernel(mat, rows: int, cols: int) -> IntMatrix:
     a = [list(col) for col in zip(*mat)]
     t = [list(row) for row in identity(cols)]
     _row_hermite_inplace(a, t, cols, rows)
-    basis = [row for h, row in zip(a, t) if not any(h)]
-    if not basis:
-        return ()
-    return hermite_normal_form(basis)
+    return hermite_normal_form([row for h, row in zip(a, t) if not any(h)])
 
 
 # -- Signatures --------------------------------------------------------------

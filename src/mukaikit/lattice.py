@@ -162,14 +162,14 @@ _E8_MINUS = (
 )
 
 
-def u_lattice(label: str = "U") -> Lattice:
+def u_lattice() -> Lattice:
     """Hyperbolic plane: Gram [[0,1],[1,0]]."""
-    return Lattice(((0, 1), (1, 0)), label)
+    return Lattice(((0, 1), (1, 0)), "U")
 
 
-def e8_minus_lattice(label: str = "E8(-1)") -> Lattice:
+def e8_minus_lattice() -> Lattice:
     """Negative definite E8 lattice (even, unimodular)."""
-    return Lattice(_E8_MINUS, label)
+    return Lattice(_E8_MINUS, "E8(-1)")
 
 
 def diagonal_lattice(entries: Sequence[int], label: str = "") -> Lattice:
@@ -190,24 +190,6 @@ def direct_sum(parts: Sequence[Lattice], label: str = "") -> Lattice:
             rows.append((0,) * offset + row + (0,) * (total - offset - part.rank))
         offset += part.rank
     return Lattice(tuple(rows), label or "(+)".join(p.label or "?" for p in parts))
-
-
-def standard_lattice(kind: str, entries: Sequence[int] | None = None,
-                     parts: Sequence[Lattice] | None = None) -> Lattice:
-    """Dispatcher over the standard constructors, keyed by name."""
-    if kind == "U":
-        return u_lattice()
-    if kind == "E8minus":
-        return e8_minus_lattice()
-    if kind == "diagonal":
-        if not entries:
-            raise ValidationError("diagonal lattice needs entries")
-        return diagonal_lattice(entries)
-    if kind == "direct_sum":
-        if not parts:
-            raise ValidationError("direct sum needs parts")
-        return direct_sum(parts)
-    raise ValidationError(f"unknown lattice kind {kind!r}")
 
 
 @cache
@@ -251,16 +233,12 @@ def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> Orthogonal
     # x . gram . v = 0 is one integer linear condition on the numerators of v.
     rows = [exactlin.mat_vec(l.gram, v.num) for v in vs]
     basis = exactlin.integer_kernel_saturated(rows)
-    if not basis:
-        return OrthogonalComplement(Lattice((), f"{l.label}-perp"), ())
     sub = Lattice(exactlin.congruence(basis, l.gram), f"{l.label}-perp")
     return OrthogonalComplement(sub, basis)
 
 
 def discriminant_group(l: Lattice) -> tuple[int, ...]:
     """Invariant factors of the finite group l^* / l, unit factors dropped."""
-    if l.rank == 0:
-        return ()
     diag = exactlin.smith_normal_form(l.gram)
     if any(d == 0 for d in diag):
         raise HypothesisViolation("discriminant group of a degenerate lattice")

@@ -145,8 +145,6 @@ def wall_set_is_empty(m: K3Model, v) -> bool | None:
     bound = wall_bound(v)
     if bound < 0:
         return True
-    if m.ns.rank == 0:
-        return True
     n_plus, _, _ = m.ns.signature()
     if n_plus > 0:
         return None
@@ -250,11 +248,7 @@ def walls_through_class(m: K3Model, v, omega: H11Class) -> list[Wall]:
     if defect:
         raise HypothesisViolation(f"walls are computed through polarizations only ({defect})")
     bound = wall_bound(v)
-    if bound < 0 or m.ns.rank == 0:
-        return []
     perp = orthogonal_complement(m.ns, (omega.ns_part,))
-    if not perp.basis:
-        return []
     neg = tuple(tuple(-x for x in r) for r in perp.sub.gram)
     hits = shortvec.short_vectors_up_to_sign(neg, bound)
     found = _in_bound(m.ns.gram, bound, (vec_mat(x, perp.basis) for x in hits))

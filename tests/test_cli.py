@@ -3,8 +3,11 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mukaikit.cli import run
 
@@ -37,6 +40,7 @@ USAGE = (
     "subcommands: chamber, crossings, exists, generic, h2, pairing, projective, report, twist,"
     " type, walls\n"
 )
+WALLS_USAGE = "usage: mukaikit walls [-h] [--config CONFIG] [--format {text,json}]"
 
 
 @pytest.fixture
@@ -369,6 +373,18 @@ class TestExitCodes:
         for flag in ("-h", "--help"):
             assert invoke([flag]) == (0, "", USAGE)
 
+    def test_subcommand_help_exits_0_on_the_given_stdout(self):
+        for flag in ("-h", "--help"):
+            code, out, err = invoke(["walls", flag])
+            assert (code, err) == (0, "")
+            assert out.startswith(f"{WALLS_USAGE}\n\noptions:\n")
+            assert "--config CONFIG       path to a JSON config file\n" in out
+
+    def test_usage_error_on_the_given_stderr(self):
+        code, out, err = invoke(["walls", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err == f"{WALLS_USAGE}\nmukaikit walls: error: unrecognized arguments: --bogus\n"
+
     @pytest.mark.parametrize("base, edits, message", [
         # The README's example.
         ("nonprojective", {("omega", "ns"): [1, 2]}, "omega.ns: expected length 1, got 2"),
@@ -533,6 +549,8 @@ CHILD_CASES.update({
     "float-in-config": (2, ["walls"], FLOAT_CONFIG),
     "endpoint-on-wall": (3, ["crossings"], ON_WALL_CONFIG),
     "unknown-subcommand": (64, ["frobnicate"], WALLS_CONFIG),
+    "subcommand-help": (0, ["walls", "--help"], WALLS_CONFIG),
+    "usage-error": (2, ["walls", "--bogus"], WALLS_CONFIG),
 })
 
 
@@ -555,3 +573,77 @@ def test_child_matches_in_process(tmp_path, case):
         code = run(argv)
     assert code == expected
     assert (child.returncode, child.stdout, child.stderr) == (code, out.getvalue(), err.getvalue())
+
+
+# -- valid-model fuzz: every subcommand on configs that pass validation -------------
+
+ALL_COMMANDS = ("pairing", "type", "walls", "generic", "chamber", "crossings", "twist",
+                "report", "h2", "projective", "exists")
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+def _json_rational(x: Fraction):
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def valid_configs(draw):
+    """A config that parses: a diagonal even NS of rank 0-3 with at most one
+    positive square, an optional T11 block (forced, positive, when NS has
+    none), and classes omega, omega' that pass the polarization test."""
+    rank = draw(st.integers(0, 3))
+    ns = [draw(st.sampled_from((-2, -4, -6, -10))) for _ in range(rank)]
+    if rank and draw(st.booleans()):
+        ns[draw(st.integers(0, rank - 1))] = draw(st.sampled_from((2, 4)))
+    if any(d > 0 for d in ns):
+        t11 = draw(st.sampled_from(([], [-2])))
+    else:
+        t11 = [draw(st.sampled_from((2, 4)))]
+    diag = ns + t11
+    pos = next(i for i, d in enumerate(diag) if d > 0)
+
+    def polarization():
+        coords = [draw(st.integers(1, 3)) if i == pos else draw(_SMALL)
+                  for i in range(len(diag))]
+        assume(sum(d * c * c for d, c in zip(diag, coords)) > 0)
+        return {"ns": [_json_rational(Fraction(c)) for c in coords[:rank]],
+                "t": [_json_rational(Fraction(c)) for c in coords[rank:]]}
+
+    cfg = {
+        "surface": {
+            "ns_gram": [[d if i == j else 0 for j in range(rank)] for i, d in enumerate(ns)],
+            "t11_gram": [[d] for d in t11],
+            "reference_positive": [int(i == pos) for i in range(len(diag))],
+        },
+        "mukai": {"r": draw(st.integers(0, 4)),
+                  "xi": [draw(st.integers(-2, 2)) for _ in range(rank)],
+                  "a": draw(st.integers(-3, 3))},
+        "omega": polarization(),
+        "omega_prime": polarization(),
+    }
+    if draw(st.booleans()):
+        cfg["twist"] = {"s": draw(st.integers(1, 3)), "b": draw(st.integers(-1, 1))}
+    if draw(st.booleans()):
+        cfg["existence"] = {"r": draw(st.integers(1, 3)), "d": draw(st.integers(-2, 2)),
+                            "g": draw(st.integers(-4, 2))}
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@given(cfg=valid_configs())
+@settings(max_examples=50, deadline=None)
+def test_valid_models_end_in_a_documented_exit_code(fuzz_config_path, cfg):
+    fuzz_config_path.write_text(json.dumps(cfg))
+    for command in ALL_COMMANDS:
+        code, out, err = invoke([command, "--config", str(fuzz_config_path), "--format", "json"])
+        assert code in (0, 2, 3), (command, err)
+        if code:
+            assert out == "" and err.startswith(f"mukaikit {command}: "), (command, err)
+        else:
+            assert err == ""
+            assert json.dumps(json.loads(out), sort_keys=True, indent=2, ensure_ascii=True) \
+                + "\n" == out

@@ -6,8 +6,10 @@ included), and no float literal or ``float`` name may appear, so no
 verdict can pass through floating point. The exact layer is integer-only:
 ``exactlin`` imports nothing from ``fractions``, and its signature and the
 short-vector search reject a Fraction entry instead of scaling it.
-Every module-level private function is used somewhere in the library, so
-a deletion cannot leave a helper behind. No module imports ``dataclasses``.
+Every module-level private function, and every public function of the
+internal modules ``exactlin`` and ``shortvec`` (which export nothing through
+``mukaikit.__all__``), is used somewhere in the library, so a deletion
+cannot leave a helper behind and no path is kept for tests alone. No module imports ``dataclasses``.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
 """
@@ -91,14 +93,32 @@ def _names_outside(tree: ast.AST, skip: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
+INTERNAL_MODULES = ("exactlin", "shortvec")
+
+
+def _needs_a_library_caller(module: str, name: str) -> bool:
+    private = name.startswith("_") and not name.startswith("__")
+    return private or module.removesuffix(".py") in INTERNAL_MODULES
+
+
 def test_every_private_function_is_used():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     orphans = [f"{name}:{node.name}"
                for name, tree in trees.items() for node in tree.body
-               if isinstance(node, ast.FunctionDef)
-               and node.name.startswith("_") and not node.name.startswith("__")
+               if isinstance(node, ast.FunctionDef) and _needs_a_library_caller(name, node.name)
                and not any(node.name in set(_names_outside(t, node)) for t in trees.values())]
     assert not orphans
+
+
+def test_internal_modules_export_nothing():
+    homes = {getattr(mukaikit, name).__module__ for name in mukaikit.__all__}
+    assert not homes & {f"mukaikit.{m}" for m in INTERNAL_MODULES}
+
+
+def test_caller_check_covers_internal_public_functions():
+    assert _needs_a_library_caller("exactlin.py", "identity")
+    assert _needs_a_library_caller("walls.py", "_in_bound")
+    assert not _needs_a_library_caller("lattice.py", "content")
 
 
 def _gram_comparisons(tree: ast.AST):

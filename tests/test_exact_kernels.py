@@ -470,6 +470,7 @@ def test_kernel_edge_shapes():
     assert integer_kernel_saturated(((0, 0, 0),)) == identity(3)
     assert integer_kernel_saturated(((1, 0), (0, 1))) == ()
     assert integer_kernel_saturated(((0,), (0,))) == ((1,),)
+    assert integer_kernel_saturated(((), ())) == ()
 
 
 # -- validate_ns_embedding ------------------------------------------------------------

@@ -17,7 +17,6 @@ from mukaikit import (
     k3_lattice,
     orthogonal_complement,
     pairing,
-    standard_lattice,
     u_lattice,
 )
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
@@ -51,14 +50,6 @@ class TestConstructors:
         assert e8.signature() == (0, 0, 8)
         assert discriminant_group(e8) == ()
         assert all(e8.gram[i][i] % 2 == 0 for i in range(8))
-
-    def test_standard_lattice_dispatcher(self):
-        assert standard_lattice("U").gram == u_lattice().gram
-        assert standard_lattice("diagonal", entries=[2, -4]).gram == ((2, 0), (0, -4))
-        both = standard_lattice("direct_sum", parts=[u_lattice(), u_lattice()])
-        assert both.rank == 4
-        with pytest.raises(ValidationError):
-            standard_lattice("nope")
 
     def test_gram_must_be_symmetric(self):
         with pytest.raises(ValidationError):
@@ -175,6 +166,7 @@ class TestDiscriminantGroup:
 
     def test_unimodular(self):
         assert discriminant_group(u_lattice()) == ()
+        assert discriminant_group(Lattice(())) == ()
 
     def test_minus_eight(self):
         assert discriminant_group(diagonal_lattice([-8])) == (8,)
