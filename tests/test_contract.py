@@ -9,7 +9,8 @@ short-vector search reject a Fraction entry instead of scaling it.
 Every module-level private function, and every public function of the
 internal modules ``exactlin`` and ``shortvec`` (which export nothing through
 ``mukaikit.__all__``), is used somewhere in the library, so a deletion
-cannot leave a helper behind and no path is kept for tests alone. No module imports ``dataclasses``.
+cannot leave a helper behind and no path is kept for tests alone. No
+module imports ``dataclasses``.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
 """
