@@ -71,7 +71,6 @@ _EXPORTS = {
     "walls": (
         "Segment",
         "Wall",
-        "WallProfile",
         "destabilizer_wall",
         "is_generic",
         "is_wall",

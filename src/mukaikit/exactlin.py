@@ -508,8 +508,3 @@ def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:
     if denom == 1:
         return tuple(map(_numerator, v)), 1
     return tuple(c.numerator * (denom // c.denominator) for c in v), denom
-
-
-def content_of(coords: Sequence[int]) -> int:
-    """gcd of the entries; 0 for the zero vector."""
-    return gcd(*coords)

@@ -255,7 +255,7 @@ def content(x: LatticeVector) -> int:
         raise HypothesisViolation("content of the zero vector is undefined")
     if not x.is_integral:
         raise ValidationError("content requires integer coordinates")
-    return exactlin.content_of(x.num)
+    return gcd(*x.num)
 
 
 def coprime_rank_class(r: int, xi: LatticeVector) -> bool:

@@ -80,7 +80,7 @@ class EmbeddedMukaiVector:
 
     @property
     def is_primitive(self) -> bool:
-        return exactlin.content_of(self.coords) == 1
+        return gcd(*self.coords) == 1
 
     @classmethod
     def from_algebraic(cls, v: MukaiVector, ns_embedding: IntMatrix) -> "EmbeddedMukaiVector":
@@ -483,10 +483,9 @@ def moduli_report(m: K3Model, v: MukaiVector, omega: H11Class) -> ModuliReport:
         if not genericity:
             reasons.append("omega lies on a wall of v")
 
+    # The verdict of projectivity_check, which is n_plus(NS) >= 1 as well.
     projective_surface = is_projective_surface(m)
-    projective_moduli: bool | None = None
-    if rank_ok and v.is_integral and sq >= 0:
-        projective_moduli = projectivity_check(m, v).projective_moduli
+    projective_moduli = projective_surface if rank_ok and v.is_integral and sq >= 0 else None
 
     deformation_class: str | None = None
     if rigid:

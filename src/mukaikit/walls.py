@@ -1,18 +1,23 @@
 """Walls and chambers for polarizations.
 
-For a positive-rank class with discriminant Delta, the wall classes are
-the D in NS with -r^4 Delta / 2 <= D^2 < 0; a polarization is generic
-when no wall class is orthogonal to it. Everything here is decided in
-exact arithmetic: each query runs one search for short vectors of a
-definite form, one of each pair +-x (for a segment, on a majorant ball
-that also holds the walls through either endpoint, with an integer Gram
-and clipped to the classes D with (D.omega)(D.omega') <= 0), and the
-filter after the search runs on integers. The forms G.omega of the
-polarizations are built once per call from the stored numerators
-(``LatticeVector.num``); the filter keeps the primitive hits only
-(``_in_bound`` shows that no wall is lost), and canonical sign, squares
-and sign tests work on int tuples. Crossings are sorted by an exact
-integer key (see ``walls_crossing_segment``).
+Every function here takes a Mukai vector v of integral positive rank r.
+With discriminant Delta of v, the wall classes are the D in NS with
+-r^4 Delta / 2 <= D^2 < 0; a polarization is generic when no wall class
+is orthogonal to it. A twisted class enters through its twisted Mukai
+vector ``twisted.v_E``, which has the same rank and the discriminant
+``twisted.delta_E``, so its wall set is that of v_E.
+
+Everything here is decided in exact arithmetic: each query runs one
+search for short vectors of a definite form, one of each pair +-x (for
+a segment, on a majorant ball that also holds the walls through either
+endpoint, with an integer Gram and clipped to the classes D with
+(D.omega)(D.omega') <= 0), and the filter after the search runs on
+integers. The forms G.omega of the polarizations are built once per
+call from the stored numerators (``LatticeVector.num``); the filter
+keeps the primitive hits only (``_in_bound`` shows that no wall is
+lost), and canonical sign, squares and sign tests work on int tuples.
+Crossings are sorted by an exact integer key (see
+``walls_crossing_segment``).
 
 Each fact is checked once. The search and the filter prove on ints that
 a returned class is primitive, has canonical sign and satisfies
@@ -27,65 +32,32 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING
 
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
-from .exactlin import bilinear, content_of, mat_vec, vec_mat
+from .exactlin import bilinear, mat_vec, vec_mat
 from .lattice import Lattice, LatticeVector, orthogonal_complement
 from .mukai import MukaiVector, discriminant
 from .records import record
 from .surface import H11Class, K3Model, polarization_defect
 
-if TYPE_CHECKING:
-    from .twisted import TwistData, TwistedSheafData
 
-
-@record
-class WallProfile:
-    """The two numbers the wall machinery needs: a rank and a discriminant."""
-
-    rank: int
-    delta: Fraction
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise HypothesisViolation("wall sets are defined for positive rank")
-        rank = Fraction(self.rank)
-        if rank.denominator != 1:
-            raise HypothesisViolation("wall sets are defined for integral positive rank")
-        object.__setattr__(self, "rank", rank.numerator)
-        object.__setattr__(self, "delta", Fraction(self.delta))
-
-    @classmethod
-    def of(cls, v) -> "WallProfile":
-        if isinstance(v, WallProfile):
-            return v
-        if isinstance(v, MukaiVector):
-            if v.v0 < 1:
-                raise HypothesisViolation("wall sets are defined for positive rank")
-            return cls(v.v0, discriminant(v))
-        raise ValidationError(f"cannot derive a wall profile from {v!r}")
-
-    @classmethod
-    def twisted(cls, f: TwistedSheafData, e: TwistData) -> "WallProfile":
-        """Profile of a twisted class; same machinery, twisted discriminant."""
-        from .twisted import delta_E
-
-        return cls(f.r, delta_E(f, e))
-
-
-def wall_bound(v) -> Fraction:
+def wall_bound(v: MukaiVector) -> Fraction:
     """r^4 Delta / 2 = r^2 (v^2 + 2 r^2) / 4. Negative exactly when the wall set is empty.
 
     ``discriminant`` reads Delta = (v^2 + 2 r^2) / (2 r^2) off the integer
-    Mukai square as one Fraction n / d in lowest terms, and a twisted
-    profile carries its Delta the same way; the bound is the Fraction
-    r^4 n / (2 d).
+    Mukai square as one Fraction n / d in lowest terms; the bound is the
+    Fraction r^4 n / (2 d). A twisted class enters through its twisted
+    Mukai vector ``twisted.v_E``, whose discriminant is ``delta_E``.
     """
-    profile = WallProfile.of(v)
-    delta = profile.delta
-    return Fraction(profile.rank ** 4 * delta.numerator, 2 * delta.denominator)
+    if not isinstance(v, MukaiVector):
+        raise ValidationError(f"wall sets are defined for Mukai vectors, not {v!r}")
+    if v.v0 < 1:
+        raise HypothesisViolation("wall sets are defined for positive rank")
+    if v.v0.denominator != 1:
+        raise HypothesisViolation("wall sets are defined for integral positive rank")
+    delta = discriminant(v)
+    return Fraction(v.v0.numerator ** 4 * delta.numerator, 2 * delta.denominator)
 
 
 @record
@@ -126,7 +98,7 @@ class Wall:
         return self
 
 
-def is_wall(d: LatticeVector, v) -> bool:
+def is_wall(d: LatticeVector, v: MukaiVector) -> bool:
     """Membership of an integral NS class in the wall set of v."""
     if not d.is_integral:
         raise ValidationError("wall membership is tested on integral classes")
@@ -135,7 +107,7 @@ def is_wall(d: LatticeVector, v) -> bool:
     return -bound <= sq < 0
 
 
-def wall_set_is_empty(m: K3Model, v) -> bool | None:
+def wall_set_is_empty(m: K3Model, v: MukaiVector) -> bool | None:
     """Whether no NS class at all satisfies the wall inequality.
 
     Decided exactly when the bound is negative or NS is negative definite
@@ -173,12 +145,11 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
     [-r^4 Delta/2, 0]; anything outside is reported as an inconsistency
     rather than silently kept.
     """
-    profile = WallProfile.of(v)
-    r = profile.rank
+    bound = wall_bound(v)
+    r = v.v0.numerator
     if not 0 < s < r:
         raise HypothesisViolation(f"subsheaf rank {s} must lie strictly between 0 and {r}")
     d = zeta.scale(r) - v.v1.scale(s)
-    bound = wall_bound(profile)
     sq = d.square()
     if d.is_zero:
         return DestabilizerVerdict("zero", d, sq, bound, None, "proportional Chern classes")
@@ -200,7 +171,7 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
 
 def _primitive_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
     """The primitive vector on the line of nonzero ``coords``, first nonzero entry positive."""
-    g = content_of(coords)
+    g = gcd(*coords)
     if next(c for c in coords if c) < 0:
         g = -g
     return coords if g == 1 else tuple(c // g for c in coords)
@@ -236,7 +207,7 @@ def _in_bound(gram, bound: Fraction, hits) -> list[tuple[tuple[int, ...], int]]:
     return found
 
 
-def walls_through_class(m: K3Model, v, omega: H11Class) -> list[Wall]:
+def walls_through_class(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wall]:
     """All wall classes of v orthogonal to the polarization omega.
 
     The conditions D . omega = 0 cut a saturated sublattice of NS on
@@ -263,7 +234,7 @@ class Segment:
     start: H11Class
     end: H11Class
 
-    def at(self, m: K3Model, t: Fraction) -> H11Class:
+    def at(self, t: Fraction) -> H11Class:
         t = Fraction(t)
         ns = self.start.ns_part.scale(1 - t) + self.end.ns_part.scale(t)
         tp = self.start.t_part.scale(1 - t) + self.end.t_part.scale(t)
@@ -326,7 +297,7 @@ def _sort_by_t(crossings: list) -> None:
     crossings.sort(key=lambda c: ((c[0] * scale) // c[1], c[2]))
 
 
-def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
+def walls_crossing_segment(m: K3Model, v: MukaiVector, seg: Segment) -> list[WallCrossing]:
     """All walls separating the endpoints, each with its crossing parameter.
 
     Both endpoints must be generic (no wall through either); walls are
@@ -385,12 +356,12 @@ def walls_crossing_segment(m: K3Model, v, seg: Segment) -> list[WallCrossing]:
             for p, n, key, sq in crossings]
 
 
-def is_generic(m: K3Model, v, omega: H11Class) -> bool:
+def is_generic(m: K3Model, v: MukaiVector, omega: H11Class) -> bool:
     """True when no wall class of v is orthogonal to omega."""
     return not walls_through_class(m, v, omega)
 
 
-def same_chamber(m: K3Model, v, omega: H11Class, omega_prime: H11Class) -> bool:
+def same_chamber(m: K3Model, v: MukaiVector, omega: H11Class, omega_prime: H11Class) -> bool:
     """Whether two generic polarizations see the same stable sheaves.
 
     Chambers are convex, so this is equivalent to the segment between

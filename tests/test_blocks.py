@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from mukaikit.errors import InternalError, ValidationError
 from mukaikit.exactlin import (
-    content_of,
     integer_kernel_saturated,
     is_symmetric,
     mat_vec,
@@ -130,7 +130,7 @@ def _sparse_primitive_row(rng: random.Random):
         if rng.random() < 0.5:
             row[0] = 0
         support = [j for j, x in enumerate(row) if x]
-        if support and support != list(range(len(support))) and content_of(row) == 1:
+        if support and support != list(range(len(support))) and gcd(*row) == 1:
             if next(x for x in row if x) < 0:
                 row = [-x for x in row]
             return tuple(row)
@@ -155,7 +155,7 @@ def _summand_row(rng: random.Random, where: str):
     start = rng.choice([6, 14])
     while True:
         part = [rng.choice([0, 0, rng.randint(-2, 2)]) for _ in range(8)]
-        if any(part) and content_of(part) == 1:
+        if any(part) and gcd(*part) == 1:
             row[start:start + 8] = part
             return tuple(row)
 

@@ -10,7 +10,9 @@ Every module-level private function, and every public function of the
 internal modules ``exactlin`` and ``shortvec`` (which export nothing through
 ``mukaikit.__all__``), is used somewhere in the library, so a deletion
 cannot leave a helper behind and no path is kept for tests alone. No
-module imports ``dataclasses``.
+module imports ``dataclasses``. The wall layer takes one argument type, a
+Mukai vector: ``walls`` imports nothing from ``twisted``, whose classes
+enter through ``twisted.v_E``.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
 """
@@ -183,3 +185,37 @@ def test_denominators_are_cleared_once_in_lattice_and_mukai():
 def test_call_check_sees_bare_and_attribute_calls():
     tree = ast.parse("clear_denominators(v)\nexactlin.clear_denominators(w)\nf(clear_denominators)\n")
     assert _calls_of(tree, "clear_denominators") == [1, 2]
+
+
+def _mukaikit_modules(tree: ast.AST):
+    """The ``mukaikit`` submodules that ``tree`` imports, anywhere in it, by short name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("mukaikit."):
+                    yield alias.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "mukaikit":
+                continue
+            parts = module.split(".")[1:] if node.level == 0 else module.split(".")
+            if parts and parts[0]:
+                yield parts[0]
+            else:  # ``from . import twisted`` names the submodules themselves
+                yield from (alias.name for alias in node.names)
+
+
+def test_walls_imports_nothing_from_twisted():
+    """A twisted class reaches the wall layer as ``v_E``, a ``MukaiVector``."""
+    path = Path(mukaikit.__file__).parent / "walls.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "twisted" not in set(_mukaikit_modules(tree))
+
+
+def test_import_check_sees_every_form_of_import():
+    tree = ast.parse("from .twisted import v_E\n"
+                     "def f():\n    from . import shortvec, twisted\n"
+                     "import mukaikit.lattice\nfrom mukaikit.mukai import dual\n"
+                     "from mukaikit import surface\nfrom fractions import Fraction\n")
+    assert sorted(_mukaikit_modules(tree)) == [
+        "lattice", "mukai", "shortvec", "surface", "twisted", "twisted"]

@@ -21,7 +21,7 @@ import io
 import random
 from fractions import Fraction as F
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from mukaikit.errors import InternalError, ValidationError
 from mukaikit.exactlin import (
     congruence,
     congruence_pivots,
-    content_of,
     hermite_normal_form,
     identity,
     integer_kernel_saturated,
@@ -101,7 +100,7 @@ def test_invert_smith_right_transform_of_primitive_row(seed):
     n = rng.randint(2, 24)
     row = [rng.randint(-6, 6) for _ in range(n)]
     row[rng.randrange(n)] = 1
-    assert content_of(row) == 1
+    assert gcd(*row) == 1
     _, _, right = reference_smith((tuple(row),))
     inv = invert_unimodular(right)
     assert matmul(right, inv) == identity(n)
@@ -605,7 +604,7 @@ def _random_primitive_row(rng: random.Random):
         if rng.random() < 0.5:
             row[rng.randrange(n)] = rng.choice([2, 3, 6]) * rng.randint(1, 4)
         lead = next((x for x in row if x), 0)
-        if content_of(row) == 1:
+        if gcd(*row) == 1:
             return tuple(x if lead > 0 else -x for x in row)
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mukaikit import H11Class, K3Model, Lattice, Segment, WallProfile, diagonal_lattice
+from mukaikit import H11Class, K3Model, Lattice, MukaiVector, Segment, diagonal_lattice
 from mukaikit.errors import LatticeMismatchError, ValidationError
 from mukaikit.exactlin import clear_denominators
 from mukaikit.lattice import pairing
@@ -79,7 +79,7 @@ def test_rank3_segment_through_four_walls_at_one_t():
     # omega_{1/3} is (1, 1/2, 0), orthogonal to (0, 0, 1), (1, 2, 0) and (1, 2, +-1).
     ns = diagonal_lattice((2, -2, -4))
     m = K3Model(ns=ns, reference_positive=H11Class(ns.vector((1, 0, 0)), Lattice(()).zero()))
-    profile = WallProfile(2, F(3, 2))  # bound 12
+    profile = MukaiVector(2, ns.zero(), 2 * (1 - F(3, 2)))  # Delta = 3/2: bound 12
     start, end = m.h11((1, F(5, 6), F(1, 5))), m.h11((1, F(-1, 6), F(-2, 5)))
     got = walls_crossing_segment(m, profile, Segment(start, end))
     at_third = [c.wall.d.coords for c in got if c.t == F(1, 3)]

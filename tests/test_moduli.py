@@ -374,6 +374,31 @@ class TestModuliReport:
             if rep.valid:
                 assert rep.dim is not None and rep.dim % 2 == 0 and rep.dim >= 0
 
+    def test_projective_moduli_is_the_projectivity_verdict(self):
+        # The report reads the verdict of projectivity_check wherever that
+        # check is defined (integral v, integer rank >= 2, v^2 >= 0), else None.
+        rng = random.Random(72)
+        t11 = diagonal_lattice([2], "T")
+        seen = set()
+        for _ in range(60):
+            if rng.random() < 0.5:
+                ns = random_hyperbolic_ns(rng, rng.randint(1, 3))
+                omega = H11Class(positive_reference(ns, rng), Lattice(()).zero())
+                m = K3Model(ns=ns, reference_positive=omega)
+            else:
+                ns = random_negative_definite_ns(rng, rng.randint(1, 2))
+                omega = H11Class(ns.zero(), t11.vector((1,)))
+                m = K3Model(ns=ns, t11=t11, reference_positive=omega)
+            r = rng.choice((F(1), F(2), F(3), F(5, 2)))
+            xi = ns.vector([F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(ns.rank)])
+            v = MukaiVector(r, xi, F(rng.randint(-10, 2)))
+            rep = moduli_report(m, v, omega)
+            defined = v.is_integral and r.denominator == 1 and r >= 2 and mukai_square(v) >= 0
+            want = projectivity_check(m, v).projective_moduli if defined else None
+            assert rep.projective_moduli == want
+            seen.add(want)
+        assert seen == {True, False, None}
+
     def test_hypotheses_enumerated(self, nonprojective, zl):
         v = MukaiVector(F(1), zl.basis_vector(0).scale(2), F(-20))
         rep = moduli_report(nonprojective, v, nonprojective.h11((1,), (1,)))

@@ -34,7 +34,7 @@ from mukaikit.mukai import MukaiVector, TopologicalType
 from mukaikit.records import record
 from mukaikit.surface import H11Class, K3Model, NSProjection
 from mukaikit.twisted import SubobjectWall, TwistData, TwistedSheafData
-from mukaikit.walls import DestabilizerVerdict, Segment, Wall, WallCrossing, WallProfile
+from mukaikit.walls import DestabilizerVerdict, Segment, Wall, WallCrossing
 
 # Fields left out of == and hash; every other field is compared.
 UNCOMPARED = {"Lattice": {"label"}}
@@ -73,7 +73,6 @@ def _examples() -> dict:
         "K3Model": model,
         "NSProjection": NSProjection(omega.ns_part, True, omega),
         "Config": Config(model, v, omega, omega_prime, None, None, (2, 0, -4)),
-        "WallProfile": WallProfile(2, Fraction(5, 4)),
         "Wall": wall,
         "DestabilizerVerdict": DestabilizerVerdict(
             "wall", ns.vector((0, 2)), Fraction(-8), Fraction(10), wall, "in range"),
@@ -160,7 +159,6 @@ REPRS = {
         "WallCrossing(wall=Wall(d=(0, 1), d_square=Fraction(-2, 1), bound=Fraction(5, 2), "
         "source=None), t=Fraction(1, 2))"
     ),
-    "WallProfile": "WallProfile(rank=2, delta=Fraction(5, 4))",
 }
 
 
@@ -174,7 +172,7 @@ def _compared(x) -> tuple:
 
 
 def test_every_record_class_has_an_example():
-    assert len(RECORDS) >= 23
+    assert len(RECORDS) >= 22
     assert set(RECORDS) == set(EXAMPLES) == set(REPRS)
     assert all(type(EXAMPLES[name]) is cls for name, cls in RECORDS.items())
 
@@ -258,8 +256,6 @@ def test_post_init_normalises():
     assert type(v.v0) is Fraction and type(v.v2) is Fraction
     assert type(TwistData(2, 3).b) is Fraction
     assert type(TwistedSheafData(2, ns.vector((1, 0)), 1).a) is Fraction
-    profile = WallProfile(Fraction(4, 2), 3)
-    assert (type(profile.rank), type(profile.delta)) == (int, Fraction)
     assert all(type(c) is Fraction for c in LatticeVector(ns, (1, 2)).coords)
     assert Lattice([[2]]).gram == ((2,),)
     ref = EXAMPLES["K3Model"].reference_positive

@@ -11,7 +11,8 @@ and read the wall bound off a closed form. Here:
   deduplicates;
 - ``polarization_defect``, decided on ints, gives the verdict and message
   of the Fraction pairings;
-- ``wall_bound`` equals r^4 Delta / 2 computed in Fractions;
+- ``wall_bound`` equals r^4 Delta / 2 computed in Fractions, and on a
+  twisted v_E it is r^4 delta_E / 2;
 - the public ``LatticeVector`` keeps the checks the trusted one skips
   (``tests/test_integer_paths.py`` has those of ``Wall``).
 """
@@ -32,12 +33,12 @@ from mukaikit import (
     Segment,
     TwistData,
     TwistedSheafData,
-    WallProfile,
     delta_E,
     diagonal_lattice,
     discriminant,
     wall_bound,
     walls_crossing_segment,
+    v_E,
     walls_through_class,
 )
 from mukaikit import shortvec
@@ -69,9 +70,10 @@ def _model(rng, base):
     return K3Model(ns=ns, reference_positive=H11Class(ref, Lattice(()).zero())), inv
 
 
-def _profile(r: int) -> WallProfile:
-    """v^2 = 2 at rank r: bound r^2 (r^2 + 1) / 2."""
-    return WallProfile(r, F(1, r * r) + 1)
+def _profile(ns: Lattice, r: int) -> MukaiVector:
+    """v^2 = 2 at rank r, as (r, 0, r (1 - Delta)): bound r^2 (r^2 + 1) / 2."""
+    delta = F(1, r * r) + 1
+    return MukaiVector(r, ns.zero(), r * (1 - delta))
 
 
 def _recording(monkeypatch) -> list:
@@ -114,7 +116,7 @@ def _crossing_cases():
         found = 0
         while found < 4:
             model, inv = _model(rng, base)
-            profile = _profile(rng.randint(3, 5 if len(base) == 2 else 4))
+            profile = _profile(model.ns, rng.randint(3, 5 if len(base) == 2 else 4))
             seg = _segment(rng, model, inv, base)
             try:
                 crossings = walls_crossing_segment(model, profile, seg)
@@ -142,7 +144,7 @@ def _through_cases():
                 if sum(b * c * c for b, c in zip(base, y)) > 0:
                     break
             omega = model.h11([F(c, 7) for c in mat_vec(inv, y)])
-            cases.append((model, _profile(rng.randint(3, 4)), omega))
+            cases.append((model, _profile(model.ns, rng.randint(3, 4)), omega))
     return cases
 
 
@@ -347,27 +349,16 @@ def test_twisted_profile_bounds_unchanged():
         xi = ns.vector(tuple(rng.randint(-5, 5) for _ in range(ns.rank)))
         f = TwistedSheafData(rng.randint(1, 8), xi, F(rng.randint(-20, 20), rng.randint(1, 4)))
         e = TwistData(rng.randint(1, 4), F(rng.randint(-6, 6), rng.randint(1, 3)))
-        profile = WallProfile.twisted(f, e)
-        assert profile.rank == f.r and type(profile.rank) is int
-        assert wall_bound(profile) == F(f.r) ** 4 * delta_E(f, e) / 2
+        v = v_E(f, e)
+        assert v.v0 == f.r and discriminant(v) == delta_E(f, e)
+        assert wall_bound(v) == F(f.r) ** 4 * delta_E(f, e) / 2
 
 
 @pytest.mark.parametrize("rank", [F(3, 2), F(7, 3), 2.5])
 def test_profile_rejects_a_non_integral_rank(rank):
     ns = diagonal_lattice([2, -2])
     with pytest.raises(HypothesisViolation, match="^wall sets are defined for integral positive rank$"):
-        WallProfile(rank, F(1))
-    if isinstance(rank, F):
-        with pytest.raises(HypothesisViolation,
-                           match="^wall sets are defined for integral positive rank$"):
-            wall_bound(MukaiVector(rank, ns.vector((1, 0)), F(0)))
-
-
-def test_profile_keeps_an_integral_rank_as_int():
-    ns = diagonal_lattice([2, -2])
-    profile = WallProfile.of(MukaiVector(F(4), ns.vector((1, 0)), F(0)))
-    assert profile.rank == 4 and type(profile.rank) is int
-    assert WallProfile(F(4), F(1)) == WallProfile(4, F(1))
+        wall_bound(MukaiVector(rank, ns.vector((1, 0)), F(0)))
 
 
 # -- The public vector keeps its checks ----------------------------------------------------

@@ -24,8 +24,8 @@ from mukaikit import (
     H11Class,
     K3Model,
     Lattice,
+    MukaiVector,
     Segment,
-    WallProfile,
     diagonal_lattice,
     is_polarization,
     wall_bound,
@@ -74,12 +74,12 @@ def _congruent_model(seed: int, rank: int):
     return model, inv
 
 
-def _profile(rank: int, r: int, k: int) -> WallProfile:
-    # Rank 2 uses v^2 = 2 (bounds 630 to 5050); rank 3 takes v^2 = 2k - 2r^2,
-    # so Delta = k / r^2 and the bound r^2 k / 2 keeps the Fraction oracle quick.
-    if rank == 2:
-        return WallProfile(r, F(2, 2 * r * r) + 1)
-    return WallProfile(r, F(k, r * r))
+def _profile(ns: Lattice, r: int, k: int) -> MukaiVector:
+    # (r, 0, r (1 - Delta)) has discriminant Delta. Rank 2 uses v^2 = 2 (bounds
+    # 630 to 5050); rank 3 takes v^2 = 2k - 2r^2, so Delta = k / r^2 and the
+    # bound r^2 k / 2 keeps the Fraction oracle quick.
+    delta = F(2, 2 * r * r) + 1 if ns.rank == 2 else F(k, r * r)
+    return MukaiVector(r, ns.zero(), r * (1 - delta))
 
 
 @st.composite
@@ -87,7 +87,7 @@ def crossing_cases(draw):
     """A short segment anywhere in the positive cone, endpoints over primes."""
     rank = draw(st.sampled_from((2, 3)))
     model, inv = _congruent_model(draw(st.integers(0, 10**6)), rank)
-    profile = _profile(rank, draw(st.integers(6, 10)), draw(st.integers(1, 8)))
+    profile = _profile(model.ns, draw(st.integers(6, 10)), draw(st.integers(1, 8)))
     base = FAMILIES[rank]
     # Centre (1, y[, z]) in the diagonal basis with 2 y^2 (+ 4 z^2) <= 0.95^2 * 2;
     # near the boundary of the cone the crossing walls have large coordinates.
@@ -134,7 +134,7 @@ def axis_cases(draw):
     ref = ns.vector(mat_vec(inv, [1] + [0] * (rank - 1)))
     model = K3Model(ns=ns, reference_positive=H11Class(ref, Lattice(()).zero()))
     # Bounds 10 or 45 on rank 2, at most 36 on rank 3.
-    profile = _profile(rank, draw(st.integers(2, 3)), draw(st.integers(1, 8)))
+    profile = _profile(ns, draw(st.integers(2, 3)), draw(st.integers(1, 8)))
     assert wall_bound(profile) < -gram[0][0]
     e_sq = sum(b * c * c for b, c in zip(base, e0))
 
@@ -264,7 +264,7 @@ ON_WALL = [
 def test_on_wall_message_cases(entries, start, end, message):
     ns = diagonal_lattice(entries, "NS")
     model = K3Model(ns=ns, reference_positive=H11Class(ns.basis_vector(0), Lattice(()).zero()))
-    profile = WallProfile(2, F(1))
+    profile = MukaiVector(2, ns.zero(), 0)  # Delta = 1
     seg = Segment(model.h11(start), model.h11(end))
     assert _check_on_wall_message(model, profile, seg) == message
     _check_candidate_bound(model, profile, seg)
@@ -286,7 +286,7 @@ def through_cases(draw):
     # -(D^2 h - (h.D) D) is orthogonal to D, of positive square, on h's side.
     dd, hd = _dot(gram, d, d), _dot(gram, h, d)
     omega = model.h11([-(dd * hc - hd * dc) for hc, dc in zip(h, d)])
-    return model, _profile(rank, draw(st.integers(6, 10)), draw(st.integers(1, 8))), omega
+    return model, _profile(model.ns, draw(st.integers(6, 10)), draw(st.integers(1, 8))), omega
 
 
 @settings(SETTINGS, max_examples=30)

@@ -10,19 +10,23 @@ from mukaikit import (
     Lattice,
     MukaiVector,
     Segment,
-    WallProfile,
+    TwistData,
+    TwistedSheafData,
+    delta_E,
     destabilizer_wall,
     diagonal_lattice,
+    discriminant,
     is_generic,
     is_polarization,
     is_wall,
     same_chamber,
+    v_E,
     wall_bound,
     wall_set_is_empty,
     walls_crossing_segment,
     walls_through_class,
 )
-from mukaikit.errors import HypothesisViolation, InternalError
+from mukaikit.errors import HypothesisViolation, InternalError, ValidationError
 from mukaikit.walls import segment_candidate_bound
 
 from conftest import (
@@ -106,6 +110,10 @@ class TestBoundAndMembership:
         ns = diagonal_lattice([-10], "ZL")
         with pytest.raises(HypothesisViolation):
             wall_bound(MukaiVector(F(0), ns.basis_vector(0), F(1)))
+        # A twisted class enters as v_E, never as its raw data.
+        data = TwistedSheafData(2, ns.basis_vector(0), F(1))
+        with pytest.raises(ValidationError, match="^wall sets are defined for Mukai vectors"):
+            wall_bound(data)
 
 
 class TestDestabilizer:
@@ -196,7 +204,7 @@ class TestCrossings:
         assert got[0].wall.d.coords == (0, 1)
         assert got[0].t == F(1, 2)
         # The wall is orthogonal to the segment point at its parameter.
-        mid = seg.at(rank2_model, got[0].t)
+        mid = seg.at(got[0].t)
         assert rank2_model.pair_ns(got[0].wall.d, mid) == 0
 
     def test_same_side_no_crossing(self, rank2_model):
@@ -226,7 +234,7 @@ class TestCrossings:
         assert len(got) == 1
         assert got[0].wall.d.coords == (1,)
         assert got[0].t == F(1, 2)
-        mid = seg.at(m, F(1, 2))
+        mid = seg.at(F(1, 2))
         assert mid.ns_part.is_zero and m.square(mid) == 18
 
     def test_endpoint_on_wall_rejected(self, rank2_model):
@@ -291,31 +299,28 @@ class TestCrossings:
 
 class TestTwistedWalls:
     def test_profile_from_twisted_data(self):
-        from mukaikit import TwistData, TwistedSheafData, delta_E
-
+        # v_E has rank r and discriminant delta_E, so its bound is r^4 delta_E / 2.
         ns = diagonal_lattice([2, -2], "NS")
         f = TwistedSheafData(2, ns.vector((1, 1)), F(1))
         e = TwistData(2, F(0))
-        profile = WallProfile.twisted(f, e)
-        assert profile.delta == delta_E(f, e)
-        assert wall_bound(profile) == F(16) * profile.delta / 2
+        v = v_E(f, e)
+        assert v.v0 == f.r and discriminant(v) == delta_E(f, e)
+        assert wall_bound(v) == F(16) * delta_E(f, e) / 2
 
     def test_twisted_profile_drives_enumeration(self, rank2_model):
-        # Same machinery as the untwisted case, with the twisted
-        # discriminant: an untwisted profile of equal (rank, delta) agrees.
-        from mukaikit import TwistData, TwistedSheafData
-
+        # Same machinery as the untwisted case: the walls of v_E under the
+        # trivial twist are those of the untwisted v.
         ns = rank2_model.ns
         h, f = ns.basis_vector(0), ns.basis_vector(1)
         data = TwistedSheafData(2, h + f, F(-2))
-        profile = WallProfile.twisted(data, TwistData(1, F(0)))
+        twisted = v_E(data, TwistData(1, F(0)))
         v = MukaiVector(F(2), h + f, F(0))  # v(F) for ch2 = -2
-        assert profile.delta == F(1)
+        assert delta_E(data, TwistData(1, F(0))) == discriminant(v) == F(1)
         omega = rank2_model.h11((1, 0))
-        via_profile = walls_through_class(rank2_model, profile, omega)
+        via_twisted = walls_through_class(rank2_model, twisted, omega)
         via_vector = walls_through_class(rank2_model, v, omega)
-        assert via_profile == via_vector
-        assert [w.d.coords for w in via_profile] == [(0, 1)]
+        assert via_twisted == via_vector
+        assert [w.d.coords for w in via_twisted] == [(0, 1)]
 
 
 class TestDenseRank3:
