@@ -1,6 +1,6 @@
 """Walls and chambers for polarizations.
 
-Every function here takes a Mukai vector v of integral positive rank r.
+The wall functions take a Mukai vector v of integral positive rank r.
 With discriminant Delta of v, the wall classes are the D in NS with
 -r^4 Delta / 2 <= D^2 < 0; a polarization is generic when no wall class
 is orthogonal to it. A twisted class enters through its twisted Mukai

@@ -36,9 +36,9 @@ from mukaikit import (
     delta_E,
     diagonal_lattice,
     discriminant,
+    v_E,
     wall_bound,
     walls_crossing_segment,
-    v_E,
     walls_through_class,
 )
 from mukaikit import shortvec
