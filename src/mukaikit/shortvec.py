@@ -26,12 +26,21 @@ exactly on
   - everything or nothing by the sign of P R when p_0 = r_0 = 0.
 Floor and ceiling divisions turn the rational roots into integer
 ranges, which are cut from x_0's interval in increasing order, so the
-vectors kept come in the order of the unclipped search.
+vectors kept come in the order of the unclipped search. No clip is the
+clip p = r = 0, which keeps every x_0.
+
+Levels 1 and 0 run as one loop over x_1 (``_last_two``), where the search
+spends most of its steps: with x_2.. fixed, T_0 and the clip constants
+P and R are affine in x_1, so each step updates them by one addition,
+x_0's interval comes from one ``isqrt`` and two floor divisions, and
+``zip`` builds the vectors of each kept range. Only the levels above 1
+recurse. The vectors and their order are those of the plain recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
@@ -75,23 +84,19 @@ def _integer_levels(q: Sequence[Sequence[int]], bound: Fraction):
     return c, e, rows, bound.numerator * (s // bound.denominator)
 
 
-def _clip(lo, hi, clip, x):
-    """The integers x_0 in [lo, hi] with p(x) r(x) <= 0, as increasing ranges.
-
-    ``x`` holds x_1.. with x_0 = 0, so P = p(x) and R = r(x) are the
-    constant terms of the two forms, affine in x_0 (see the module notes).
-    """
-    p, r = clip
-    p0, r0 = p[0], r[0]
-    big_p, big_r = sum(map(mul, p, x)), sum(map(mul, r, x))
+def _clip(lo, hi, p0, r0, big_p, big_r):
+    """The integers x_0 in [lo, hi] with (p_0 x_0 + P)(r_0 x_0 + R) <= 0, as increasing ranges."""
     if p0 and r0:
-        # Roots -P/p0 and -R/r0: floors f and ceilings c.
+        # Roots -P/p0 and -R/r0: floors f1 <= f2 and ceilings c1 <= c2.
         f1, f2 = -big_p // p0, -big_r // r0
         c1, c2 = -(big_p // p0), -(big_r // r0)
+        if f1 > f2:
+            f1, f2 = f2, f1
+        if c1 > c2:
+            c1, c2 = c2, c1
         if (p0 > 0) == (r0 > 0):
-            return (range(max(lo, min(c1, c2)), min(hi, max(f1, f2)) + 1),)
-        f = min(f1, f2)
-        return range(lo, min(hi, f) + 1), range(max(lo, max(c1, c2), f + 1), hi + 1)
+            return (range(c1 if c1 > lo else lo, (f2 if f2 < hi else hi) + 1),)
+        return range(lo, min(hi, f1) + 1), range(max(lo, c2, f1 + 1), hi + 1)
     if p0 or r0:
         # k (a x_0 + b) <= 0 with the constant factor k.
         k, a, b = (big_r, p0, big_p) if p0 else (big_p, r0, big_r)
@@ -106,23 +111,45 @@ def _clip(lo, hi, clip, x):
     return (range(lo, hi + 1),) if big_p * big_r <= 0 else ()
 
 
-def _leaves(lo, hi, clip, x, out):
-    """Append (x_0, x_1, ...) for the x_0 in [lo, hi] that the clip keeps."""
-    rest = tuple(x[1:])
-    for span in (range(lo, hi + 1),) if clip is None else _clip(lo, hi, clip, x):
-        out.extend((xi,) + rest for xi in span)
+def _last_two(c, e, rows, x, remaining, lo1, hi1, t1, out, clip):
+    """Levels 1 and 0 as one loop: each x_1 in [lo1, hi1], then its x_0 ranges.
+
+    ``x`` holds the fixed x_2.. (its first two entries are not read), ``t1``
+    is T_1 and ``remaining`` what levels 1 and 0 may use. T_0 and the clip
+    constants P = p(x), R = r(x) at x_0 = 0 are affine in x_1, so each
+    step adds rows[0][1], p_1 and r_1 to them; every x_0 interval comes from
+    one ``isqrt`` and two floor divisions, and ``zip`` builds the vectors.
+    """
+    (p, r), rest = clip, x[2:]
+    c1, e1, c0, e0, u = c[1], e[1], c[0], e[0], rows[0][1]
+    p0, p1, r0, r1 = p[0], p[1], r[0], r[1]
+    t0 = u * lo1 + sum(map(mul, rows[0][2:], rest))
+    big_p = p1 * lo1 + sum(map(mul, p[2:], rest))
+    big_r = r1 * lo1 + sum(map(mul, r[2:], rest))
+    y = e1 * lo1 + t1
+    fixed = [repeat(xj) for xj in rest]
+    for x1 in range(lo1, hi1 + 1):
+        s = isqrt((remaining - c1 * y * y) // c0)
+        lo, hi = -((s + t0) // e0), (s - t0) // e0
+        if lo <= hi:
+            for span in _clip(lo, hi, p0, r0, big_p, big_r):
+                out.extend(zip(span, repeat(x1), *fixed))
+        y += e1
+        t0 += u
+        big_p += p1
+        big_r += r1
 
 
 def _search(c, e, rows, level, x, remaining, out, clip):
-    # Coordinates are fixed from the last index downwards. On level i,
-    # c_i y^2 <= remaining with y = e_i x_i + T_i bounds |y| by
+    # Coordinates are fixed from the last index downwards, here for level >= 1.
+    # On level i, c_i y^2 <= remaining with y = e_i x_i + T_i bounds |y| by
     # s = isqrt(remaining // c_i), exactly, since y^2 is an integer.
     t = sum(map(mul, rows[level], x))
     s = isqrt(remaining // c[level])
     den = e[level]
     lo, hi = -((s + t) // den), (s - t) // den
-    if level == 0:
-        _leaves(lo, hi, clip, x, out)
+    if level == 1:
+        _last_two(c, e, rows, x, remaining, lo, hi, t, out, clip)
         return
     for xi in range(lo, hi + 1):
         x[level] = xi
@@ -154,15 +181,22 @@ def short_vectors_up_to_sign(q: Sequence[Sequence[int]], bound, clip=None) -> li
     if not is_symmetric(q):
         raise ValidationError("short vectors require a symmetric form")
     c, e, rows, total = _integer_levels(q, bound)
+    if clip is None:
+        clip = ((0,) * n, (0,) * n)  # p = r = 0 keeps every vector
     out: list[Vec] = []
     x = [0] * n
-    for lead in range(n - 1, 0, -1):
+    for lead in range(n - 1, 1, -1):
         # x_j = 0 above ``lead``, so T_lead = 0 and y = e_lead x_lead.
         for xl in range(1, isqrt(total // c[lead]) // e[lead] + 1):
             x[lead] = xl
             y = e[lead] * xl
             _search(c, e, rows, lead - 1, x, total - c[lead] * y * y, out, clip)
         x[lead] = 0
-    # Last, x = (x_0, 0, ..., 0) with x_0 > 0.
-    _leaves(1, isqrt(total // c[0]) // e[0], clip, x, out)
+    if n > 1:
+        # x = (x_0, x_1, 0, ..., 0) with x_1 > 0.
+        _last_two(c, e, rows, x, total, 1, isqrt(total // c[1]) // e[1], 0, out, clip)
+    # Last, x = (x_0, 0, ..., 0) with x_0 > 0, where P = R = 0.
+    zeros = (0,) * (n - 1)
+    for span in _clip(1, isqrt(total // c[0]) // e[0], clip[0][0], clip[1][0], 0, 0):
+        out.extend((xi,) + zeros for xi in span)
     return out

@@ -13,9 +13,12 @@ a segment, on a majorant ball that also holds the walls through either
 endpoint, with an integer Gram and clipped to the classes D with
 (D.omega)(D.omega') <= 0), and the filter after the search runs on
 integers. The forms G.omega of the polarizations are built once per
-call from the stored numerators (``LatticeVector.num``); the filter
-keeps the primitive hits only (``_in_bound`` shows that no wall is
-lost), and canonical sign, squares and sign tests work on int tuples.
+call from the stored numerators (``LatticeVector.num``), and the set-up
+of a segment query runs on ints: omega^2, omega.omega' and omega'^2, NS
+and transcendental parts together, each times a product of the
+denominators, give the majorant bound as one Fraction. The filter keeps
+the primitive hits only (``_in_bound`` shows that no wall is lost), and
+canonical sign, squares and sign tests work on int tuples.
 Crossings are sorted by an exact integer key (see
 ``walls_crossing_segment``).
 
@@ -247,9 +250,14 @@ class WallCrossing:
     t: Fraction
 
 
-def _majorant_bound(bound: Fraction, a: Fraction, b: Fraction, c: Fraction) -> Fraction:
-    """bound * (2 b^2 - ac) / (ac), for a = w^2, b = w.w' and c = w'^2."""
-    return bound * (2 * b * b - a * c) / (a * c)
+def _majorant_bound(bound: Fraction, a, b, c, scale: int = 1) -> Fraction:
+    """scale * bound * (2 b^2 - ac) / (ac), for a = w^2, b = w.w' and c = w'^2.
+
+    The value is unchanged when a, b, c are replaced by k^2 a, k l b, l^2 c
+    for any k, l > 0, so ints with the denominators of w and w' cleared
+    serve as well as the Fractions; either way it is one Fraction.
+    """
+    return Fraction(scale * bound.numerator * (2 * b * b - a * c), bound.denominator * a * c)
 
 
 def segment_candidate_bound(m: K3Model, omega: H11Class, omega_prime: H11Class,
@@ -270,17 +278,18 @@ def segment_candidate_bound(m: K3Model, omega: H11Class, omega_prime: H11Class,
                            m.square(omega_prime))
 
 
-def _majorant(gram, w, scale: Fraction):
+def _majorant(gram, w, num: int, den: int):
     """The majorant M as an integer Gram an * M, and an.
 
-    Here omega_ns = x / do with x integer, w = G x and scale = do^2 omega^2
-    = an / ad in lowest terms, an > 0. Then (y.omega)^2 / omega^2 =
+    Here omega_ns = x / do with x integer, w = G x and do^2 omega^2 =
+    num / den = an / ad in lowest terms, an > 0. Then (y.omega)^2 / omega^2 =
     ad (w.y)^2 / an, so an * M(y) = 2 ad (w.y)^2 - an y^2. The search on
     an * M with bound an * mbound finds the vectors of M with mbound, in
     the same order, since the LDL split and every interval it cuts are
     invariant under a positive scale.
     """
-    an, ad = scale.as_integer_ratio()
+    g = gcd(num, den)
+    an, ad = num // g, den // g
     twice = 2 * ad
     maj = tuple(tuple(twice * wi * wj - an * gij for wj, gij in zip(w, row))
                 for wi, row in zip(w, gram))
@@ -319,21 +328,30 @@ def walls_crossing_segment(m: K3Model, v: MukaiVector, seg: Segment) -> list[Wal
         defect = polarization_defect(m, endpoint, symbol)
         if defect:
             raise HypothesisViolation(f"segment {name} point is not a polarization ({defect})")
-    gram = m.ns.gram
+    gram, tgram = m.ns.gram, m.t11.gram
     # NS parts x / do and x' / do' with x, x' integer, so D . omega = (w . D) / do
     # and D . omega' = (w' . D) / do' with the integer rows w = G x and w' = G x'.
-    do, do_prime = omega.ns_part.den, omega_prime.ns_part.den
-    w, w_prime = mat_vec(gram, omega.ns_part.num), mat_vec(gram, omega_prime.ns_part.num)
-    a, b, c = m.square(omega), m.pair(omega, omega_prime), m.square(omega_prime)
+    x, do = omega.ns_part.num, omega.ns_part.den
+    x_prime, do_prime = omega_prime.ns_part.num, omega_prime.ns_part.den
+    w, w_prime = mat_vec(gram, x), mat_vec(gram, x_prime)
+    # With the T parts y / dy and y' / dy', the squares and the pairing times
+    # (do dy)^2, do dy do' dy' and (do' dy')^2, on ints.
+    y, dy = omega.t_part.num, omega.t_part.den
+    y_prime, dy_prime = omega_prime.t_part.num, omega_prime.t_part.den
+    ty, ty_prime = mat_vec(tgram, y), mat_vec(tgram, y_prime)
+    a = dy * dy * sum(map(mul, x, w)) + do * do * sum(map(mul, y, ty))
+    b = (dy * dy_prime * sum(map(mul, x_prime, w))
+         + do * do_prime * sum(map(mul, y_prime, ty)))
+    c = (dy_prime * dy_prime * sum(map(mul, x_prime, w_prime))
+         + do_prime * do_prime * sum(map(mul, y_prime, ty_prime)))
     if b <= 0:
         # Both endpoints pair positively with the reference class, so they
         # share its cone component and b > 0 on every valid input.
-        raise InternalError(
-            f"endpoints lie in different positive-cone components (omega.omega'={b})"
-        )
+        raise InternalError(f"endpoints lie in different positive-cone components "
+                            f"(omega.omega'={Fraction(b, do * dy * do_prime * dy_prime)})")
     bound = wall_bound(v)
-    maj, an = _majorant(gram, w, do * do * a)
-    hits = shortvec.short_vectors_up_to_sign(maj, _majorant_bound(bound, a, b, c) * an,
+    maj, an = _majorant(gram, w, a, dy * dy)  # do^2 omega^2 = a / dy^2
+    hits = shortvec.short_vectors_up_to_sign(maj, _majorant_bound(bound, a, b, c, an),
                                              (w, w_prime))
     crossings, on_wall = [], []
     for key, sq in _in_bound(gram, bound, hits):

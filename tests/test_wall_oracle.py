@@ -3,7 +3,9 @@
 Random congruent rank-2 and rank-3 NS Grams at Mukai ranks 6-10, where
 wall classes reach coordinates past the 50-box of the numpy oracles, and
 segments with rational endpoints, some with an endpoint orthogonal to
-the first basis vector. The short-vector search is checked against a
+the first basis vector, and segments on models with a transcendental
+block (NS of rank 1 to 3, projective or not), whose T parts enter the
+segment set-up. The short-vector search is checked against a
 brute-force box and the Fraction search on random positive definite
 rational forms, which it sees with their denominators cleared, and its
 leaf clip against filtering the unclipped search.
@@ -189,6 +191,109 @@ def test_crossings_with_axis_endpoint_match_fraction_oracle(case):
     _check_against_oracle(*case)
 
 
+@st.composite
+def transcendental_cases(draw):
+    """A short segment on a model with a nonzero transcendental block T.
+
+    NS has rank 1 to 3 and Gram P^T diag P. Either NS is hyperbolic and T
+    negative definite, or NS is negative definite and T holds the positive
+    direction (a non-projective model). Both endpoints have nonzero T parts
+    over prime denominators of their own, so omega^2, omega.omega' and
+    omega'^2 each carry a T term with a denominator apart from the NS one.
+    """
+    # <2> alone has no wall, so a projective NS has rank 2 or 3.
+    projective, rank = draw(st.sampled_from(((True, 2), (True, 3), (False, 1), (False, 2),
+                                             (False, 3))))
+    base = (2, -2, -4)[:rank] if projective else (-2, -4, -6)[:rank]
+    t_base = ((-2, -4) if projective else (6, -2))[:draw(st.integers(1, 2))]
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    p = random_unimodular(rng, rank, rng.randint(0, 6))
+    gram = tuple(tuple(sum(p[k][i] * base[k] * p[k][j] for k in range(rank))
+                       for j in range(rank)) for i in range(rank))
+    inv = invert_unimodular(p)
+    ns, t11 = Lattice(gram, "NS"), diagonal_lattice(t_base, "T")
+    if projective:
+        ref = H11Class(ns.vector(mat_vec(inv, (1,) + (0,) * (rank - 1))), t11.zero())
+    else:
+        ref = H11Class(ns.zero(), t11.basis_vector(0))
+    model = K3Model(ns=ns, reference_positive=ref, t11=t11)
+    r, k = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    profile = MukaiVector(r, ns.zero(), r * (1 - F(k, r * r)))  # bound r^2 k / 2
+    # The unit coordinate: the first NS one if projective, else the first T one.
+    free = (rank - 1, len(t_base)) if projective else (rank, len(t_base) - 1)
+    centre = [draw(st.integers(-300, 300)) for _ in range(sum(free))]
+    step = [draw(st.integers(-150, 150)) for _ in centre]
+    prime = st.sampled_from((101, 1009, 10007, 99991))
+    ends = []
+    for sign in (-1, 1):
+        ns_prime, t_prime = draw(prime), draw(prime)
+        coords = []
+        for c, u, den in zip(centre, step, [ns_prime] * free[0] + [t_prime] * free[1]):
+            num = (c + sign * u) * den // 1000
+            coords.append(F(num + (num % den == 0), den))
+        unit = F(t_prime + draw(st.integers(-3, 3)), t_prime)
+        if projective:
+            x, y = [F(1)] + coords[:free[0]], coords[free[0]:]
+        else:
+            x, y = coords[:free[0]], [unit] + coords[free[0]:]
+        sq = sum(b * c * c for b, c in zip(base + t_base, x + y))
+        assume(sq > 0)
+        ends.append(model.h11(mat_vec(inv, x), y))
+    return model, profile, Segment(*ends)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(transcendental_cases())
+def test_crossings_with_transcendental_block_match_fraction_oracle(case):
+    _check_against_oracle(*case)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(transcendental_cases())
+def test_search_gets_the_majorant_of_the_full_h11_pairing(case):
+    """The form, bound and clip the search receives, from the Fraction pairings with T."""
+    model, profile, seg = case
+    gram = model.ns.gram
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return short_vectors_up_to_sign(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("mukaikit.walls.shortvec.short_vectors_up_to_sign", recorded)
+        try:
+            walls_crossing_segment(model, profile, seg)
+        except HypothesisViolation:
+            pass
+    x, do = clear_denominators(seg.start.ns_part.coords)
+    maj, an = _majorant(gram, mat_vec(gram, x),
+                        *(do * do * model.square(seg.start)).as_integer_ratio())
+    mbound = segment_candidate_bound(model, seg.start, seg.end, wall_bound(profile)) * an
+    rows = tuple(mat_vec(gram, clear_denominators(e.ns_part.coords)[0])
+                 for e in (seg.start, seg.end))
+    assert calls == [(maj, mbound, rows)]
+
+
+def test_crossings_on_zero_ns_are_empty():
+    """NS = 0 with T = <2>: no class can be a wall, and no Gram entry is read."""
+    ns, t11 = Lattice(()), diagonal_lattice((2,), "T")
+    model = K3Model(ns=ns, reference_positive=H11Class(ns.zero(), t11.vector((1,))), t11=t11)
+    seg = Segment(model.h11((), (F(1, 3),)), model.h11((), (F(7, 5),)))
+    assert walls_crossing_segment(model, MukaiVector(3, ns.zero(), -5), seg) == []
+
+
+def test_crossings_on_rank1_ns_match_fraction_oracle():
+    """NS = <-2> with T = <2>: the wall e, crossed where the NS part changes sign."""
+    ns, t11 = diagonal_lattice((-2,), "NS"), diagonal_lattice((2,), "T")
+    model = K3Model(ns=ns, reference_positive=H11Class(ns.zero(), t11.vector((1,))), t11=t11)
+    seg = Segment(model.h11((F(-1, 3),), (F(5, 7),)), model.h11((F(1, 5),), (1,)))
+    profile = MukaiVector(2, ns.zero(), 0)  # bound 8: the walls e, 2e are one class
+    got = [(c.wall.d.coords, c.wall.d_square, c.t)
+           for c in walls_crossing_segment(model, profile, seg)]
+    assert got == oracle_crossings(model, profile, seg.start, seg.end) == [((1,), -2, F(5, 8))]
+
+
 @settings(SETTINGS, max_examples=30)
 @given(st.one_of(crossing_cases(), axis_cases()))
 def test_integer_majorant_scales_the_fraction_majorant(case):
@@ -196,7 +301,7 @@ def test_integer_majorant_scales_the_fraction_majorant(case):
     gram, omega = model.ns.gram, seg.start
     x, do = clear_denominators(omega.ns_part.coords)
     a = model.square(omega)
-    maj, an = _majorant(gram, mat_vec(gram, x), do * do * a)
+    maj, an = _majorant(gram, mat_vec(gram, x), *(do * do * a).as_integer_ratio())
     assert an > 0 and all(type(e) is int for row in maj for e in row)
     w = mat_vec(gram, omega.ns_part.coords)
     n = len(gram)

@@ -1,0 +1,118 @@
+"""Interleaved in-process A/B of two mukaikit source trees on one perfbench workload.
+
+    python3 tools/inprocess_ab.py A/src B/src crossing_sweep [--seed 1] [--rounds 30] [--best-of 3]
+
+Both trees are loaded into one interpreter, A as the package ``mukaikit_a``
+and B as ``mukaikit_b`` (the library imports its own modules relatively).
+Each side builds its own items with ``perfbench/workloads.py``, which is
+imported from the repository and not changed, and the canonical outcome of
+every item must be equal on the two sides. A round times ``--best-of``
+whole passes of each side, alternating which side goes first, and keeps
+each side's fastest pass; the ratio B / A of those is the round's reading.
+The script prints the median ratio, its quartiles and the rounds B won.
+
+Timing both sides in one process, interleaved, cancels most of the drift
+of a shared host, which separate processes cannot resolve below a few
+percent. Only the in-process workloads (``crossing_sweep``,
+``verdict_mix``) can be compared this way; ``cli_batch`` runs children.
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ("lattice", "moduli", "mukai", "surface", "twisted", "walls")
+IN_PROCESS = ("crossing_sweep", "verdict_mix")
+
+
+def load_tree(src: Path, name: str) -> dict:
+    """Import ``src/mukaikit`` as the package ``name``; the module table a workload takes."""
+    package_dir = src / "mukaikit"
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+
+
+def side(workloads, workload: str, lib: dict, seed: int, work_dir: Path):
+    wl = workloads.WORKLOADS[workload](lib, work_dir)
+    return wl, [wl.build(k) for k in wl.keys(seed)]
+
+
+def outcomes(workloads, wl, items) -> list[str]:
+    texts = []
+    for item in items:
+        out, errors = wl.outcome(item, wl.query(item))
+        if errors:
+            raise SystemExit(f"{item['key']}: {'; '.join(errors)}")
+        texts.append(workloads.digest_text(out))
+    return texts
+
+
+def best_pass(wl, items, best_of: int) -> int:
+    """The fastest of ``best_of`` passes over ``items``, in ns."""
+    best = None
+    for _ in range(best_of):
+        gc.collect()
+        start = time.perf_counter_ns()
+        for item in items:
+            wl.query(item)
+        elapsed = time.perf_counter_ns() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="src directory of side A (the base)")
+    parser.add_argument("b", type=Path, help="src directory of side B (the change)")
+    parser.add_argument("workload", choices=IN_PROCESS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--best-of", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        a_wl, a_items = side(workloads, args.workload, load_tree(args.a, "mukaikit_a"),
+                             args.seed, Path(tmp))
+        b_wl, b_items = side(workloads, args.workload, load_tree(args.b, "mukaikit_b"),
+                             args.seed, Path(tmp))
+        if outcomes(workloads, a_wl, a_items) != outcomes(workloads, b_wl, b_items):
+            raise SystemExit("the two trees give different outcomes")
+        print(f"# {args.workload} seed {args.seed}: {len(a_items)} queries a pass, "
+              f"outcomes equal; {args.rounds} rounds of best-of-{args.best_of} passes")
+        ratios = []
+        for i in range(args.rounds):
+            if i % 2:
+                b_ns = best_pass(b_wl, b_items, args.best_of)
+                a_ns = best_pass(a_wl, a_items, args.best_of)
+            else:
+                a_ns = best_pass(a_wl, a_items, args.best_of)
+                b_ns = best_pass(b_wl, b_items, args.best_of)
+            ratios.append(b_ns / a_ns)
+            print(f"round {i + 1}: A {a_ns / 1e6:.1f} ms, B {b_ns / 1e6:.1f} ms, "
+                  f"B/A {ratios[-1]:.3f}", flush=True)
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    won = sum(r < 1 for r in ratios)
+    print(f"B/A pass time: median {median:.3f}, quartiles {q1:.3f} {q3:.3f}; "
+          f"B faster in {won}/{len(ratios)} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
