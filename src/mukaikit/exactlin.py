@@ -150,8 +150,8 @@ def _symmetric_blocks(m: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def _principal(m, block):
-    """The principal submatrix of m on ``block``."""
+def principal(m: Sequence[Sequence[int]], block: Sequence[int]) -> list[list[int]]:
+    """The principal submatrix of m on the indices ``block``, in their order."""
     return [[m[i][j] for j in block] for i in block]
 
 
@@ -457,7 +457,7 @@ def _block_pivots(mat):
             d = mat[block[0]][block[0]]
             yield ((d,),), ([(0, (d,))] if d else []), int(not d)
         else:
-            sub = _principal(mat, block)
+            sub = principal(mat, block)
             yield (sub, *congruence_pivots(sub))
 
 

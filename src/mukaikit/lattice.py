@@ -200,12 +200,27 @@ def k3_lattice() -> Lattice:
     return direct_sum((u, u, u, e8, e8), "LambdaK3")
 
 
+def _mukai_summands() -> tuple[Lattice, ...]:
+    u = u_lattice()
+    e8 = e8_minus_lattice()
+    return (u, u, u, u, e8, e8)
+
+
 @cache
 def full_mukai_lattice() -> Lattice:
     """U^4 (+) E8(-1)^2; the first U summand plays the role of H^0 (+) H^4."""
-    u = u_lattice()
-    e8 = e8_minus_lattice()
-    return direct_sum((u, u, u, u, e8, e8), "Mukai")
+    return direct_sum(_mukai_summands(), "Mukai")
+
+
+@cache
+def full_mukai_blocks() -> tuple[tuple[range, tuple[int, int, int]], ...]:
+    """The orthogonal summands of ``full_mukai_lattice()`` in order, each as
+    its index range and its inertia: U has (1, 0, 1), E8(-1) has (0, 0, 8)."""
+    out, start = [], 0
+    for part in _mukai_summands():
+        out.append((range(start, start + part.rank), part.signature()))
+        start += part.rank
+    return tuple(out)
 
 
 # -- Invariants ---------------------------------------------------------------

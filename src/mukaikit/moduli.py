@@ -11,7 +11,10 @@ stable bundles on surfaces with cyclic Neron-Severi group.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import compress
 from math import gcd
+from operator import add, itemgetter
 
 from . import exactlin
 from .errors import HypothesisViolation, InternalError, ValidationError
@@ -21,6 +24,7 @@ from .lattice import (
     LatticeVector,
     content,
     coprime_rank_class,
+    full_mukai_blocks,
     full_mukai_lattice,
     k3_lattice,
     orthogonal_complement,
@@ -107,10 +111,15 @@ def validate_ns_embedding(ns: Lattice, emb: IntMatrix) -> None:
         raise ValidationError(
             f"embedding must be {ns.rank}x{lam.rank}, got {rows}x{cols}"
         )
-    if exactlin.congruence(emb, lam.gram) != ns.gram:
+    # Both tests read only the columns where emb is nonzero: E G E^T sees G
+    # on supp(E) x supp(E), and a zero column is a zero row of E^T, which
+    # the Hermite form drops.
+    live = [j for j, col in enumerate(zip(*emb)) if any(col)]
+    sub = [[row[j] for j in live] for row in emb]
+    if exactlin.congruence(sub, exactlin.principal(lam.gram, live)) != ns.gram:
         raise ValidationError("embedding does not respect the intersection form")
     # The rows are saturated iff the columns generate Z^rows.
-    if exactlin.hermite_normal_form(exactlin.transpose(emb)) != exactlin.identity(rows):
+    if exactlin.hermite_normal_form(exactlin.transpose(sub)) != exactlin.identity(rows):
         raise ValidationError("embedding is not primitive (image is not saturated)")
 
 
@@ -159,43 +168,100 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     v-perp is the saturation of Zv, which is Zv since v is primitive; as
     v^2 = 0 the radical of v-perp is Zv itself, and no kernel is needed.
 
-    Every step runs only on the orthogonal summands of
-    U^4 (+) E8(-1)^2 that v meets; ``exactlin`` splits along blocks. A
-    standard embedding of an NS of rank <= 3 lands in U^3, so v lies in
-    U^4 and v-perp = (v-perp in U^4) (+) E8(-1)^2:
-    - The equation (G v) . x = 0 is solved on the columns where G v is
-      nonzero. Every other column gives its unit row. The merged rows are
-      the Hermite form of the whole kernel: the pivots still increase,
-      and a unit row is 0 above every other pivot.
-    - The signature adds over the diagonal blocks of the Gram. So does
-      the Smith form: diag(P, P') diag(A, B) diag(Q, Q') is diagonal when
-      P A Q and P' B Q' are, and the gcd/lcm sweep makes any diagonal the
-      unique Smith form. Each E8(-1) block has determinant 1, so it adds
-      only 1s. One reduction per block gives both.
-    - The coordinates of v in the Hermite basis of v-perp come from
-      forward substitution, and are completed on their support and
-      index 0 only.
+    Only the summands of U^4 (+) E8(-1)^2 that v meets are computed, with
+    the first U always among them (``full_mukai_blocks`` holds the split).
+    On those coordinates S the complement, its Gram, the radical reduction
+    and one ``signature_and_smith`` run as usual. Each untouched summand N
+    lies in v-perp and is orthogonal to everything on S, so
+    v-perp = (v-perp in S) (+) N (+) ..., and N comes in as a constant:
+    - its unit rows are rows of the Hermite basis: merged with the rows
+      on S by pivot column, the pivots still increase, a unit row is 0
+      above every other pivot, and the rows on S are 0 on N;
+    - its Gram block sits at the positions of those rows, and every cross
+      term with S is 0;
+    - its inertia adds to the signature, and as N is unimodular it adds
+      only 1s to the Smith form (``exactlin``: Smith forms add over
+      blocks), which the discriminant drops.
+    For v^2 = 0 the coordinates of v in the Hermite basis vanish off S, so
+    the completion that puts v first is the identity on every N. It acts
+    on index 0, the first row of the basis; as S holds the first U, that
+    row has its pivot at ambient index 0 or 1 and is a row on S.
+    A standard embedding of an NS of rank <= 3 puts v in U^4, so S has at
+    most 8 coordinates and both E8(-1) summands are constants.
     """
     if not v.is_primitive:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
     sq = v.square()
     if sq < 0:
         raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
+    coords = v.coords
+    touched = tuple(k == 0 or any(map(coords.__getitem__, span))
+                    for k, (span, _) in enumerate(full_mukai_blocks()))
+    split = _block_split(touched)
+    idx, part, *_, inertia = split
+    v_part = itemgetter(*idx)(coords)
+    comp = orthogonal_complement(part, [part.vector(v_part)])
+    gram, quotient = comp.sub.gram, sq == 0
+    if quotient:
+        # The radical of v-perp is spanned by v itself; quotient it out
+        # through a unimodular change of basis that puts v first.
+        to_new = exactlin.unimodular_completion(_hermite_coordinates(comp.basis, v_part))
+        # First row of to_new spans the radical; congruent Gram has zero
+        # first row and column.
+        new_gram = exactlin.congruence(to_new, gram)
+        if any(new_gram[0]):
+            raise InternalError("radical reduction failed")
+        gram = tuple(row[1:] for row in new_gram[1:])
+    sig, smith = exactlin.signature_and_smith(gram)
+    if 0 in smith:
+        raise InternalError("the second-cohomology lattice is degenerate")
+    perp_basis, gram = _merge_untouched(split, comp.basis, gram, quotient)
+    return H2LatticeResult(Lattice(gram, "v-perp mod v" if quotient else "v-perp"),
+                           tuple(map(add, sig, inertia)), tuple(d for d in smith if d != 1),
+                           perp_basis, quotient)
+
+
+@cache
+def _block_split(touched: tuple[bool, ...]):
+    """The summands of the Mukai lattice flagged in ``touched`` and the rest.
+
+    Returns the indices S of the flagged summands, the lattice on S, the
+    map from a row on S (with a 0 appended) to its ambient row, then the
+    other indices, their unit rows, their Gram and their inertia.
+    """
     ambient = full_mukai_lattice()
-    comp = orthogonal_complement(ambient, [ambient.vector(v.coords)])
-    if sq > 0:
-        return _h2_result(Lattice(comp.sub.gram, "v-perp"), comp.basis, False)
-    # Isotropic case: the radical of v-perp is spanned by v itself; quotient
-    # it out through a unimodular change of basis that puts v first.
-    gram = comp.sub.gram
-    to_new = exactlin.unimodular_completion(_hermite_coordinates(comp.basis, v.coords))
-    # First row of to_new spans the radical; congruent Gram has zero first
-    # row and column.
-    new_gram = exactlin.congruence(to_new, gram)
-    if any(new_gram[0]):
-        raise InternalError("radical reduction failed")
-    reduced = tuple(row[1:] for row in new_gram[1:])
-    return _h2_result(Lattice(reduced, "v-perp mod v"), comp.basis, True)
+    idx, rest, inertia = [], [], (0, 0, 0)
+    for (span, sig), t in zip(full_mukai_blocks(), touched):
+        if t:
+            idx += span
+        else:
+            rest += span
+            inertia = tuple(map(add, inertia, sig))
+    unit = exactlin.identity(ambient.rank)
+    embed = itemgetter(*(idx.index(j) if j in idx else len(idx) for j in range(ambient.rank)))
+    return (tuple(idx), Lattice(exactlin.principal(ambient.gram, idx), "Mukai on S"), embed,
+            tuple(rest), tuple(unit[j] for j in rest),
+            tuple(map(tuple, exactlin.principal(ambient.gram, rest))), inertia)
+
+
+def _merge_untouched(split, basis: IntMatrix, gram: IntMatrix, quotient: bool):
+    """The Hermite basis of v-perp and its Gram from ``basis`` and ``gram``
+    on S: the unit rows off S merge in by pivot column, with their Gram
+    block at their positions. With ``quotient`` the Gram has lost row 0 of
+    the basis, which comes first in the merged order."""
+    idx, _, embed, rest, unit_rows, rest_gram, _ = split
+    pivots = [next(compress(idx, row)) for row in basis]
+    pivots += rest
+    rows = [embed(row + (0,)) for row in basis]
+    rows += unit_rows
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    perp_basis = itemgetter(*order)(rows)
+    if quotient:
+        order = [i - 1 for i in order[1:]]
+    k, t = len(gram), len(rest)
+    blocks = [row + (0,) * t for row in gram] + [(0,) * k + row for row in rest_gram]
+    pick = itemgetter(*order)
+    return perp_basis, tuple(map(pick, map(blocks.__getitem__, order)))
 
 
 def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -214,14 +280,6 @@ def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...
     if exactlin.vec_mat(c, basis) != v:
         raise InternalError("v is not in the span of the basis of v-perp")
     return tuple(c) if next(filter(None, c), 0) >= 0 else tuple(-x for x in c)
-
-
-def _h2_result(lat: Lattice, basis: IntMatrix, quotient: bool) -> H2LatticeResult:
-    """The signature and discriminant group of ``lat`` from one reduction."""
-    sig, smith = exactlin.signature_and_smith(lat.gram)
-    if 0 in smith:
-        raise InternalError("the second-cohomology lattice is degenerate")
-    return H2LatticeResult(lat, sig, tuple(d for d in smith if d != 1), basis, quotient)
 
 
 # -- Projectivity criterion ----------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, IntegralityWarning, ValidationError
 from .lattice import LatticeVector
-from .mukai import MukaiVector, exp_class, mukai_product, mukai_square
+from .mukai import MukaiVector, discriminant, exp_class, mukai_product, mukai_square
 from .records import record
 from .surface import H11Class
 
@@ -81,16 +81,11 @@ def endo_ch2(f: TwistedSheafData, e: TwistData) -> Fraction:
 def delta_E(f: TwistedSheafData, e: TwistData) -> Fraction:
     """Discriminant v_E^2/(2r^2) + 1; independent of the twisting sheaf.
 
-    Both routes are evaluated: through the twisted Mukai square, and
-    through -ch2(F (x) F^dual) which contains no E data at all. They must
-    agree exactly.
+    Expanding v_E gives v_E^2 = (xi^2 - 2ras + r^2 b)/s^2 - 2r^2, which is
+    -endo_ch2(f, e) - 2r^2 for every input: the discriminant is that of
+    -ch2(F (x) F^dual), which contains no E data at all.
     """
-    r2 = 2 * Fraction(f.r) ** 2
-    via_pairing = mukai_square(v_E(f, e)) / r2 + 1
-    via_endo = (-endo_ch2(f, e) - r2) / r2 + 1
-    if via_pairing != via_endo:
-        raise HypothesisViolation("inconsistent twisted sheaf data: discriminant routes disagree")
-    return via_pairing
+    return discriminant(v_E(f, e))
 
 
 def w_xi(w: MukaiVector, xi: LatticeVector, r: int) -> MukaiVector:

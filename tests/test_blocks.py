@@ -6,7 +6,9 @@ build matrices whose blocks are shuffled by a permutation and compare
 every result with the loops over the whole matrix that
 ``tests/fraction_oracle.py`` keeps. ``h2`` reads the radical of an
 isotropic v-perp off the coordinates of v, checked against the kernel of
-its Gram.
+its Gram, and computes only on the summands of the Mukai lattice that v
+meets: checked against the whole-matrix loops on vectors of any support,
+and by recording the width of every matrix it hands the exact layer.
 """
 
 from __future__ import annotations
@@ -19,21 +21,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mukaikit.errors import InternalError, ValidationError
+from mukaikit import exactlin
+from mukaikit.errors import HypothesisViolation, InternalError, ValidationError
 from mukaikit.exactlin import (
     integer_kernel_saturated,
     is_symmetric,
     mat_vec,
     rational_signature,
+    shape,
     smith_normal_form,
     transpose,
     unimodular_completion,
 )
-from mukaikit.lattice import Lattice, e8_minus_lattice, full_mukai_lattice, k3_lattice, u_lattice
+from mukaikit.lattice import (
+    Lattice,
+    diagonal_lattice,
+    e8_minus_lattice,
+    full_mukai_lattice,
+    k3_lattice,
+    u_lattice,
+)
 from mukaikit.moduli import (
     EmbeddedMukaiVector,
     _hermite_coordinates,
     h2_lattice,
+    standard_ns_embedding,
     validate_ns_embedding,
 )
 from mukaikit.mukai import MukaiVector, mukai_square
@@ -210,6 +222,110 @@ def test_h2_from_embeddings_into_u_and_e8(where, seed):
     negated = EmbeddedMukaiVector(tuple(-c for c in embedded.coords))
     assert h2_lattice(negated) == res
     assert _full_matrix_h2(negated.coords) == (basis, gram)
+
+
+# The summands U, U, U, U, E8(-1), E8(-1) of the Mukai lattice.
+SPANS = (range(0, 2), range(2, 4), range(4, 6), range(6, 8), range(8, 16), range(16, 24))
+SUPPORTS = {
+    # Any summands, at least one U among them.
+    "any": lambda rng: rng.sample(range(6), rng.randint(1, 6)),
+    # Never the first U, which h2 computes on all the same.
+    "no_first_u": lambda rng: rng.sample(range(1, 6), rng.randint(1, 5)),
+    # One U past the first and E8(-1) summands: the rows on the first U
+    # and on the E8(-1) summands interleave with untouched unit rows.
+    "one_u_and_e8": lambda rng: [rng.randint(1, 3), *rng.sample((4, 5), rng.randint(1, 2))],
+}
+
+
+def _square(coords):
+    gram = full_mukai_lattice().gram
+    return sum(x * gram[i][j] * y for i, x in enumerate(coords) if x
+               for j, y in enumerate(coords) if y)
+
+
+def _vector_on(rng, summands, square):
+    """A primitive vector of the Mukai lattice that meets exactly ``summands``,
+    of square ``square`` if a U is among them; None if the draw fails."""
+    coords = [0] * 24
+    for k in summands:
+        while not any(coords[j] for j in SPANS[k]):
+            for j in SPANS[k]:
+                coords[j] = rng.choice([0, 0, rng.randint(-3, 3)])
+    planes = [k for k in summands if k < 4]
+    if planes:
+        # The pair (x, y) of one U adds 2xy to the square; solve for y.
+        i = SPANS[rng.choice(planes)].start
+        rest = _square(coords) - 2 * coords[i] * coords[i + 1]
+        x = coords[i] or rng.choice((1, -1, 2))
+        if (square - rest) % (2 * x):
+            return None
+        coords[i], coords[i + 1] = x, (square - rest) // (2 * x)
+    return tuple(coords) if gcd(*coords) == 1 else None
+
+
+@pytest.mark.parametrize("support", sorted(SUPPORTS))
+@given(seed=SEEDS, isotropic=st.booleans())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_h2_on_arbitrary_summand_supports(support, seed, isotropic):
+    rng = random.Random(seed)
+    square = 0 if isotropic else 2 * rng.randint(1, 6)
+    while True:
+        summands = SUPPORTS[support](rng)
+        coords = _vector_on(rng, summands, square)
+        if coords is not None and _square(coords) >= 0:
+            break
+    met = {k for k, span in enumerate(SPANS) if any(coords[j] for j in span)}
+    assert met == set(summands)
+    v = EmbeddedMukaiVector(coords)
+    res = h2_lattice(v)
+    basis, gram = _full_matrix_h2(coords)
+    assert res.perp_basis == basis
+    assert res.lattice.gram == gram
+    assert res.quotient_by_v == (_square(coords) == 0)
+    assert res.signature == reference_signature(gram)
+    assert res.discriminant == tuple(d for d in reference_smith(gram)[0] if d != 1)
+    assert h2_lattice(EmbeddedMukaiVector(tuple(-c for c in coords))) == res
+
+
+@given(seed=SEEDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_h2_rejects_a_class_on_e8_summands_only(seed):
+    # E8(-1) is negative definite, so such a class has a negative square.
+    rng = random.Random(seed)
+    coords = None
+    while coords is None:
+        coords = _vector_on(rng, rng.sample((4, 5), rng.randint(1, 2)), 0)
+    assert _square(coords) < 0
+    with pytest.raises(HypothesisViolation, match="negative Mukai square"):
+        h2_lattice(EmbeddedMukaiVector(coords))
+
+
+def test_h2_reduces_no_summand_that_v_misses(monkeypatch):
+    """A standard embedding of an NS of rank <= 3 puts v in U^4, so h2 hands
+    the exact layer no matrix wider than the 8 coordinates of U^4."""
+    rng = random.Random(2101)
+    vectors = []
+    while len(vectors) < 40:
+        entries = rng.choice(((2,), (2, -2), (-4,), (2, -2, -4), (4, -2, -6), (-2, -2, -6)))
+        ns = diagonal_lattice(list(entries), "NS")
+        xi = [rng.randint(-4, 4) for _ in entries]
+        xi2 = sum(e * x * x for e, x in zip(entries, xi))
+        r = rng.randint(1, 4)
+        a = xi2 // (2 * r) if len(vectors) % 2 else (xi2 - 1) // (2 * r) - rng.randint(0, 3)
+        if xi2 - 2 * r * a >= 0 and gcd(r, a, *xi) == 1:
+            v = MukaiVector(Fraction(r), ns.vector(xi), Fraction(a))
+            vectors.append(EmbeddedMukaiVector.from_algebraic(v, standard_ns_embedding(ns)))
+    widths = {}
+    for name in ("congruence", "integer_kernel_saturated", "signature_and_smith"):
+        def recorded(m, *args, _name=name, _original=getattr(exactlin, name)):
+            widths.setdefault(_name, []).extend(shape(x)[1] for x in (m, *args))
+            return _original(m, *args)
+
+        monkeypatch.setattr(exactlin, name, recorded)
+    results = [h2_lattice(v) for v in vectors]
+    assert {res.quotient_by_v for res in results} == {False, True}
+    assert set(widths) == {"congruence", "integer_kernel_saturated", "signature_and_smith"}
+    assert max(max(w) for w in widths.values()) <= 8
 
 
 def test_hermite_coordinates_of_an_isotropic_class():

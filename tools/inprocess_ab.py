@@ -1,6 +1,7 @@
 """Interleaved in-process A/B of two mukaikit source trees on one perfbench workload.
 
     python3 tools/inprocess_ab.py A/src B/src crossing_sweep [--seed 1] [--rounds 30] [--best-of 3]
+    python3 tools/inprocess_ab.py A/src B/src verdict_mix --strata h2_pos,h2_iso
 
 Both trees are loaded into one interpreter, A as the package ``mukaikit_a``
 and B as ``mukaikit_b`` (the library imports its own modules relatively).
@@ -10,6 +11,9 @@ every item must be equal on the two sides. A round times ``--best-of``
 whole passes of each side, alternating which side goes first, and keeps
 each side's fastest pass; the ratio B / A of those is the round's reading.
 The script prints the median ratio, its quartiles and the rounds B won.
+``--strata NAME[,NAME...]`` keeps only the pass items of the named strata
+(``verdict_mix`` has ``h2_pos`` and ``h2_iso``, for example), so a change to
+one kind of query is timed without the noise of the others.
 
 Timing both sides in one process, interleaved, cancels most of the drift
 of a shared host, which separate processes cannot resolve below a few
@@ -46,9 +50,15 @@ def load_tree(src: Path, name: str) -> dict:
     return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
 
 
-def side(workloads, workload: str, lib: dict, seed: int, work_dir: Path):
+def side(workloads, workload: str, lib: dict, seed: int, work_dir: Path, strata=None):
+    """The workload and its pass items, those of ``strata`` only if given."""
     wl = workloads.WORKLOADS[workload](lib, work_dir)
-    return wl, [wl.build(k) for k in wl.keys(seed)]
+    names = {s.name for s in wl.strata}
+    if strata is not None and not strata <= names:
+        raise SystemExit(f"unknown {workload} strata: {', '.join(sorted(strata - names))}; "
+                         f"known: {', '.join(s.name for s in wl.strata)}")
+    keys = [k for k in wl.keys(seed) if strata is None or k.split("/")[0] in strata]
+    return wl, [wl.build(k) for k in keys]
 
 
 def outcomes(workloads, wl, items) -> list[str]:
@@ -82,6 +92,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--best-of", type=int, default=3)
+    parser.add_argument("--strata", type=lambda text: set(text.split(",")), default=None,
+                        metavar="NAME[,NAME...]", help="time only these strata (default: all)")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -89,13 +101,14 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         a_wl, a_items = side(workloads, args.workload, load_tree(args.a, "mukaikit_a"),
-                             args.seed, Path(tmp))
+                             args.seed, Path(tmp), args.strata)
         b_wl, b_items = side(workloads, args.workload, load_tree(args.b, "mukaikit_b"),
-                             args.seed, Path(tmp))
+                             args.seed, Path(tmp), args.strata)
         if outcomes(workloads, a_wl, a_items) != outcomes(workloads, b_wl, b_items):
             raise SystemExit("the two trees give different outcomes")
-        print(f"# {args.workload} seed {args.seed}: {len(a_items)} queries a pass, "
-              f"outcomes equal; {args.rounds} rounds of best-of-{args.best_of} passes")
+        strata = ",".join(sorted(args.strata)) if args.strata else "all"
+        print(f"# {args.workload} seed {args.seed}, strata {strata}: {len(a_items)} queries "
+              f"a pass, outcomes equal; {args.rounds} rounds of best-of-{args.best_of} passes")
         ratios = []
         for i in range(args.rounds):
             if i % 2:
