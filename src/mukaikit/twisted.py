@@ -82,8 +82,8 @@ def delta_E(f: TwistedSheafData, e: TwistData) -> Fraction:
     """Discriminant v_E^2/(2r^2) + 1; independent of the twisting sheaf.
 
     Expanding v_E gives v_E^2 = (xi^2 - 2ras + r^2 b)/s^2 - 2r^2, which is
-    -endo_ch2(f, e) - 2r^2 for every input: the discriminant is that of
-    -ch2(F (x) F^dual), which contains no E data at all.
+    -endo_ch2(f, e) - 2r^2 for every input, so the discriminant is also
+    (-ch2(F (x) F^dual) - 2r^2)/(2r^2) + 1, which contains no E data at all.
     """
     return discriminant(v_E(f, e))
 
