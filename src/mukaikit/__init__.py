@@ -46,7 +46,6 @@ _EXPORTS = {
         "mukai_from_chern",
         "mukai_pairing",
         "mukai_product",
-        "mukai_sqrt",
         "mukai_square",
         "topological_type",
     ),

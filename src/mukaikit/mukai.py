@@ -9,7 +9,6 @@ them; integrality is a checked property, not a type constraint.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import HypothesisViolation
 from .exactlin import bilinear, clear_denominators
@@ -125,46 +124,6 @@ def mukai_product(x: MukaiVector, y: MukaiVector) -> MukaiVector:
 def exp_class(delta: LatticeVector) -> MukaiVector:
     """(1, delta, delta^2/2): exponential of a degree-2 class."""
     return MukaiVector(Fraction(1), delta, delta.square() / 2)
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    pn, pd = x.numerator, x.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn != pn or rd * rd != pd:
-        return None
-    return Fraction(rn, rd)
-
-
-def mukai_sqrt(x: MukaiVector) -> MukaiVector:
-    """The square root (s, m, t) with (s, m, t)^2 = x and s > 0.
-
-    Requires x0 to be the square of a positive rational; the other two
-    components are then forced: m = x1/(2s) and t = (x2 - m^2)/(2s).
-    """
-    s = _fraction_sqrt(x.v0)
-    if s is None or s == 0:
-        raise HypothesisViolation(f"rank {x.v0} is not the square of a positive rational")
-    m = x.v1.scale(Fraction(1, 2) / s)
-    t = (x.v2 - m.square()) / (2 * s)
-    root = MukaiVector(s, m, t)
-    if mukai_product(root, root) != x:
-        raise HypothesisViolation("inconsistent middle term: no Mukai square root")
-    return root
-
-
-def mukai_divide(y: MukaiVector, x: MukaiVector) -> MukaiVector:
-    """The unique z with x * z = y, for invertible x (x0 != 0)."""
-    if x.v0 == 0:
-        raise HypothesisViolation("division by a rank-0 Mukai vector")
-    z0 = y.v0 / x.v0
-    z1 = (y.v1 - x.v1.scale(z0)).scale(1 / x.v0)
-    z2 = (y.v2 - x.v2 * z0 - pairing(x.v1, z1)) / x.v0
-    z = MukaiVector(z0, z1, z2)
-    if mukai_product(x, z) != y:
-        raise HypothesisViolation("inconsistent Mukai division")
-    return z
 
 
 def dual(x: MukaiVector) -> MukaiVector:

@@ -444,8 +444,16 @@ def test_criterion_11_transfer_isometry():
         v = MukaiVector(F(r), xi, F(rng.randint(-6, 6)))
         mult = transfer_multiplier(v)
         assert mult == exp_class(xi.scale(F(-1, r)))
+        # The route the closed form replaces: the positive-rank root R of
+        # ch F . ch F^dual, and ch F^dual = multiplier . R.
+        ch_f = MukaiVector(F(r), xi, v.v2 - r)
+        ch_f_dual = MukaiVector(F(r), -xi, v.v2 - r)
+        root = MukaiVector(F(r), ns.zero(), v.v2 - r - xi.square() / (2 * r))
+        assert mukai_product(root, root) == mukai_product(ch_f, ch_f_dual)
+        assert mukai_product(mult, root) == ch_f_dual
         w = transfer_image_of_v(v)
         assert w == MukaiVector(F(r), ns.zero(), v.v2 - xi.square() / (2 * r))
+        assert w == mukai_product(v, exp_class(xi.scale(F(-1, r))))
         # Random classes of v-perp: rational combinations of the twisted NS
         # classes and the twisted isotropy generator.
         twist = exp_class(xi.scale(F(1, r)))

@@ -13,6 +13,7 @@ from mukaikit import (
     MukaiVector,
     bundle_existence_check,
     diagonal_lattice,
+    discriminant,
     exp_class,
     h2_lattice,
     irreducibility_oracle,
@@ -22,12 +23,14 @@ from mukaikit import (
     mukai_square,
     projectivity_check,
     standard_ns_embedding,
+    topological_type,
     transfer_image_of_v,
     transfer_isometry,
     transfer_multiplier,
 )
 from mukaikit.errors import HypothesisViolation, ValidationError
 from mukaikit.moduli import IrreducibilityVerdict, validate_ns_embedding
+from mukaikit.mukai import discriminant_from_chern
 
 from conftest import positive_reference, random_hyperbolic_ns, random_negative_definite_ns
 from fraction_oracle import generator_projectivity, loop_irreducibility_oracle
@@ -316,13 +319,19 @@ class TestExistence:
         # discriminant formulas and land on dimension d. d = 0 is always
         # strictly inside the irreducibility bound; positive d can sit on
         # the boundary, where the oracle reports the closest decomposition.
-        for r in range(2, 5):
+        for r in range(2, 13):
             g_cap = -(r * r - 1) * (r - 1)
             for d in range(0, 2 * r - 1, 2):
                 g = g_cap - ((g_cap - d // 2) % r)
                 verdict = bundle_existence_check(r, d, g)
                 assert verdict.accepted, verdict.failures
                 assert verdict.dim == d
+                assert verdict.c2 == (d // 2 - g) // r + r + g - 1
+                v = verdict.mukai
+                assert discriminant(v) == verdict.delta \
+                    == discriminant_from_chern(topological_type(v))
+                assert topological_type(v).c2 == verdict.c2
+                assert mukai_square(v) + 2 == d
                 oracle = verdict.irreducibility
                 if d == 0:
                     assert oracle.irreducible

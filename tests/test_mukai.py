@@ -12,12 +12,11 @@ from mukaikit import (
     mukai_from_chern,
     mukai_pairing,
     mukai_product,
-    mukai_sqrt,
     mukai_square,
     topological_type,
 )
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError
-from mukaikit.mukai import discriminant_from_chern, mukai_divide
+from mukaikit.mukai import discriminant_from_chern
 
 from conftest import random_mukai, random_integral_vector, random_hyperbolic_ns
 from fraction_oracle import mukai_unit as unit
@@ -146,36 +145,6 @@ class TestProductAndExp:
 
 
 class TestSqrtAndDual:
-    def test_worked_roots(self, zl, L):
-        assert mukai_sqrt(MukaiVector(F(4), zl.zero(), F(-10))) == MukaiVector(
-            F(2), zl.zero(), F(-5, 2)
-        )
-        assert mukai_sqrt(unit(zl)) == unit(zl)
-        root = mukai_sqrt(MukaiVector(F(4), L.scale(2), F(-8)))
-        assert root == MukaiVector(F(2), L.scale(F(1, 2)), F(-11, 8))
-
-    def test_sqrt_squares_back(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            ns = random_hyperbolic_ns(rng, rng.randint(1, 3))
-            base = random_mukai(rng, ns)
-            if base.v0 == 0:
-                continue
-            squared = mukai_product(base, base)
-            root = mukai_sqrt(squared)
-            assert mukai_product(root, root) == squared
-
-    def test_sqrt_rejects_non_square_rank(self, zl):
-        with pytest.raises(HypothesisViolation):
-            mukai_sqrt(MukaiVector(F(2), zl.zero(), F(0)))
-        with pytest.raises(HypothesisViolation):
-            mukai_sqrt(MukaiVector(F(0), zl.zero(), F(0)))
-
-    def test_divide_roundtrip(self, zl, L):
-        x = MukaiVector(F(2), L, F(-3))
-        y = MukaiVector(F(3), L.scale(-2), F(5))
-        assert mukai_product(x, mukai_divide(y, x)) == y
-
     def test_dual_involution(self, zl, L):
         x = MukaiVector(F(2), L, F(-2))
         assert dual(x) == MukaiVector(F(2), -L, F(-2))

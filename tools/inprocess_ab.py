@@ -19,6 +19,8 @@ Timing both sides in one process, interleaved, cancels most of the drift
 of a shared host, which separate processes cannot resolve below a few
 percent. Only the in-process workloads (``crossing_sweep``,
 ``verdict_mix``) can be compared this way; ``cli_batch`` runs children.
+Its outputs are compared by ``tools/cli_bytes_ab.py A/src B/src``, which
+checks that the two trees give the command line the same bytes.
 Uses the standard library only.
 """
 
