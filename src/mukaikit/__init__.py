@@ -41,7 +41,6 @@ _EXPORTS = {
         "MukaiVector",
         "TopologicalType",
         "discriminant",
-        "dual",
         "exp_class",
         "mukai_from_chern",
         "mukai_pairing",

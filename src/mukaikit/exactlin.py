@@ -7,26 +7,6 @@ here, and the signature and short-vector entry points reject any entry
 that is not an int. No floating point is used anywhere: wall membership
 and signature verdicts downstream are exact predicates, so every
 primitive here must be exact too.
-
-Blocks. A symmetric matrix splits into the connected components of the
-graph i ~ j when m[i][j] != 0. After a permutation it is the block sum of
-its principal submatrices on those components.
-- Signatures add over the blocks.
-- So do Smith forms. If P A Q and P' B Q' are diagonal, so is
-  diag(P, P') diag(A, B) diag(Q, Q'). The gcd/lcm sweep turns any
-  diagonal into the Smith form of the matrix it is equivalent to, and
-  that form is unique.
-Lattice Grams are block sums: the Mukai Gram U^4 (+) E8(-1)^2 has 6
-blocks. ``rational_signature`` and ``signature_and_smith`` walk the
-blocks; ``signature_and_smith`` is the only Smith form split by block,
-and ``smith_normal_form`` reduces the whole matrix.
-
-Kernels split only off their zero columns. A zero column gives its unit
-row, and the other columns are solved together. Merged by pivot column
-the rows are in Hermite form: the pivots strictly increase, a unit row
-is 0 on every other column, and the solved rows are reduced among
-themselves. The Hermite form is unique, so this is the basis that the
-loop over the whole matrix returns.
 """
 
 from __future__ import annotations
@@ -129,27 +109,6 @@ def is_symmetric(m: Sequence[Sequence]) -> bool:
     return tuple(map(tuple, m)) == tuple(zip(*m))
 
 
-def _symmetric_blocks(m: Sequence[Sequence]) -> list[list[int]]:
-    """The index sets of the diagonal blocks of a symmetric matrix, the
-    components of i ~ j when m[i][j] != 0, each sorted, by least index."""
-    n = len(m)
-    idx = range(n)
-    seen = bytearray(n)
-    out = []
-    for s in idx:
-        if not seen[s]:
-            seen[s] = 1
-            block = [s]
-            for i in block:
-                for j in compress(idx, m[i]):
-                    if not seen[j]:
-                        seen[j] = 1
-                        block.append(j)
-            block.sort()
-            out.append(block)
-    return out
-
-
 def principal(m: Sequence[Sequence[int]], block: Sequence[int]) -> list[list[int]]:
     """The principal submatrix of m on the indices ``block``, in their order."""
     return [[m[i][j] for j in block] for i in block]
@@ -179,28 +138,15 @@ def unimodular_completion(row: Sequence[int]) -> IntMatrix:
     One row Hermite pass on the column ``row^T`` gives a transform T with
     ``T @ row^T = e_1``, so ``row = e_1^T @ (T^T)^-1``. Raises
     ``ValidationError`` if the row is zero or its entries share a factor.
-
-    The pass runs on the indices S = {0} + supp(row) only: it swaps and
-    combines rows whose entry is nonzero, and row 0, so T is the identity
-    off S x S, and so are T^T and its inverse, which is unique. The
-    completion is the inverse on S x S written into the identity.
     """
     row = int_matrix((row,))[0]
     n = len(row)
-    s = [0, *compress(range(1, n), row[1:])] if n else []
-    k = len(s)
-    col = [[row[j]] for j in s]
-    t = [list(r) for r in identity(k)]
-    _row_hermite_inplace(col, t, k, 1)
+    col = [[x] for x in row]
+    t = [list(r) for r in identity(n)]
+    _row_hermite_inplace(col, t, n, 1)
     if not col or col[0][0] != 1:
         raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
-    inv = invert_unimodular(transpose(t))
-    out = [list(r) for r in identity(n)]
-    for i, inv_row in zip(s, inv):
-        out_row = out[i]
-        for j, x in zip(s, inv_row):
-            out_row[j] = x
-    return tuple(map(tuple, out))
+    return invert_unimodular(transpose(t))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -294,20 +240,11 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     ``min(rows, cols)`` including trailing zeros for rank deficiency.
     Alternating row and column Hermite passes diagonalize the matrix,
     then a pairwise gcd/lcm sweep over the absolute diagonal enforces the
-    divisibility chain. No transform is kept. The whole matrix is reduced
-    at once; ``signature_and_smith`` is the one entry point that splits a
-    symmetric matrix into blocks.
+    divisibility chain. No transform is kept.
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
     return _divisibility_chain(_smith_diagonal([list(row) for row in mat], rows, cols))
-
-
-def _block_smith(sub, pivots, n_zero) -> list[int]:
-    """The absolute Smith diagonal of one symmetric block, not yet a chain."""
-    if not n_zero and abs(pivots[-1][1][pivots[-1][0]]) == 1:
-        return [1] * len(sub)
-    return _smith_diagonal([list(r) for r in sub], len(sub), len(sub))
 
 
 def _divisibility_chain(diag: list[int]) -> tuple[int, ...]:
@@ -364,27 +301,9 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
 
     The rows span a primitive sublattice (equal to its saturation) and are
     returned in Hermite normal form, so the output is deterministic.
-
-    A zero column gives its unit row; the other columns are solved as one
-    block and the rows are merged by pivot column (module docstring).
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
-    live = [j for j, col in enumerate(zip(*mat)) if any(col)]
-    if len(live) == cols:
-        return _block_kernel(mat, rows, cols)
-    found = [(j, (0,) * j + (1,) + (0,) * (cols - j - 1)) for j in range(cols) if j not in live]
-    sub = [[row[j] for j in live] for row in mat]
-    for local in _block_kernel(sub, rows, len(live)):
-        row = [0] * cols
-        for j, x in zip(live, local):
-            row[j] = x
-        found.append((next(compress(live, local)), tuple(row)))
-    found.sort()
-    return tuple(row for _, row in found)
-
-
-def _block_kernel(mat, rows: int, cols: int) -> IntMatrix:
     # Row-reduce m^T with transform T, so T @ m^T = H. The rows of T whose
     # rows of H vanish span the kernel; they are rows of a unimodular
     # matrix, hence the sublattice they span is saturated.
@@ -448,20 +367,7 @@ def congruence_pivots(mat: Sequence[Sequence[int]]) -> tuple[list[tuple[int, tup
     return pivots, 0
 
 
-def _block_pivots(mat):
-    """``(sub, pivots, n_zero)`` for each diagonal block of the symmetric
-    integer ``mat``: the principal submatrix and its ``congruence_pivots``.
-    A 1x1 block (d) is its own pivot and is read without a reduction."""
-    for block in _symmetric_blocks(mat):
-        if len(block) == 1:
-            d = mat[block[0]][block[0]]
-            yield ((d,),), ([(0, (d,))] if d else []), int(not d)
-        else:
-            sub = principal(mat, block)
-            yield (sub, *congruence_pivots(sub))
-
-
-def _block_inertia(pivots, n_zero) -> tuple[int, int, int]:
+def _inertia(pivots, n_zero) -> tuple[int, int, int]:
     # The k-th pivot D_k / D_{k-1} is positive iff D_k has the sign of D_{k-1}.
     minors = [1, *(row[i] for i, row in pivots)]
     plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
@@ -477,29 +383,30 @@ def _symmetric_int_matrix(g: Sequence[Sequence]) -> IntMatrix:
 def rational_signature(g: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Inertia ``(n_plus, n_zero, n_minus)`` over Q of a symmetric integer matrix.
 
-    ``congruence_pivots`` runs on each diagonal block (module docstring),
-    and inertia adds over the blocks. Rejects non-symmetric input and any
-    entry that is not an int; a rational form is scaled to integers by
-    its caller, which leaves the inertia unchanged.
+    One ``congruence_pivots`` run gives it. Rejects non-symmetric input
+    and any entry that is not an int; a rational form is scaled to
+    integers by its caller, which leaves the inertia unchanged.
     """
-    blocks = _block_pivots(_symmetric_int_matrix(g))
-    return tuple(map(sum, zip((0, 0, 0), *(_block_inertia(p, z) for _, p, z in blocks))))
+    return _inertia(*congruence_pivots(_symmetric_int_matrix(g)))
 
 
 def signature_and_smith(
     g: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-    """``rational_signature(g)`` and ``smith_normal_form(g)`` from one block walk.
+    """``rational_signature(g)`` and ``smith_normal_form(g)`` from one reduction.
 
-    Each block is reduced once; its pivots give both the inertia and,
-    through D_n, whether it adds only 1s to the Smith diagonal.
+    The pivots give the inertia and, through the last leading minor D_n,
+    whether every Smith factor is 1. The pair step of ``congruence_pivots``
+    is a unimodular congruence, so |D_n| = |det g|, and |det g| = 1 makes
+    every factor 1. Otherwise the whole matrix is reduced to its Smith form.
     """
-    inertia, diag = [0, 0, 0], []
-    for sub, pivots, n_zero in _block_pivots(_symmetric_int_matrix(g)):
-        for k, x in enumerate(_block_inertia(pivots, n_zero)):
-            inertia[k] += x
-        diag += _block_smith(sub, pivots, n_zero)
-    return tuple(inertia), _divisibility_chain(diag)
+    mat = _symmetric_int_matrix(g)
+    pivots, n_zero = congruence_pivots(mat)
+    inertia, n = _inertia(pivots, n_zero), len(mat)
+    # The empty matrix has no pivot; its Smith form is () either way.
+    if pivots and not n_zero and abs(pivots[-1][1][pivots[-1][0]]) == 1:
+        return inertia, (1,) * n
+    return inertia, _divisibility_chain(_smith_diagonal([list(r) for r in mat], n, n))
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:

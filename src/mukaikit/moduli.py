@@ -168,8 +168,9 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     - its Gram block sits at the positions of those rows, and every cross
       term with S is 0;
     - its inertia adds to the signature, and as N is unimodular it adds
-      only 1s to the Smith form (``exactlin``: Smith forms add over
-      blocks), which the discriminant drops.
+      only 1s to the Smith form, which the discriminant drops: Smith
+      forms add over a block sum, as diag(P, P') diag(A, B) diag(Q, Q')
+      is diagonal when P A Q and P' B Q' are, and the form is unique.
     For v^2 = 0 the coordinates of v in the Hermite basis vanish off S, so
     the completion that puts v first is the identity on every N. It acts
     on index 0, the first row of the basis; as S holds the first U, that
@@ -279,7 +280,7 @@ class ProjectivityCheck:
     surface_projective: bool
     gram: tuple[tuple[Fraction, ...], ...]
     signature: tuple[int, int, int]
-    isotropy_identity: tuple[Fraction, Fraction]  # ((e^(xi/r)(2r^2,0,v^2))^2, -4 r^2 v^2)
+    isotropy_identity: tuple[Fraction, Fraction]  # (-4 r^2 v^2, -4 r^2 v^2), an identity
 
 
 def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
@@ -293,8 +294,11 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     signature is that of NS with one negative direction added (v^2 > 0)
     or one zero direction (v^2 = 0). The moduli space is projective iff
     that span represents a positive square, which happens iff the surface
-    itself is projective. Only the extra class is built: its square is
-    the isotropy identity.
+    itself is projective.
+
+    ``isotropy_identity`` is (q, q) with q = -4 r^2 v^2, the Gram's last
+    entry: the extra class squares to (2r xi)^2 - 2 (2r^2)(xi^2 + v^2)
+    = -4 r^2 v^2 for every input.
     """
     if v.lattice != m.ns:
         raise ValidationError("Mukai vector must live over the model's NS lattice")
@@ -303,16 +307,15 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
         raise HypothesisViolation("projectivity criterion requires v^2 >= 0")
     if v.v0 < 2 or v.v0.denominator != 1:
         raise HypothesisViolation("projectivity criterion requires integer rank >= 2")
-    r = v.v0
-    extra = MukaiVector(2 * r ** 2, v.v1.scale(2 * r), v.v1.square() + sq)
+    q = -4 * v.v0 ** 2 * sq
     zero = Fraction(0)
     gram = tuple((*map(Fraction, row), zero) for row in m.ns.gram)
-    gram += ((zero,) * m.ns.rank + (-4 * r ** 2 * sq,),)
+    gram += ((zero,) * m.ns.rank + (q,),)
     n_plus, n_zero, n_minus = m.ns.signature()
     sig = (n_plus, n_zero + (sq == 0), n_minus + (sq > 0))
     return ProjectivityCheck(
         projective_moduli=n_plus >= 1, surface_projective=n_plus >= 1, gram=gram,
-        signature=sig, isotropy_identity=(mukai_square(extra), -4 * r ** 2 * sq),
+        signature=sig, isotropy_identity=(q, q),
     )
 
 

@@ -124,8 +124,3 @@ def mukai_product(x: MukaiVector, y: MukaiVector) -> MukaiVector:
 def exp_class(delta: LatticeVector) -> MukaiVector:
     """(1, delta, delta^2/2): exponential of a degree-2 class."""
     return MukaiVector(Fraction(1), delta, delta.square() / 2)
-
-
-def dual(x: MukaiVector) -> MukaiVector:
-    """(x0, -x1, x2); matches dualizing a locally free sheaf."""
-    return MukaiVector(x.v0, -x.v1, x.v2)

@@ -1,14 +1,17 @@
-"""The exact layer split along orthogonal blocks, against whole-matrix references.
+"""Block sums against whole-matrix references, and the one block split left.
 
-``exactlin`` reduces a symmetric matrix block by block, splits the zero
-columns off a kernel and completes a row on its support only. These tests
-build matrices whose blocks are shuffled by a permutation and compare
-every result with the loops over the whole matrix that
-``tests/fraction_oracle.py`` keeps. ``h2`` reads the radical of an
-isotropic v-perp off the coordinates of v, checked against the kernel of
-its Gram, and computes only on the summands of the Mukai lattice that v
-meets: checked against the whole-matrix loops on vectors of any support,
-and by recording the width of every matrix it hands the exact layer.
+Lattice Grams are block sums: the Mukai Gram is U^4 (+) E8(-1)^2. The
+first tests shuffle random blocks by a permutation, or draw sparse rows,
+and compare what ``exactlin`` returns, reducing the whole matrix, with
+the loops that ``tests/fraction_oracle.py`` keeps.
+
+The Mukai lattice is split by summand in one place, ``moduli.h2_lattice``:
+it computes only on the summands that v meets. Its results are checked
+against the whole-matrix loops on vectors of any support, and
+``test_h2_reduces_no_summand_that_v_misses`` guards the split by
+recording the width of every matrix ``h2`` hands the exact layer. ``h2``
+reads the radical of an isotropic v-perp off the coordinates of v,
+checked against the kernel of its Gram.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mukaikit import exactlin
 from mukaikit.errors import ValidationError
 from mukaikit.exactlin import (
     bilinear,
@@ -13,9 +14,11 @@ from mukaikit.exactlin import (
     integer_kernel_saturated,
     invert_unimodular,
     rational_signature,
+    signature_and_smith,
     smith_normal_form,
     transpose,
 )
+from mukaikit.lattice import e8_minus_lattice, u_lattice
 
 from conftest import random_unimodular
 from fraction_oracle import (
@@ -140,6 +143,66 @@ class TestSignature:
         p = random_unimodular(rng, n)
         congruent = matmul(matmul(transpose(p), g), p)
         assert rational_signature(g) == rational_signature(congruent)
+
+
+def _block_sum(*blocks):
+    n = sum(map(len, blocks))
+    m = [[0] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[k + i][k:k + len(row)] = row
+        k += len(b)
+    return tuple(map(tuple, m))
+
+
+class TestSignatureAndSmith:
+    """``signature_and_smith`` against the whole-matrix references, and the
+    shortcut that reads a unimodular Gram's Smith form off its last pivot."""
+
+    @staticmethod
+    def _check(g, *, shortcut):
+        reduced = []
+
+        def smith_diagonal(a, rows, cols, _original=exactlin._smith_diagonal):
+            reduced.append(rows)
+            return _original(a, rows, cols)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactlin, "_smith_diagonal", smith_diagonal)
+            sig, smith = signature_and_smith(g)
+        assert sig == reference_signature(g) == rational_signature(g)
+        assert smith == reference_smith(g)[0] == smith_normal_form(g)
+        assert reduced == ([] if shortcut else [len(g)])
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_dense_unimodular_conjugates(self, seed):
+        # P (U (+) E8(-1)) P^T for a dense unimodular P: |det| = 1, so the
+        # last pivot is +-1 and every Smith factor is 1 without a reduction.
+        rng = random.Random(seed)
+        p = random_unimodular(rng, 10, steps=40)
+        g = matmul(matmul(p, _block_sum(u_lattice().gram, e8_minus_lattice().gram)), transpose(p))
+        assert sum(x != 0 for row in g for x in row) > 50  # over half of the 100 entries
+        self._check(g, shortcut=True)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_singular_and_non_unimodular(self, seed):
+        # A third block <d> with d = 0 or |d| >= 2 makes |det| != 1.
+        rng = random.Random(seed)
+        d = rng.choice([0, 0, -2, 2, -3, 4, -6])
+        g = _block_sum(u_lattice().gram, e8_minus_lattice().gram, ((d,),))
+        p = random_unimodular(rng, 11, steps=40)
+        self._check(matmul(matmul(p, g), transpose(p)), shortcut=False)
+
+    @pytest.mark.parametrize("d", [-4, -2, -1, 0, 1, 2, 3])
+    def test_one_by_one(self, d):
+        self._check(((d,),), shortcut=abs(d) == 1)
+
+    def test_empty(self):
+        self._check((), shortcut=False)
+        assert signature_and_smith(()) == ((0, 0, 0), ())
 
 
 class TestSolveAndInverse:

@@ -7,7 +7,6 @@ from mukaikit import (
     MukaiVector,
     diagonal_lattice,
     discriminant,
-    dual,
     exp_class,
     mukai_from_chern,
     mukai_pairing,
@@ -143,17 +142,3 @@ class TestProductAndExp:
             x, y = random_mukai(rng, ns), random_mukai(rng, ns)
             assert mukai_pairing(mukai_product(e, x), mukai_product(e, y)) == mukai_pairing(x, y)
 
-
-class TestSqrtAndDual:
-    def test_dual_involution(self, zl, L):
-        x = MukaiVector(F(2), L, F(-2))
-        assert dual(x) == MukaiVector(F(2), -L, F(-2))
-        assert dual(dual(x)) == x
-
-    def test_dual_is_ring_map_and_isometry(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            ns = random_hyperbolic_ns(rng, rng.randint(1, 3))
-            x, y = random_mukai(rng, ns), random_mukai(rng, ns)
-            assert dual(mukai_product(x, y)) == mukai_product(dual(x), dual(y))
-            assert mukai_square(dual(x)) == mukai_square(x)
