@@ -18,7 +18,7 @@ from mukaikit.exactlin import (
     smith_normal_form,
     transpose,
 )
-from mukaikit.lattice import e8_minus_lattice, u_lattice
+from mukaikit.lattice import diagonal_lattice, direct_sum, e8_minus_lattice, u_lattice
 
 from conftest import random_unimodular
 from fraction_oracle import (
@@ -145,17 +145,6 @@ class TestSignature:
         assert rational_signature(g) == rational_signature(congruent)
 
 
-def _block_sum(*blocks):
-    n = sum(map(len, blocks))
-    m = [[0] * n for _ in range(n)]
-    k = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            m[k + i][k:k + len(row)] = row
-        k += len(b)
-    return tuple(map(tuple, m))
-
-
 class TestSignatureAndSmith:
     """``signature_and_smith`` against the whole-matrix references, and the
     shortcut that reads a unimodular Gram's Smith form off its last pivot."""
@@ -182,7 +171,8 @@ class TestSignatureAndSmith:
         # last pivot is +-1 and every Smith factor is 1 without a reduction.
         rng = random.Random(seed)
         p = random_unimodular(rng, 10, steps=40)
-        g = matmul(matmul(p, _block_sum(u_lattice().gram, e8_minus_lattice().gram)), transpose(p))
+        g = direct_sum([u_lattice(), e8_minus_lattice()]).gram
+        g = matmul(matmul(p, g), transpose(p))
         assert sum(x != 0 for row in g for x in row) > 50  # over half of the 100 entries
         self._check(g, shortcut=True)
 
@@ -192,7 +182,7 @@ class TestSignatureAndSmith:
         # A third block <d> with d = 0 or |d| >= 2 makes |det| != 1.
         rng = random.Random(seed)
         d = rng.choice([0, 0, -2, 2, -3, 4, -6])
-        g = _block_sum(u_lattice().gram, e8_minus_lattice().gram, ((d,),))
+        g = direct_sum([u_lattice(), e8_minus_lattice(), diagonal_lattice([d])]).gram
         p = random_unimodular(rng, 11, steps=40)
         self._check(matmul(matmul(p, g), transpose(p)), shortcut=False)
 
