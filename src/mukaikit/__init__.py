@@ -26,7 +26,6 @@ _EXPORTS = {
     "lattice": (
         "Lattice",
         "LatticeVector",
-        "content",
         "diagonal_lattice",
         "direct_sum",
         "discriminant_group",
@@ -42,7 +41,6 @@ _EXPORTS = {
         "TopologicalType",
         "discriminant",
         "exp_class",
-        "mukai_from_chern",
         "mukai_pairing",
         "mukai_product",
         "mukai_square",
@@ -54,7 +52,6 @@ _EXPORTS = {
         "ch_B",
         "ch_E",
         "delta_E",
-        "slope_E",
         "twisted_subobject_wall",
         "v_E",
         "w_xi",
@@ -64,14 +61,12 @@ _EXPORTS = {
         "K3Model",
         "is_polarization",
         "is_projective_surface",
-        "project_to_ns",
     ),
     "walls": (
         "Segment",
         "Wall",
         "destabilizer_wall",
         "is_generic",
-        "is_wall",
         "same_chamber",
         "wall_bound",
         "wall_set_is_empty",

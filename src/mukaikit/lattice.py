@@ -105,9 +105,6 @@ class LatticeVector:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def dot(self, other: "LatticeVector") -> Fraction:
-        return pairing(self, other)
-
     def square(self) -> Fraction:
         return pairing(self, self)
 
@@ -260,23 +257,11 @@ def discriminant_group(l: Lattice) -> tuple[int, ...]:
     return tuple(d for d in diag if d != 1)
 
 
-def content(x: LatticeVector) -> int:
-    """gcd of the coordinates of a nonzero integral vector.
-
-    Equivalently the largest k such that x/k is still integral; invariant
-    under unimodular base change.
-    """
-    if x.is_zero:
-        raise HypothesisViolation("content of the zero vector is undefined")
-    if not x.is_integral:
-        raise ValidationError("content requires integer coordinates")
-    return gcd(*x.num)
-
-
 def coprime_rank_class(r: int, xi: LatticeVector) -> bool:
     """The coprimality condition between a rank and a first Chern class.
 
-    Implemented as gcd(r, content(xi)) = 1, with content(0) read as 0 so
-    the zero class is coprime to nothing once r >= 2.
+    Implemented as gcd(r, content(xi)) = 1, where the content of an integral
+    xi is the gcd of its coordinates, 0 for xi = 0, so the zero class is
+    coprime to nothing once r >= 2.
     """
     return xi.is_integral and gcd(r, *xi.num) == 1

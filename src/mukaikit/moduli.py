@@ -22,7 +22,6 @@ from .exactlin import IntMatrix, int_matrix
 from .lattice import (
     Lattice,
     LatticeVector,
-    content,
     coprime_rank_class,
     full_mukai_blocks,
     full_mukai_lattice,

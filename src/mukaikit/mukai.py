@@ -38,15 +38,6 @@ class MukaiVector:
             and self.v1.is_integral
         )
 
-    def pair(self, other: "MukaiVector") -> Fraction:
-        return mukai_pairing(self, other)
-
-    def square(self) -> Fraction:
-        return mukai_pairing(self, self)
-
-    def __mul__(self, other: "MukaiVector") -> "MukaiVector":
-        return mukai_product(self, other)
-
     def __repr__(self):
         return f"({self.v0}, {self.v1!r}, {self.v2})"
 
@@ -62,14 +53,6 @@ class TopologicalType:
     def __post_init__(self):
         if self.r <= 0:
             raise HypothesisViolation("topological type requires positive rank")
-
-
-def mukai_from_chern(r, c1: LatticeVector, ch2) -> MukaiVector:
-    """Mukai vector of a sheaf with rank r, first Chern class c1, ch2."""
-    r = Fraction(r)
-    if r < 0:
-        raise HypothesisViolation("negative rank")
-    return MukaiVector(r, c1, Fraction(ch2) + r)
 
 
 def mukai_pairing(x: MukaiVector, y: MukaiVector) -> Fraction:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .errors import HypothesisViolation, LatticeMismatchError, ValidationError
+from .errors import LatticeMismatchError, ValidationError
 from .exactlin import mat_vec
 from .lattice import Lattice, LatticeVector, pairing
 from .records import record
@@ -79,9 +79,6 @@ class K3Model:
         self._check_membership(omega)
         return pairing(xi, omega.ns_part)
 
-    def embed_ns(self, xi: LatticeVector) -> H11Class:
-        return H11Class(xi, self.t11.zero())
-
 
 def is_projective_surface(m: K3Model) -> bool:
     """True iff NS represents a positive square, i.e. n_plus(NS) >= 1."""
@@ -125,27 +122,3 @@ def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str
 def is_polarization(m: K3Model, omega: H11Class) -> bool:
     """Positive square, same cone component as the reference, positive on curves."""
     return polarization_defect(m, omega) is None
-
-
-@record
-class NSProjection:
-    """The NS component of a polarization, with its own positivity verdict."""
-
-    ns_part: LatticeVector
-    ns_is_polarization: bool
-    as_h11: H11Class
-
-
-def project_to_ns(m: K3Model, omega: H11Class) -> NSProjection:
-    """Drop the transcendental part of a polarization.
-
-    Pairing against any NS class is unchanged by construction. The
-    returned verdict says whether the projection still passes the
-    polarization test inside NS (the model's ampleness check); on a
-    non-projective model it never does.
-    """
-    defect = polarization_defect(m, omega)
-    if defect:
-        raise HypothesisViolation(f"projection is defined for polarizations only ({defect})")
-    projected = m.embed_ns(omega.ns_part)
-    return NSProjection(omega.ns_part, is_polarization(m, projected), projected)

@@ -16,7 +16,6 @@ from .errors import HypothesisViolation, IntegralityWarning, ValidationError
 from .lattice import LatticeVector
 from .mukai import MukaiVector, discriminant, exp_class, mukai_product, mukai_square
 from .records import record
-from .surface import H11Class
 
 
 @record
@@ -61,11 +60,6 @@ def v_E(f: TwistedSheafData, e: TwistData) -> MukaiVector:
     """Twisted Mukai vector: ch_E with the rank added in degree 4."""
     c = ch_E(f, e)
     return MukaiVector(c.v0, c.v1, c.v2 + f.r)
-
-
-def slope_E(f: TwistedSheafData, e: TwistData, omega: H11Class) -> Fraction:
-    """xi . omega / (r s). The B-field drops out of slope comparisons."""
-    return f.xi.dot(omega.ns_part) / (f.r * e.s)
 
 
 def endo_ch2(f: TwistedSheafData, e: TwistData) -> Fraction:

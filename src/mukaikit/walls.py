@@ -25,9 +25,9 @@ Crossings are sorted by an exact integer key (see
 Each fact is checked once. The search and the filter prove on ints that
 a returned class is primitive, has canonical sign and satisfies
 -bound <= D^2 < 0, so the returned walls are built by the private
-``Wall._trusted``, which skips the range and sign checks of ``Wall``; it
-stores the same D, D^2 and bound as ``Wall``, and only for the walls
-returned. The public constructors keep every check.
+``Wall._trusted``, which skips the checks of ``Wall``; it stores the
+same D, D^2 and bound as ``Wall``, and only for the walls returned. The
+public constructors keep every check.
 """
 
 from __future__ import annotations
@@ -65,26 +65,32 @@ def wall_bound(v: MukaiVector) -> Fraction:
 
 @record
 class Wall:
-    """A primitive NS class of negative square within the wall bound.
+    """A primitive integral NS class D of negative square within the wall bound.
 
     Stored with canonical sign (first nonzero coordinate positive) so
-    that D and -D, which cut the same hyperplane, coincide.
+    that D and -D, which cut the same hyperplane, coincide. A wall is
+    (D, D^2, bound) however it was found, so the wall of a destabilizer
+    equals the wall that a search returns.
     """
 
     d: LatticeVector
     d_square: Fraction
     bound: Fraction
-    source: tuple[int, LatticeVector] | None = None
 
     def __post_init__(self):
         # -bound <= D^2 < 0 on numerators and (positive) denominators.
-        sq, bound = self.d_square, self.bound
+        sq, bound, d = self.d_square, self.bound, self.d
         if not (sq.numerator < 0
                 and -bound.numerator * sq.denominator <= sq.numerator * bound.denominator):
             raise ValidationError("wall square out of range")
-        first = next((c for c in self.d.num if c), 0)
+        first = next((c for c in d.num if c), 0)
         if first <= 0:
             raise ValidationError("wall class must be nonzero with canonical sign")
+        if d.den != 1 or gcd(*d.num) != 1:
+            raise ValidationError(f"wall class {d!r} must be integral and primitive")
+        d_square = bilinear(d.lattice.gram, d.num, d.num)
+        if sq != d_square:
+            raise ValidationError(f"wall square {sq} is not D^2={d_square} for D={d!r}")
 
     @classmethod
     def _trusted(cls, ns: Lattice, key: tuple[int, ...], sq: int, bound: Fraction) -> "Wall":
@@ -97,17 +103,7 @@ class Wall:
         object.__setattr__(self, "d", LatticeVector(ns, key))
         object.__setattr__(self, "d_square", Fraction(sq))
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "source", None)
         return self
-
-
-def is_wall(d: LatticeVector, v: MukaiVector) -> bool:
-    """Membership of an integral NS class in the wall set of v."""
-    if not d.is_integral:
-        raise ValidationError("wall membership is tested on integral classes")
-    bound = wall_bound(v)
-    sq = d.square()
-    return -bound <= sq < 0
 
 
 def wall_set_is_empty(m: K3Model, v: MukaiVector) -> bool | None:
@@ -168,7 +164,7 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
         )
     key = _primitive_canonical(d.num)
     key_sq = Fraction(bilinear(d.lattice.gram, key, key))
-    wall = Wall(d.lattice.vector(key), key_sq, bound, (s, zeta))
+    wall = Wall(d.lattice.vector(key), key_sq, bound)
     return DestabilizerVerdict("wall", d, sq, bound, wall, "in range")
 
 

@@ -6,11 +6,12 @@ included), and no float literal or ``float`` name may appear, so no
 verdict can pass through floating point. The exact layer is integer-only:
 ``exactlin`` imports nothing from ``fractions``, and its signature and the
 short-vector search reject a Fraction entry instead of scaling it.
-Every module-level private function, and every public function of the
-internal modules ``exactlin`` and ``shortvec`` (which export nothing through
-``mukaikit.__all__``), is used somewhere in the library, so a deletion
-cannot leave a helper behind and no path is kept for tests alone. No
-module imports ``dataclasses``. The wall layer takes one argument type, a
+Every top-level function and class is used somewhere in the library,
+except the public names in ``API_ENTRY_POINTS``, each kept there with its
+reason, so a deletion cannot leave a helper behind and no path is kept for
+tests alone; the internal modules ``exactlin`` and ``shortvec`` export
+nothing through ``mukaikit.__all__``. No module imports a name that it
+does not use, and none imports ``dataclasses``. The wall layer takes one argument type, a
 Mukai vector: ``walls`` imports nothing from ``twisted``, whose classes
 enter through ``twisted.v_E``.
 Denominators are cleared where a ``LatticeVector`` is built and in
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 from fractions import Fraction
@@ -61,6 +63,21 @@ def test_no_float_literal_or_name(path):
     assert not floats
 
 
+def _unused_imports(tree: ast.AST) -> set[str]:
+    """The names that ``tree`` binds by an import, other than ``__future__``, and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert not _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"exactlin.py", "shortvec.py", "walls.py", "cli.py"}
 
@@ -80,37 +97,56 @@ def test_exact_layer_rejects_fraction_entries(entry):
         short_vectors_up_to_sign(form, 3)
 
 
-def _names_outside(tree: ast.AST, skip: ast.AST):
-    """Every name, attribute and imported name in ``tree`` outside ``skip``."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+def _names(tree: ast.AST):
+    """Every name, attribute and imported name in ``tree``."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
-        stack.extend(ast.iter_child_nodes(node))
 
 
 INTERNAL_MODULES = ("exactlin", "shortvec")
 
+# The public names that no library code calls, each with the reason it stays.
+API_ENTRY_POINTS = {
+    "lattice.diagonal_lattice": "perfbench builds every model with it",
+    "lattice.discriminant_group": "ROADMAP item 11 (the integral algebraic part of v-perp) "
+                                  "gives it a caller",
+    "moduli.transfer_isometry": "acceptance criterion 11",
+    "mukai.discriminant_from_chern": "acceptance criterion 02",
+    "twisted.endo_ch2": "acceptance criterion 03",
+    "twisted.twisted_subobject_wall": "acceptance criterion 04",
+    "walls.destabilizer_wall": "ROADMAP item 2 checks each realised wall by its round trip",
+    "walls.segment_candidate_bound": "the Fraction reference route that "
+                                     "test_search_gets_the_majorant_of_the_full_h11_pairing "
+                                     "compares against, and where the majorant bound is proved",
+}
 
-def _needs_a_library_caller(module: str, name: str) -> bool:
-    private = name.startswith("_") and not name.startswith("__")
-    return private or module.removesuffix(".py") in INTERNAL_MODULES
+
+def _uncalled(trees: dict[str, ast.AST]) -> set[str]:
+    """``module.name`` of each top-level function and class, dunders aside, named nowhere
+    else in ``trees``. ``__init__.py`` names its exports as strings, so it is left out."""
+    trees = {name: tree for name, tree in trees.items() if name != "__init__.py"}
+    counts = Counter(name for tree in trees.values() for name in _names(tree))
+    return {f"{module.removesuffix('.py')}.{node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("__")
+            and counts[node.name] == sum(name == node.name for name in _names(node))}
 
 
-def test_every_private_function_is_used():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
-    orphans = [f"{name}:{node.name}"
-               for name, tree in trees.items() for node in tree.body
-               if isinstance(node, ast.FunctionDef) and _needs_a_library_caller(name, node.name)
-               and not any(node.name in set(_names_outside(t, node)) for t in trees.values())]
-    assert not orphans
+LIBRARY = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def test_every_function_and_class_has_a_library_caller():
+    assert not _uncalled(LIBRARY) - set(API_ENTRY_POINTS)
+
+
+def test_every_api_entry_point_exists_and_has_no_library_caller():
+    assert not set(API_ENTRY_POINTS) - _uncalled(LIBRARY)
 
 
 def test_internal_modules_export_nothing():
@@ -119,9 +155,13 @@ def test_internal_modules_export_nothing():
 
 
 def test_caller_check_covers_internal_public_functions():
-    assert _needs_a_library_caller("exactlin.py", "identity")
-    assert _needs_a_library_caller("walls.py", "_in_bound")
-    assert not _needs_a_library_caller("lattice.py", "content")
+    trees = {
+        "exactlin.py": ast.parse("def identity(n):\n    return identity(n - 1)\n"
+                                 "def _helper():\n    pass\nclass Used:\n    pass\n"),
+        "walls.py": ast.parse("from .exactlin import Used\ndef __dir__():\n    pass\n"),
+        "__init__.py": ast.parse("def f():\n    return identity, _helper\n"),
+    }
+    assert _uncalled(trees) == {"exactlin.identity", "exactlin._helper"}
 
 
 def _gram_comparisons(tree: ast.AST):

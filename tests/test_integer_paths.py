@@ -151,8 +151,8 @@ def ns():
 
 
 def test_wall_square_at_a_non_integral_bound_is_accepted(ns):
-    wall = Wall(ns.vector((0, 1, 0)), F(-25, 2), F(25, 2))
-    assert wall.d_square == -wall.bound
+    wall = Wall(ns.vector((0, 2, 1)), F(-12), F(25, 2))
+    assert -wall.bound < wall.d_square == -12
     assert Wall(ns.vector((0, 1, 0)), -2, 12).d_square == -2
 
 

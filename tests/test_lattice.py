@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mukaikit import (
     Lattice,
-    content,
     diagonal_lattice,
     direct_sum,
     discriminant_group,
@@ -21,7 +20,7 @@ from mukaikit import (
 )
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from mukaikit.exactlin import smith_normal_form
-from mukaikit.lattice import LatticeVector
+from mukaikit.lattice import LatticeVector, coprime_rank_class
 
 from conftest import random_unimodular
 from fraction_oracle import _pair as fraction_pair
@@ -177,29 +176,33 @@ class TestDiscriminantGroup:
 
 
 class TestContent:
+    """A rank r and a class xi are coprime when gcd(r, content(xi)) = 1, the
+    content being the gcd of the coordinates of xi."""
+
     def test_examples(self):
         l = diagonal_lattice([2, -2, 2])
-        assert content(l.vector((2, 4, 6))) == 2
+        assert coprime_rank_class(3, l.vector((2, 4, 6)))
+        assert not coprime_rank_class(4, l.vector((2, 4, 6)))
         l2 = diagonal_lattice([2, -2])
-        assert content(l2.vector((1, 0))) == 1
-        assert content(l2.vector((-4, 6))) == 2
+        assert coprime_rank_class(2, l2.vector((1, 0)))
+        assert not coprime_rank_class(6, l2.vector((-4, 6)))
+        assert not coprime_rank_class(3, l2.vector((Fraction(1, 2), 0)))
 
     def test_zero_rejected(self):
-        with pytest.raises(HypothesisViolation):
-            content(diagonal_lattice([2]).zero())
+        zero = diagonal_lattice([2]).zero()
+        assert coprime_rank_class(1, zero)
+        assert not any(coprime_rank_class(r, zero) for r in range(2, 8))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_unimodular_invariance(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(1, 4)
+        n, r = rng.randint(1, 4), rng.randint(1, 12)
         coords = [rng.randint(-6, 6) for _ in range(n)]
-        if all(c == 0 for c in coords):
-            coords[0] = 1
         u = random_unimodular(rng, n)
         image = tuple(sum(coords[i] * u[i][j] for i in range(n)) for j in range(n))
         l = diagonal_lattice([2] * n)
-        assert content(l.vector(coords)) == content(l.vector(image))
+        assert coprime_rank_class(r, l.vector(coords)) == coprime_rank_class(r, l.vector(image))
 
 
 def test_direct_sum_block_structure():

@@ -5,10 +5,10 @@ import pytest
 
 from mukaikit import (
     MukaiVector,
+    TopologicalType,
     diagonal_lattice,
     discriminant,
     exp_class,
-    mukai_from_chern,
     mukai_pairing,
     mukai_product,
     mukai_square,
@@ -32,17 +32,20 @@ def L(zl):
 
 
 class TestConstruction:
-    def test_from_chern(self, zl, L):
-        v = mukai_from_chern(2, L, -4)
-        assert v == MukaiVector(F(2), L, F(-2))
+    def test_from_chern(self):
+        # (r, c1, c2) has ch2 = c1^2/2 - c2 and Mukai vector (r, c1, ch2 + r).
+        rng = random.Random(19)
+        for _ in range(50):
+            ns = random_hyperbolic_ns(rng, rng.randint(1, 3))
+            tau = TopologicalType(rng.randint(1, 6), random_integral_vector(rng, ns),
+                                  rng.randint(-9, 9))
+            ch2 = tau.c1.square() / 2 - tau.c2
+            assert topological_type(MukaiVector(tau.r, tau.c1, ch2 + tau.r)) == tau
 
-    def test_structure_sheaf(self, zl):
-        v = mukai_from_chern(1, zl.zero(), 0)
-        assert (v.v0, v.v2) == (1, 1)
-
-    def test_rank_zero_passthrough(self, zl, L):
-        v = mukai_from_chern(0, L, 5)
-        assert (v.v0, v.v2) == (0, 5)
+    def test_rank_zero_passthrough(self, L):
+        # (0, L, 5) is a Mukai vector, but a rank-0 class has no (r, c1, c2).
+        with pytest.raises(HypothesisViolation, match="rank >= 1"):
+            topological_type(MukaiVector(0, L, 5))
 
     def test_equality_ignores_lattice_labels(self, L):
         other = diagonal_lattice([-10], "other")

@@ -32,7 +32,7 @@ from mukaikit.moduli import (
 )
 from mukaikit.mukai import MukaiVector, TopologicalType
 from mukaikit.records import record
-from mukaikit.surface import H11Class, K3Model, NSProjection
+from mukaikit.surface import H11Class, K3Model
 from mukaikit.twisted import SubobjectWall, TwistData, TwistedSheafData
 from mukaikit.walls import DestabilizerVerdict, Segment, Wall, WallCrossing
 
@@ -71,7 +71,6 @@ def _examples() -> dict:
         "TopologicalType": TopologicalType(2, xi, 3),
         "H11Class": omega,
         "K3Model": model,
-        "NSProjection": NSProjection(omega.ns_part, True, omega),
         "Config": Config(model, v, omega, omega_prime, None, None, (2, 0, -4)),
         "Wall": wall,
         "DestabilizerVerdict": DestabilizerVerdict(
@@ -107,7 +106,7 @@ REPRS = {
     "DestabilizerVerdict": (
         "DestabilizerVerdict(kind='wall', d=(0, 2), d_square=Fraction(-8, 1), "
         "bound=Fraction(10, 1), wall=Wall(d=(0, 1), d_square=Fraction(-2, 1), "
-        "bound=Fraction(5, 2), source=None), reason='in range')"
+        "bound=Fraction(5, 2)), reason='in range')"
     ),
     "EmbeddedMukaiVector": (
         "EmbeddedMukaiVector(coords=(2, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "
@@ -140,9 +139,6 @@ REPRS = {
         "projective_surface=True, projective_moduli=True, interpretation_notes=('note',))"
     ),
     "MukaiVector": "(2, (1, 1), 0)",
-    "NSProjection": (
-        "NSProjection(ns_part=(1, 1/4), ns_is_polarization=True, as_h11=((1, 1/4); ()))"
-    ),
     "OrthogonalComplement": "OrthogonalComplement(sub=Lattice(NS-perp), basis=((0, 1),))",
     "ProjectivityCheck": (
         "ProjectivityCheck(projective_moduli=True, surface_projective=True, gram=((Fraction(2, "
@@ -154,10 +150,10 @@ REPRS = {
     "TopologicalType": "TopologicalType(r=2, c1=(1, 1), c2=3)",
     "TwistData": "TwistData(s=2, b=Fraction(1, 2), b_field=(0, 1/2))",
     "TwistedSheafData": "TwistedSheafData(r=2, xi=(1, 1), a=Fraction(-1, 1))",
-    "Wall": "Wall(d=(0, 1), d_square=Fraction(-2, 1), bound=Fraction(5, 2), source=None)",
+    "Wall": "Wall(d=(0, 1), d_square=Fraction(-2, 1), bound=Fraction(5, 2))",
     "WallCrossing": (
-        "WallCrossing(wall=Wall(d=(0, 1), d_square=Fraction(-2, 1), bound=Fraction(5, 2), "
-        "source=None), t=Fraction(1, 2))"
+        "WallCrossing(wall=Wall(d=(0, 1), d_square=Fraction(-2, 1), bound=Fraction(5, 2)), "
+        "t=Fraction(1, 2))"
     ),
 }
 
@@ -172,7 +168,7 @@ def _compared(x) -> tuple:
 
 
 def test_every_record_class_has_an_example():
-    assert len(RECORDS) >= 22
+    assert len(RECORDS) >= 21
     assert set(RECORDS) == set(EXAMPLES) == set(REPRS)
     assert all(type(EXAMPLES[name]) is cls for name, cls in RECORDS.items())
 
@@ -239,7 +235,6 @@ def test_defaults():
     verdict = ExistenceVerdict(False, ("no",), 2, 0, -4)
     assert (verdict.xi_square, verdict.delta, verdict.c2, verdict.mukai, verdict.dim,
             verdict.irreducibility) == (None,) * 6
-    assert Wall(*_fields(EXAMPLES["Wall"])[:3]).source is None
     assert TwistData(1, 0).b_field is None
 
 

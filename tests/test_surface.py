@@ -10,9 +10,8 @@ from mukaikit import (
     diagonal_lattice,
     is_polarization,
     is_projective_surface,
-    project_to_ns,
 )
-from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
+from mukaikit.errors import LatticeMismatchError, ValidationError
 from mukaikit.surface import polarization_defect
 
 from conftest import random_hyperbolic_ns, random_negative_definite_ns, positive_reference
@@ -129,29 +128,21 @@ class TestPolarization:
 
 
 class TestProjection:
-    def test_extraction(self, projective):
-        omega = projective.h11((1, F(1, 4)))
-        proj = project_to_ns(projective, omega)
-        assert proj.ns_part == omega.ns_part
-        assert proj.ns_is_polarization
-
-    def test_pairing_agreement_random(self, projective):
+    def test_pairing_agreement_random(self, nonprojective):
+        # An NS class pairs with omega through the NS part of omega only.
         rng = random.Random(6)
-        omega = projective.h11((2, F(1, 3)))
-        proj = project_to_ns(projective, omega)
+        omega = nonprojective.h11((F(1, 3),), (2,))
         for _ in range(20):
-            xi = projective.ns.vector((rng.randint(-4, 4), rng.randint(-4, 4)))
-            assert projective.pair_ns(xi, omega) == projective.pair_ns(xi, proj.as_h11)
+            xi = nonprojective.ns.vector((rng.randint(-4, 4),))
+            assert nonprojective.pair_ns(xi, omega) == nonprojective.pair(
+                H11Class(xi, nonprojective.t11.zero()), omega)
 
     def test_nonprojective_projection_fails_positivity(self, nonprojective):
         omega = nonprojective.h11((1,), (3,))
-        proj = project_to_ns(nonprojective, omega)
-        assert proj.ns_part.square() == -10
-        assert not proj.ns_is_polarization
-
-    def test_requires_polarization(self, nonprojective):
-        with pytest.raises(HypothesisViolation, match=r"\(omega\^2=-8 <= 0\)"):
-            project_to_ns(nonprojective, nonprojective.h11((1,), (1,)))
+        assert is_polarization(nonprojective, omega)
+        projected = H11Class(omega.ns_part, nonprojective.t11.zero())
+        assert projected.ns_part.square() == -10
+        assert not is_polarization(nonprojective, projected)
 
 
 class TestSignatureConsequences:

@@ -4,8 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from mukaikit import (
-    H11Class,
-    Lattice,
     MukaiVector,
     TwistData,
     TwistedSheafData,
@@ -17,7 +15,7 @@ from mukaikit import (
     exp_class,
     mukai_product,
     mukai_square,
-    slope_E,
+    pairing,
     twisted_subobject_wall,
     v_E,
     w_xi,
@@ -42,7 +40,7 @@ def L(zl):
 def tensor_dual_data(r, c1f, ch2f, s, c1e, ch2e):
     """Invariants of F (x) E^dual from untwisted Chern data of F and E."""
     xi = c1f.scale(s) - c1e.scale(r)
-    a = F(r) * ch2e + F(s) * ch2f - c1f.dot(c1e)
+    a = F(r) * ch2e + F(s) * ch2f - pairing(c1f, c1e)
     b = 2 * F(s) * ch2e - c1e.square()
     return TwistedSheafData(r, xi, a), TwistData(s, b)
 
@@ -86,26 +84,6 @@ class TestVE:
         f = TwistedSheafData(2, L, F(-4))
         got = v_E(f, trivial_twist())
         assert got == MukaiVector(F(2), L, F(-2))
-
-
-class TestSlope:
-    def test_worked(self, zl, L):
-        t11 = diagonal_lattice([2], "T")
-        omega = H11Class(L.scale(F(-2, 5)), t11.vector((1,)))  # L.omega = 4
-        f = TwistedSheafData(2, L, F(0))
-        e = TwistData(2, F(0))
-        assert L.dot(omega.ns_part) == 4
-        assert slope_E(f, e, omega) == 1
-
-    def test_zero_class(self, zl):
-        omega = H11Class(zl.vector((1,)), Lattice(()).zero())
-        f = TwistedSheafData(2, zl.zero(), F(0))
-        assert slope_E(f, TwistData(3, F(1)), omega) == 0
-
-    def test_trivial_twist_reduces_to_untwisted_slope(self, zl, L):
-        omega = H11Class(L.scale(-1), Lattice(()).zero())
-        f = TwistedSheafData(2, L, F(0))
-        assert slope_E(f, trivial_twist(), omega) == L.dot(omega.ns_part) / F(2)
 
 
 class TestDeltaE:
@@ -184,7 +162,7 @@ class TestChB:
         got = ch_B(che, e)
         assert got == expected
         assert got.v1 == L.scale(F(1, 2)) + delta.scale(2)
-        assert got.v2 == F(1, 2) + delta.dot(L.scale(F(1, 2))) + 2 * delta.square() / 2
+        assert got.v2 == F(1, 2) + pairing(delta, L.scale(F(1, 2))) + 2 * delta.square() / 2
 
     def test_rank_zero_passthrough(self, zl, L):
         e = TwistData(1, F(0), b_field=L)

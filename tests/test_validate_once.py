@@ -171,7 +171,6 @@ def _assert_wall_matches_public(wall: Wall) -> Wall:
     public = _rebuilt_wall(wall)
     _assert_twins(wall.d, public.d)
     _assert_twins(wall, public)
-    assert wall.source is None
     assert len(wall.d.coords) == wall.d.lattice.rank
     for value in wall.d.coords + (wall.d_square, wall.bound):
         assert type(value) is F

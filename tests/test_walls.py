@@ -12,13 +12,14 @@ from mukaikit import (
     Segment,
     TwistData,
     TwistedSheafData,
+    Wall,
     delta_E,
     destabilizer_wall,
     diagonal_lattice,
     discriminant,
     is_generic,
     is_polarization,
-    is_wall,
+    pairing,
     same_chamber,
     v_E,
     wall_bound,
@@ -35,6 +36,7 @@ from conftest import (
     oracle_walls_through,
     positive_reference,
     random_hyperbolic_ns,
+    random_integral_vector,
     short_vectors,
 )
 from fraction_oracle import coordinate_radii
@@ -89,22 +91,19 @@ class TestBoundAndMembership:
         ns2 = diagonal_lattice([2])
         assert wall_bound(MukaiVector(F(2), ns2.basis_vector(0), F(0))) == 10
 
-    def test_membership(self, rank2_model):
-        h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
-        v = MukaiVector(F(2), h + f, F(0))
-        assert is_wall(f, v)
-        assert not is_wall(rank2_model.ns.zero(), v)
-        ns = diagonal_lattice([-10], "ZL")
-        L = ns.basis_vector(0)
-        vL = MukaiVector(F(2), L, F(-2))
-        for n in (1, 2, 3):
-            assert not is_wall(L.scale(n), vL)
-
     def test_negative_delta_empty(self):
         ns = diagonal_lattice([-10], "ZL")
         v = MukaiVector(F(2), ns.basis_vector(0), F(2))  # Delta = -30/8+1 < 0
         assert wall_bound(v) < 0
-        assert not is_wall(ns.basis_vector(0), v)
+
+    @pytest.mark.parametrize("coords, d_square, bound, message", [
+        ((0, 1), -1, 5, r"^wall square -1 is not D\^2=-2 for D=\(0, 1\)$"),
+        ((0, 2), -8, 10, r"^wall class \(0, 2\) must be integral and primitive$"),
+        ((0, F(1, 2)), F(-1, 2), 10, r"^wall class \(0, 1/2\) must be integral and primitive$"),
+    ])
+    def test_wall_checks_its_class(self, rank2_model, coords, d_square, bound, message):
+        with pytest.raises(ValidationError, match=message):
+            Wall(rank2_model.ns.vector(coords), F(d_square), F(bound))
 
     def test_profile_requires_positive_rank(self):
         ns = diagonal_lattice([-10], "ZL")
@@ -142,6 +141,35 @@ class TestDestabilizer:
         assert (got.kind, got.d.coords, got.d_square, got.wall) == ("out_of_range", (2, 0), 8, None)
         assert got.reason == ("nonnegative square is impossible for a class orthogonal"
                               " to a polarization")
+
+    def test_wall_is_a_searched_wall(self, rank2_model):
+        """The wall of a destabilizer is returned by the search through a
+        polarization on its hyperplane: the reference projected onto D-perp."""
+        # D = 2 (1, 1) - (1, 0) = (1, 2), D^2 = -6, D . (2, 1) = 4 - 4 = 0.
+        v = MukaiVector(F(2), rank2_model.ns.vector((1, 0)), F(0))
+        wall = destabilizer_wall(v, 1, rank2_model.ns.vector((1, 1))).wall
+        assert wall.d.coords == (1, 2)
+        assert wall in walls_through_class(rank2_model, v, rank2_model.h11((2, 1)))
+        rng = random.Random(24)
+        checked = 0
+        for _ in range(500):
+            ns = random_hyperbolic_ns(rng, rng.choice((2, 3)))
+            ref = positive_reference(ns, rng)
+            m = K3Model(ns=ns, reference_positive=H11Class(ref, Lattice(()).zero()))
+            r, xi = rng.randint(2, 5), random_integral_vector(rng, ns)
+            v = MukaiVector(F(r), xi, F(rng.randint(-6, 6)))
+            s = rng.randint(1, r - 1)
+            # zeta near s xi / r, so that D = r zeta - s xi is short.
+            zeta = ns.vector(tuple(s * c // r + rng.randint(-1, 1) for c in xi.num))
+            got = destabilizer_wall(v, s, zeta)
+            if got.kind != "wall":
+                continue
+            d = got.wall.d
+            ns_part = ref - d.scale(pairing(ref, d) / got.wall.d_square)
+            omega = H11Class(ns_part, Lattice(()).zero())
+            assert got.wall in walls_through_class(m, v, omega)
+            checked += 1
+        assert checked >= 80
 
 
 class TestWallsThroughClass:
