@@ -13,8 +13,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from mukaikit import (
     EmbeddedMukaiVector,
     H11Class,

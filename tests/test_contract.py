@@ -11,9 +11,9 @@ except the public names in ``API_ENTRY_POINTS``, each kept there with its
 reason, so a deletion cannot leave a helper behind and no path is kept for
 tests alone; the internal modules ``exactlin`` and ``shortvec`` export
 nothing through ``mukaikit.__all__``. No module imports a name that it
-does not use, and none imports ``dataclasses``. The wall layer takes one argument type, a
-Mukai vector: ``walls`` imports nothing from ``twisted``, whose classes
-enter through ``twisted.v_E``.
+does not use, and none imports ``dataclasses``. The wall layer takes one
+argument type, a Mukai vector: ``walls`` imports nothing from ``twisted``,
+whose classes enter through ``twisted.v_E``.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
 """

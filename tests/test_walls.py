@@ -28,7 +28,6 @@ from mukaikit import (
     walls_through_class,
 )
 from mukaikit.errors import HypothesisViolation, InternalError, ValidationError
-from mukaikit.walls import segment_candidate_bound
 
 from conftest import (
     box_vectors,
