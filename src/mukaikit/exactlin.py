@@ -178,15 +178,12 @@ def _xgcd_rows(a, t, i, j, c):
     )
 
 
-def _row_hermite_inplace(a, left, rows, cols) -> int:
+def _row_hermite_inplace(a, left, rows, cols) -> None:
     """Row Hermite reduction with transform; entries above pivots reduced.
 
     Keeping everything reduced modulo the pivots is what bounds entry
-    growth (Kannan-Bachem style), unlike naive diagonal chasing. Returns
-    the determinant (+-1) of the row operations: swaps and negations flip
-    it, the xgcd step and ``_add_row`` have determinant 1.
+    growth (Kannan-Bachem style), unlike naive diagonal chasing.
     """
-    sign = 1
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
@@ -194,14 +191,12 @@ def _row_hermite_inplace(a, left, rows, cols) -> int:
             continue
         if pivot != r:
             _swap_rows(a, left, r, pivot)
-            sign = -sign
         for i in range(r + 1, rows):
             if a[i][c] != 0:
                 _xgcd_rows(a, left, r, i, c)
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
             left[r] = [-x for x in left[r]]
-            sign = -sign
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
@@ -209,7 +204,6 @@ def _row_hermite_inplace(a, left, rows, cols) -> int:
         r += 1
         if r == rows:
             break
-    return sign
 
 
 def _is_diagonal(a, rows, cols) -> bool:

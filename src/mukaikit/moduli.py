@@ -21,7 +21,6 @@ from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import IntMatrix, int_matrix
 from .lattice import (
     Lattice,
-    LatticeVector,
     coprime_rank_class,
     full_mukai_blocks,
     full_mukai_lattice,
@@ -62,9 +61,6 @@ class EmbeddedMukaiVector:
         if len(coords) != ambient.rank:
             raise ValidationError(f"embedded vector must have length {ambient.rank}")
         object.__setattr__(self, "coords", coords)
-
-    def vector(self) -> LatticeVector:
-        return full_mukai_lattice().vector(self.coords)
 
     def square(self) -> int:
         return exactlin.bilinear(full_mukai_lattice().gram, self.coords, self.coords)
@@ -366,7 +362,6 @@ class IrreducibilityVerdict:
     irreducible: bool
     min_lower_bound: Fraction | None
     witness: tuple[int, int] | None  # (r1, n2) minimizing the bound
-    trivial: bool = False
 
 
 def irreducibility_oracle(r: int, xi_square, delta) -> IrreducibilityVerdict:
@@ -391,7 +386,7 @@ def irreducibility_oracle(r: int, xi_square, delta) -> IrreducibilityVerdict:
     if xi_square >= 0:
         raise HypothesisViolation("oracle requires a negative definite rank-1 NS lattice")
     if r == 1:
-        return IrreducibilityVerdict(True, None, None, trivial=True)
+        return IrreducibilityVerdict(True, None, None)
     best = -xi_square / (2 * r * r * (r - 1))
     argmin = (1, 0) if r == 2 else (1, 1)
     return IrreducibilityVerdict(best > delta, best, argmin)

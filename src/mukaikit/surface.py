@@ -74,11 +74,6 @@ class K3Model:
     def square(self, x: H11Class) -> Fraction:
         return self.pair(x, x)
 
-    def pair_ns(self, xi: LatticeVector, omega: H11Class) -> Fraction:
-        """xi . omega for xi in NS; only the NS part of omega contributes."""
-        self._check_membership(omega)
-        return pairing(xi, omega.ns_part)
-
 
 def is_projective_surface(m: K3Model) -> bool:
     """True iff NS represents a positive square, i.e. n_plus(NS) >= 1."""

@@ -233,12 +233,6 @@ class Segment:
     start: H11Class
     end: H11Class
 
-    def at(self, t: Fraction) -> H11Class:
-        t = Fraction(t)
-        ns = self.start.ns_part.scale(1 - t) + self.end.ns_part.scale(t)
-        tp = self.start.t_part.scale(1 - t) + self.end.t_part.scale(t)
-        return H11Class(ns, tp)
-
 
 @record
 class WallCrossing:

@@ -32,6 +32,7 @@ from mukaikit import (
     mukai_pairing,
     mukai_product,
     mukai_square,
+    pairing,
     projectivity_check,
     same_chamber,
     topological_type,
@@ -203,7 +204,7 @@ def _onwall_polarization(model: K3Model, v, omega):
     bound = wall_bound(v)
     for coords in sorted(oracle_wall_set_cached(model, v)):
         d = model.ns.vector(coords)
-        shift = model.pair_ns(d, omega) / d.square()
+        shift = pairing(d, omega.ns_part) / d.square()
         ns_part = omega.ns_part - d.scale(shift)
         onwall = H11Class(ns_part, EMPTY.zero())
         if model.square(onwall) <= 0:

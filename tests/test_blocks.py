@@ -352,7 +352,7 @@ def test_embedded_square_equals_the_lattice_pairing():
     for _ in range(50):
         coords = [rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(24)]
         v = EmbeddedMukaiVector(tuple(coords))
-        assert v.square() == v.vector().square()
+        assert v.square() == full_mukai_lattice().vector(v.coords).square()
         assert type(v.square()) is int
 
 

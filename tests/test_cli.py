@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mukaikit import cli
 from mukaikit.cli import run
+from mukaikit.errors import MukaikitError
 
 
 PROJECTIVE_CONFIG = {
@@ -417,6 +419,58 @@ class TestExitCodes:
         code, out, err = invoke(["report", "--config", str(path), "--format", "json"])
         assert (code, out) == (2, "")
         assert err == f"mukaikit report: invalid input: {message}\n"
+
+
+# -- config errors: exit 2, the message on stderr, nothing on stdout ---------------
+
+NO_SURFACE_CONFIG = {k: v for k, v in PROJECTIVE_CONFIG.items() if k != "surface"}
+NO_NS_GRAM_CONFIG = {**PROJECTIVE_CONFIG, "surface": {"reference_positive": [1, 0]}}
+NO_REFERENCE_CONFIG = {**PROJECTIVE_CONFIG, "surface": {"ns_gram": [[2, 0], [0, -2]]}}
+NO_RANK_CONFIG = {**PROJECTIVE_CONFIG, "mukai": {"xi": [1, 0], "a": 0}}
+RAGGED_GRAM_CONFIG = {
+    **PROJECTIVE_CONFIG,
+    "surface": {"ns_gram": [[2, 0], [0]], "reference_positive": [1, 0]},
+}
+MUKAI_LIST_CONFIG = {**PROJECTIVE_CONFIG, "mukai": [2, [1, 0], 0]}
+DEGENERATE_T11_CONFIG = {
+    **NONPROJECTIVE_CONFIG,
+    "surface": {"ns_gram": [[-10]], "t11_gram": [[0]], "reference_positive": [0, 1]},
+}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (NO_SURFACE_CONFIG, "surface: section is required"),
+    (NO_NS_GRAM_CONFIG, "surface.ns_gram: field is required"),
+    (NO_REFERENCE_CONFIG, "surface.reference_positive: field is required"),
+    (NO_RANK_CONFIG, "mukai.r: field is required"),
+    (RAGGED_GRAM_CONFIG, "surface.ns_gram: rows have inconsistent lengths"),
+    (MUKAI_LIST_CONFIG, "mukai: expected an object"),
+    (DEGENERATE_T11_CONFIG, "surface: transcendental block must be nondegenerate"),
+])
+def test_config_error_exits_2(tmp_path, cfg, message):
+    code, out, err = invoke(["report", "--config", _write(tmp_path, "bad", cfg)])
+    assert (code, out, err) == (2, "", f"mukaikit report: invalid input: {message}\n")
+
+
+def test_unreadable_config_exits_2(tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = invoke(["report", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mukaikit report: invalid input: config: cannot read {path}: ")
+
+
+def test_exists_with_some_of_its_flags_exits_2():
+    code, out, err = invoke(["exists", "--r", "2"])
+    assert (code, out, err) == (
+        2, "", "mukaikit exists: invalid input: exists: provide all of --r, --d, --g or none\n")
+
+
+def test_bare_library_error_exits_2(monkeypatch):
+    def handler(cfg, args):
+        raise MukaikitError("no verdict")
+
+    monkeypatch.setitem(cli._COMMANDS, "exists", (handler, False))
+    assert invoke(["exists"]) == (2, "", "mukaikit exists: no verdict\n")
 
 
 class TestDeterminism:

@@ -9,8 +9,10 @@ short-vector search reject a Fraction entry instead of scaling it.
 Every top-level function and class is used somewhere in the library,
 except the public names in ``API_ENTRY_POINTS``, each kept there with its
 reason, so a deletion cannot leave a helper behind and no path is kept for
-tests alone; the internal modules ``exactlin`` and ``shortvec`` export
-nothing through ``mukaikit.__all__``. No module imports a name that it
+tests alone. Likewise every method and property of a library class is read
+by library code outside its own body, except the members in
+``MEMBER_ENTRY_POINTS``. The internal modules ``exactlin`` and ``shortvec``
+export nothing through ``mukaikit.__all__``. No module imports a name that it
 does not use, and none imports ``dataclasses``. The wall layer takes one
 argument type, a Mukai vector: ``walls`` imports nothing from ``twisted``,
 whose classes enter through ``twisted.v_E``.
@@ -152,6 +154,53 @@ def test_every_api_entry_point_exists_and_has_no_library_caller():
 def test_internal_modules_export_nothing():
     homes = {getattr(mukaikit, name).__module__ for name in mukaikit.__all__}
     assert not homes & {f"mukaikit.{m}" for m in INTERNAL_MODULES}
+
+
+# The class members that no library code reads, each with the reason it stays.
+MEMBER_ENTRY_POINTS = {
+    "surface.K3Model.h11": "perfbench builds every polarization with it",
+}
+
+
+def _attributes(tree: ast.AST):
+    """Every attribute name read or written in ``tree``."""
+    return (node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _unread_members(trees: dict[str, ast.AST]) -> set[str]:
+    """``module.Class.name`` of each method and property of a top-level class, dunders
+    aside, that no attribute outside its own body names in ``trees``."""
+    trees = {name: tree for name, tree in trees.items() if name != "__init__.py"}
+    counts = Counter(name for tree in trees.values() for name in _attributes(tree))
+    return {f"{module.removesuffix('.py')}.{cls.name}.{item.name}"
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("__")
+            and counts[item.name] == sum(name == item.name for name in _attributes(item))}
+
+
+def test_every_method_and_property_has_a_library_reader():
+    assert not _unread_members(LIBRARY) - set(MEMBER_ENTRY_POINTS)
+
+
+def test_every_member_entry_point_exists_and_has_no_library_reader():
+    assert not set(MEMBER_ENTRY_POINTS) - _unread_members(LIBRARY)
+
+
+def test_member_check_covers_methods_properties_and_private_members():
+    trees = {
+        "surface.py": ast.parse(
+            "class Model:\n"
+            "    def __post_init__(self):\n        self._check()\n"
+            "    def _check(self):\n        pass\n"
+            "    def pair(self, x):\n        return self.pair(x)\n"
+            "    @property\n    def rank(self):\n        return 1\n"
+            "    @classmethod\n    def build(cls):\n        return cls()\n"
+            "def square(m):\n    return m.build().pair(0)\n"),
+        "__init__.py": ast.parse("def f(m):\n    return m.rank\n"),
+    }
+    assert _unread_members(trees) == {"surface.Model.rank"}
 
 
 def test_caller_check_covers_internal_public_functions():

@@ -11,14 +11,18 @@ from mukaikit.exactlin import (
     bilinear,
     hermite_normal_form,
     identity,
+    int_matrix,
     integer_kernel_saturated,
     invert_unimodular,
+    mat_vec,
     rational_signature,
     signature_and_smith,
     smith_normal_form,
     transpose,
+    vec_mat,
 )
 from mukaikit.lattice import diagonal_lattice, direct_sum, e8_minus_lattice, u_lattice
+from mukaikit.shortvec import short_vectors_up_to_sign
 
 from conftest import random_unimodular
 from fraction_oracle import (
@@ -224,3 +228,15 @@ def test_bilinear_matches_the_double_sum(seed):
     b = [rng.randint(-9, 9) for _ in range(cols)]
     expected = sum(a[i] * g[i][j] * b[j] for i in range(rows) for j in range(cols))
     assert bilinear(g, a, b) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: int_matrix(((1, 2), (3,))), "matrix rows have inconsistent lengths"),
+    (lambda: mat_vec(((1, 2),), (1, 2, 3)), "cannot apply 1x2 matrix to length-3 vector"),
+    (lambda: vec_mat((1, 2, 3), ((1, 2),)), "cannot apply length-3 row vector to 1x2 matrix"),
+    (lambda: short_vectors_up_to_sign(((2, 1), (0, 2)), 3), "short vectors require a symmetric form"),
+], ids=["ragged-int-matrix", "mat-vec-shape", "vec-mat-shape", "short-vectors-non-symmetric"])
+def test_shape_and_symmetry_checks(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

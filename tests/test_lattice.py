@@ -79,6 +79,11 @@ class TestIdentity:
 
 
 class TestPairing:
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_basis_index_out_of_range(self, i):
+        with pytest.raises(ValidationError, match=f"^basis index {i} out of range for rank 2$"):
+            u_lattice().basis_vector(i)
+
     def test_u_basis(self):
         u = u_lattice()
         assert pairing(u.basis_vector(0), u.basis_vector(1)) == 1
@@ -157,6 +162,11 @@ class TestOrthogonalComplement:
         l = diagonal_lattice([2, -2])
         oc = orthogonal_complement(l, [l.vector((Fraction(1, 2), Fraction(1, 2)))])
         assert oc.basis == ((1, 1),)
+
+    def test_vector_from_another_lattice(self):
+        with pytest.raises(LatticeMismatchError,
+                           match="^complement vectors must live in the given lattice$"):
+            orthogonal_complement(diagonal_lattice([2, -2]), [diagonal_lattice([2]).basis_vector(0)])
 
 
 class TestDiscriminantGroup:

@@ -263,7 +263,7 @@ class TestIrreducibilityOracle:
         assert verdict.witness in ((1, 0), (1, 1))
 
     def test_rank_one_trivial(self):
-        assert irreducibility_oracle(1, -10, F(1)).trivial
+        assert irreducibility_oracle(1, -10, F(1)).min_lower_bound is None
 
     def test_requires_negative_square(self):
         with pytest.raises(HypothesisViolation):
@@ -290,7 +290,7 @@ class TestIrreducibilityOracle:
                 # At delta equal to the least bound the sheaf may be reducible.
                 least = want.min_lower_bound
                 assert irreducibility_oracle(r, xi2, least) == IrreducibilityVerdict(
-                    False, want.min_lower_bound, want.witness, want.trivial)
+                    False, want.min_lower_bound, want.witness)
 
 
 class TestExistence:
@@ -427,3 +427,37 @@ class TestModuliReport:
         assert not rep.valid
         assert rep.dim is None
         assert any("-2" in r for r in rep.reasons)
+
+
+# -- input checks: the error type and message ----------------------------------------
+
+_NS = diagonal_lattice([2, -2], "NS")
+_ZL = diagonal_lattice([-10], "ZL")
+_MODEL = K3Model(ns=_NS, reference_positive=H11Class(_NS.basis_vector(0), Lattice(()).zero()))
+_V_OVER_ZL = MukaiVector(F(2), _ZL.basis_vector(0), F(-3))
+_OTHER_NS = "Mukai vector must live over the model's NS lattice"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: standard_ns_embedding(diagonal_lattice([2, -2, -2, -2])),
+     ValidationError, "standard embeddings cover rank <= 3 only"),
+    (lambda: EmbeddedMukaiVector.from_algebraic(
+        MukaiVector(F(1, 2), _ZL.basis_vector(0), F(0)), standard_ns_embedding(_ZL)),
+     ValidationError, "only integral Mukai vectors embed in the integral lattice"),
+    (lambda: EmbeddedMukaiVector.from_algebraic(_V_OVER_ZL, ((0,) * 21,)),
+     ValidationError, "embedding must be 1x22, got 1x21"),
+    (lambda: EmbeddedMukaiVector((0,) * 23), ValidationError, "embedded vector must have length 24"),
+    (lambda: EmbeddedMukaiVector((0,) * 25), ValidationError, "embedded vector must have length 24"),
+    (lambda: projectivity_check(_MODEL, _V_OVER_ZL), ValidationError, _OTHER_NS),
+    (lambda: moduli_report(_MODEL, _V_OVER_ZL, _MODEL.h11((1, 0))), ValidationError, _OTHER_NS),
+    (lambda: transfer_multiplier(MukaiVector(F(0), _ZL.basis_vector(0), F(0))),
+     HypothesisViolation, "transfer multiplier requires rank >= 1"),
+    (lambda: irreducibility_oracle(0, -10, F(1)), HypothesisViolation, "rank must be >= 1"),
+    (lambda: bundle_existence_check(0, 0, -4), HypothesisViolation, "rank must be >= 1"),
+], ids=["standard-embedding-rank-4", "from-algebraic-non-integral", "from-algebraic-1x21",
+        "length-23", "length-25", "projectivity-other-ns", "report-other-ns",
+        "transfer-rank-0", "irreducibility-rank-0", "existence-rank-0"])
+def test_input_check(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -115,6 +115,17 @@ class TestTopologicalType:
         tau = topological_type(MukaiVector(F(2), h, F(0)))
         assert tau.c2 == 3
 
+    def test_non_integral_v(self, zl):
+        with pytest.raises(HypothesisViolation,
+                           match="^topological type requires an integral Mukai vector$"):
+            topological_type(MukaiVector(F(2), zl.vector((F(1, 2),)), F(0)))
+
+    def test_c2_not_an_integer(self):
+        # On the odd lattice <1>, c2 = xi^2/2 + r - a = 1/2 + 2.
+        with pytest.raises(HypothesisViolation,
+                           match="^second Chern class 5/2 is not an integer$"):
+            topological_type(MukaiVector(F(2), diagonal_lattice([1]).basis_vector(0), F(0)))
+
 
 class TestProductAndExp:
     def test_exp_scale(self, zl, L):

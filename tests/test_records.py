@@ -116,7 +116,7 @@ REPRS = {
         "ExistenceVerdict(accepted=True, failures=(), r=2, d=0, g=-4, xi_square=None, "
         "delta=None, c2=None, mukai=None, dim=None, "
         "irreducibility=IrreducibilityVerdict(irreducible=True, min_lower_bound=Fraction(1, "
-        "8), witness=(1, 0), trivial=False))"
+        "8), witness=(1, 0)))"
     ),
     "H11Class": "((1, 1/4); ())",
     "H2LatticeResult": (
@@ -125,7 +125,7 @@ REPRS = {
     ),
     "IrreducibilityVerdict": (
         "IrreducibilityVerdict(irreducible=True, min_lower_bound=Fraction(1, 8), witness=(1, "
-        "0), trivial=False)"
+        "0))"
     ),
     "K3Model": (
         "K3Model(ns=Lattice(NS), reference_positive=((1, 0); ()), t11=Lattice(rank-0 lattice), "
@@ -229,7 +229,6 @@ def test_defaults():
     ref = EXAMPLES["K3Model"].reference_positive
     assert K3Model(ns, ref) == K3Model(ns, ref, Lattice(()), ())
     assert K3Model(ns, ref).t11 is K3Model.t11
-    assert IrreducibilityVerdict(True, None, None).trivial is False
     assert LatticeVector(Lattice(())).coords == ()
     assert Lattice(((2,),)).label == ""
     verdict = ExistenceVerdict(False, ("no",), 2, 0, -4)

@@ -10,6 +10,7 @@ from mukaikit import (
     diagonal_lattice,
     is_polarization,
     is_projective_surface,
+    pairing,
 )
 from mukaikit.errors import LatticeMismatchError, ValidationError
 from mukaikit.surface import polarization_defect
@@ -64,9 +65,9 @@ class TestModelValidation:
         ns, relabelled = diagonal_lattice([2, -2], "NS"), diagonal_lattice([2, -2], "other")
         reference = H11Class(relabelled.basis_vector(0), Lattice(()).zero())
         m = K3Model(ns=ns, reference_positive=reference, curve_classes=(relabelled.vector((1, 1)),))
-        assert m.pair_ns(relabelled.basis_vector(1), m.h11((1, 1))) == -2
+        assert pairing(relabelled.basis_vector(1), m.h11((1, 1)).ns_part) == -2
         with pytest.raises(LatticeMismatchError, match="^vectors live in different lattices$"):
-            m.pair_ns(diagonal_lattice([2, -4]).basis_vector(1), m.h11((1, 1)))
+            pairing(diagonal_lattice([2, -4]).basis_vector(1), m.h11((1, 1)).ns_part)
 
 
 class TestProjectivity:
@@ -110,7 +111,7 @@ class TestPolarization:
         inside = m.h11((1, F(1, 4)))
         outside = m.h11((1, F(-2)))
         assert is_polarization(m, inside)
-        assert m.square(outside) < 0 or m.pair_ns(curve, outside) <= 0
+        assert m.square(outside) < 0 or pairing(curve, outside.ns_part) <= 0
         assert not is_polarization(m, outside)
 
     def test_defect_names_the_failed_condition(self, projective):
@@ -134,7 +135,7 @@ class TestProjection:
         omega = nonprojective.h11((F(1, 3),), (2,))
         for _ in range(20):
             xi = nonprojective.ns.vector((rng.randint(-4, 4),))
-            assert nonprojective.pair_ns(xi, omega) == nonprojective.pair(
+            assert pairing(xi, omega.ns_part) == nonprojective.pair(
                 H11Class(xi, nonprojective.t11.zero()), omega)
 
     def test_nonprojective_projection_fails_positivity(self, nonprojective):

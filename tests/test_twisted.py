@@ -141,6 +141,15 @@ class TestWXi:
         with pytest.raises(ValidationError):
             w_xi(MukaiVector(F(2), L, F(0)), L, 2)
 
+    def test_rank_must_agree_with_w(self, zl, L):
+        with pytest.raises(ValidationError,
+                           match="^rank argument disagrees with the twisted vector$"):
+            w_xi(MukaiVector(F(2), zl.zero(), F(1)), L, 3)
+
+    def test_twisted_sheaf_of_rank_zero(self, zl):
+        with pytest.raises(HypothesisViolation, match="^sheaf rank must be >= 1$"):
+            TwistedSheafData(0, zl.zero(), F(0))
+
     def test_non_integral_warns(self, zl, L):
         w = MukaiVector(F(2), zl.zero(), F(0))
         with pytest.warns(IntegralityWarning):

@@ -36,6 +36,7 @@ from mukaikit import (
     delta_E,
     diagonal_lattice,
     discriminant,
+    pairing,
     v_E,
     wall_bound,
     walls_crossing_segment,
@@ -266,7 +267,7 @@ def _fraction_defect(m, omega, name="omega"):
     if paired <= 0:
         return f"{name}.reference={paired} <= 0"
     for c in m.curve_classes:
-        value = m.pair_ns(c, omega)
+        value = pairing(c, omega.ns_part)
         if value <= 0:
             return f"C.{name}={value} <= 0 for the curve class C={c!r}"
     return None

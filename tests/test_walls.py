@@ -170,6 +170,13 @@ class TestDestabilizer:
             checked += 1
         assert checked >= 80
 
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_subsheaf_rank_must_lie_strictly_between_0_and_r(self, rank2_model, s):
+        v = MukaiVector(F(2), rank2_model.ns.basis_vector(0), F(0))
+        with pytest.raises(HypothesisViolation,
+                           match=f"^subsheaf rank {s} must lie strictly between 0 and 2$"):
+            destabilizer_wall(v, s, rank2_model.ns.zero())
+
 
 class TestWallsThroughClass:
     def test_generic_class_sees_no_walls(self, rank2_model):
@@ -231,8 +238,10 @@ class TestCrossings:
         assert got[0].wall.d.coords == (0, 1)
         assert got[0].t == F(1, 2)
         # The wall is orthogonal to the segment point at its parameter.
-        mid = seg.at(got[0].t)
-        assert rank2_model.pair_ns(got[0].wall.d, mid) == 0
+        s, e, t = seg.start, seg.end, got[0].t
+        mid = H11Class(s.ns_part.scale(1 - t) + e.ns_part.scale(t),
+                       s.t_part.scale(1 - t) + e.t_part.scale(t))
+        assert pairing(got[0].wall.d, mid.ns_part) == 0
 
     def test_same_side_no_crossing(self, rank2_model):
         h, f = rank2_model.ns.basis_vector(0), rank2_model.ns.basis_vector(1)
@@ -261,7 +270,9 @@ class TestCrossings:
         assert len(got) == 1
         assert got[0].wall.d.coords == (1,)
         assert got[0].t == F(1, 2)
-        mid = seg.at(F(1, 2))
+        s, e, t = seg.start, seg.end, F(1, 2)
+        mid = H11Class(s.ns_part.scale(1 - t) + e.ns_part.scale(t),
+                       s.t_part.scale(1 - t) + e.t_part.scale(t))
         assert mid.ns_part.is_zero and m.square(mid) == 18
 
     def test_endpoint_on_wall_rejected(self, rank2_model):

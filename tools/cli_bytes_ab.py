@@ -7,8 +7,8 @@ interpreter per tree, with the configs in one shared temporary directory:
 - every argv of the cli_batch pool that ``perfbench/workloads.py`` builds
   (all items of every stratum; the module is imported, not changed);
 - every config of that pool, and every module-level ``*_CONFIG`` of
-  ``tests/test_cli.py`` as it is and with Mukai rank 0, 1, 3 and 3/2, under
-  all 11 subcommands in text and json;
+  ``tests/test_cli.py`` as it is and, if it has a ``mukai`` object, with
+  Mukai rank 0, 1, 3 and 3/2, under all 11 subcommands in text and json;
 - ``exists --r --d --g`` for r in 1..8, every d in -1..2r and every g from
   2r below the cap g <= -(r^2 - 1)(r - 1) to 1 above it.
 Each case's (exit code, stdout, stderr) must be equal on the two trees. The
@@ -55,7 +55,9 @@ def build_cases(tmp: Path) -> list[list[str]]:
     cases = [wl.build(key)["argv"] for key in wl.all_keys()]
     configs = sorted(wl.cfg_dir.glob("*.json"))
     for name, cfg in cli_test_configs().items():
-        for r in (None, *RANK_VARIANTS):
+        # A config whose mukai section is missing or not an object has no rank to vary.
+        ranks = RANK_VARIANTS if isinstance(cfg.get("mukai"), dict) else ()
+        for r in (None, *ranks):
             variant = json.loads(json.dumps(cfg))
             if r is not None:
                 variant["mukai"]["r"] = r
