@@ -197,10 +197,10 @@ def test_member_check_covers_methods_properties_and_private_members():
             "    def pair(self, x):\n        return self.pair(x)\n"
             "    @property\n    def rank(self):\n        return 1\n"
             "    @classmethod\n    def build(cls):\n        return cls()\n"
-            "def square(m):\n    return m.build().pair(0)\n"),
+            "def square(m):\n    return m.build()\n"),
         "__init__.py": ast.parse("def f(m):\n    return m.rank\n"),
     }
-    assert _unread_members(trees) == {"surface.Model.rank"}
+    assert _unread_members(trees) == {"surface.Model.pair", "surface.Model.rank"}
 
 
 def test_caller_check_covers_internal_public_functions():
