@@ -114,39 +114,37 @@ def principal(m: Sequence[Sequence[int]], block: Sequence[int]) -> list[list[int
     return [[m[i][j] for j in block] for i in block]
 
 
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Invert an integer matrix with determinant +-1; result is integral.
-
-    The row Hermite form of a unimodular matrix is the identity, so the
-    transform that reduces ``m`` to it is the inverse.
-    """
-    mat = int_matrix(m)
-    rows, cols = shape(mat)
-    if rows != cols:
-        raise ValidationError("cannot invert a non-square matrix")
-    a = [list(row) for row in mat]
-    inv = [list(row) for row in identity(rows)]
-    _row_hermite_inplace(a, inv, rows, cols)
-    if any(a[i][i] != 1 for i in range(rows)):
-        raise ValidationError("matrix is not unimodular")
-    return tuple(tuple(row) for row in inv)
-
-
 def unimodular_completion(row: Sequence[int]) -> IntMatrix:
     """A unimodular matrix whose first row is the primitive ``row``.
 
-    One row Hermite pass on the column ``row^T`` gives a transform T with
-    ``T @ row^T = e_1``, so ``row = e_1^T @ (T^T)^-1``. Raises
-    ``ValidationError`` if the row is zero or its entries share a factor.
+    One row Hermite pass on the column ``row^T``, by a swap, one xgcd step
+    per later nonzero entry and a sign, gives a transform T with
+    ``T @ row^T = e_1``, so ``row = e_1^T @ (T^T)^-1``. The pass carries
+    R = (T^T)^-1 along instead of T: each step E of T is undone on the
+    rows of R by (E^-1)^T, where the xgcd step [[x, y], [-q/g, p/g]] has
+    E^-1 = [[p/g, -y], [q/g, x]], and a swap or a negation is its own
+    inverse. Raises ``ValidationError`` if the row is zero or its entries
+    share a factor.
     """
     row = int_matrix((row,))[0]
-    n = len(row)
-    col = [[x] for x in row]
-    t = [list(r) for r in identity(n)]
-    _row_hermite_inplace(col, t, n, 1)
-    if not col or col[0][0] != 1:
+    if gcd(*row) != 1:
         raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
-    return invert_unimodular(transpose(t))
+    n, pivot = len(row), next(i for i, x in enumerate(row) if x)
+    r = [list(e) for e in identity(n)]
+    r[0], r[pivot] = r[pivot], r[0]
+    # After the swap the column holds p = row[pivot] at 0 and row[j] at each j > pivot.
+    p = row[pivot]
+    for j in range(pivot + 1, n):
+        q = row[j]
+        if q:
+            g, x, y = _xgcd(p, q)
+            pg, qg = p // g, q // g
+            r[0], r[j] = ([pg * u + qg * v for u, v in zip(r[0], r[j])],
+                          [x * v - y * u for u, v in zip(r[0], r[j])])
+            p = g
+    if p < 0:
+        r[0] = [-x for x in r[0]]
+    return tuple(map(tuple, r))
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -290,21 +288,71 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(row) for row in a if any(row))
 
 
-def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Basis of the saturated kernel ``{x in Z^n : m @ x^T = 0}``.
+def _row_kernel(w: Sequence[int]) -> list[list[int]]:
+    """The Hermite basis of the saturated kernel ``{x : w . x = 0}`` of one row.
 
-    The rows span a primitive sublattice (equal to its saturation) and are
-    returned in Hermite normal form, so the output is deterministic.
+    With g_i the gcd of w_i, ..., w_{n-1} and L the last index where w is
+    nonzero, a kernel vector whose first nonzero entry sits at i < L has
+    w_i x_i in g_{i+1} Z, so the least such entry is the pivot
+    c_i = g_{i+1} / gcd(w_i, g_{i+1}). Row i is c_i e_i + t_i b, where
+    t_i = -w_i / gcd(w_i, g_{i+1}) and b, with b . w = g_{i+1}, comes from
+    one chain of Bezout coefficients run from L down; every index after L
+    gives the unit row. These rows are echelon with the least pivots, so
+    they are a basis, and reducing each row modulo the pivots below it,
+    bottom up, gives the Hermite form. A zero row has the identity.
+    """
+    n = len(w)
+    last = next((i for i in range(n - 1, -1, -1) if w[i]), None)
+    if last is None:
+        return [list(e) for e in identity(n)]
+    g = abs(w[last])
+    b = [0] * n
+    b[last] = 1 if w[last] > 0 else -1
+    rows = []
+    for i in range(last - 1, -1, -1):
+        wi = w[i]
+        row = [0] * n
+        if not wi:
+            row[i] = 1
+        else:
+            d, x, y = _xgcd(wi, g)
+            t = -wi // d
+            row[i] = g // d
+            row[i + 1:last + 1] = [t * c for c in b[i + 1:last + 1]]
+            b[i + 1:last + 1] = [y * c for c in b[i + 1:last + 1]]
+            b[i], g = x, d
+        # Reduce modulo the rows below, whose pivots are i+1, ..., L-1.
+        for s, below in enumerate(rows[::-1], i + 1):
+            q = row[s] // below[s]
+            if q:
+                row[s:last + 1] = [u - q * v for u, v in zip(row[s:last + 1], below[s:last + 1])]
+        rows.append(row)
+    rows.reverse()
+    rows += ([0] * j + [1] + [0] * (n - 1 - j) for j in range(last + 1, n))
+    return rows
+
+
+def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
+    """Basis of the saturated kernel ``{x in Z^n : m @ x^T = 0}``, in Hermite form.
+
+    The kernel of the first row comes in closed form (``_row_kernel``).
+    Each further row w is folded in: on the current basis B it reads as
+    the row B w^T, whose saturated kernel K gives the new basis K B; the
+    kernel of a saturated lattice's form is saturated in it, so K B spans
+    a saturated sublattice of Z^n. With more than one row, K B is brought
+    to Hermite form, so the output is deterministic either way.
     """
     mat = int_matrix(m)
-    rows, cols = shape(mat)
-    # Row-reduce m^T with transform T, so T @ m^T = H. The rows of T whose
-    # rows of H vanish span the kernel; they are rows of a unimodular
-    # matrix, hence the sublattice they span is saturated.
-    a = [list(col) for col in zip(*mat)]
-    t = [list(row) for row in identity(cols)]
-    _row_hermite_inplace(a, t, cols, rows)
-    return hermite_normal_form([row for h, row in zip(a, t) if not any(h)])
+    if not mat:
+        return ()
+    basis = _row_kernel(mat[0])
+    for w in mat[1:]:
+        u = [sum(map(mul, k, w)) for k in basis]
+        if any(u):
+            basis = [vec_mat(k, basis) for k in _row_kernel(u)]
+    if len(mat) > 1:
+        return hermite_normal_form(basis)
+    return tuple(map(tuple, basis))
 
 
 # -- Signatures --------------------------------------------------------------

@@ -39,6 +39,18 @@ class Lattice:
         if not exactlin.is_symmetric(gram):
             raise ValidationError("Gram matrix must be symmetric")
 
+    @classmethod
+    def _trusted(cls, gram: IntMatrix, label: str) -> "Lattice":
+        """The lattice of ``gram``, unchecked: a symmetric tuple of int tuples.
+
+        For a Gram assembled from validated blocks; stores the same fields
+        as the public constructor and skips ``__post_init__``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "label", label)
+        return self
+
     @property
     def rank(self) -> int:
         return len(self.gram)

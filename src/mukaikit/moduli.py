@@ -172,18 +172,22 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     row has its pivot at ambient index 0 or 1 and is a row on S.
     A standard embedding of an NS of rank <= 3 puts v in U^4, so S has at
     most 8 coordinates and both E8(-1) summands are constants.
+
+    v is 0 off S, so v^2 is read on S. The result Gram is built from the
+    Gram on S, which ``orthogonal_complement`` validated, and the constant
+    blocks, so its ``Lattice`` comes from ``Lattice._trusted``.
     """
     if not v.is_primitive:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
-    sq = v.square()
-    if sq < 0:
-        raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
     coords = v.coords
     touched = tuple(k == 0 or any(map(coords.__getitem__, span))
                     for k, (span, _) in enumerate(full_mukai_blocks()))
     split = _block_split(touched)
     idx, part, *_, inertia = split
     v_part = itemgetter(*idx)(coords)
+    sq = exactlin.bilinear(part.gram, v_part, v_part)
+    if sq < 0:
+        raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
     comp = orthogonal_complement(part, [part.vector(v_part)])
     gram, quotient = comp.sub.gram, sq == 0
     if quotient:
@@ -200,7 +204,7 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     if 0 in smith:
         raise InternalError("the second-cohomology lattice is degenerate")
     perp_basis, gram = _merge_untouched(split, comp.basis, gram, quotient)
-    return H2LatticeResult(Lattice(gram, "v-perp mod v" if quotient else "v-perp"),
+    return H2LatticeResult(Lattice._trusted(gram, "v-perp mod v" if quotient else "v-perp"),
                            tuple(map(add, sig, inertia)), tuple(d for d in smith if d != 1),
                            perp_basis, quotient)
 

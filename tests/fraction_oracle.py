@@ -15,10 +15,14 @@ It also keeps exact-layer routines the library no longer runs: the Smith
 form with both unimodular transforms and the saturated kernel read off
 it, the symmetric congruence that updated every row and column at each
 step in Fractions, the rational LDL split and the signature read off it,
-the saturated kernel and the unimodular completion by one Hermite pass
-over the whole matrix (the library now splits both along blocks), a
-row-span test that reduces against Hermite pivots, and the loop over
-rank splits that the irreducibility oracle's closed form replaced.
+the saturated kernel by a Hermite pass over the whole of m^T and a
+second one over the kernel rows (the library writes the Hermite basis
+of one row's kernel down in closed form), the inverse of a unimodular
+matrix read off its Hermite transform and the unimodular completion
+that inverts its transform by it (the library carries the inverse
+through its one pass), a row-span test that reduces against Hermite
+pivots, and the loop over rank splits that the irreducibility oracle's
+closed form replaced.
 
 Last, it holds checkers that the library dropped once nothing in it
 called them: a dense matrix product, a determinant by Gaussian
@@ -42,8 +46,6 @@ from mukaikit.exactlin import (
     hermite_normal_form,
     identity,
     int_matrix,
-    integer_kernel_saturated,
-    invert_unimodular,
     mat_vec,
     shape,
     transpose,
@@ -172,7 +174,7 @@ def oracle_walls_through_class(m, v, omega) -> list[tuple[tuple, Fraction]]:
         denom = denom * c.denominator // gcd(denom, c.denominator)
     row = tuple(int(c * denom) for c in form)
     if any(row):
-        basis = integer_kernel_saturated((row,))
+        basis = full_kernel_saturated((row,))
     else:
         basis = tuple(tuple(int(i == j) for j in range(m.ns.rank)) for i in range(m.ns.rank))
     if not basis:
@@ -342,6 +344,24 @@ def full_kernel_saturated(m) -> tuple:
     _row_hermite_inplace(a, t, cols, rows)
     basis = [row for h, row in zip(a, t) if not any(h)]
     return hermite_normal_form(basis) if basis else ()
+
+
+def invert_unimodular(m) -> tuple:
+    """Invert an integer matrix with determinant +-1; the result is integral.
+
+    The row Hermite form of a unimodular matrix is the identity, so the
+    transform that reduces ``m`` to it is the inverse.
+    """
+    mat = int_matrix(m)
+    rows, cols = shape(mat)
+    if rows != cols:
+        raise ValidationError("cannot invert a non-square matrix")
+    a = [list(row) for row in mat]
+    inv = [list(row) for row in identity(rows)]
+    _row_hermite_inplace(a, inv, rows, cols)
+    if any(a[i][i] != 1 for i in range(rows)):
+        raise ValidationError("matrix is not unimodular")
+    return tuple(tuple(row) for row in inv)
 
 
 def full_unimodular_completion(row) -> tuple:

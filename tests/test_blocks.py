@@ -133,6 +133,12 @@ def test_kernel_of_permuted_block_sums(seed):
     rows = sorted(rng.sample(range(len(m)), rng.randint(1, len(m))))
     sub = tuple(m[i] for i in rows)
     assert integer_kernel_saturated(sub) == full_kernel_saturated(sub) == smith_kernel(sub)
+    # One of them alone, with zero columns on both sides and times a factor
+    # of 1, 6 or 10^20: the kernel of a single row.
+    factor = rng.choice([1, 6, 10**20])
+    row = ((0,) * rng.randint(0, 3) + tuple(factor * x for x in m[rows[0]])
+           + (0,) * rng.randint(0, 3),)
+    assert integer_kernel_saturated(row) == full_kernel_saturated(row) == smith_kernel(row)
 
 
 def _sparse_primitive_row(rng: random.Random):
@@ -158,6 +164,32 @@ def test_completion_of_sparse_rows(seed):
     u = unimodular_completion(row)
     assert u[0] == row
     assert u == full_unimodular_completion(row)
+
+
+def _zero_led_row(rng: random.Random):
+    """A primitive row of length 3..24: 1 to n - 2 zeros, a first nonzero
+    entry of either sign, then a negative entry among the rest; up to 22
+    digits."""
+    n = rng.randint(3, 24)
+    zeros = rng.randint(1, n - 2)
+    while True:
+        tail = [rng.choice([0, rng.randint(-30, 30), rng.randint(-10**22, 10**22)])
+                for _ in range(n - zeros)]
+        tail[0] = rng.choice([-1, 1]) * rng.randint(1, 10**21)
+        tail[rng.randrange(1, len(tail))] = -rng.randint(1, 10**21)
+        if gcd(*tail) == 1:
+            return (0,) * zeros + tuple(tail)
+
+
+@given(SEEDS)
+@SETTINGS
+def test_completion_of_zero_led_rows_with_negative_entries(seed):
+    rng = random.Random(seed)
+    row = _zero_led_row(rng)
+    for r in (row, tuple(-x for x in row)):
+        u = unimodular_completion(r)
+        assert u[0] == r
+        assert u == full_unimodular_completion(r)
 
 
 def _summand_row(rng: random.Random, where: str):

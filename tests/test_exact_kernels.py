@@ -1,8 +1,10 @@
 """Property tests for the shared exact kernels.
 
-One row Hermite loop serves ``hermite_normal_form``,
-``invert_unimodular``, ``unimodular_completion``,
-``integer_kernel_saturated`` and the Smith diagonal; one fraction-free
+One row Hermite loop serves ``hermite_normal_form`` and the Smith
+diagonal; ``integer_kernel_saturated`` writes the Hermite basis of one
+row's kernel down in closed form, and ``unimodular_completion`` carries
+its inverse through one pass, both checked against the Smith
+construction and the oracle's ``invert_unimodular``; one fraction-free
 symmetric congruence serves ``rational_signature`` and the short-vector
 split ``_integer_levels``; ``congruence`` forms every induced Gram. The
 checks are products with the inverse, row spans both ways, eigenvalue
@@ -20,7 +22,7 @@ from __future__ import annotations
 import io
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, lcm
 
 import numpy as np
@@ -37,7 +39,6 @@ from mukaikit.exactlin import (
     hermite_normal_form,
     identity,
     integer_kernel_saturated,
-    invert_unimodular,
     mat_vec,
     rational_signature,
     smith_normal_form,
@@ -54,6 +55,7 @@ from fraction_oracle import (
     determinant,
     full_update_congruence_pivots,
     hermite_solve_left,
+    invert_unimodular,
     ldl_decompose,
     matmul,
     reference_signature,
@@ -79,7 +81,7 @@ def _congruent(p, d):
     return matmul(matmul(transpose(p), _diag(d)), p)
 
 
-# -- invert_unimodular -----------------------------------------------------------
+# -- the oracle's invert_unimodular, which the completion tests check with ------
 
 
 @pytest.mark.parametrize("n", range(1, 25))
@@ -462,6 +464,39 @@ def test_kernel_of_h2_rows_equals_smith_construction(seed):
     k = integer_kernel_saturated(row)
     assert len(k) == 23
     assert k == smith_kernel(row)
+
+
+def _single_row(rng: random.Random, n: int, lead: int, trail: int, big: bool, factor: int):
+    """A row of length n: ``lead`` zeros first and ``trail`` zeros last where
+    they fit, entries past 10^20 if ``big``, and all of it times ``factor``."""
+    row = [0] * n
+    for j in range(min(lead, n), max(min(lead, n), n - trail)):
+        if rng.random() < 0.7:
+            row[j] = rng.choice([-1, 1]) * (rng.randint(10**20, 10**22) if big and rng.random() < 0.5
+                                             else rng.randint(1, 12))
+    return tuple(factor * x for x in row)
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_kernel_of_single_rows_equals_smith_construction(n):
+    rng = random.Random(4400 + n)
+    for lead, trail, big, factor in product((0, 1, 3), (0, 2), (False, True), (1, 6, 10**20)):
+        row = (_single_row(rng, n, lead, trail, big, factor),)
+        k = integer_kernel_saturated(row)
+        assert k == smith_kernel(row)
+        assert len(k) == n - any(row[0])
+        for r in k:
+            assert not any(mat_vec(row, r))
+
+
+def test_single_rows_cover_the_listed_shapes():
+    """The rows above include zero ends, entries past 10^20 and common factors."""
+    rng = random.Random(0)
+    rows = [_single_row(rng, 9, lead, trail, big, factor)
+            for lead, trail, big, factor in product((0, 1, 3), (0, 2), (False, True), (1, 6, 10**20))]
+    assert any(r[0] == 0 and any(r) for r in rows) and any(r[-1] == 0 and any(r) for r in rows)
+    assert any(max(map(abs, r)) >= 10**20 for r in rows)
+    assert any(gcd(*r) > 1 for r in rows) and any(gcd(*r) == 1 for r in rows)
 
 
 def test_kernel_edge_shapes():

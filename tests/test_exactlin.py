@@ -13,7 +13,6 @@ from mukaikit.exactlin import (
     identity,
     int_matrix,
     integer_kernel_saturated,
-    invert_unimodular,
     mat_vec,
     rational_signature,
     signature_and_smith,
@@ -28,6 +27,7 @@ from conftest import random_unimodular
 from fraction_oracle import (
     determinant,
     hermite_solve_left,
+    invert_unimodular,
     matmul,
     reference_signature,
     reference_smith,

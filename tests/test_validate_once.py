@@ -2,10 +2,13 @@
 
 ``walls_crossing_segment`` and ``walls_through_class`` build their results
 through private trusted constructors, keep only the primitive search hits,
-and read the wall bound off a closed form. Here:
+and read the wall bound off a closed form; ``h2_lattice`` builds its
+result lattice through ``Lattice._trusted``. Here:
 - every returned ``LatticeVector``, ``Wall`` and ``WallCrossing`` equals,
   hashes and prints like its rebuild through the public constructors, and
   holds Fractions only;
+- the lattice of every ``h2`` result equals, hashes and prints like
+  ``Lattice(gram, label)``, and its Gram is a symmetric tuple of int tuples;
 - on balls that hold 2D and 3D for a wall D, the walls equal the Fraction
   oracle's ``_candidate_primitives``, which reduces every hit and
   deduplicates;
@@ -44,8 +47,9 @@ from mukaikit import (
 )
 from mukaikit import shortvec
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
-from mukaikit.exactlin import invert_unimodular, mat_vec, vec_mat
-from mukaikit.lattice import orthogonal_complement
+from mukaikit.exactlin import bilinear, is_symmetric, mat_vec, vec_mat
+from mukaikit.lattice import full_mukai_lattice, orthogonal_complement
+from mukaikit.moduli import EmbeddedMukaiVector, h2_lattice
 from mukaikit.surface import polarization_defect
 from mukaikit.walls import Wall, WallCrossing
 
@@ -53,6 +57,7 @@ from conftest import random_unimodular
 from fraction_oracle import (
     _candidate_primitives,
     _pair,
+    invert_unimodular,
     oracle_crossings,
     oracle_walls_through_class,
 )
@@ -203,6 +208,33 @@ def test_trusted_walls_through_class_match_public_constructors(case):
     assert walls
     for wall in walls:
         _assert_wall_matches_public(wall)
+
+
+def _h2_vector(rng, square: int) -> EmbeddedMukaiVector:
+    """(x, y) on the first U with x = +-1, sparse entries elsewhere, v^2 = ``square``."""
+    coords = [0] * 24
+    for j in rng.sample(range(2, 24), rng.randint(0, 6)):
+        coords[j] = rng.randint(-3, 3)
+    rest = bilinear(full_mukai_lattice().gram, coords, coords)
+    x = rng.choice((1, -1))
+    coords[0], coords[1] = x, (square - rest) // (2 * x)
+    return EmbeddedMukaiVector(tuple(coords))
+
+
+@pytest.mark.parametrize("square", [0, 2, 8])
+def test_trusted_h2_lattice_matches_public_constructor(square):
+    rng = random.Random(1315 + square)
+    for _ in range(20):
+        v = _h2_vector(rng, square)
+        assert v.square() == square
+        lattice = h2_lattice(v).lattice
+        public = Lattice(lattice.gram, lattice.label)
+        _assert_twins(lattice, public)
+        assert lattice.label == public.label == ("v-perp mod v" if square == 0 else "v-perp")
+        assert type(lattice.gram) is tuple and len(lattice.gram) == 22 + (square > 0)
+        assert all(type(row) is tuple and len(row) == lattice.rank for row in lattice.gram)
+        assert all(type(x) is int for row in lattice.gram for x in row)
+        assert is_symmetric(lattice.gram)
 
 
 # -- Primitive hits only --------------------------------------------------------------

@@ -33,7 +33,7 @@ from mukaikit import (
     wall_bound,
 )
 from mukaikit.errors import HypothesisViolation
-from mukaikit.exactlin import clear_denominators, invert_unimodular, mat_vec
+from mukaikit.exactlin import clear_denominators, mat_vec
 from mukaikit.shortvec import short_vectors_up_to_sign
 from mukaikit.walls import (
     _majorant,
@@ -46,6 +46,7 @@ from conftest import cleared_form, random_unimodular
 from fraction_oracle import (
     coordinate_radii,
     fraction_short_vectors,
+    invert_unimodular,
     oracle_crossings,
     oracle_walls_through_class,
 )

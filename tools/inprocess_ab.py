@@ -7,10 +7,15 @@ Both trees are loaded into one interpreter, A as the package ``mukaikit_a``
 and B as ``mukaikit_b`` (the library imports its own modules relatively).
 Each side builds its own items with ``perfbench/workloads.py``, which is
 imported from the repository and not changed, and the canonical outcome of
-every item must be equal on the two sides. A round times ``--best-of``
-whole passes of each side, alternating which side goes first, and keeps
-each side's fastest pass; the ratio B / A of those is the round's reading.
-The script prints the median ratio, its quartiles and the rounds B won.
+every item must be equal on the two sides. Each query is timed as
+``perfbench/run.py::run_pass`` times it, on its own after a
+``gc.collect()``, and a pass takes the sum of its query times. A round
+times ``--best-of`` whole passes of each side, alternating which side goes
+first, and keeps each side's fastest pass; the ratio B / A of those is the
+round's reading. The script prints the median ratio, its quartiles and the
+rounds B won, and next to them each side's per-query p50 and p90 over
+every timed query, which is what a ``query_p50_rel`` or ``query_p90_rel``
+claim turns on.
 ``--strata NAME[,NAME...]`` keeps only the pass items of the named strata
 (``verdict_mix`` has ``h2_pos`` and ``h2_iso``, for example), so a change to
 one kind of query is timed without the noise of the others.
@@ -73,17 +78,26 @@ def outcomes(workloads, wl, items) -> list[str]:
     return texts
 
 
-def best_pass(wl, items, best_of: int) -> int:
-    """The fastest of ``best_of`` passes over ``items``, in ns."""
+def best_pass(wl, items, best_of: int, query_ns: list) -> int:
+    """The fastest of ``best_of`` passes over ``items``, in ns; every query
+    time is appended to ``query_ns``."""
     best = None
     for _ in range(best_of):
-        gc.collect()
-        start = time.perf_counter_ns()
+        elapsed = 0
         for item in items:
+            gc.collect()
+            start = time.perf_counter_ns()
             wl.query(item)
-        elapsed = time.perf_counter_ns() - start
+            query_ns.append(time.perf_counter_ns() - start)
+            elapsed += query_ns[-1]
         best = elapsed if best is None else min(best, elapsed)
     return best
+
+
+def p50_p90(values) -> tuple[float, float]:
+    """The median and the p90 of ``perfbench/run.py``, in ms."""
+    deciles = statistics.quantiles(values, n=10, method="inclusive")
+    return statistics.median(values) / 1e6, deciles[8] / 1e6
 
 
 def main(argv=None) -> int:
@@ -111,21 +125,24 @@ def main(argv=None) -> int:
         strata = ",".join(sorted(args.strata)) if args.strata else "all"
         print(f"# {args.workload} seed {args.seed}, strata {strata}: {len(a_items)} queries "
               f"a pass, outcomes equal; {args.rounds} rounds of best-of-{args.best_of} passes")
-        ratios = []
+        ratios, a_query_ns, b_query_ns = [], [], []
         for i in range(args.rounds):
             if i % 2:
-                b_ns = best_pass(b_wl, b_items, args.best_of)
-                a_ns = best_pass(a_wl, a_items, args.best_of)
+                b_ns = best_pass(b_wl, b_items, args.best_of, b_query_ns)
+                a_ns = best_pass(a_wl, a_items, args.best_of, a_query_ns)
             else:
-                a_ns = best_pass(a_wl, a_items, args.best_of)
-                b_ns = best_pass(b_wl, b_items, args.best_of)
+                a_ns = best_pass(a_wl, a_items, args.best_of, a_query_ns)
+                b_ns = best_pass(b_wl, b_items, args.best_of, b_query_ns)
             ratios.append(b_ns / a_ns)
             print(f"round {i + 1}: A {a_ns / 1e6:.1f} ms, B {b_ns / 1e6:.1f} ms, "
                   f"B/A {ratios[-1]:.3f}", flush=True)
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     won = sum(r < 1 for r in ratios)
+    (a50, a90), (b50, b90) = p50_p90(a_query_ns), p50_p90(b_query_ns)
     print(f"B/A pass time: median {median:.3f}, quartiles {q1:.3f} {q3:.3f}; "
           f"B faster in {won}/{len(ratios)} rounds")
+    print(f"per query over {len(a_query_ns)} each: A p50 {a50:.4f} ms, p90 {a90:.4f} ms; "
+          f"B p50 {b50:.4f} ms, p90 {b90:.4f} ms; B/A p50 {b50 / a50:.3f}, p90 {b90 / a90:.3f}")
     return 0
 
 
