@@ -147,117 +147,6 @@ def unimodular_completion(row: Sequence[int]) -> IntMatrix:
     return tuple(map(tuple, r))
 
 
-# -- Smith normal form -------------------------------------------------------
-
-
-def _swap_rows(a, t, i, j):
-    a[i], a[j] = a[j], a[i]
-    t[i], t[j] = t[j], t[i]
-
-
-def _add_row(a, t, dst, src, q):
-    # row_dst += q * row_src
-    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-    t[dst] = [x + q * y for x, y in zip(t[dst], t[src])]
-
-
-def _xgcd_rows(a, t, i, j, c):
-    """One unimodular 2-row operation making a[j][c] = 0, pivot at a[i][c]."""
-    p, q = a[i][c], a[j][c]
-    g, x, y = _xgcd(p, q)
-    pg, qg = p // g, q // g
-    a[i], a[j] = (
-        [x * u + y * v for u, v in zip(a[i], a[j])],
-        [-qg * u + pg * v for u, v in zip(a[i], a[j])],
-    )
-    t[i], t[j] = (
-        [x * u + y * v for u, v in zip(t[i], t[j])],
-        [-qg * u + pg * v for u, v in zip(t[i], t[j])],
-    )
-
-
-def _row_hermite_inplace(a, left, rows, cols) -> None:
-    """Row Hermite reduction with transform; entries above pivots reduced.
-
-    Keeping everything reduced modulo the pivots is what bounds entry
-    growth (Kannan-Bachem style), unlike naive diagonal chasing.
-    """
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            _swap_rows(a, left, r, pivot)
-        for i in range(r + 1, rows):
-            if a[i][c] != 0:
-                _xgcd_rows(a, left, r, i, c)
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-            left[r] = [-x for x in left[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
-            if q:
-                _add_row(a, left, i, r, -q)
-        r += 1
-        if r == rows:
-            break
-
-
-def _is_diagonal(a, rows, cols) -> bool:
-    return all(a[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
-
-
-def _smith_diagonal(a: list[list[int]], rows: int, cols: int) -> list[int]:
-    """The absolute diagonal after alternating row and column Hermite
-    passes have made ``a`` diagonal; not yet a divisibility chain."""
-    for _ in range(200):
-        if _is_diagonal(a, rows, cols):
-            break
-        _row_hermite_inplace(a, [[] for _ in range(rows)], rows, cols)
-        if _is_diagonal(a, rows, cols):
-            break
-        at = [list(col) for col in zip(*a)]
-        _row_hermite_inplace(at, [[] for _ in range(cols)], cols, rows)
-        a = [list(col) for col in zip(*at)]
-    else:
-        raise InternalError("Smith reduction did not converge")
-    return [abs(a[i][i]) for i in range(min(rows, cols))]
-
-
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The Smith diagonal of ``m``: its invariant factors d1 | d2 | ... .
-
-    The entries are nonnegative, and the tuple has length
-    ``min(rows, cols)`` including trailing zeros for rank deficiency.
-    Alternating row and column Hermite passes diagonalize the matrix,
-    then a pairwise gcd/lcm sweep over the absolute diagonal enforces the
-    divisibility chain. No transform is kept.
-    """
-    mat = int_matrix(m)
-    rows, cols = shape(mat)
-    return _divisibility_chain(_smith_diagonal([list(row) for row in mat], rows, cols))
-
-
-def _divisibility_chain(diag: list[int]) -> tuple[int, ...]:
-    """The Smith form of a diagonal: the gcd/lcm sweep over its absolute
-    entries. A 1 divides everything, so the sweep runs on the others."""
-    ones = diag.count(1)
-    diag = [d for d in diag if d != 1]
-    n = len(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                di, dj = diag[i], diag[j]
-                if (di == 0 and dj != 0) or (di != 0 and dj % di != 0):
-                    # diag(d_i, d_j) and diag(gcd, lcm) are equivalent.
-                    diag[i], diag[j] = gcd(di, dj), lcm(di, dj)
-                    changed = True
-    return (1,) * ones + tuple(diag)
-
-
 # -- Hermite normal form and kernels ----------------------------------------
 
 
@@ -279,12 +168,40 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     Zero rows are dropped; entries above each pivot are reduced into
     ``[0, pivot)``. Unimodular row operations only, so the row span in Z^n
     is preserved. The result is the canonical basis used for kernels and
-    orthogonal complements.
+    orthogonal complements. For each column: a swap brings the first
+    nonzero entry at or below row r up, one xgcd step per row below clears
+    that row's entry, a sign makes the pivot positive, and the rows above
+    are reduced modulo it. Keeping them reduced is what bounds entry growth
+    (Kannan-Bachem).
     """
     mat = int_matrix(m)
     rows, cols = shape(mat)
     a = [list(row) for row in mat]
-    _row_hermite_inplace(a, [[] for _ in range(rows)], rows, cols)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        top = a[r]
+        for i in range(r + 1, rows):
+            q = a[i][c]
+            if q:
+                p = top[c]
+                g, x, y = _xgcd(p, q)
+                pg, qg = p // g, q // g
+                top, a[i] = ([x * u + y * v for u, v in zip(top, a[i])],
+                             [pg * v - qg * u for u, v in zip(top, a[i])])
+        if top[c] < 0:
+            top = [-x for x in top]
+        a[r] = top
+        for i in range(r):
+            q = a[i][c] // top[c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+        r += 1
     return tuple(tuple(row) for row in a if any(row))
 
 
@@ -353,6 +270,54 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
     if len(mat) > 1:
         return hermite_normal_form(basis)
     return tuple(map(tuple, basis))
+
+
+# -- Smith normal form -------------------------------------------------------
+
+
+def _is_diagonal(a: Sequence[Sequence[int]]) -> bool:
+    return not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The Smith diagonal of ``m``: its invariant factors d1 | d2 | ... .
+
+    The entries are nonnegative, and the tuple has length
+    ``min(rows, cols)`` including trailing zeros for rank deficiency.
+    Row and column passes of ``hermite_normal_form`` alternate until the
+    matrix is diagonal. A pass drops zero rows (or columns), so zeros pad
+    the diagonal back to ``min(rows, cols)``. A pairwise gcd/lcm sweep over
+    the absolute diagonal then enforces the divisibility chain; a 1
+    divides everything, so the sweep runs on the others. No transform is
+    kept.
+    """
+    a = int_matrix(m)
+    n = min(shape(a))
+    for _ in range(200):
+        if _is_diagonal(a):
+            break
+        a = hermite_normal_form(a)
+        if _is_diagonal(a):
+            break
+        a = transpose(hermite_normal_form(transpose(a)))
+    else:
+        raise InternalError("Smith reduction did not converge")
+    diag = [abs(a[i][i]) for i in range(min(shape(a)))]
+    diag += [0] * (n - len(diag))
+    ones = diag.count(1)
+    diag = [d for d in diag if d != 1]
+    k = len(diag)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            for j in range(i + 1, k):
+                di, dj = diag[i], diag[j]
+                if (di == 0 and dj != 0) or (di != 0 and dj % di != 0):
+                    # diag(d_i, d_j) and diag(gcd, lcm) are equivalent.
+                    diag[i], diag[j] = gcd(di, dj), lcm(di, dj)
+                    changed = True
+    return (1,) * ones + tuple(diag)
 
 
 # -- Signatures --------------------------------------------------------------
@@ -448,7 +413,7 @@ def signature_and_smith(
     # The empty matrix has no pivot; its Smith form is () either way.
     if pivots and not n_zero and abs(pivots[-1][1][pivots[-1][0]]) == 1:
         return inertia, (1,) * n
-    return inertia, _divisibility_chain(_smith_diagonal([list(r) for r in mat], n, n))
+    return inertia, smith_normal_form(mat)
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:

@@ -11,18 +11,27 @@ bound go through ``_pair`` below, a per-coordinate sum in Fractions, and
 never through ``lattice.pairing`` or ``K3Model.pair``; its LDL split
 comes from the full-update congruence below.
 
-It also keeps exact-layer routines the library no longer runs: the Smith
-form with both unimodular transforms and the saturated kernel read off
-it, the symmetric congruence that updated every row and column at each
-step in Fractions, the rational LDL split and the signature read off it,
+It also keeps exact-layer routines the library no longer runs. Those on
+integer matrices rest on the oracle's own row Hermite loop,
+``_hermite_with_transform``, which applies each of its steps (a swap, an
+xgcd step per row below the pivot, a sign, and the reduction above the
+pivot) to a transform as well, with its own xgcd and diagonal test. The
+library keeps no transform, and from ``mukaikit.exactlin`` the oracle
+takes only ``identity``, ``int_matrix``, ``mat_vec``, ``shape`` and
+``transpose``; a contract test keeps every private name and the Hermite,
+Smith, kernel and completion routines out of its imports. On that loop
+stand the Hermite form itself (``reference_hermite``), the Smith form
+with both unimodular transforms and the saturated kernel read off it,
 the saturated kernel by a Hermite pass over the whole of m^T and a
 second one over the kernel rows (the library writes the Hermite basis
 of one row's kernel down in closed form), the inverse of a unimodular
-matrix read off its Hermite transform and the unimodular completion
+matrix read off its Hermite transform, and the unimodular completion
 that inverts its transform by it (the library carries the inverse
-through its one pass), a row-span test that reduces against Hermite
-pivots, and the loop over rank splits that the irreducibility oracle's
-closed form replaced.
+through its one pass). The others are the symmetric congruence that
+updated every row and column at each step in Fractions, the rational
+LDL split and the signature read off it, a row-span test that reduces
+against Hermite pivots, and the loop over rank splits that the
+irreducibility oracle's closed form replaced.
 
 Last, it holds checkers that the library dropped once nothing in it
 called them: a dense matrix product, a determinant by Gaussian
@@ -39,17 +48,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
 from mukaikit.errors import InternalError, ValidationError
-from mukaikit.exactlin import (
-    _is_diagonal,
-    _row_hermite_inplace,
-    _xgcd_rows,
-    hermite_normal_form,
-    identity,
-    int_matrix,
-    mat_vec,
-    shape,
-    transpose,
-)
+from mukaikit.exactlin import identity, int_matrix, mat_vec, shape, transpose
 from mukaikit.moduli import IrreducibilityVerdict
 from mukaikit.mukai import MukaiVector, exp_class, mukai_pairing, mukai_product, mukai_square
 from mukaikit.twisted import TwistData
@@ -232,6 +231,74 @@ def ldl_decompose(q) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, u
 
 
+# -- the transform-tracking Hermite loop ------------------------------------------
+
+
+def _xgcd(a, b) -> tuple[int, int, int]:
+    """(g, x, y) with g = x a + y b = gcd(a, b) up to sign, by the Euclidean remainders."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _xgcd_rows(a, t, i, j, c):
+    """One unimodular 2-row operation on ``a`` and ``t`` making a[j][c] = 0, pivot at a[i][c]."""
+    p, q = a[i][c], a[j][c]
+    g, x, y = _xgcd(p, q)
+    pg, qg = p // g, q // g
+    for m in (a, t):
+        m[i], m[j] = ([x * u + y * v for u, v in zip(m[i], m[j])],
+                      [-qg * u + pg * v for u, v in zip(m[i], m[j])])
+
+
+def _hermite_with_transform(a, t, rows, cols) -> None:
+    """Row Hermite reduction of the lists ``a`` in place, each step applied to ``t`` too.
+
+    For each column: a swap, one xgcd step per row below the pivot, a sign,
+    and reduction of the rows above modulo the pivot.
+    """
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        for m in (a, t):
+            m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, rows):
+            if a[i][c] != 0:
+                _xgcd_rows(a, t, r, i, c)
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+            t[r] = [-x for x in t[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                for m in (a, t):
+                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+
+
+def _is_diagonal(a, rows, cols) -> bool:
+    return all(a[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+
+
+def reference_hermite(m) -> tuple:
+    """The row Hermite form of m by ``_hermite_with_transform``, zero rows dropped."""
+    mat = int_matrix(m)
+    rows, cols = shape(mat)
+    a = [list(row) for row in mat]
+    _hermite_with_transform(a, [[] for _ in range(rows)], rows, cols)
+    return tuple(tuple(row) for row in a if any(row))
+
+
 def reference_smith(m) -> tuple:
     """``(diag, left, right)`` with ``left @ m @ right`` the Smith form of m.
 
@@ -249,11 +316,11 @@ def reference_smith(m) -> tuple:
     for _ in range(200):
         if _is_diagonal(a, rows, cols):
             break
-        _row_hermite_inplace(a, left, rows, cols)
+        _hermite_with_transform(a, left, rows, cols)
         if _is_diagonal(a, rows, cols):
             break
         at = [list(col) for col in zip(*a)] if a and a[0] else [[] for _ in range(cols)]
-        _row_hermite_inplace(at, right_t, cols, rows)
+        _hermite_with_transform(at, right_t, cols, rows)
         a = [list(col) for col in zip(*at)] if at and at[0] else [[] for _ in range(rows)]
     else:
         raise InternalError("Smith reduction did not converge")
@@ -326,7 +393,7 @@ def smith_kernel(m) -> tuple:
     diag, _left, right = reference_smith(m)
     rank = sum(1 for d in diag if d != 0)
     basis = tuple(tuple(right[i][j] for i in range(cols)) for j in range(rank, cols))
-    return hermite_normal_form(basis) if basis else ()
+    return reference_hermite(basis) if basis else ()
 
 
 def full_kernel_saturated(m) -> tuple:
@@ -341,9 +408,9 @@ def full_kernel_saturated(m) -> tuple:
         return ()
     a = [list(col) for col in zip(*mat)]
     t = [list(row) for row in identity(cols)]
-    _row_hermite_inplace(a, t, cols, rows)
+    _hermite_with_transform(a, t, cols, rows)
     basis = [row for h, row in zip(a, t) if not any(h)]
-    return hermite_normal_form(basis) if basis else ()
+    return reference_hermite(basis) if basis else ()
 
 
 def invert_unimodular(m) -> tuple:
@@ -358,7 +425,7 @@ def invert_unimodular(m) -> tuple:
         raise ValidationError("cannot invert a non-square matrix")
     a = [list(row) for row in mat]
     inv = [list(row) for row in identity(rows)]
-    _row_hermite_inplace(a, inv, rows, cols)
+    _hermite_with_transform(a, inv, rows, cols)
     if any(a[i][i] != 1 for i in range(rows)):
         raise ValidationError("matrix is not unimodular")
     return tuple(tuple(row) for row in inv)
@@ -369,7 +436,7 @@ def full_unimodular_completion(row) -> tuple:
     col = [[x] for x in int_matrix((row,))[0]]
     n = len(col)
     t = [list(r) for r in identity(n)]
-    _row_hermite_inplace(col, t, n, 1)
+    _hermite_with_transform(col, t, n, 1)
     if not col or col[0][0] != 1:
         raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
     return invert_unimodular(transpose(t))

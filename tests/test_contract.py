@@ -18,6 +18,8 @@ argument type, a Mukai vector: ``walls`` imports nothing from ``twisted``,
 whose classes enter through ``twisted.v_E``.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
+The test oracle ``fraction_oracle`` imports no private name, no module and
+none of the exact routines it checks from ``mukaikit``.
 """
 
 from __future__ import annotations
@@ -298,3 +300,38 @@ def test_import_check_sees_every_form_of_import():
                    "import mukaikit.twisted", "from mukaikit import twisted"):
         assert "twisted" in set(_import_parts(ast.parse(source)))
     assert "twisted" not in set(_import_parts(ast.parse("from .mukai import twisted_sign")))
+
+
+ORACLE = Path(__file__).parent / "fraction_oracle.py"
+
+# The exact routines that the oracle checks, so it must not borrow them.
+ORACLE_CHECKED = {"hermite_normal_form", "smith_normal_form", "integer_kernel_saturated",
+                  "unimodular_completion"}
+
+
+def _borrowed(tree: ast.AST) -> set[str]:
+    """The names that ``tree`` imports from ``mukaikit`` and an oracle may not: a private
+    name, a routine in ``ORACLE_CHECKED``, or a module, which would open all of them."""
+    modules = {"mukaikit"} | {p.stem for p in SOURCES}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mukaikit":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[-1] for alias in node.names
+                         if alias.name.split(".")[0] == "mukaikit")
+    return {name for name in names
+            if name.startswith("_") or name in ORACLE_CHECKED | modules}
+
+
+def test_oracle_owns_its_exact_routines():
+    """The Hermite, Smith, kernel and completion references in ``fraction_oracle`` run
+    the oracle's own transform-tracking loop, not the library code they check."""
+    assert not _borrowed(ast.parse(ORACLE.read_text(encoding="utf-8")))
+
+
+def test_borrow_check_sees_private_names_checked_routines_and_modules():
+    source = ("from mukaikit.exactlin import _xgcd, hermite_normal_form, identity, shape\n"
+              "from mukaikit import exactlin\nimport mukaikit.walls\n"
+              "from fractions import Fraction\n")
+    assert _borrowed(ast.parse(source)) == {"_xgcd", "hermite_normal_form", "exactlin", "walls"}

@@ -1,7 +1,10 @@
 """Property tests for the shared exact kernels.
 
-One row Hermite loop serves ``hermite_normal_form`` and the Smith
-diagonal; ``integer_kernel_saturated`` writes the Hermite basis of one
+``hermite_normal_form`` holds the library's one row Hermite loop, and
+``smith_normal_form`` alternates it on rows and columns; neither keeps a
+transform. Both are checked against the oracle's own transform-tracking
+loop (``reference_hermite``, ``reference_smith``), which shares no code
+with them. ``integer_kernel_saturated`` writes the Hermite basis of one
 row's kernel down in closed form, and ``unimodular_completion`` carries
 its inverse through one pass, both checked against the Smith
 construction and the oracle's ``invert_unimodular``; one fraction-free
@@ -58,6 +61,7 @@ from fraction_oracle import (
     invert_unimodular,
     ldl_decompose,
     matmul,
+    reference_hermite,
     reference_signature,
     reference_smith,
     smith_kernel,
@@ -68,7 +72,7 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 def _rank(m) -> int:
-    return sum(1 for d in smith_normal_form(m) if d)
+    return sum(1 for d in reference_smith(m)[0] if d)
 
 
 def _diag(entries):
@@ -152,6 +156,7 @@ def _random_int_matrix(rng: random.Random):
 def test_hermite_normal_form_shape_and_span(seed):
     m = _random_int_matrix(random.Random(seed))
     h = hermite_normal_form(m)
+    assert h == reference_hermite(m)
     assert len(h) == _rank(m)
     last = -1
     for r, row in enumerate(h):
@@ -175,7 +180,7 @@ def test_hermite_normal_form_shape_and_span(seed):
 
     def volume(a):
         out = 1
-        for d in smith_normal_form(a):
+        for d in reference_smith(a)[0]:
             out *= d or 1
         return out
 
@@ -349,7 +354,7 @@ def test_coordinate_radii_rejects_singular():
 
 
 def test_smith_non_convergence_is_internal(monkeypatch, tmp_path):
-    monkeypatch.setattr(exactlin, "_is_diagonal", lambda a, rows, cols: False)
+    monkeypatch.setattr(exactlin, "_is_diagonal", lambda a: False)
     with pytest.raises(InternalError):
         smith_normal_form(((2, 4), (6, 8)))
     cfg = tmp_path / "h2.json"
@@ -626,6 +631,15 @@ def test_smith_diagonal_edge_shapes():
     assert smith_normal_form(((0,), (4,), (-6,))) == (2,)
     assert smith_normal_form(((0, 0), (0, -3))) == (3, 0)
     assert smith_normal_form(_diag([4, 0, 6, -10])) == (2, 2, 60, 0)
+    # A Hermite pass drops zero rows or columns; zeros pad the diagonal back.
+    for m, diag in [
+        (((2, 4), (1, 2)), (1, 0)),
+        (((2, 4), (4, 8), (6, 12)), (2, 0)),
+        (((1,), (2,), (3,)), (1,)),
+        (((0,), (0,)), (0,)),
+        (((0, 0), (0, 0)), (0, 0)),
+    ]:
+        assert smith_normal_form(m) == reference_smith(m)[0] == diag
 
 
 # -- unimodular_completion -----------------------------------------------------------------

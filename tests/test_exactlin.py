@@ -157,12 +157,12 @@ class TestSignatureAndSmith:
     def _check(g, *, shortcut):
         reduced = []
 
-        def smith_diagonal(a, rows, cols, _original=exactlin._smith_diagonal):
-            reduced.append(rows)
-            return _original(a, rows, cols)
+        def counted(m, _original=exactlin.smith_normal_form):
+            reduced.append(len(m))
+            return _original(m)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactlin, "_smith_diagonal", smith_diagonal)
+            mp.setattr(exactlin, "smith_normal_form", counted)
             sig, smith = signature_and_smith(g)
         assert sig == reference_signature(g) == rational_signature(g)
         assert smith == reference_smith(g)[0] == smith_normal_form(g)
@@ -193,6 +193,13 @@ class TestSignatureAndSmith:
     @pytest.mark.parametrize("d", [-4, -2, -1, 0, 1, 2, 3])
     def test_one_by_one(self, d):
         self._check(((d,),), shortcut=abs(d) == 1)
+
+    def test_singular(self):
+        # A singular Gram takes the reduction, whose one Hermite pass drops
+        # the zero row; the padding gives the zero factor back.
+        g = ((2, 2), (2, 2))
+        self._check(g, shortcut=False)
+        assert signature_and_smith(g) == ((1, 1, 0), (2, 0))
 
     def test_empty(self):
         self._check((), shortcut=False)
