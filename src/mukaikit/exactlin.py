@@ -4,7 +4,12 @@ Matrices are immutable tuples of row tuples of Python ints (arbitrary
 precision). Rational data stays at the API boundary: a ``LatticeVector``
 keeps integer numerators over one denominator, callers hand those ints
 here, and the signature and short-vector entry points reject any entry
-that is not an int. No floating point is used anywhere: wall membership
+that is not an int, and any form that is not symmetric. The reductions
+(``hermite_normal_form``, ``smith_normal_form``,
+``integer_kernel_saturated``, ``unimodular_completion`` and
+``signature_and_smith``) check nothing their callers have checked: each
+is handed matrices built from validated Grams and vectors, so an entry is
+checked once, where it enters. No floating point is used anywhere: wall membership
 and signature verdicts downstream are exact predicates, so every
 primitive here must be exact too.
 """
@@ -126,7 +131,6 @@ def unimodular_completion(row: Sequence[int]) -> IntMatrix:
     inverse. Raises ``ValidationError`` if the row is zero or its entries
     share a factor.
     """
-    row = int_matrix((row,))[0]
     if gcd(*row) != 1:
         raise ValidationError("cannot complete a non-primitive row to a unimodular matrix")
     n, pivot = len(row), next(i for i, x in enumerate(row) if x)
@@ -174,9 +178,8 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     are reduced modulo it. Keeping them reduced is what bounds entry growth
     (Kannan-Bachem).
     """
-    mat = int_matrix(m)
-    rows, cols = shape(mat)
-    a = [list(row) for row in mat]
+    rows, cols = shape(m)
+    a = [list(row) for row in m]
     r = 0
     for c in range(cols):
         if r == rows:
@@ -259,15 +262,14 @@ def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
     a saturated sublattice of Z^n. With more than one row, K B is brought
     to Hermite form, so the output is deterministic either way.
     """
-    mat = int_matrix(m)
-    if not mat:
+    if not m:
         return ()
-    basis = _row_kernel(mat[0])
-    for w in mat[1:]:
+    basis = _row_kernel(m[0])
+    for w in m[1:]:
         u = [sum(map(mul, k, w)) for k in basis]
         if any(u):
             basis = [vec_mat(k, basis) for k in _row_kernel(u)]
-    if len(mat) > 1:
+    if len(m) > 1:
         return hermite_normal_form(basis)
     return tuple(map(tuple, basis))
 
@@ -291,8 +293,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     divides everything, so the sweep runs on the others. No transform is
     kept.
     """
-    a = int_matrix(m)
-    n = min(shape(a))
+    a, n = m, min(shape(m))
     for _ in range(200):
         if _is_diagonal(a):
             break
@@ -381,12 +382,6 @@ def _inertia(pivots, n_zero) -> tuple[int, int, int]:
     return plus, n_zero, len(pivots) - plus
 
 
-def _symmetric_int_matrix(g: Sequence[Sequence]) -> IntMatrix:
-    if not is_symmetric(g):
-        raise ValidationError("signature requires a symmetric matrix")
-    return int_matrix(g)
-
-
 def rational_signature(g: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Inertia ``(n_plus, n_zero, n_minus)`` over Q of a symmetric integer matrix.
 
@@ -394,7 +389,9 @@ def rational_signature(g: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     and any entry that is not an int; a rational form is scaled to
     integers by its caller, which leaves the inertia unchanged.
     """
-    return _inertia(*congruence_pivots(_symmetric_int_matrix(g)))
+    if not is_symmetric(g):
+        raise ValidationError("signature requires a symmetric matrix")
+    return _inertia(*congruence_pivots(int_matrix(g)))
 
 
 def signature_and_smith(
@@ -407,13 +404,12 @@ def signature_and_smith(
     is a unimodular congruence, so |D_n| = |det g|, and |det g| = 1 makes
     every factor 1. Otherwise the whole matrix is reduced to its Smith form.
     """
-    mat = _symmetric_int_matrix(g)
-    pivots, n_zero = congruence_pivots(mat)
-    inertia, n = _inertia(pivots, n_zero), len(mat)
+    pivots, n_zero = congruence_pivots(g)
+    inertia, n = _inertia(pivots, n_zero), len(g)
     # The empty matrix has no pivot; its Smith form is () either way.
     if pivots and not n_zero and abs(pivots[-1][1][pivots[-1][0]]) == 1:
         return inertia, (1,) * n
-    return inertia, smith_normal_form(mat)
+    return inertia, smith_normal_form(g)
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress
 from math import gcd
-from operator import add, itemgetter
+from operator import add
 
 from . import exactlin
 from .errors import HypothesisViolation, InternalError, ValidationError
@@ -151,40 +150,31 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     v-perp is the saturation of Zv, which is Zv since v is primitive; as
     v^2 = 0 the radical of v-perp is Zv itself, and no kernel is needed.
 
-    Only the summands of U^4 (+) E8(-1)^2 that v meets are computed, with
-    the first U always among them (``full_mukai_blocks`` holds the split).
-    On those coordinates S the complement, its Gram, the radical reduction
-    and one ``signature_and_smith`` run as usual. Each untouched summand N
-    lies in v-perp and is orthogonal to everything on S, so
-    v-perp = (v-perp in S) (+) N (+) ..., and N comes in as a constant:
-    - its unit rows are rows of the Hermite basis: merged with the rows
-      on S by pivot column, the pivots still increase, a unit row is 0
-      above every other pivot, and the rows on S are 0 on N;
-    - its Gram block sits at the positions of those rows, and every cross
-      term with S is 0;
-    - its inertia adds to the signature, and as N is unimodular it adds
-      only 1s to the Smith form, which the discriminant drops: Smith
-      forms add over a block sum, as diag(P, P') diag(A, B) diag(Q, Q')
-      is diagonal when P A Q and P' B Q' are, and the form is unique.
-    For v^2 = 0 the coordinates of v in the Hermite basis vanish off S, so
-    the completion that puts v first is the identity on every N. It acts
-    on index 0, the first row of the basis; as S holds the first U, that
-    row has its pivot at ambient index 0 or 1 and is a row on S.
-    A standard embedding of an NS of rank <= 3 puts v in U^4, so S has at
-    most 8 coordinates and both E8(-1) summands are constants.
+    The work runs on the prefix S = [0, n) of U^4 (+) E8(-1)^2, where n
+    ends the summand (``full_mukai_blocks``) that holds the last nonzero
+    coordinate of v. On S the complement, its Gram, the radical reduction
+    and one ``signature_and_smith`` run as usual. The summands after S lie
+    in v-perp and are orthogonal to S, so v-perp is (v-perp in S) (+) Z^T,
+    T = [n, 24), and T comes in as a constant:
+    - every pivot on T comes after every pivot on S, so the Hermite basis
+      is the rows on S, padded with zeros, followed by the unit rows of T;
+    - the Gram is diag(Gram on S, Gram on T);
+    - T adds its inertia to the signature, and as it is unimodular only
+      1s to the Smith form, which the discriminant drops.
+    For v^2 = 0 the radical reduction acts on S only, where row 0 of the
+    basis lies. A standard embedding of an NS of rank <= 3 puts v in U^4,
+    so n <= 8.
 
     v is 0 off S, so v^2 is read on S. The result Gram is built from the
     Gram on S, which ``orthogonal_complement`` validated, and the constant
-    blocks, so its ``Lattice`` comes from ``Lattice._trusted``.
+    block, so its ``Lattice`` comes from ``Lattice._trusted``.
     """
     if not v.is_primitive:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
     coords = v.coords
-    touched = tuple(k == 0 or any(map(coords.__getitem__, span))
-                    for k, (span, _) in enumerate(full_mukai_blocks()))
-    split = _block_split(touched)
-    idx, part, *_, inertia = split
-    v_part = itemgetter(*idx)(coords)
+    part, units, rest_gram, inertia = _prefix_split(
+        next(span.stop for span, _ in full_mukai_blocks() if not any(coords[span.stop:])))
+    v_part = coords[:part.rank]
     sq = exactlin.bilinear(part.gram, v_part, v_part)
     if sq < 0:
         raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
@@ -203,53 +193,25 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     sig, smith = exactlin.signature_and_smith(gram)
     if 0 in smith:
         raise InternalError("the second-cohomology lattice is degenerate")
-    perp_basis, gram = _merge_untouched(split, comp.basis, gram, quotient)
+    pad, lead = (0,) * len(units), (0,) * len(gram)
+    gram = tuple(row + pad for row in gram) + tuple(lead + row for row in rest_gram)
     return H2LatticeResult(Lattice._trusted(gram, "v-perp mod v" if quotient else "v-perp"),
                            tuple(map(add, sig, inertia)), tuple(d for d in smith if d != 1),
-                           perp_basis, quotient)
+                           tuple(row + pad for row in comp.basis) + units, quotient)
 
 
 @cache
-def _block_split(touched: tuple[bool, ...]):
-    """The summands of the Mukai lattice flagged in ``touched`` and the rest.
-
-    Returns the indices S of the flagged summands, the lattice on S, the
-    map from a row on S (with a 0 appended) to its ambient row, then the
-    other indices, their unit rows, their Gram and their inertia.
-    """
+def _prefix_split(n: int):
+    """The Mukai lattice on [0, n), then the unit rows, the Gram and the
+    inertia of the summands after it; n ends a summand."""
     ambient = full_mukai_lattice()
-    idx, rest, inertia = [], [], (0, 0, 0)
-    for (span, sig), t in zip(full_mukai_blocks(), touched):
-        if t:
-            idx += span
-        else:
-            rest += span
+    inertia = (0, 0, 0)
+    for span, sig in full_mukai_blocks():
+        if span.start >= n:
             inertia = tuple(map(add, inertia, sig))
-    unit = exactlin.identity(ambient.rank)
-    embed = itemgetter(*(idx.index(j) if j in idx else len(idx) for j in range(ambient.rank)))
-    return (tuple(idx), Lattice(exactlin.principal(ambient.gram, idx), "Mukai on S"), embed,
-            tuple(rest), tuple(unit[j] for j in rest),
-            tuple(map(tuple, exactlin.principal(ambient.gram, rest))), inertia)
-
-
-def _merge_untouched(split, basis: IntMatrix, gram: IntMatrix, quotient: bool):
-    """The Hermite basis of v-perp and its Gram from ``basis`` and ``gram``
-    on S: the unit rows off S merge in by pivot column, with their Gram
-    block at their positions. With ``quotient`` the Gram has lost row 0 of
-    the basis, which comes first in the merged order."""
-    idx, _, embed, rest, unit_rows, rest_gram, _ = split
-    pivots = [next(compress(idx, row)) for row in basis]
-    pivots += rest
-    rows = [embed(row + (0,)) for row in basis]
-    rows += unit_rows
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    perp_basis = itemgetter(*order)(rows)
-    if quotient:
-        order = [i - 1 for i in order[1:]]
-    k, t = len(gram), len(rest)
-    blocks = [row + (0,) * t for row in gram] + [(0,) * k + row for row in rest_gram]
-    pick = itemgetter(*order)
-    return perp_basis, tuple(map(pick, map(blocks.__getitem__, order)))
+    return (Lattice(tuple(row[:n] for row in ambient.gram[:n]), "Mukai on S"),
+            exactlin.identity(ambient.rank)[n:], tuple(row[n:] for row in ambient.gram[n:]),
+            inertia)
 
 
 def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,9 +6,10 @@ and compare what ``exactlin`` returns, reducing the whole matrix, with
 the loops that ``tests/fraction_oracle.py`` keeps.
 
 The Mukai lattice is split by summand in one place, ``moduli.h2_lattice``:
-it computes only on the summands that v meets. Its results are checked
-against the whole-matrix loops on vectors of any support, and
-``test_h2_reduces_no_summand_that_v_misses`` guards the split by
+it computes on the shortest prefix of summands that holds v and appends
+the rest as constants. Its results are checked against the whole-matrix
+loops on vectors of any support, and
+``test_h2_computes_on_the_prefix_that_holds_v`` guards the split by
 recording the width of every matrix ``h2`` hands the exact layer. ``h2``
 reads the radical of an isotropic v-perp off the coordinates of v,
 checked against the kernel of its Gram.
@@ -258,8 +259,8 @@ SUPPORTS = {
     "any": lambda rng: rng.sample(range(6), rng.randint(1, 6)),
     # Never the first U, which h2 computes on all the same.
     "no_first_u": lambda rng: rng.sample(range(1, 6), rng.randint(1, 5)),
-    # One U past the first and E8(-1) summands: the rows on the first U
-    # and on the E8(-1) summands interleave with untouched unit rows.
+    # One U past the first and E8(-1) summands: the prefix that h2
+    # computes on holds the U summands that v misses before them.
     "one_u_and_e8": lambda rng: [rng.randint(1, 3), *rng.sample((4, 5), rng.randint(1, 2))],
 }
 
@@ -327,21 +328,34 @@ def test_h2_rejects_a_class_on_e8_summands_only(seed):
         h2_lattice(EmbeddedMukaiVector(coords))
 
 
-def test_h2_reduces_no_summand_that_v_misses(monkeypatch):
-    """A standard embedding of an NS of rank <= 3 puts v in U^4, so h2 hands
-    the exact layer no matrix wider than the 8 coordinates of U^4."""
+def _prefix_end(coords):
+    """The end of the summand that holds the last nonzero coordinate."""
+    last = max(j for j, x in enumerate(coords) if x)
+    return next(span.stop for span in SPANS if last in span)
+
+
+def test_h2_computes_on_the_prefix_that_holds_v(monkeypatch):
+    """h2 hands the exact layer no matrix wider than the prefix end n of v,
+    and takes the kernel on exactly n coordinates. A standard embedding of
+    an NS of rank <= 3 puts v in U^4, so there n <= 8; vectors of any
+    support reach the E8(-1) summands."""
     rng = random.Random(2101)
-    vectors = []
-    while len(vectors) < 40:
+    standard = []
+    while len(standard) < 40:
         entries = rng.choice(((2,), (2, -2), (-4,), (2, -2, -4), (4, -2, -6), (-2, -2, -6)))
         ns = diagonal_lattice(list(entries), "NS")
         xi = [rng.randint(-4, 4) for _ in entries]
         xi2 = sum(e * x * x for e, x in zip(entries, xi))
         r = rng.randint(1, 4)
-        a = xi2 // (2 * r) if len(vectors) % 2 else (xi2 - 1) // (2 * r) - rng.randint(0, 3)
+        a = xi2 // (2 * r) if len(standard) % 2 else (xi2 - 1) // (2 * r) - rng.randint(0, 3)
         if xi2 - 2 * r * a >= 0 and gcd(r, a, *xi) == 1:
             v = MukaiVector(Fraction(r), ns.vector(xi), Fraction(a))
-            vectors.append(EmbeddedMukaiVector.from_algebraic(v, standard_ns_embedding(ns)))
+            standard.append(EmbeddedMukaiVector.from_algebraic(v, standard_ns_embedding(ns)))
+    anywhere = []
+    while len(anywhere) < 20:
+        coords = _vector_on(rng, SUPPORTS["any"](rng), 2 * rng.randint(0, 3))
+        if coords is not None and _square(coords) >= 0:
+            anywhere.append(EmbeddedMukaiVector(coords))
     widths = {}
     for name in ("congruence", "integer_kernel_saturated", "signature_and_smith"):
         def recorded(m, *args, _name=name, _original=getattr(exactlin, name)):
@@ -349,10 +363,18 @@ def test_h2_reduces_no_summand_that_v_misses(monkeypatch):
             return _original(m, *args)
 
         monkeypatch.setattr(exactlin, name, recorded)
-    results = [h2_lattice(v) for v in vectors]
-    assert {res.quotient_by_v for res in results} == {False, True}
-    assert set(widths) == {"congruence", "integer_kernel_saturated", "signature_and_smith"}
-    assert max(max(w) for w in widths.values()) <= 8
+    quotients, ends = set(), set()
+    for vectors, cap in ((standard, 8), (anywhere, 24)):
+        for v in vectors:
+            widths.clear()
+            quotients.add(h2_lattice(v).quotient_by_v)
+            n = _prefix_end(v.coords)
+            ends.add(n)
+            assert set(widths) == {"congruence", "integer_kernel_saturated", "signature_and_smith"}
+            assert widths["integer_kernel_saturated"] == [n]
+            assert max(max(w) for w in widths.values()) <= n <= cap
+    assert quotients == {False, True}
+    assert max(ends) > 8
 
 
 def test_hermite_coordinates_of_an_isotropic_class():

@@ -37,6 +37,19 @@ NONPROJECTIVE_CONFIG = {
     "existence": {"r": 2, "d": 0, "g": -4},
 }
 
+# Embeddings of NS into U^3 (+) E8(-1)^2 that skip summands: h2 computes on
+# the Mukai summands up to the one that holds v, and appends the rest.
+E8_ROOT_CONFIG = {  # <-2> onto the first basis root of the first E8(-1)
+    **NONPROJECTIVE_CONFIG,
+    "surface": {"ns_gram": [[-2]], "t11_gram": [[2]], "reference_positive": [0, 1]},
+    "mukai": {"r": 2, "xi": [1], "a": -1},
+    "embedding": [[0] * 6 + [1] + [0] * 15],
+}
+THIRD_U_CONFIG = {  # <-10> as (1, -5) on the third U
+    **NONPROJECTIVE_CONFIG,
+    "embedding": [[0] * 4 + [1, -5] + [0] * 16],
+}
+
 USAGE = (
     "usage: mukaikit <subcommand> [--config PATH] [--format {text,json}]\n"
     "subcommands: chamber, crossings, exists, generic, h2, pairing, projective, report, twist,"
@@ -169,6 +182,17 @@ class TestSubcommands:
         code, out, _ = invoke(["h2", "--config", str(path), "--format", "json"])
         assert code == 0
         assert json.loads(out)["result"]["signature"] == [3, 0, 20]
+
+    @pytest.mark.parametrize("cfg", [E8_ROOT_CONFIG, THIRD_U_CONFIG], ids=["e8-root", "third-u"])
+    def test_h2_with_an_embedding_that_skips_summands(self, tmp_path, cfg):
+        path = tmp_path / "skipping.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = invoke(["h2", "--config", str(path), "--format", "json"])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["rank"] == 23
+        assert result["signature"] == [3, 0, 20]
+        assert result["discriminant_group"] == [2]
 
     def test_h2_rejects_bad_embedding(self, tmp_path):
         cfg = json.loads(json.dumps(NONPROJECTIVE_CONFIG))
