@@ -248,7 +248,8 @@ class OrthogonalComplement:
 
 
 def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> OrthogonalComplement:
-    """Saturated sublattice of all x with pairing(x, v) = 0 for v in vs."""
+    """Saturated sublattice of all x with pairing(x, v) = 0 for v in vs; ``sub``, whose
+    Gram is a congruence of the validated ``l.gram``, is built by ``Lattice._trusted``."""
     for v in vs:
         if v.lattice != l:
             raise LatticeMismatchError("complement vectors must live in the given lattice")
@@ -257,7 +258,7 @@ def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> Orthogonal
     # x . gram . v = 0 is one integer linear condition on the numerators of v.
     rows = [exactlin.mat_vec(l.gram, v.num) for v in vs]
     basis = exactlin.integer_kernel_saturated(rows)
-    sub = Lattice(exactlin.congruence(basis, l.gram), f"{l.label}-perp")
+    sub = Lattice._trusted(exactlin.congruence(basis, l.gram), f"{l.label}-perp")
     return OrthogonalComplement(sub, basis)
 
 

@@ -24,7 +24,6 @@ from .lattice import (
     full_mukai_blocks,
     full_mukai_lattice,
     k3_lattice,
-    orthogonal_complement,
 )
 from .mukai import MukaiVector, exp_class, mukai_pairing, mukai_product, mukai_square
 from .records import record
@@ -152,8 +151,9 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
 
     The work runs on the prefix S = [0, n) of U^4 (+) E8(-1)^2, where n
     ends the summand (``full_mukai_blocks``) that holds the last nonzero
-    coordinate of v. On S the complement, its Gram, the radical reduction
-    and one ``signature_and_smith`` run as usual. The summands after S lie
+    coordinate of v. On S, with G_S the Gram there, the complement (the
+    saturated kernel of the row G_S v), its Gram, the radical reduction
+    and one ``signature_and_smith`` run on ints. The summands after S lie
     in v-perp and are orthogonal to S, so v-perp is (v-perp in S) (+) Z^T,
     T = [n, 24), and T comes in as a constant:
     - every pivot on T comes after every pivot on S, so the Hermite basis
@@ -165,25 +165,25 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     basis lies. A standard embedding of an NS of rank <= 3 puts v in U^4,
     so n <= 8.
 
-    v is 0 off S, so v^2 is read on S. The result Gram is built from the
-    Gram on S, which ``orthogonal_complement`` validated, and the constant
-    block, so its ``Lattice`` comes from ``Lattice._trusted``.
+    v is 0 off S, so v^2 is read on S. The result Gram is built from a
+    congruence of G_S, a block of the validated Mukai Gram, and the
+    constant block, so its ``Lattice`` comes from ``Lattice._trusted``.
     """
     if not v.is_primitive:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
     coords = v.coords
-    part, units, rest_gram, inertia = _prefix_split(
+    gram_s, units, rest_gram, inertia = _prefix_split(
         next(span.stop for span, _ in full_mukai_blocks() if not any(coords[span.stop:])))
-    v_part = coords[:part.rank]
-    sq = exactlin.bilinear(part.gram, v_part, v_part)
+    v_part = coords[:len(gram_s)]
+    sq = exactlin.bilinear(gram_s, v_part, v_part)
     if sq < 0:
         raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
-    comp = orthogonal_complement(part, [part.vector(v_part)])
-    gram, quotient = comp.sub.gram, sq == 0
+    basis = exactlin.integer_kernel_saturated((exactlin.mat_vec(gram_s, v_part),))
+    gram, quotient = exactlin.congruence(basis, gram_s), sq == 0
     if quotient:
         # The radical of v-perp is spanned by v itself; quotient it out
         # through a unimodular change of basis that puts v first.
-        to_new = exactlin.unimodular_completion(_hermite_coordinates(comp.basis, v_part))
+        to_new = exactlin.unimodular_completion(_hermite_coordinates(basis, v_part))
         # First row of to_new spans the radical; congruent Gram has zero
         # first row and column.
         new_gram = exactlin.congruence(to_new, gram)
@@ -197,21 +197,20 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     gram = tuple(row + pad for row in gram) + tuple(lead + row for row in rest_gram)
     return H2LatticeResult(Lattice._trusted(gram, "v-perp mod v" if quotient else "v-perp"),
                            tuple(map(add, sig, inertia)), tuple(d for d in smith if d != 1),
-                           tuple(row + pad for row in comp.basis) + units, quotient)
+                           tuple(row + pad for row in basis) + units, quotient)
 
 
 @cache
 def _prefix_split(n: int):
-    """The Mukai lattice on [0, n), then the unit rows, the Gram and the
+    """The Mukai Gram on [0, n), then the unit rows, the Gram and the
     inertia of the summands after it; n ends a summand."""
     ambient = full_mukai_lattice()
     inertia = (0, 0, 0)
     for span, sig in full_mukai_blocks():
         if span.start >= n:
             inertia = tuple(map(add, inertia, sig))
-    return (Lattice(tuple(row[:n] for row in ambient.gram[:n]), "Mukai on S"),
-            exactlin.identity(ambient.rank)[n:], tuple(row[n:] for row in ambient.gram[n:]),
-            inertia)
+    return (tuple(row[:n] for row in ambient.gram[:n]), exactlin.identity(ambient.rank)[n:],
+            tuple(row[n:] for row in ambient.gram[n:]), inertia)
 
 
 def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,11 +11,10 @@ is signature-level, so desk-scale models suffice.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .errors import LatticeMismatchError, ValidationError
-from .exactlin import mat_vec
-from .lattice import Lattice, LatticeVector, pairing
+from .exactlin import bilinear
+from .lattice import Lattice, LatticeVector
 from .records import record
 
 
@@ -69,7 +68,18 @@ class K3Model:
         """Intersection pairing on the full (1,1) model; blocks are orthogonal."""
         self._check_membership(x)
         self._check_membership(y)
-        return pairing(x.ns_part, y.ns_part) + pairing(x.t_part, y.t_part)
+        return Fraction(*self._scaled_pair(x, y))
+
+    def _scaled_pair(self, x: H11Class, y: H11Class) -> tuple[int, int]:
+        """x.y as ints (n, d) with x.y = n / d, for classes already checked to live here.
+
+        With x = (a / da; b / db) and y = (c / dc; e / de) as stored,
+        d = da db dc de > 0 and n = db de (a.G.c) + da dc (b.T.e).
+        """
+        a, b, c, e = x.ns_part, x.t_part, y.ns_part, y.t_part
+        return (b.den * e.den * bilinear(self.ns.gram, a.num, c.num)
+                + a.den * c.den * bilinear(self.t11.gram, b.num, e.num),
+                a.den * b.den * c.den * e.den)
 
     def square(self, x: H11Class) -> Fraction:
         return self.pair(x, x)
@@ -88,29 +98,23 @@ def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str
     reference class (the same cone component), positive on every curve
     class. ``name`` is how the message writes omega.
 
-    Decided on ints. With omega = (x / dx; y / dy) and the rows Gx, Ty of
-    the two Grams, omega^2 = x.Gx / dx^2 + y.Ty / dy^2 has the sign of
-    dy^2 x.Gx + dx^2 y.Ty; with the reference (u / du; z / dz),
-    omega.reference has the sign of dy dz u.Gx + dx du z.Ty; and C.omega
-    that of c.Gx for C = c / dc. A Fraction is built only for the message.
+    Decided on ints: omega^2 and omega.reference are n / d from
+    ``K3Model._scaled_pair``, with d > 0, so each has the sign of n; and
+    C.omega = c.G.x / (dc dx) for C = c / dc and the NS part x / dx of
+    omega. A Fraction is built only for the message.
     """
     m._check_membership(omega)
-    x, dx = omega.ns_part.num, omega.ns_part.den
-    y, dy = omega.t_part.num, omega.t_part.den
-    gx, ty = mat_vec(m.ns.gram, x), mat_vec(m.t11.gram, y)
-    ns_sq, t_sq = sum(map(mul, x, gx)), sum(map(mul, y, ty))
-    if dy * dy * ns_sq + dx * dx * t_sq <= 0:
-        return f"{name}^2={Fraction(ns_sq, dx * dx) + Fraction(t_sq, dy * dy)} <= 0"
-    u, du = m.reference_positive.ns_part.num, m.reference_positive.ns_part.den
-    z, dz = m.reference_positive.t_part.num, m.reference_positive.t_part.den
-    ns_ref, t_ref = sum(map(mul, u, gx)), sum(map(mul, z, ty))
-    if dy * dz * ns_ref + dx * du * t_ref <= 0:
-        paired = Fraction(ns_ref, dx * du) + Fraction(t_ref, dy * dz)
-        return f"{name}.reference={paired} <= 0"
+    square, d = m._scaled_pair(omega, omega)
+    if square <= 0:
+        return f"{name}^2={Fraction(square, d)} <= 0"
+    paired, d = m._scaled_pair(omega, m.reference_positive)
+    if paired <= 0:
+        return f"{name}.reference={Fraction(paired, d)} <= 0"
+    x = omega.ns_part
     for c in m.curve_classes:
-        value = sum(map(mul, c.num, gx))
+        value = bilinear(m.ns.gram, c.num, x.num)
         if value <= 0:
-            return f"C.{name}={Fraction(value, c.den * dx)} <= 0 for the curve class C={c!r}"
+            return f"C.{name}={Fraction(value, c.den * x.den)} <= 0 for the curve class C={c!r}"
     return None
 
 

@@ -14,11 +14,12 @@ endpoint, with an integer Gram and clipped to the classes D with
 (D.omega)(D.omega') <= 0), and the filter after the search runs on
 integers. The forms G.omega of the polarizations are built once per
 call from the stored numerators (``LatticeVector.num``), and the set-up
-of a segment query runs on ints: omega^2, omega.omega' and omega'^2, NS
-and transcendental parts together, each times a product of the
-denominators, give the majorant bound as one Fraction. The filter keeps
-the primitive hits only (``_in_bound`` shows that no wall is lost), and
-canonical sign, squares and sign tests work on int tuples.
+of a segment query runs on ints: omega^2, omega.omega' and omega'^2 come
+from the model's one integer pairing on H^{1,1}, ``K3Model._scaled_pair``,
+each as a numerator over a product of the denominators, and give the
+majorant bound as one Fraction. The filter keeps the primitive hits only
+(``_in_bound`` shows that no wall is lost), and canonical sign, squares
+and sign tests work on int tuples.
 Crossings are sorted by an exact integer key (see
 ``walls_crossing_segment``).
 
@@ -240,32 +241,24 @@ class WallCrossing:
     t: Fraction
 
 
-def _majorant_bound(bound: Fraction, a, b, c, scale: int = 1) -> Fraction:
+def _majorant_bound(bound: Fraction, a: int, b: int, c: int, scale: int) -> Fraction:
     """scale * bound * (2 b^2 - ac) / (ac), for a = w^2, b = w.w' and c = w'^2.
 
+    It bounds the majorant M(x) = 2 (x.w)^2/w^2 - x^2 on every wall D that
+    meets the segment from w to w'; b > 0 and b^2 >= ac, as H^{1,1} has one
+    positive direction. Through w (t = 0), M(D) = -D^2 <= bound. Through
+    w_t with 0 < t <= 1, D.w and D.w' have opposite signs or D.w' = 0;
+    splitting D along the span of w, w' (negative definite complement)
+    gives (D.w)^2 <= bound * (b^2 - ac) / c (at t = 1: Cauchy-Schwarz in
+    w'^perp). Either way M(D) <= bound * (2 b^2 - ac) / (ac), using
+    b^2 >= ac at t = 0. ``walls_crossing_segment`` searches this ball of
+    its integer Gram scale * M, clipped to (D.w)(D.w') <= 0.
+
     The value is unchanged when a, b, c are replaced by k^2 a, k l b, l^2 c
-    for any k, l > 0, so ints with the denominators of w and w' cleared
-    serve as well as the Fractions; either way it is one Fraction.
+    for any k, l > 0, so the numerators of ``K3Model._scaled_pair`` serve as
+    well as the Fractions; either way it is one Fraction.
     """
     return Fraction(scale * bound.numerator * (2 * b * b - a * c), bound.denominator * a * c)
-
-
-def segment_candidate_bound(m: K3Model, omega: H11Class, omega_prime: H11Class,
-                            bound: Fraction) -> Fraction:
-    """Upper bound for the majorant M(x) = 2 (x.w)^2/w^2 - x^2 on walls meeting the segment.
-
-    Write a = w^2, b = w.w' > 0, c = w'^2; b^2 >= ac (H^{1,1} has one
-    positive direction). A wall D through w (t = 0) has M(D) = -D^2 <= bound.
-    Through w_t with 0 < t <= 1, D.w and D.w' have opposite signs or D.w' = 0;
-    splitting D along the span of w, w' (negative definite complement) gives
-    (D.w)^2 <= bound * (b^2 - ac) / c (at t = 1: Cauchy-Schwarz in w'^perp).
-    Either way M(D) <= bound * (2 b^2 - ac) / (ac), using b^2 >= ac at t = 0.
-    So every wall meeting the closed segment has M(D) <= this bound and
-    (D.w)(D.w') <= 0, the two conditions ``walls_crossing_segment`` searches
-    on: the first as the ball, the second as the search's leaf clip.
-    """
-    return _majorant_bound(bound, m.square(omega), m.pair(omega, omega_prime),
-                           m.square(omega_prime))
 
 
 def _majorant(gram, w, num: int, den: int):
@@ -318,29 +311,23 @@ def walls_crossing_segment(m: K3Model, v: MukaiVector, seg: Segment) -> list[Wal
         defect = polarization_defect(m, endpoint, symbol)
         if defect:
             raise HypothesisViolation(f"segment {name} point is not a polarization ({defect})")
-    gram, tgram = m.ns.gram, m.t11.gram
+    gram = m.ns.gram
     # NS parts x / do and x' / do' with x, x' integer, so D . omega = (w . D) / do
     # and D . omega' = (w' . D) / do' with the integer rows w = G x and w' = G x'.
-    x, do = omega.ns_part.num, omega.ns_part.den
-    x_prime, do_prime = omega_prime.ns_part.num, omega_prime.ns_part.den
-    w, w_prime = mat_vec(gram, x), mat_vec(gram, x_prime)
-    # With the T parts y / dy and y' / dy', the squares and the pairing times
-    # (do dy)^2, do dy do' dy' and (do' dy')^2, on ints.
-    y, dy = omega.t_part.num, omega.t_part.den
-    y_prime, dy_prime = omega_prime.t_part.num, omega_prime.t_part.den
-    ty, ty_prime = mat_vec(tgram, y), mat_vec(tgram, y_prime)
-    a = dy * dy * sum(map(mul, x, w)) + do * do * sum(map(mul, y, ty))
-    b = (dy * dy_prime * sum(map(mul, x_prime, w))
-         + do * do_prime * sum(map(mul, y_prime, ty)))
-    c = (dy_prime * dy_prime * sum(map(mul, x_prime, w_prime))
-         + do_prime * do_prime * sum(map(mul, y_prime, ty_prime)))
+    do, do_prime = omega.ns_part.den, omega_prime.ns_part.den
+    w, w_prime = mat_vec(gram, omega.ns_part.num), mat_vec(gram, omega_prime.ns_part.num)
+    # omega^2, omega.omega' and omega'^2 as a / k^2, b / (k l) and c / l^2, where
+    # k and l are the products of the denominators of omega and of omega'.
+    a, k2 = m._scaled_pair(omega, omega)
+    b, kl = m._scaled_pair(omega, omega_prime)
+    c, _ = m._scaled_pair(omega_prime, omega_prime)
     if b <= 0:
         # Both endpoints pair positively with the reference class, so they
         # share its cone component and b > 0 on every valid input.
         raise InternalError(f"endpoints lie in different positive-cone components "
-                            f"(omega.omega'={Fraction(b, do * dy * do_prime * dy_prime)})")
+                            f"(omega.omega'={Fraction(b, kl)})")
     bound = wall_bound(v)
-    maj, an = _majorant(gram, w, a, dy * dy)  # do^2 omega^2 = a / dy^2
+    maj, an = _majorant(gram, w, do * do * a, k2)  # do^2 omega^2
     hits = shortvec.short_vectors_up_to_sign(maj, _majorant_bound(bound, a, b, c, an),
                                              (w, w_prime))
     crossings, on_wall = [], []

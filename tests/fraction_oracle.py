@@ -77,6 +77,15 @@ def _is_polarization(m, omega) -> bool:
                     for c in m.curve_classes))
 
 
+def segment_bound(m, omega, omega_prime, bound) -> Fraction:
+    """bound * (2 b^2 - ac) / (ac), for a = w^2, b = w.w' and c = w'^2 in Fractions: the
+    majorant bound of the walls meeting the segment from w to w' (``walls._majorant_bound``)."""
+    a = _pair_h11(m, omega, omega)
+    b = _pair_h11(m, omega, omega_prime)
+    c = _pair_h11(m, omega_prime, omega_prime)
+    return bound * (2 * b * b - a * c) / (a * c)
+
+
 def _sqrt_floor(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
 
@@ -193,14 +202,11 @@ def oracle_crossings(m, v, omega, omega_prime) -> list[tuple[tuple, Fraction, Fr
     bound = wall_bound(v)
     if bound < 0 or m.ns.rank == 0:
         return []
-    a = _pair_h11(m, omega, omega)
-    b = _pair_h11(m, omega, omega_prime)
-    c = _pair_h11(m, omega_prime, omega_prime)
-    mbound = bound * (2 * b * b - a * c) / (a * c)
+    mbound = segment_bound(m, omega, omega_prime, bound)
     if mbound < 0:
         return []
     w = mat_vec(m.ns.gram, omega.ns_part.coords)
-    n = m.ns.rank
+    n, a = m.ns.rank, _pair_h11(m, omega, omega)
     maj = tuple(
         tuple(2 * w[i] * w[j] / a - m.ns.gram[i][j] for j in range(n)) for i in range(n)
     )

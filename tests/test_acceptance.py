@@ -48,7 +48,6 @@ from mukaikit import (
 from mukaikit.cli import run as cli_run
 from mukaikit.mukai import discriminant_from_chern
 from mukaikit.twisted import endo_ch2, twisted_subobject_wall
-from mukaikit.walls import segment_candidate_bound
 
 from conftest import (
     oracle_crossings,
@@ -58,7 +57,7 @@ from conftest import (
     random_integral_vector,
     random_negative_definite_ns,
 )
-from fraction_oracle import coordinate_radii
+from fraction_oracle import coordinate_radii, segment_bound
 
 EMPTY = Lattice(())
 
@@ -183,7 +182,7 @@ def _small_wall_instance(rng: random.Random, rank: int):
             continue
         if omega.ns_part == omega_prime.ns_part:
             continue
-        mbound = segment_candidate_bound(model, omega, omega_prime, bound)
+        mbound = segment_bound(model, omega, omega_prime, bound)
         if mbound < 0:
             continue
         w = [sum(model.ns.gram[i][j] * omega.ns_part.coords[j] for j in range(rank))

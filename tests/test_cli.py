@@ -50,6 +50,16 @@ THIRD_U_CONFIG = {  # <-10> as (1, -5) on the third U
     "embedding": [[0] * 4 + [1, -5] + [0] * 16],
 }
 
+# T parts with denominators other than those of the NS parts, so the segment
+# set-up scales the transcendental block.
+RATIONAL_T_CONFIG = {
+    "surface": {"ns_gram": [[-2, 0], [0, -6]], "t11_gram": [[2]],
+                "reference_positive": [0, 0, 1]},
+    "mukai": {"r": 3, "xi": [1, 1], "a": -2},
+    "omega": {"ns": ["1/3", "-2/5"], "t": ["7/4"]},
+    "omega_prime": {"ns": ["-5/7", "1/2"], "t": ["9/5"]},
+}
+
 USAGE = (
     "usage: mukaikit <subcommand> [--config PATH] [--format {text,json}]\n"
     "subcommands: chamber, crossings, exists, generic, h2, pairing, projective, report, twist,"
@@ -157,6 +167,18 @@ class TestSubcommands:
         path.write_text(json.dumps(cfg))
         code, out, _ = invoke(["chamber", "--config", str(path), "--format", "json"])
         assert code == 0
+        assert json.loads(out)["result"]["same_chamber"] is False
+
+    def test_crossings_and_chamber_with_rational_t_parts(self, tmp_path):
+        path = tmp_path / "rational_t.json"
+        path.write_text(json.dumps(RATIONAL_T_CONFIG))
+        code, out, err = invoke(["crossings", "--config", str(path), "--format", "json"])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["count"] == 13
+        assert result["crossings"][0] == {"d": ["4", "1"], "d_square": "-38", "t": "28/313"}
+        code, out, err = invoke(["chamber", "--config", str(path), "--format", "json"])
+        assert code == 0, err
         assert json.loads(out)["result"]["same_chamber"] is False
 
     def test_twist_roundtrip(self, projective_cfg):

@@ -15,7 +15,8 @@ by library code outside its own body, except the members in
 export nothing through ``mukaikit.__all__``. No module imports a name that it
 does not use, and none imports ``dataclasses``. The wall layer takes one
 argument type, a Mukai vector: ``walls`` imports nothing from ``twisted``,
-whose classes enter through ``twisted.v_E``.
+whose classes enter through ``twisted.v_E``. Only ``surface`` reads the
+transcendental Gram ``t11.gram``: H^{1,1} is paired in ``K3Model`` alone.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
 The test oracle ``fraction_oracle`` imports no private name, no module and
@@ -124,9 +125,6 @@ API_ENTRY_POINTS = {
     "twisted.endo_ch2": "acceptance criterion 03",
     "twisted.twisted_subobject_wall": "acceptance criterion 04",
     "walls.destabilizer_wall": "ROADMAP item 2 checks each realised wall by its round trip",
-    "walls.segment_candidate_bound": "the Fraction reference route that "
-                                     "test_search_gets_the_majorant_of_the_full_h11_pairing "
-                                     "compares against, and where the majorant bound is proved",
 }
 
 
@@ -236,6 +234,27 @@ def test_lattice_identity_is_decided_in_lattice(path):
 def test_gram_comparison_check_sees_a_membership_test():
     tree = ast.parse("if x.lattice.gram != m.ns.gram:\n    pass\n")
     assert list(_gram_comparisons(tree)) == [1]
+
+
+def _t11_gram_reads(tree: ast.AST) -> list[int]:
+    """Line numbers of reads of ``.t11.gram``, on any object."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "gram"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "t11"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "surface.py"],
+                         ids=lambda p: p.name)
+def test_h11_pairing_is_decided_in_surface(path):
+    """``K3Model._scaled_pair`` is the one integer pairing on H^{1,1}: no other module
+    reads the transcendental Gram to pair classes of its own."""
+    assert not _t11_gram_reads(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_t11_gram_check_sees_attribute_reads_only():
+    source = ("gram, tgram = m.ns.gram, m.t11.gram\nty = mat_vec(self.t11.gram, y)\n"
+              "t11 = cfg['t11_gram']\ngram = t11.rank\n")
+    assert _t11_gram_reads(ast.parse(source)) == [1, 2]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -3,17 +3,20 @@
 ``walls_crossing_segment`` and ``walls_through_class`` build their results
 through private trusted constructors, keep only the primitive search hits,
 and read the wall bound off a closed form; ``h2_lattice`` builds its
-result lattice through ``Lattice._trusted``. Here:
+result lattice through ``Lattice._trusted``, as ``orthogonal_complement``
+builds ``sub``. Here:
 - every returned ``LatticeVector``, ``Wall`` and ``WallCrossing`` equals,
   hashes and prints like its rebuild through the public constructors, and
   holds Fractions only;
-- the lattice of every ``h2`` result equals, hashes and prints like
-  ``Lattice(gram, label)``, and its Gram is a symmetric tuple of int tuples;
+- the lattice of every ``h2`` result, and the ``sub`` of every
+  ``orthogonal_complement`` in the Mukai lattice, equals, hashes and prints
+  like ``Lattice(gram, label)``, and its Gram is a symmetric tuple of int
+  tuples;
 - on balls that hold 2D and 3D for a wall D, the walls equal the Fraction
   oracle's ``_candidate_primitives``, which reduces every hit and
   deduplicates;
-- ``polarization_defect``, decided on ints, gives the verdict and message
-  of the Fraction pairings;
+- ``polarization_defect`` and ``K3Model.pair``, decided on ints, give the
+  verdict, message and value of the oracle's Fraction pairings;
 - ``wall_bound`` equals r^4 Delta / 2 computed in Fractions, and on a
   twisted v_E it is r^4 delta_E / 2;
 - the public ``LatticeVector`` keeps the checks the trusted one skips
@@ -39,7 +42,6 @@ from mukaikit import (
     delta_E,
     diagonal_lattice,
     discriminant,
-    pairing,
     v_E,
     wall_bound,
     walls_crossing_segment,
@@ -57,6 +59,7 @@ from conftest import random_unimodular
 from fraction_oracle import (
     _candidate_primitives,
     _pair,
+    _pair_h11,
     invert_unimodular,
     oracle_crossings,
     oracle_walls_through_class,
@@ -221,20 +224,34 @@ def _h2_vector(rng, square: int) -> EmbeddedMukaiVector:
     return EmbeddedMukaiVector(tuple(coords))
 
 
+def _assert_trusted_lattice(lattice: Lattice, label: str, rank: int) -> None:
+    """``lattice`` equals, hashes and prints like ``Lattice(gram, label)``, has ``label``,
+    and its Gram is a symmetric tuple of ``rank`` int tuples of length ``rank``."""
+    public = Lattice(lattice.gram, lattice.label)
+    _assert_twins(lattice, public)
+    assert lattice.label == public.label == label
+    assert type(lattice.gram) is tuple and len(lattice.gram) == rank
+    assert all(type(row) is tuple and len(row) == rank for row in lattice.gram)
+    assert all(type(x) is int for row in lattice.gram for x in row)
+    assert is_symmetric(lattice.gram)
+
+
 @pytest.mark.parametrize("square", [0, 2, 8])
 def test_trusted_h2_lattice_matches_public_constructor(square):
+    """The h2 lattice, and the ``sub`` of ``orthogonal_complement`` in the Mukai lattice
+    of v alone and of v with a second vector."""
     rng = random.Random(1315 + square)
+    mukai = full_mukai_lattice()
     for _ in range(20):
         v = _h2_vector(rng, square)
         assert v.square() == square
-        lattice = h2_lattice(v).lattice
-        public = Lattice(lattice.gram, lattice.label)
-        _assert_twins(lattice, public)
-        assert lattice.label == public.label == ("v-perp mod v" if square == 0 else "v-perp")
-        assert type(lattice.gram) is tuple and len(lattice.gram) == 22 + (square > 0)
-        assert all(type(row) is tuple and len(row) == lattice.rank for row in lattice.gram)
-        assert all(type(x) is int for row in lattice.gram for x in row)
-        assert is_symmetric(lattice.gram)
+        _assert_trusted_lattice(h2_lattice(v).lattice,
+                                "v-perp mod v" if square == 0 else "v-perp", 22 + (square > 0))
+        vs = [mukai.vector(v.coords), mukai.vector(_h2_vector(rng, rng.randint(-4, 8)).coords)]
+        for k in (1, 2):
+            comp = orthogonal_complement(mukai, vs[:k])
+            assert len(comp.basis) == 24 - k
+            _assert_trusted_lattice(comp.sub, "Mukai-perp", 24 - k)
 
 
 # -- Primitive hits only --------------------------------------------------------------
@@ -291,15 +308,15 @@ def test_through_cases_include_rank3_perp_and_non_identity_bases():
 
 
 def _fraction_defect(m, omega, name="omega"):
-    """The polarization test in Fractions, through the model's public pairings."""
-    square = m.square(omega)
+    """The polarization test in Fractions, through the oracle's per-coordinate pairings."""
+    square = _pair_h11(m, omega, omega)
     if square <= 0:
         return f"{name}^2={square} <= 0"
-    paired = m.pair(omega, m.reference_positive)
+    paired = _pair_h11(m, omega, m.reference_positive)
     if paired <= 0:
         return f"{name}.reference={paired} <= 0"
     for c in m.curve_classes:
-        value = pairing(c, omega.ns_part)
+        value = _pair(m.ns.gram, c.coords, omega.ns_part.coords)
         if value <= 0:
             return f"C.{name}={value} <= 0 for the curve class C={c!r}"
     return None
@@ -334,6 +351,40 @@ def test_polarization_defect_matches_the_fraction_pairings():
         kinds[kind] = kinds.get(kind, 0) + 1
     assert {"ok", "omega^2", "omega'^2", "omega.reference", "omega'.reference",
             "C.omega", "C.omega'"} <= set(kinds)
+
+
+def test_model_pair_matches_the_fraction_pairing():
+    """``K3Model.pair``, on the integer pairing ``_scaled_pair``, against the oracle, on NS
+    of rank 0-3 and T of rank 0-2 with unimodular changes of basis, and rational classes
+    whose NS and T parts have different denominators."""
+    rng = random.Random(3030)
+    q = lambda den: F(rng.randint(-9, 9), den)
+    shapes, split = set(), 0
+    for _ in range(400):
+        ns_rank, t_rank = rng.choice([(n, t) for n in range(4) for t in range(3) if n + t])
+        entries = [rng.choice((-2, -4, -6)) for _ in range(ns_rank + t_rank)]
+        pos = rng.randrange(ns_rank + t_rank)
+        entries[pos] = rng.choice((2, 4))  # the one positive direction
+        blocks, ref = [], []
+        for part, start in ((entries[:ns_rank], 0), (entries[ns_rank:], ns_rank)):
+            n = len(part)
+            p = random_unimodular(rng, n)
+            gram = tuple(tuple(sum(p[k][i] * part[k] * p[k][j] for k in range(n))
+                               for j in range(n)) for i in range(n))
+            blocks.append(Lattice(gram))
+            # The diagonal basis vector of the positive entry, in the new basis.
+            axis = tuple(int(start + i == pos) for i in range(n))
+            ref.append(blocks[-1].vector(mat_vec(invert_unimodular(p), axis) if n else ()))
+        ns, t11 = blocks
+        ref = H11Class(*ref)
+        m = K3Model(ns=ns, reference_positive=ref, t11=t11)
+        x, y = (m.h11([q(dn) for _ in range(ns_rank)], [q(dt) for _ in range(t_rank)])
+                for dn, dt in (rng.sample(range(1, 13), 2) for _ in range(2)))
+        for a, b in ((x, y), (x, x), (y, ref)):
+            assert m.pair(a, b) == _pair_h11(m, a, b)
+        shapes.add((ns_rank, t_rank))
+        split += ns_rank > 0 < t_rank and x.ns_part.den != x.t_part.den
+    assert len(shapes) == 11 and split > 100
 
 
 def test_polarization_defect_checks_membership_first():

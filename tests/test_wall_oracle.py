@@ -35,20 +35,17 @@ from mukaikit import (
 from mukaikit.errors import HypothesisViolation
 from mukaikit.exactlin import clear_denominators, mat_vec
 from mukaikit.shortvec import short_vectors_up_to_sign
-from mukaikit.walls import (
-    _majorant,
-    segment_candidate_bound,
-    walls_crossing_segment,
-    walls_through_class,
-)
+from mukaikit.walls import _majorant, walls_crossing_segment, walls_through_class
 
 from conftest import cleared_form, random_unimodular
 from fraction_oracle import (
+    _pair_h11,
     coordinate_radii,
     fraction_short_vectors,
     invert_unimodular,
     oracle_crossings,
     oracle_walls_through_class,
+    segment_bound,
 )
 
 SETTINGS = settings(deadline=None, derandomize=True,
@@ -269,8 +266,8 @@ def test_search_gets_the_majorant_of_the_full_h11_pairing(case):
             pass
     x, do = clear_denominators(seg.start.ns_part.coords)
     maj, an = _majorant(gram, mat_vec(gram, x),
-                        *(do * do * model.square(seg.start)).as_integer_ratio())
-    mbound = segment_candidate_bound(model, seg.start, seg.end, wall_bound(profile)) * an
+                        *(do * do * _pair_h11(model, seg.start, seg.start)).as_integer_ratio())
+    mbound = segment_bound(model, seg.start, seg.end, wall_bound(profile)) * an
     rows = tuple(mat_vec(gram, clear_denominators(e.ns_part.coords)[0])
                  for e in (seg.start, seg.end))
     assert calls == [(maj, mbound, rows)]
@@ -301,7 +298,7 @@ def test_integer_majorant_scales_the_fraction_majorant(case):
     model, _, seg = case
     gram, omega = model.ns.gram, seg.start
     x, do = clear_denominators(omega.ns_part.coords)
-    a = model.square(omega)
+    a = _pair_h11(model, omega, omega)
     maj, an = _majorant(gram, mat_vec(gram, x), *(do * do * a).as_integer_ratio())
     assert an > 0 and all(type(e) is int for row in maj for e in row)
     w = mat_vec(gram, omega.ns_part.coords)
@@ -331,9 +328,9 @@ def _check_on_wall_message(model, profile, seg):
 def _check_candidate_bound(model, profile, seg):
     """The majorant bound holds the walls through either endpoint (t = 0 and t = 1)."""
     bound = wall_bound(profile)
-    mbound = segment_candidate_bound(model, seg.start, seg.end, bound)
+    mbound = segment_bound(model, seg.start, seg.end, bound)
     assert bound <= mbound
-    a, w = model.square(seg.start), seg.start.ns_part.coords
+    a, w = _pair_h11(model, seg.start, seg.start), seg.start.ns_part.coords
     for endpoint in (seg.start, seg.end):
         for wall in walls_through_class(model, profile, endpoint):
             dw = _dot(model.ns.gram, wall.d.coords, w)
