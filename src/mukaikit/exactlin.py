@@ -9,9 +9,11 @@ that is not an int, and any form that is not symmetric. The reductions
 ``integer_kernel_saturated``, ``unimodular_completion`` and
 ``signature_and_smith``) check nothing their callers have checked: each
 is handed matrices built from validated Grams and vectors, so an entry is
-checked once, where it enters. No floating point is used anywhere: wall membership
-and signature verdicts downstream are exact predicates, so every
-primitive here must be exact too.
+checked once, where it enters. A kernel is that of one linear condition
+(``integer_kernel_saturated`` takes one row), as every orthogonal
+complement the library takes is that of one class. No floating point is
+used anywhere: wall membership and signature verdicts downstream are
+exact predicates, so every primitive here must be exact too.
 """
 
 from __future__ import annotations
@@ -171,12 +173,13 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
 
     Zero rows are dropped; entries above each pivot are reduced into
     ``[0, pivot)``. Unimodular row operations only, so the row span in Z^n
-    is preserved. The result is the canonical basis used for kernels and
-    orthogonal complements. For each column: a swap brings the first
-    nonzero entry at or below row r up, one xgcd step per row below clears
-    that row's entry, a sign makes the pivot positive, and the rows above
-    are reduced modulo it. Keeping them reduced is what bounds entry growth
-    (Kannan-Bachem).
+    is preserved. The primitivity test of an NS embedding and the passes
+    of ``smith_normal_form`` read it; ``integer_kernel_saturated`` writes
+    this form of a one-row kernel down directly. For each column: a swap
+    brings the first nonzero entry at or below row r up, one xgcd step per
+    row below clears that row's entry, a sign makes the pivot positive, and
+    the rows above are reduced modulo it. Keeping them reduced is what
+    bounds entry growth (Kannan-Bachem).
     """
     rows, cols = shape(m)
     a = [list(row) for row in m]
@@ -208,8 +211,8 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(row) for row in a if any(row))
 
 
-def _row_kernel(w: Sequence[int]) -> list[list[int]]:
-    """The Hermite basis of the saturated kernel ``{x : w . x = 0}`` of one row.
+def integer_kernel_saturated(w: Sequence[int]) -> IntMatrix:
+    """The Hermite basis of the saturated kernel ``{x in Z^n : w . x = 0}`` of one row.
 
     With g_i the gcd of w_i, ..., w_{n-1} and L the last index where w is
     nonzero, a kernel vector whose first nonzero entry sits at i < L has
@@ -224,7 +227,7 @@ def _row_kernel(w: Sequence[int]) -> list[list[int]]:
     n = len(w)
     last = next((i for i in range(n - 1, -1, -1) if w[i]), None)
     if last is None:
-        return [list(e) for e in identity(n)]
+        return identity(n)
     g = abs(w[last])
     b = [0] * n
     b[last] = 1 if w[last] > 0 else -1
@@ -246,32 +249,9 @@ def _row_kernel(w: Sequence[int]) -> list[list[int]]:
             q = row[s] // below[s]
             if q:
                 row[s:last + 1] = [u - q * v for u, v in zip(row[s:last + 1], below[s:last + 1])]
-        rows.append(row)
+        rows.append(tuple(row))
     rows.reverse()
-    rows += ([0] * j + [1] + [0] * (n - 1 - j) for j in range(last + 1, n))
-    return rows
-
-
-def integer_kernel_saturated(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Basis of the saturated kernel ``{x in Z^n : m @ x^T = 0}``, in Hermite form.
-
-    The kernel of the first row comes in closed form (``_row_kernel``).
-    Each further row w is folded in: on the current basis B it reads as
-    the row B w^T, whose saturated kernel K gives the new basis K B; the
-    kernel of a saturated lattice's form is saturated in it, so K B spans
-    a saturated sublattice of Z^n. With more than one row, K B is brought
-    to Hermite form, so the output is deterministic either way.
-    """
-    if not m:
-        return ()
-    basis = _row_kernel(m[0])
-    for w in m[1:]:
-        u = [sum(map(mul, k, w)) for k in basis]
-        if any(u):
-            basis = [vec_mat(k, basis) for k in _row_kernel(u)]
-    if len(m) > 1:
-        return hermite_normal_form(basis)
-    return tuple(map(tuple, basis))
+    return tuple(rows) + identity(n)[last + 1:]
 
 
 # -- Smith normal form -------------------------------------------------------

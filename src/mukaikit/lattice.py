@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 from . import exactlin
@@ -74,6 +76,20 @@ class Lattice:
         return f"Lattice({name})"
 
 
+def _exact(x) -> int | Fraction:
+    """A value-class entry as a Python int or a Fraction. Ints and Fractions pass
+    as they are, other integer types (numpy's too) go through ``operator.index``,
+    and a 'p/q' string through ``Fraction``; a float or a complex raises."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, (Fraction, str)):
+        return Fraction(x)
+    try:
+        return index(x)
+    except TypeError:
+        raise ValidationError(f"{x!r} is not an int, a Fraction or a 'p/q' string") from None
+
+
 @record
 class LatticeVector:
     """A rational vector of a fixed lattice, as ints ``num`` over one ``den``.
@@ -89,11 +105,7 @@ class LatticeVector:
     def __post_init__(self):
         if type(self.den) is not int or self.den < 1:
             raise ValidationError(f"vector denominator must be a positive int, got {self.den!r}")
-        num = tuple(self.num)
-        try:
-            num, den = exactlin.clear_denominators(num)
-        except AttributeError:  # an entry that is neither int nor Fraction, e.g. "1/2"
-            return self.__init__(self.lattice, tuple(map(Fraction, num)), self.den)
+        num, den = exactlin.clear_denominators(tuple(map(_exact, self.num)))
         den *= self.den
         g = gcd(den, *num)
         if g != 1:
@@ -222,14 +234,9 @@ def full_mukai_lattice() -> Lattice:
 
 
 @cache
-def full_mukai_blocks() -> tuple[tuple[range, tuple[int, int, int]], ...]:
-    """The orthogonal summands of ``full_mukai_lattice()`` in order, each as
-    its index range and its inertia: U has (1, 0, 1), E8(-1) has (0, 0, 8)."""
-    out, start = [], 0
-    for part in _mukai_summands():
-        out.append((range(start, start + part.rank), part.signature()))
-        start += part.rank
-    return tuple(out)
+def full_mukai_blocks() -> tuple[int, ...]:
+    """The end index of each orthogonal summand of ``full_mukai_lattice()``, in order."""
+    return tuple(accumulate(part.rank for part in _mukai_summands()))
 
 
 # -- Invariants ---------------------------------------------------------------
@@ -247,17 +254,13 @@ class OrthogonalComplement:
     basis: IntMatrix
 
 
-def orthogonal_complement(l: Lattice, vs: Sequence[LatticeVector]) -> OrthogonalComplement:
-    """Saturated sublattice of all x with pairing(x, v) = 0 for v in vs; ``sub``, whose
-    Gram is a congruence of the validated ``l.gram``, is built by ``Lattice._trusted``."""
-    for v in vs:
-        if v.lattice != l:
-            raise LatticeMismatchError("complement vectors must live in the given lattice")
-    if not vs:
-        return OrthogonalComplement(l, exactlin.identity(l.rank))
+def orthogonal_complement(l: Lattice, v: LatticeVector) -> OrthogonalComplement:
+    """Saturated sublattice of all x with pairing(x, v) = 0; ``sub``, whose Gram is
+    a congruence of the validated ``l.gram``, is built by ``Lattice._trusted``."""
+    if v.lattice != l:
+        raise LatticeMismatchError("complement vectors must live in the given lattice")
     # x . gram . v = 0 is one integer linear condition on the numerators of v.
-    rows = [exactlin.mat_vec(l.gram, v.num) for v in vs]
-    basis = exactlin.integer_kernel_saturated(rows)
+    basis = exactlin.integer_kernel_saturated(exactlin.mat_vec(l.gram, v.num))
     sub = Lattice._trusted(exactlin.congruence(basis, l.gram), f"{l.label}-perp")
     return OrthogonalComplement(sub, basis)
 

@@ -149,18 +149,19 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     v-perp is the saturation of Zv, which is Zv since v is primitive; as
     v^2 = 0 the radical of v-perp is Zv itself, and no kernel is needed.
 
-    The work runs on the prefix S = [0, n) of U^4 (+) E8(-1)^2, where n
-    ends the summand (``full_mukai_blocks``) that holds the last nonzero
-    coordinate of v. On S, with G_S the Gram there, the complement (the
-    saturated kernel of the row G_S v), its Gram, the radical reduction
-    and one ``signature_and_smith`` run on ints. The summands after S lie
+    The work runs on the prefix S = [0, n) of U^4 (+) E8(-1)^2, where n is
+    the first summand end (``full_mukai_blocks``) after which v is 0. On
+    S, with G_S the Gram there, the complement (the saturated kernel of
+    the one row G_S v), its Gram, the radical reduction and one
+    ``signature_and_smith`` run on ints. The summands after S lie
     in v-perp and are orthogonal to S, so v-perp is (v-perp in S) (+) Z^T,
     T = [n, 24), and T comes in as a constant:
     - every pivot on T comes after every pivot on S, so the Hermite basis
       is the rows on S, padded with zeros, followed by the unit rows of T;
     - the Gram is diag(Gram on S, Gram on T);
-    - T adds its inertia to the signature, and as it is unimodular only
-      1s to the Smith form, which the discriminant drops.
+    - T adds its inertia, read once per n off its Gram, to the signature,
+      and as it is unimodular only 1s to the Smith form, which the
+      discriminant drops.
     For v^2 = 0 the radical reduction acts on S only, where row 0 of the
     basis lies. A standard embedding of an NS of rank <= 3 puts v in U^4,
     so n <= 8.
@@ -173,12 +174,12 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
     coords = v.coords
     gram_s, units, rest_gram, inertia = _prefix_split(
-        next(span.stop for span, _ in full_mukai_blocks() if not any(coords[span.stop:])))
+        next(end for end in full_mukai_blocks() if not any(coords[end:])))
     v_part = coords[:len(gram_s)]
     sq = exactlin.bilinear(gram_s, v_part, v_part)
     if sq < 0:
         raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
-    basis = exactlin.integer_kernel_saturated((exactlin.mat_vec(gram_s, v_part),))
+    basis = exactlin.integer_kernel_saturated(exactlin.mat_vec(gram_s, v_part))
     gram, quotient = exactlin.congruence(basis, gram_s), sq == 0
     if quotient:
         # The radical of v-perp is spanned by v itself; quotient it out
@@ -204,13 +205,10 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
 def _prefix_split(n: int):
     """The Mukai Gram on [0, n), then the unit rows, the Gram and the
     inertia of the summands after it; n ends a summand."""
-    ambient = full_mukai_lattice()
-    inertia = (0, 0, 0)
-    for span, sig in full_mukai_blocks():
-        if span.start >= n:
-            inertia = tuple(map(add, inertia, sig))
-    return (tuple(row[:n] for row in ambient.gram[:n]), exactlin.identity(ambient.rank)[n:],
-            tuple(row[n:] for row in ambient.gram[n:]), inertia)
+    gram = full_mukai_lattice().gram
+    rest = tuple(row[n:] for row in gram[n:])
+    return (tuple(row[:n] for row in gram[:n]), exactlin.identity(len(gram))[n:], rest,
+            exactlin.rational_signature(rest))
 
 
 def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, ValidationError
 from .exactlin import bilinear, clear_denominators
-from .lattice import Lattice, LatticeVector, pairing
+from .lattice import Lattice, LatticeVector, _exact, pairing
 from .records import record
 
 
@@ -23,8 +23,16 @@ class MukaiVector:
     v2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "v0", Fraction(self.v0))
-        object.__setattr__(self, "v2", Fraction(self.v2))
+        # Integer types become ints, so numpy ints cannot overflow. A float is
+        # read exactly, not refused: the wall layer refuses a float rank such
+        # as 2.5 as non-integral, with its own message.
+        for name in ("v0", "v2"):
+            x = getattr(self, name)
+            try:
+                x = _exact(x)
+            except ValidationError:
+                pass
+            object.__setattr__(self, name, Fraction(x))
 
     @property
     def lattice(self) -> Lattice:

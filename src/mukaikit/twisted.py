@@ -13,7 +13,7 @@ import warnings
 from fractions import Fraction
 
 from .errors import HypothesisViolation, IntegralityWarning, ValidationError
-from .lattice import LatticeVector
+from .lattice import LatticeVector, _exact
 from .mukai import MukaiVector, discriminant, exp_class, mukai_product, mukai_square
 from .records import record
 
@@ -29,7 +29,7 @@ class TwistData:
     def __post_init__(self):
         if self.s < 1:
             raise HypothesisViolation("twisting sheaf must have rank >= 1")
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "b", Fraction(_exact(self.b)))
 
 
 @record
@@ -43,7 +43,7 @@ class TwistedSheafData:
     def __post_init__(self):
         if self.r < 1:
             raise HypothesisViolation("sheaf rank must be >= 1")
-        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "a", Fraction(_exact(self.a)))
 
 
 def ch_E(f: TwistedSheafData, e: TwistData) -> MukaiVector:

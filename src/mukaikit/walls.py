@@ -219,7 +219,7 @@ def walls_through_class(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wal
     if defect:
         raise HypothesisViolation(f"walls are computed through polarizations only ({defect})")
     bound = wall_bound(v)
-    perp = orthogonal_complement(m.ns, (omega.ns_part,))
+    perp = orthogonal_complement(m.ns, omega.ns_part)
     neg = tuple(tuple(-x for x in r) for r in perp.sub.gram)
     hits = shortvec.short_vectors_up_to_sign(neg, bound)
     found = _in_bound(m.ns.gram, bound, (vec_mat(x, perp.basis) for x in hits))

@@ -128,18 +128,15 @@ def test_smith_of_permuted_block_sums(seed):
 def test_kernel_of_permuted_block_sums(seed):
     rng = random.Random(seed)
     m, _ = _permuted_block_sum(rng)
-    k = integer_kernel_saturated(m)
-    assert k == full_kernel_saturated(m) == smith_kernel(m)
-    # Some of the rows: column blocks that are not square, and zero columns.
-    rows = sorted(rng.sample(range(len(m)), rng.randint(1, len(m))))
-    sub = tuple(m[i] for i in rows)
-    assert integer_kernel_saturated(sub) == full_kernel_saturated(sub) == smith_kernel(sub)
-    # One of them alone, with zero columns on both sides and times a factor
-    # of 1, 6 or 10^20: the kernel of a single row.
+    # Each row on its own: column blocks that are not square, and zero columns.
+    for w in m:
+        assert integer_kernel_saturated(w) == full_kernel_saturated((w,)) == smith_kernel((w,))
+    # One of them with zero columns on both sides and times a factor of 1,
+    # 6 or 10^20.
     factor = rng.choice([1, 6, 10**20])
-    row = ((0,) * rng.randint(0, 3) + tuple(factor * x for x in m[rows[0]])
-           + (0,) * rng.randint(0, 3),)
-    assert integer_kernel_saturated(row) == full_kernel_saturated(row) == smith_kernel(row)
+    w = ((0,) * rng.randint(0, 3) + tuple(factor * x for x in m[rng.randrange(len(m))])
+         + (0,) * rng.randint(0, 3))
+    assert integer_kernel_saturated(w) == full_kernel_saturated((w,)) == smith_kernel((w,))
 
 
 def _sparse_primitive_row(rng: random.Random):
@@ -359,7 +356,9 @@ def test_h2_computes_on_the_prefix_that_holds_v(monkeypatch):
     widths = {}
     for name in ("congruence", "integer_kernel_saturated", "signature_and_smith"):
         def recorded(m, *args, _name=name, _original=getattr(exactlin, name)):
-            widths.setdefault(_name, []).extend(shape(x)[1] for x in (m, *args))
+            # The kernel takes one row, whose width is its length.
+            widths.setdefault(_name, []).extend(
+                [len(m)] if _name == "integer_kernel_saturated" else (shape(x)[1] for x in (m, *args)))
             return _original(m, *args)
 
         monkeypatch.setattr(exactlin, name, recorded)

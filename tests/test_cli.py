@@ -60,6 +60,14 @@ RATIONAL_T_CONFIG = {
     "omega_prime": {"ns": ["-5/7", "1/2"], "t": ["9/5"]},
 }
 
+# The paper's non-projective case: omega has NS part 0, so walls_through_class
+# hands the kernel a zero row and omega-perp in NS is the whole of NS.
+ZERO_NS_OMEGA_CONFIG = {
+    **RATIONAL_T_CONFIG,
+    "omega": {"ns": [0, 0], "t": [1]},
+    "omega_prime": {"ns": ["1/3", "-2/5"], "t": ["7/4"]},
+}
+
 USAGE = (
     "usage: mukaikit <subcommand> [--config PATH] [--format {text,json}]\n"
     "subcommands: chamber, crossings, exists, generic, h2, pairing, projective, report, twist,"
@@ -180,6 +188,21 @@ class TestSubcommands:
         code, out, err = invoke(["chamber", "--config", str(path), "--format", "json"])
         assert code == 0, err
         assert json.loads(out)["result"]["same_chamber"] is False
+
+    def test_walls_through_an_omega_with_zero_ns_part(self, tmp_path):
+        path = tmp_path / "zero_ns_omega.json"
+        path.write_text(json.dumps(ZERO_NS_OMEGA_CONFIG))
+        code, out, err = invoke(["walls", "--config", str(path), "--format", "json"])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert (result["bound"], result["count"]) == ("99/2", 14)
+        assert result["walls"][0] == {"d": ["1", "0"], "d_square": "-2"}
+        code, out, err = invoke(["generic", "--config", str(path), "--format", "json"])
+        assert code == 0, err
+        assert json.loads(out)["result"]["generic"] is False
+        code, _, err = invoke(["chamber", "--config", str(path), "--format", "json"])
+        assert code == 3
+        assert "segment start point lies on a wall D=(1, 0) with D^2=-2" in err
 
     def test_twist_roundtrip(self, projective_cfg):
         code, out, _ = invoke(["twist", "--config", projective_cfg, "--format", "json"])

@@ -450,11 +450,11 @@ def test_kernel_equals_smith_construction(seed):
         c = rng.randrange(len(m[0]))
         for row in m:
             row[c] = 0
-    m = tuple(tuple(row) for row in m)
-    k = integer_kernel_saturated(m)
-    assert k == smith_kernel(m)
-    for row in k:
-        assert not any(mat_vec(m, row))
+    for w in map(tuple, m):
+        k = integer_kernel_saturated(w)
+        assert k == smith_kernel((w,))
+        for row in k:
+            assert not any(mat_vec((w,), row))
 
 
 @given(SEEDS)
@@ -465,10 +465,10 @@ def test_kernel_of_h2_rows_equals_smith_construction(seed):
     gram = full_mukai_lattice().gram
     v = [rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(24)]
     v[rng.randrange(24)] = rng.randint(1, 4)
-    row = (mat_vec(gram, v),)
-    k = integer_kernel_saturated(row)
+    w = mat_vec(gram, v)
+    k = integer_kernel_saturated(w)
     assert len(k) == 23
-    assert k == smith_kernel(row)
+    assert k == smith_kernel((w,))
 
 
 def _single_row(rng: random.Random, n: int, lead: int, trail: int, big: bool, factor: int):
@@ -486,12 +486,12 @@ def _single_row(rng: random.Random, n: int, lead: int, trail: int, big: bool, fa
 def test_kernel_of_single_rows_equals_smith_construction(n):
     rng = random.Random(4400 + n)
     for lead, trail, big, factor in product((0, 1, 3), (0, 2), (False, True), (1, 6, 10**20)):
-        row = (_single_row(rng, n, lead, trail, big, factor),)
-        k = integer_kernel_saturated(row)
-        assert k == smith_kernel(row)
-        assert len(k) == n - any(row[0])
+        w = _single_row(rng, n, lead, trail, big, factor)
+        k = integer_kernel_saturated(w)
+        assert k == smith_kernel((w,))
+        assert len(k) == n - any(w)
         for r in k:
-            assert not any(mat_vec(row, r))
+            assert not any(mat_vec((w,), r))
 
 
 def test_single_rows_cover_the_listed_shapes():
@@ -505,11 +505,10 @@ def test_single_rows_cover_the_listed_shapes():
 
 
 def test_kernel_edge_shapes():
-    assert integer_kernel_saturated(()) == smith_kernel(()) == ()
-    assert integer_kernel_saturated(((0, 0, 0),)) == identity(3)
-    assert integer_kernel_saturated(((1, 0), (0, 1))) == ()
-    assert integer_kernel_saturated(((0,), (0,))) == ((1,),)
-    assert integer_kernel_saturated(((), ())) == ()
+    assert integer_kernel_saturated(()) == smith_kernel(((),)) == ()
+    assert integer_kernel_saturated((0, 0, 0)) == smith_kernel(((0, 0, 0),)) == identity(3)
+    assert integer_kernel_saturated((0,)) == smith_kernel(((0,),)) == ((1,),)
+    assert integer_kernel_saturated((-5,)) == smith_kernel(((-5,),)) == ()
 
 
 # -- validate_ns_embedding ------------------------------------------------------------
@@ -679,9 +678,9 @@ def test_unimodular_completion_of_radical_row(seed):
     v[1] = -sum(x * y for x, y in zip(mat_vec(full_mukai_lattice().gram, v), v)) // 2
     gram = full_mukai_lattice().gram
     assert sum(x * y for x, y in zip(mat_vec(gram, v), v)) == 0
-    comp = integer_kernel_saturated((mat_vec(gram, v),))
+    comp = integer_kernel_saturated(mat_vec(gram, v))
     sub = congruence(comp, gram)
-    (radical,) = integer_kernel_saturated(sub)
+    (radical,) = smith_kernel(sub)
     u = unimodular_completion(radical)
     assert u == invert_unimodular(reference_smith((radical,))[2])
     assert not any(congruence(u, sub)[0])

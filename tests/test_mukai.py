@@ -1,6 +1,8 @@
 import random
+import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mukaikit import (
@@ -54,6 +56,20 @@ class TestConstruction:
         assert hash(v) == hash(w)
         assert v != MukaiVector(F(2), diagonal_lattice([-12]).basis_vector(0), F(-2))
         assert mukai_pairing(v, w) == mukai_square(v) == -2
+
+
+class TestComponents:
+    """v0 and v2 store Python ints and Fractions: numpy ints are converted."""
+
+    def test_numpy_ints_do_not_overflow(self, zl):
+        v = MukaiVector(np.int64(2**40), zl.zero(), np.int64(2**40))
+        assert type(v.v0.numerator) is int and type(v.v2.numerator) is int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mukai_square(v) == -2**81
+
+    def test_strings_are_read_exactly(self, zl):
+        assert MukaiVector("3/2", zl.zero(), "-1/3") == MukaiVector(F(3, 2), zl.zero(), F(-1, 3))
 
 
 class TestPairing:

@@ -185,6 +185,6 @@ class TestSignatureConsequences:
             assert is_polarization(m, omega)
             row = tuple(int(sum(ns.gram[i][j] * ref.coords[j] for j in range(ns.rank)))
                         for i in range(ns.rank))
-            basis = integer_kernel_saturated((row,))
+            basis = integer_kernel_saturated(row)
             induced = matmul(matmul(basis, ns.gram), transpose(basis))
             assert rational_signature(induced) == (0, 0, len(basis))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from mukaikit import (
@@ -43,6 +44,23 @@ def tensor_dual_data(r, c1f, ch2f, s, c1e, ch2e):
     a = F(r) * ch2e + F(s) * ch2f - pairing(c1f, c1e)
     b = 2 * F(s) * ch2e - c1e.square()
     return TwistedSheafData(r, xi, a), TwistData(s, b)
+
+
+class TestEntries:
+    """b and a store Python ints and Fractions: numpy ints are converted, floats refused."""
+
+    def test_numpy_ints_become_ints(self, L):
+        e = TwistData(1, np.int64(2**40))
+        f = TwistedSheafData(1, L, np.int64(-(2**40)))
+        assert (e.b, f.a) == (2**40, -(2**40))
+        assert type(e.b.numerator) is int and type(f.a.numerator) is int
+
+    @pytest.mark.parametrize("entry", [0.5, np.float64(2.0), 1j])
+    def test_float_and_complex_entries_are_refused(self, L, entry):
+        with pytest.raises(ValidationError, match="is not an int, a Fraction or a 'p/q' string$"):
+            TwistData(1, entry)
+        with pytest.raises(ValidationError, match="is not an int, a Fraction or a 'p/q' string$"):
+            TwistedSheafData(1, L, entry)
 
 
 class TestChE:

@@ -238,8 +238,8 @@ def _assert_trusted_lattice(lattice: Lattice, label: str, rank: int) -> None:
 
 @pytest.mark.parametrize("square", [0, 2, 8])
 def test_trusted_h2_lattice_matches_public_constructor(square):
-    """The h2 lattice, and the ``sub`` of ``orthogonal_complement`` in the Mukai lattice
-    of v alone and of v with a second vector."""
+    """The h2 lattice, and the ``sub`` of ``orthogonal_complement`` of v in the Mukai
+    lattice."""
     rng = random.Random(1315 + square)
     mukai = full_mukai_lattice()
     for _ in range(20):
@@ -247,11 +247,9 @@ def test_trusted_h2_lattice_matches_public_constructor(square):
         assert v.square() == square
         _assert_trusted_lattice(h2_lattice(v).lattice,
                                 "v-perp mod v" if square == 0 else "v-perp", 22 + (square > 0))
-        vs = [mukai.vector(v.coords), mukai.vector(_h2_vector(rng, rng.randint(-4, 8)).coords)]
-        for k in (1, 2):
-            comp = orthogonal_complement(mukai, vs[:k])
-            assert len(comp.basis) == 24 - k
-            _assert_trusted_lattice(comp.sub, "Mukai-perp", 24 - k)
+        comp = orthogonal_complement(mukai, mukai.vector(v.coords))
+        assert len(comp.basis) == 23
+        _assert_trusted_lattice(comp.sub, "Mukai-perp", 23)
 
 
 # -- Primitive hits only --------------------------------------------------------------
@@ -287,7 +285,7 @@ def test_walls_through_class_match_reduced_and_deduplicated_hits(case, monkeypat
     calls = _recording(monkeypatch)
     walls = walls_through_class(model, profile, omega)
     (hits,) = calls
-    basis = orthogonal_complement(model.ns, (omega.ns_part,)).basis
+    basis = orthogonal_complement(model.ns, omega.ns_part).basis
     assert len(basis) == model.ns.rank - 1
     assert _holds_multiples([w.d.coords for w in walls], [vec_mat(h, basis) for h in hits])
     got = [(w.d.coords, w.d_square) for w in walls]
@@ -297,7 +295,7 @@ def test_walls_through_class_match_reduced_and_deduplicated_hits(case, monkeypat
 
 
 def test_through_cases_include_rank3_perp_and_non_identity_bases():
-    perps = [orthogonal_complement(m.ns, (omega.ns_part,)).basis for m, _, omega in THROUGH_CASES]
+    perps = [orthogonal_complement(m.ns, omega.ns_part).basis for m, _, omega in THROUGH_CASES]
     rank3 = [b for b in perps if len(b) == 3]
     assert rank3
     assert any(b != tuple(tuple(int(i == j) for j in range(4)) for i in (1, 2, 3))
