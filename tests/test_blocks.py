@@ -356,9 +356,10 @@ def test_h2_computes_on_the_prefix_that_holds_v(monkeypatch):
     widths = {}
     for name in ("congruence", "integer_kernel_saturated", "signature_and_smith"):
         def recorded(m, *args, _name=name, _original=getattr(exactlin, name)):
-            # The kernel takes one row, whose width is its length.
+            # The kernel takes one row w, whose width is len(w).
             widths.setdefault(_name, []).extend(
-                [len(m)] if _name == "integer_kernel_saturated" else (shape(x)[1] for x in (m, *args)))
+                [len(m)] if _name == "integer_kernel_saturated"
+                else [shape(x)[1] for x in (m, *args)])
             return _original(m, *args)
 
         monkeypatch.setattr(exactlin, name, recorded)
