@@ -117,6 +117,20 @@ class LatticeVector:
                 f"vector of length {len(num)} in a rank-{self.lattice.rank} lattice"
             )
 
+    @classmethod
+    def _trusted(cls, lattice: Lattice, num: tuple[int, ...]) -> "LatticeVector":
+        """The integral vector ``num`` of ``lattice``, unchecked: a tuple of Python
+        ints of its rank, so den = 1 is lowest terms.
+
+        For a class whose coordinates the caller has proved; stores the same
+        fields as the public constructor and skips ``__post_init__``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", 1)
+        return self
+
     @property
     def coords(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import HypothesisViolation, ValidationError
+from .errors import HypothesisViolation
 from .exactlin import bilinear, clear_denominators
 from .lattice import Lattice, LatticeVector, _exact, pairing
 from .records import record
@@ -23,16 +23,10 @@ class MukaiVector:
     v2: Fraction
 
     def __post_init__(self):
-        # Integer types become ints, so numpy ints cannot overflow. A float is
-        # read exactly, not refused: the wall layer refuses a float rank such
-        # as 2.5 as non-integral, with its own message.
+        # Integer types become ints, so numpy ints cannot overflow; a float or
+        # a complex raises ValidationError, as in ``LatticeVector``.
         for name in ("v0", "v2"):
-            x = getattr(self, name)
-            try:
-                x = _exact(x)
-            except ValidationError:
-                pass
-            object.__setattr__(self, name, Fraction(x))
+            object.__setattr__(self, name, Fraction(_exact(getattr(self, name))))
 
     @property
     def lattice(self) -> Lattice:

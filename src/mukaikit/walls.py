@@ -27,15 +27,20 @@ Each fact is checked once. The search and the filter prove on ints that
 a returned class is primitive, has canonical sign and satisfies
 -bound <= D^2 < 0, so the returned walls are built by the private
 ``Wall._trusted``, which skips the checks of ``Wall``; it stores the
-same D, D^2 and bound as ``Wall``, and only for the walls returned. The
-public constructors keep every check.
+same D, D^2 and bound as ``Wall``, and only for the walls returned. Its
+D is a trusted vector, ``LatticeVector._trusted``: the int tuple of the
+search (a zip of ints, or a ``vec_mat`` of a saturated basis) with
+den = 1, primitive by the filter's gcd and of canonical sign by its flip,
+so no coordinate is converted and no denominator cleared. The public
+constructors keep every check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product, starmap
 from math import gcd
-from operator import mul
+from operator import mul, neg
 
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
@@ -99,9 +104,10 @@ class Wall:
 
         For classes that ``_in_bound`` has proved to be walls; stores the
         same fields as the public constructor and skips ``__post_init__``.
+        ``key`` is an int tuple of the search, so D is ``LatticeVector._trusted``.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "d", LatticeVector(ns, key))
+        object.__setattr__(self, "d", LatticeVector._trusted(ns, key))
         object.__setattr__(self, "d_square", Fraction(sq))
         object.__setattr__(self, "bound", bound)
         return self
@@ -193,17 +199,21 @@ def _in_bound(gram, bound: Fraction, hits) -> list[tuple[tuple[int, ...], int]]:
     coordinates are primitive, so the argument carries over. The search
     returns distinct vectors, one of each pair +-x, so every primitive
     class comes once and nothing is deduplicated.
+
+    The loop builds no generator: D^2 is the flat Gram times the pairs
+    x_i x_j of ``product``, and a nonzero x has canonical sign exactly when
+    it is lexicographically above the zero tuple.
     """
     lo = -(bound.numerator // bound.denominator)  # D^2 >= -bound iff D^2 >= ceil(-bound)
+    flat = tuple(chain.from_iterable(gram))
+    zero = (0,) * len(gram)
     found = []
     for x in hits:
         if gcd(*x) != 1:
             continue
-        sq = bilinear(gram, x, x)
+        sq = sum(map(mul, flat, starmap(mul, product(x, repeat=2))))
         if lo <= sq < 0:
-            if next(c for c in x if c) < 0:
-                x = tuple(-c for c in x)
-            found.append((x, sq))
+            found.append((x if x > zero else tuple(map(neg, x)), sq))
     return found
 
 

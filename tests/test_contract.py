@@ -19,6 +19,8 @@ whose classes enter through ``twisted.v_E``. Only ``surface`` reads the
 transcendental Gram ``t11.gram``: H^{1,1} is paired in ``K3Model`` alone.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
+``LatticeVector._trusted`` is read in ``lattice`` and ``walls`` only, and
+``Lattice._trusted`` in ``lattice`` and ``moduli`` only.
 The test oracle ``fraction_oracle`` imports no private name, no module and
 none of the exact routines it checks from ``mukaikit``.
 """
@@ -255,6 +257,41 @@ def test_t11_gram_check_sees_attribute_reads_only():
     source = ("gram, tgram = m.ns.gram, m.t11.gram\nty = mat_vec(self.t11.gram, y)\n"
               "t11 = cfg['t11_gram']\ngram = t11.rank\n")
     assert _t11_gram_reads(ast.parse(source)) == [1, 2]
+
+
+# The modules that may read each unchecked constructor, with what proves its input:
+# the wall filter's ints (``walls``) and the exact reductions of validated Grams
+# (``lattice``, ``moduli``); ``lattice`` defines both.
+TRUSTED_READERS = {"LatticeVector": {"lattice.py", "walls.py"},
+                   "Lattice": {"lattice.py", "moduli.py"}}
+
+
+def _stray_trusted_reads(tree: ast.AST, module: str) -> list[int]:
+    """Line numbers of reads of ``LatticeVector._trusted`` or ``Lattice._trusted``, bare
+    class or attribute of a module, that ``module`` may not make."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+                  and module not in TRUSTED_READERS.get(
+                      getattr(node.value, "id", None) or getattr(node.value, "attr", None),
+                      {module}))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_trusted_constructors_are_confined(path):
+    """An unchecked constructor takes only input that its caller has proved, so no
+    unproved path, such as a config or a public argument, can reach one."""
+    assert not _stray_trusted_reads(ast.parse(path.read_text(encoding="utf-8")), path.name)
+
+
+def test_trusted_read_check_flags_calls_and_aliases():
+    source = ("d = LatticeVector._trusted(ns, key)\nsub = lattice.Lattice._trusted(g, 'x')\n"
+              "make = LatticeVector._trusted\nw = Wall._trusted(ns, key, sq, b)\n"
+              "self = cls._trusted(g, '')\n")
+    tree = ast.parse(source)
+    assert _stray_trusted_reads(tree, "config.py") == [1, 2, 3]
+    assert _stray_trusted_reads(tree, "walls.py") == [2]
+    assert _stray_trusted_reads(tree, "moduli.py") == [1, 3]
+    assert _stray_trusted_reads(tree, "lattice.py") == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -16,7 +16,7 @@ from mukaikit import (
     mukai_square,
     topological_type,
 )
-from mukaikit.errors import HypothesisViolation, LatticeMismatchError
+from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from mukaikit.mukai import discriminant_from_chern
 
 from conftest import random_mukai, random_integral_vector, random_hyperbolic_ns
@@ -59,7 +59,7 @@ class TestConstruction:
 
 
 class TestComponents:
-    """v0 and v2 store Python ints and Fractions: numpy ints are converted."""
+    """v0 and v2 store Python ints and Fractions: numpy ints are converted, floats refused."""
 
     def test_numpy_ints_do_not_overflow(self, zl):
         v = MukaiVector(np.int64(2**40), zl.zero(), np.int64(2**40))
@@ -70,6 +70,15 @@ class TestComponents:
 
     def test_strings_are_read_exactly(self, zl):
         assert MukaiVector("3/2", zl.zero(), "-1/3") == MukaiVector(F(3, 2), zl.zero(), F(-1, 3))
+
+    @pytest.mark.parametrize("value", [2.5, 0.1, np.float64(2.0)])
+    def test_floats_are_refused(self, zl, value):
+        """A float v0 or v2 raises at construction, as a float ``LatticeVector`` entry
+        does; 0.1 would otherwise be held as 3602879701896397/36028797018963968."""
+        for v0, v2 in ((value, 0), (2, value)):
+            with pytest.raises(ValidationError,
+                               match="^.* is not an int, a Fraction or a 'p/q' string$"):
+                MukaiVector(v0, zl.zero(), v2)
 
 
 class TestPairing:

@@ -6,8 +6,10 @@ and read the wall bound off a closed form; ``h2_lattice`` builds its
 result lattice through ``Lattice._trusted``, as ``orthogonal_complement``
 builds ``sub``. Here:
 - every returned ``LatticeVector``, ``Wall`` and ``WallCrossing`` equals,
-  hashes and prints like its rebuild through the public constructors, and
-  holds Fractions only;
+  hashes and prints like its rebuild through the public constructors, its
+  Fraction fields are Fractions, and the wall vector, which
+  ``LatticeVector._trusted`` builds, stores a tuple of ints over the
+  denominator 1;
 - the lattice of every ``h2`` result, and the ``sub`` of every
   ``orthogonal_complement`` in the Mukai lattice, equals, hashes and prints
   like ``Lattice(gram, label)``, and its Gram is a symmetric tuple of int
@@ -181,6 +183,9 @@ def _assert_wall_matches_public(wall: Wall) -> Wall:
     _assert_twins(wall.d, public.d)
     _assert_twins(wall, public)
     assert len(wall.d.coords) == wall.d.lattice.rank
+    # The fields ``LatticeVector._trusted`` stores: an int tuple over the int 1.
+    assert type(wall.d.num) is tuple and all(type(c) is int for c in wall.d.num)
+    assert type(wall.d.den) is int and wall.d.den == 1
     for value in wall.d.coords + (wall.d_square, wall.bound):
         assert type(value) is F
     return public
@@ -435,7 +440,7 @@ def test_twisted_profile_bounds_unchanged():
         assert wall_bound(v) == F(f.r) ** 4 * delta_E(f, e) / 2
 
 
-@pytest.mark.parametrize("rank", [F(3, 2), F(7, 3), 2.5])
+@pytest.mark.parametrize("rank", [F(3, 2), F(7, 3)])
 def test_profile_rejects_a_non_integral_rank(rank):
     ns = diagonal_lattice([2, -2])
     with pytest.raises(HypothesisViolation, match="^wall sets are defined for integral positive rank$"):

@@ -13,9 +13,13 @@ every item must be equal on the two sides. Each query is timed as
 times ``--best-of`` whole passes of each side, alternating which side goes
 first, and keeps each side's fastest pass; the ratio B / A of those is the
 round's reading. The script prints the median ratio, its quartiles and the
-rounds B won, and next to them each side's per-query p50 and p90 over
-every timed query, which is what a ``query_p50_rel`` or ``query_p90_rel``
-claim turns on.
+rounds B won; then the ratio B / A of the summed per-query minima, where
+a query's minimum is its fastest time over every pass of every round;
+and each side's per-query p50 and p90 over every timed query, which is
+what a ``query_p50_rel`` or ``query_p90_rel`` claim turns on. A pass
+ratio swings by several percent from round to round on a shared host,
+while each minimum drops only the slow runs of its own query, so the
+summed minima resolve a change of a few microseconds a query.
 ``--strata NAME[,NAME...]`` keeps only the pass items of the named strata
 (``verdict_mix`` has ``h2_pos`` and ``h2_iso``, for example), so a change to
 one kind of query is timed without the noise of the others.
@@ -78,18 +82,20 @@ def outcomes(workloads, wl, items) -> list[str]:
     return texts
 
 
-def best_pass(wl, items, best_of: int, query_ns: list) -> int:
+def best_pass(wl, items, best_of: int, query_ns: list, minima: list) -> int:
     """The fastest of ``best_of`` passes over ``items``, in ns; every query
-    time is appended to ``query_ns``."""
+    time is appended to ``query_ns``, and ``minima[i]`` is lowered to the
+    time of item i if that is faster."""
     best = None
     for _ in range(best_of):
         elapsed = 0
-        for item in items:
+        for i, item in enumerate(items):
             gc.collect()
             start = time.perf_counter_ns()
             wl.query(item)
             query_ns.append(time.perf_counter_ns() - start)
             elapsed += query_ns[-1]
+            minima[i] = min(minima[i], query_ns[-1])
         best = elapsed if best is None else min(best, elapsed)
     return best
 
@@ -126,13 +132,14 @@ def main(argv=None) -> int:
         print(f"# {args.workload} seed {args.seed}, strata {strata}: {len(a_items)} queries "
               f"a pass, outcomes equal; {args.rounds} rounds of best-of-{args.best_of} passes")
         ratios, a_query_ns, b_query_ns = [], [], []
+        a_min, b_min = [float("inf")] * len(a_items), [float("inf")] * len(b_items)
         for i in range(args.rounds):
             if i % 2:
-                b_ns = best_pass(b_wl, b_items, args.best_of, b_query_ns)
-                a_ns = best_pass(a_wl, a_items, args.best_of, a_query_ns)
+                b_ns = best_pass(b_wl, b_items, args.best_of, b_query_ns, b_min)
+                a_ns = best_pass(a_wl, a_items, args.best_of, a_query_ns, a_min)
             else:
-                a_ns = best_pass(a_wl, a_items, args.best_of, a_query_ns)
-                b_ns = best_pass(b_wl, b_items, args.best_of, b_query_ns)
+                a_ns = best_pass(a_wl, a_items, args.best_of, a_query_ns, a_min)
+                b_ns = best_pass(b_wl, b_items, args.best_of, b_query_ns, b_min)
             ratios.append(b_ns / a_ns)
             print(f"round {i + 1}: A {a_ns / 1e6:.1f} ms, B {b_ns / 1e6:.1f} ms, "
                   f"B/A {ratios[-1]:.3f}", flush=True)
@@ -141,6 +148,8 @@ def main(argv=None) -> int:
     (a50, a90), (b50, b90) = p50_p90(a_query_ns), p50_p90(b_query_ns)
     print(f"B/A pass time: median {median:.3f}, quartiles {q1:.3f} {q3:.3f}; "
           f"B faster in {won}/{len(ratios)} rounds")
+    print(f"summed per-query minima over all rounds: A {sum(a_min) / 1e6:.1f} ms, "
+          f"B {sum(b_min) / 1e6:.1f} ms, B/A {sum(b_min) / sum(a_min):.3f}")
     print(f"per query over {len(a_query_ns)} each: A p50 {a50:.4f} ms, p90 {a90:.4f} ms; "
           f"B p50 {b50:.4f} ms, p90 {b90:.4f} ms; B/A p50 {b50 / a50:.3f}, p90 {b90 / a90:.3f}")
     return 0
