@@ -6,14 +6,14 @@ keeps integer numerators over one denominator, callers hand those ints
 here, and the signature and short-vector entry points reject any entry
 that is not an int, and any form that is not symmetric. The reductions
 (``hermite_normal_form``, ``smith_normal_form``,
-``integer_kernel_saturated``, ``unimodular_completion`` and
-``signature_and_smith``) check nothing their callers have checked: each
-is handed matrices built from validated Grams and vectors, so an entry is
-checked once, where it enters. A kernel is that of one linear condition
-(``integer_kernel_saturated`` takes one row), as every orthogonal
-complement the library takes is that of one class. No floating point is
-used anywhere: wall membership and signature verdicts downstream are
-exact predicates, so every primitive here must be exact too.
+``integer_kernel_saturated`` and ``unimodular_completion``) check
+nothing their callers have checked: each is handed matrices built from
+validated Grams and vectors, so an entry is checked once, where it
+enters. A kernel is that of one linear condition (``integer_kernel_saturated``
+takes one row), as every orthogonal complement the library takes is that
+of one class. No floating point is used anywhere: wall membership and
+signature verdicts downstream are exact predicates, so every primitive
+here must be exact too.
 """
 
 from __future__ import annotations
@@ -355,13 +355,6 @@ def congruence_pivots(mat: Sequence[Sequence[int]]) -> tuple[list[tuple[int, tup
     return pivots, 0
 
 
-def _inertia(pivots, n_zero) -> tuple[int, int, int]:
-    # The k-th pivot D_k / D_{k-1} is positive iff D_k has the sign of D_{k-1}.
-    minors = [1, *(row[i] for i, row in pivots)]
-    plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
-    return plus, n_zero, len(pivots) - plus
-
-
 def rational_signature(g: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Inertia ``(n_plus, n_zero, n_minus)`` over Q of a symmetric integer matrix.
 
@@ -371,25 +364,11 @@ def rational_signature(g: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """
     if not is_symmetric(g):
         raise ValidationError("signature requires a symmetric matrix")
-    return _inertia(*congruence_pivots(int_matrix(g)))
-
-
-def signature_and_smith(
-    g: Sequence[Sequence[int]],
-) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-    """``rational_signature(g)`` and ``smith_normal_form(g)`` from one reduction.
-
-    The pivots give the inertia and, through the last leading minor D_n,
-    whether every Smith factor is 1. The pair step of ``congruence_pivots``
-    is a unimodular congruence, so |D_n| = |det g|, and |det g| = 1 makes
-    every factor 1. Otherwise the whole matrix is reduced to its Smith form.
-    """
-    pivots, n_zero = congruence_pivots(g)
-    inertia, n = _inertia(pivots, n_zero), len(g)
-    # The empty matrix has no pivot; its Smith form is () either way.
-    if pivots and not n_zero and abs(pivots[-1][1][pivots[-1][0]]) == 1:
-        return inertia, (1,) * n
-    return inertia, smith_normal_form(g)
+    pivots, n_zero = congruence_pivots(int_matrix(g))
+    # The k-th pivot D_k / D_{k-1} is positive iff D_k has the sign of D_{k-1}.
+    minors = [1, *(row[i] for i, row in pivots)]
+    plus = sum((d > 0) == (prev > 0) for prev, d in zip(minors, minors[1:]))
+    return plus, n_zero, len(pivots) - plus
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:

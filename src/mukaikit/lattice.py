@@ -90,6 +90,15 @@ def _exact(x) -> int | Fraction:
         raise ValidationError(f"{x!r} is not an int, a Fraction or a 'p/q' string") from None
 
 
+def _exact_int(x) -> int:
+    """An integer field (a rank) as a Python int, through ``_exact``; a value
+    that is not an integer raises too."""
+    x = _exact(x)
+    if x.denominator != 1:
+        raise ValidationError(f"{x} is not an integer")
+    return x.numerator
+
+
 @record
 class LatticeVector:
     """A rational vector of a fixed lattice, as ints ``num`` over one ``den``.

@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from operator import add
 
 from . import exactlin
 from .errors import HypothesisViolation, InternalError, ValidationError
@@ -149,22 +148,27 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     v-perp is the saturation of Zv, which is Zv since v is primitive; as
     v^2 = 0 the radical of v-perp is Zv itself, and no kernel is needed.
 
+    The signature and the discriminant are read off v^2; the Mukai lattice
+    is even of signature (4, 0, 20):
+    - for v^2 > 0 (so v^2 >= 2), Zv and v-perp are mutually orthogonal
+      primitive sublattices of a unimodular lattice, so their discriminant
+      groups agree (Nikulin 1979, 1.6): v-perp has discriminant Z/v^2 and,
+      as v is positive, signature (3, 0, 20);
+    - for v^2 = 0, some w has v.w = 1, so U' = Zv + Zw is unimodular and
+      splits off: v-perp = Zv (+) U'-perp, and v-perp/Zv is U'-perp,
+      unimodular of signature (3, 0, 19).
+
     The work runs on the prefix S = [0, n) of U^4 (+) E8(-1)^2, where n is
     the first summand end (``full_mukai_blocks``) after which v is 0. On
     S, with G_S the Gram there, the complement (the saturated kernel of
-    the one row G_S v), its Gram, the radical reduction and one
-    ``signature_and_smith`` run on ints. The summands after S lie
-    in v-perp and are orthogonal to S, so v-perp is (v-perp in S) (+) Z^T,
-    T = [n, 24), and T comes in as a constant:
-    - every pivot on T comes after every pivot on S, so the Hermite basis
-      is the rows on S, padded with zeros, followed by the unit rows of T;
-    - the Gram is diag(Gram on S, Gram on T);
-    - T adds its inertia, read once per n off its Gram, to the signature,
-      and as it is unimodular only 1s to the Smith form, which the
-      discriminant drops.
-    For v^2 = 0 the radical reduction acts on S only, where row 0 of the
-    basis lies. A standard embedding of an NS of rank <= 3 puts v in U^4,
-    so n <= 8.
+    the one row G_S v), its Gram and the radical reduction run on ints.
+    The summands after S lie in v-perp and are orthogonal to S, so v-perp
+    is (v-perp in S) (+) Z^T, T = [n, 24), and T comes in as a constant:
+    every pivot on T comes after every pivot on S, so the Hermite basis is
+    the rows on S, padded with zeros, followed by the unit rows of T, and
+    the Gram is diag(Gram on S, Gram on T). For v^2 = 0 the radical
+    reduction acts on S only, where row 0 of the basis lies. A standard
+    embedding of an NS of rank <= 3 puts v in U^4, so n <= 8.
 
     v is 0 off S, so v^2 is read on S. The result Gram is built from a
     congruence of G_S, a block of the validated Mukai Gram, and the
@@ -173,7 +177,7 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     if not v.is_primitive:
         raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
     coords = v.coords
-    gram_s, units, rest_gram, inertia = _prefix_split(
+    gram_s, units, rest_gram = _prefix_split(
         next(end for end in full_mukai_blocks() if not any(coords[end:])))
     v_part = coords[:len(gram_s)]
     sq = exactlin.bilinear(gram_s, v_part, v_part)
@@ -191,24 +195,20 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
         if any(new_gram[0]):
             raise InternalError("radical reduction failed")
         gram = tuple(row[1:] for row in new_gram[1:])
-    sig, smith = exactlin.signature_and_smith(gram)
-    if 0 in smith:
-        raise InternalError("the second-cohomology lattice is degenerate")
     pad, lead = (0,) * len(units), (0,) * len(gram)
     gram = tuple(row + pad for row in gram) + tuple(lead + row for row in rest_gram)
     return H2LatticeResult(Lattice._trusted(gram, "v-perp mod v" if quotient else "v-perp"),
-                           tuple(map(add, sig, inertia)), tuple(d for d in smith if d != 1),
+                           (3, 0, 19) if quotient else (3, 0, 20), () if quotient else (sq,),
                            tuple(row + pad for row in basis) + units, quotient)
 
 
 @cache
 def _prefix_split(n: int):
-    """The Mukai Gram on [0, n), then the unit rows, the Gram and the
-    inertia of the summands after it; n ends a summand."""
+    """The Mukai Gram on [0, n), then the unit rows and the Gram of the
+    summands after it; n ends a summand."""
     gram = full_mukai_lattice().gram
-    rest = tuple(row[n:] for row in gram[n:])
-    return (tuple(row[:n] for row in gram[:n]), exactlin.identity(len(gram))[n:], rest,
-            exactlin.rational_signature(rest))
+    return (tuple(row[:n] for row in gram[:n]), exactlin.identity(len(gram))[n:],
+            tuple(row[n:] for row in gram[n:]))
 
 
 def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:

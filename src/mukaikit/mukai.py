@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation
 from .exactlin import bilinear, clear_denominators
-from .lattice import Lattice, LatticeVector, _exact, pairing
+from .lattice import Lattice, LatticeVector, _exact, _exact_int, pairing
 from .records import record
 
 
@@ -53,6 +53,7 @@ class TopologicalType:
     c2: int
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _exact_int(self.r))
         if self.r <= 0:
             raise HypothesisViolation("topological type requires positive rank")
 

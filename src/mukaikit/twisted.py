@@ -13,7 +13,7 @@ import warnings
 from fractions import Fraction
 
 from .errors import HypothesisViolation, IntegralityWarning, ValidationError
-from .lattice import LatticeVector, _exact
+from .lattice import LatticeVector, _exact, _exact_int
 from .mukai import MukaiVector, discriminant, exp_class, mukai_product, mukai_square
 from .records import record
 
@@ -27,6 +27,7 @@ class TwistData:
     b_field: LatticeVector | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "s", _exact_int(self.s))
         if self.s < 1:
             raise HypothesisViolation("twisting sheaf must have rank >= 1")
         object.__setattr__(self, "b", Fraction(_exact(self.b)))
@@ -41,6 +42,7 @@ class TwistedSheafData:
     a: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _exact_int(self.r))
         if self.r < 1:
             raise HypothesisViolation("sheaf rank must be >= 1")
         object.__setattr__(self, "a", Fraction(_exact(self.a)))

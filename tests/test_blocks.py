@@ -10,9 +10,11 @@ it computes on the shortest prefix of summands that holds v and appends
 the rest as constants. Its results are checked against the whole-matrix
 loops on vectors of any support, and
 ``test_h2_computes_on_the_prefix_that_holds_v`` guards the split by
-recording the width of every matrix ``h2`` hands the exact layer. ``h2``
-reads the radical of an isotropic v-perp off the coordinates of v,
-checked against the kernel of its Gram.
+recording the width of every matrix ``h2`` hands the exact layer, and
+that none goes to a signature or Smith reduction: ``h2`` reads both
+invariants off v^2, and the h2 tests check them against the oracle's
+reductions of the whole Gram. ``h2`` reads the radical of an isotropic
+v-perp off the coordinates of v, checked against the kernel of its Gram.
 """
 
 from __future__ import annotations
@@ -211,6 +213,12 @@ def _full_matrix_h2(coords):
     return basis, tuple(row[1:] for row in new[1:])
 
 
+def _closed_form(square):
+    """(signature, discriminant) of H^2 for a primitive v of square ``square`` >= 0:
+    v-perp for v^2 > 0, v-perp/Zv for v^2 = 0, in the unimodular Mukai lattice."""
+    return ((3, 0, 20), (square,)) if square else ((3, 0, 19), ())
+
+
 @pytest.mark.parametrize("where", [("U3",), ("E8",), ("U3", "E8")])
 @given(seed=SEEDS)
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -227,8 +235,9 @@ def test_h2_from_embeddings_into_u_and_e8(where, seed):
         if rng.random() < 0.5:
             r, a = 1, xi2 // 2  # v^2 = 0
         else:
+            # v^2 = xi^2 - 2ra is even; a runs over every value that puts it in [2, 200].
             r = rng.randint(1, 3)
-            a = (xi2 - 2) // (2 * r) - rng.randint(0, 2)
+            a = rng.randint(-((200 - xi2) // (2 * r)), (xi2 - 2) // (2 * r))
         v = MukaiVector(Fraction(r), ns.vector(xi), Fraction(a))
         embedded = EmbeddedMukaiVector.from_algebraic(v, emb)
         # The embedding is an isometry, so from_algebraic keeps the square.
@@ -242,6 +251,7 @@ def test_h2_from_embeddings_into_u_and_e8(where, seed):
     assert res.quotient_by_v == (embedded.square() == 0)
     assert res.signature == reference_signature(gram)
     assert res.discriminant == tuple(d for d in reference_smith(gram)[0] if d != 1)
+    assert (res.signature, res.discriminant) == _closed_form(embedded.square())
     # -v has the same complement and radical; when v^2 = 0 its coordinates
     # in the Hermite basis start negative wherever those of v start positive.
     negated = EmbeddedMukaiVector(tuple(-c for c in embedded.coords))
@@ -293,7 +303,7 @@ def _vector_on(rng, summands, square):
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_h2_on_arbitrary_summand_supports(support, seed, isotropic):
     rng = random.Random(seed)
-    square = 0 if isotropic else 2 * rng.randint(1, 6)
+    square = 0 if isotropic else 2 * rng.randint(1, 100)
     while True:
         summands = SUPPORTS[support](rng)
         coords = _vector_on(rng, summands, square)
@@ -309,6 +319,7 @@ def test_h2_on_arbitrary_summand_supports(support, seed, isotropic):
     assert res.quotient_by_v == (_square(coords) == 0)
     assert res.signature == reference_signature(gram)
     assert res.discriminant == tuple(d for d in reference_smith(gram)[0] if d != 1)
+    assert (res.signature, res.discriminant) == _closed_form(square)
     assert h2_lattice(EmbeddedMukaiVector(tuple(-c for c in coords))) == res
 
 
@@ -335,7 +346,8 @@ def test_h2_computes_on_the_prefix_that_holds_v(monkeypatch):
     """h2 hands the exact layer no matrix wider than the prefix end n of v,
     and takes the kernel on exactly n coordinates. A standard embedding of
     an NS of rank <= 3 puts v in U^4, so there n <= 8; vectors of any
-    support reach the E8(-1) summands."""
+    support reach the E8(-1) summands. It reads its signature and
+    discriminant off v^2, so it makes no signature or Smith reduction."""
     rng = random.Random(2101)
     standard = []
     while len(standard) < 40:
@@ -354,7 +366,8 @@ def test_h2_computes_on_the_prefix_that_holds_v(monkeypatch):
         if coords is not None and _square(coords) >= 0:
             anywhere.append(EmbeddedMukaiVector(coords))
     widths = {}
-    for name in ("congruence", "integer_kernel_saturated", "signature_and_smith"):
+    for name in ("congruence", "integer_kernel_saturated",
+                 "congruence_pivots", "rational_signature", "smith_normal_form"):
         def recorded(m, *args, _name=name, _original=getattr(exactlin, name)):
             # The kernel takes one row w, whose width is len(w).
             widths.setdefault(_name, []).extend(
@@ -370,7 +383,7 @@ def test_h2_computes_on_the_prefix_that_holds_v(monkeypatch):
             quotients.add(h2_lattice(v).quotient_by_v)
             n = _prefix_end(v.coords)
             ends.add(n)
-            assert set(widths) == {"congruence", "integer_kernel_saturated", "signature_and_smith"}
+            assert set(widths) == {"congruence", "integer_kernel_saturated"}
             assert widths["integer_kernel_saturated"] == [n]
             assert max(max(w) for w in widths.values()) <= n <= cap
     assert quotients == {False, True}

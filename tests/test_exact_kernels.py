@@ -357,13 +357,18 @@ def test_smith_non_convergence_is_internal(monkeypatch, tmp_path):
     monkeypatch.setattr(exactlin, "_is_diagonal", lambda a: False)
     with pytest.raises(InternalError):
         smith_normal_form(((2, 4), (6, 8)))
+    # h2 makes no Smith reduction; it reports its own broken invariant, a
+    # completion whose first row is not the radical, as an internal error.
+    completion = exactlin.unimodular_completion
+    monkeypatch.setattr(exactlin, "unimodular_completion", lambda row: completion(row)[::-1])
     cfg = tmp_path / "h2.json"
     cfg.write_text('{"surface": {"ns_gram": [[-10]], "t11_gram": [[2]],'
-                   ' "reference_positive": [0, 1]}, "mukai": {"r": 2, "xi": [1], "a": -3}}')
+                   ' "reference_positive": [0, 1]}, "mukai": {"r": 1, "xi": [1], "a": -5}}')
     out, err = io.StringIO(), io.StringIO()
     assert run(["h2", "--config", str(cfg), "--format", "json"], stdout=out, stderr=err) == 70
     assert out.getvalue() == ""
     assert err.getvalue().startswith("internal error")
+    assert "radical reduction failed" in err.getvalue()
 
 
 # -- the oracle's determinant ------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mukaikit import exactlin
 from mukaikit.errors import ValidationError
 from mukaikit.exactlin import (
     bilinear,
@@ -15,7 +14,6 @@ from mukaikit.exactlin import (
     integer_kernel_saturated,
     mat_vec,
     rational_signature,
-    signature_and_smith,
     smith_normal_form,
     transpose,
     vec_mat,
@@ -152,35 +150,27 @@ class TestSignature:
 
 
 class TestSignatureAndSmith:
-    """``signature_and_smith`` against the whole-matrix references, and the
-    shortcut that reads a unimodular Gram's Smith form off its last pivot."""
+    """``rational_signature`` and ``smith_normal_form`` against the
+    whole-matrix references, on unimodular, singular and non-unimodular Grams."""
 
     @staticmethod
-    def _check(g, *, shortcut):
-        reduced = []
-
-        def counted(m, _original=exactlin.smith_normal_form):
-            reduced.append(len(m))
-            return _original(m)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exactlin, "smith_normal_form", counted)
-            sig, smith = signature_and_smith(g)
-        assert sig == reference_signature(g) == rational_signature(g)
-        assert smith == reference_smith(g)[0] == smith_normal_form(g)
-        assert reduced == ([] if shortcut else [len(g)])
+    def _check(g):
+        sig, smith = rational_signature(g), smith_normal_form(g)
+        assert sig == reference_signature(g)
+        assert smith == reference_smith(g)[0]
+        return sig, smith
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_dense_unimodular_conjugates(self, seed):
-        # P (U (+) E8(-1)) P^T for a dense unimodular P: |det| = 1, so the
-        # last pivot is +-1 and every Smith factor is 1 without a reduction.
+        # P (U (+) E8(-1)) P^T for a dense unimodular P: |det| = 1, so every
+        # Smith factor is 1.
         rng = random.Random(seed)
         p = random_unimodular(rng, 10, steps=40)
         g = direct_sum([u_lattice(), e8_minus_lattice()]).gram
         g = matmul(matmul(p, g), transpose(p))
         assert sum(x != 0 for row in g for x in row) > 50  # over half of the 100 entries
-        self._check(g, shortcut=True)
+        assert self._check(g) == ((1, 0, 9), (1,) * 10)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -190,22 +180,20 @@ class TestSignatureAndSmith:
         d = rng.choice([0, 0, -2, 2, -3, 4, -6])
         g = direct_sum([u_lattice(), e8_minus_lattice(), diagonal_lattice([d])]).gram
         p = random_unimodular(rng, 11, steps=40)
-        self._check(matmul(matmul(p, g), transpose(p)), shortcut=False)
+        _, smith = self._check(matmul(matmul(p, g), transpose(p)))
+        assert smith == (1,) * 10 + (abs(d),)
 
     @pytest.mark.parametrize("d", [-4, -2, -1, 0, 1, 2, 3])
     def test_one_by_one(self, d):
-        self._check(((d,),), shortcut=abs(d) == 1)
+        assert self._check(((d,),)) == ((int(d > 0), int(d == 0), int(d < 0)), (abs(d),))
 
     def test_singular(self):
-        # A singular Gram takes the reduction, whose one Hermite pass drops
-        # the zero row; the padding gives the zero factor back.
-        g = ((2, 2), (2, 2))
-        self._check(g, shortcut=False)
-        assert signature_and_smith(g) == ((1, 1, 0), (2, 0))
+        # The one Hermite pass of the Smith reduction drops the zero row;
+        # the padding gives the zero factor back.
+        assert self._check(((2, 2), (2, 2))) == ((1, 1, 0), (2, 0))
 
     def test_empty(self):
-        self._check((), shortcut=False)
-        assert signature_and_smith(()) == ((0, 0, 0), ())
+        assert self._check(()) == ((0, 0, 0), ())
 
 
 class TestSolveAndInverse:

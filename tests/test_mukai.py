@@ -126,6 +126,17 @@ class TestDiscriminant:
 
 
 class TestTopologicalType:
+    @pytest.mark.parametrize("rank", [2.5, np.float64(2.0), 1j, F(3, 2)])
+    def test_float_and_non_integral_ranks_are_refused(self, L, rank):
+        with pytest.raises(ValidationError,
+                           match="^.* is not an int(eger|, a Fraction or a 'p/q' string)$"):
+            TopologicalType(rank, L, 0)
+
+    def test_numpy_rank_becomes_an_int(self, L):
+        tau = TopologicalType(np.int64(2**40), L, 0)
+        assert tau.r == 2**40 and type(tau.r) is int
+        assert TopologicalType(F(2), L, 0) == TopologicalType(2, L, 0)
+
     def test_worked(self, zl, L):
         tau = topological_type(MukaiVector(F(2), L, F(-2)))
         assert (tau.r, tau.c1, tau.c2) == (2, L, -1)

@@ -46,8 +46,12 @@ def tensor_dual_data(r, c1f, ch2f, s, c1e, ch2e):
     return TwistedSheafData(r, xi, a), TwistData(s, b)
 
 
+NON_INTEGRAL_RANK = "^.* is not an int(eger|, a Fraction or a 'p/q' string)$"
+
+
 class TestEntries:
-    """b and a store Python ints and Fractions: numpy ints are converted, floats refused."""
+    """b and a store Python ints and Fractions, the ranks s and r Python ints:
+    numpy ints are converted, floats and non-integral ranks refused."""
 
     def test_numpy_ints_become_ints(self, L):
         e = TwistData(1, np.int64(2**40))
@@ -61,6 +65,26 @@ class TestEntries:
             TwistData(1, entry)
         with pytest.raises(ValidationError, match="is not an int, a Fraction or a 'p/q' string$"):
             TwistedSheafData(1, L, entry)
+
+    @pytest.mark.parametrize("rank", [1.5, 2.5, np.float64(2.0), 1j, F(3, 2), "5/2"])
+    def test_float_and_non_integral_ranks_are_refused(self, L, rank):
+        """1.5 was read as s = 3/2, and a float r failed later as '0.0 is not an int'."""
+        with pytest.raises(ValidationError, match=NON_INTEGRAL_RANK):
+            TwistData(rank, 0)
+        with pytest.raises(ValidationError, match=NON_INTEGRAL_RANK):
+            TwistedSheafData(rank, L, 0)
+
+    def test_numpy_and_fraction_ranks_become_ints(self, L):
+        e, f = TwistData(np.int64(3), 0), TwistedSheafData(np.int64(2), L, 0)
+        assert (e.s, f.r) == (3, 2) and type(e.s) is int and type(f.r) is int
+        assert (TwistData(F(3), 0).s, TwistedSheafData("2", L, 0).r) == (3, 2)
+        # A numpy s failed in ch_E as a non-int vector denominator.
+        assert ch_E(f, e) == ch_E(TwistedSheafData(2, L, 0), TwistData(3, 0))
+
+    def test_numpy_rank_does_not_overflow(self, L):
+        # (2 r s a - xi^2 - r^2 b) / s^2 with L^2 = -10 and b = 1; int64 read 10.
+        f = TwistedSheafData(np.int64(2**40), L, 0)
+        assert endo_ch2(f, TwistData(1, 1)) == 10 - 2**80
 
 
 class TestChE:

@@ -10,7 +10,11 @@ interpreter per tree, with the configs in one shared temporary directory:
   ``tests/test_cli.py`` as it is and, if it has a ``mukai`` object, with
   Mukai rank 0, 1, 3 and 3/2, under all 11 subcommands in text and json;
 - ``exists --r --d --g`` for r in 1..8, every d in -1..2r and every g from
-  2r below the cap g <= -(r^2 - 1)(r - 1) to 1 above it.
+  2r below the cap g <= -(r^2 - 1)(r - 1) to 1 above it;
+- ``h2`` in text and json on 40 seeded configs with an explicit NS
+  embedding that reaches E8(-1) (one or two E8(-1) rows, with or without a
+  row in a U summand): 10 with v^2 = 0, one with v^2 = 200 and 29 with
+  seeded even v^2 between.
 Each case's (exit code, stdout, stderr) must be equal on the two trees. The
 script prints the cases that differ and exits 1 if there are any.
 Uses the standard library only.
@@ -22,13 +26,18 @@ import argparse
 import ast
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
+from math import gcd
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RANK_VARIANTS = (0, 1, 3, "3/2")
+H2_SEED, H2_CONFIGS = 33, 40
+# The Gram of E8(-1) has -2 on its diagonal and 1 at each edge of the Dynkin diagram.
+E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
 
 
 def cli_test_configs() -> dict[str, dict]:
@@ -44,6 +53,65 @@ def cli_test_configs() -> dict[str, dict]:
                 and node.targets[0].id.endswith("_CONFIG")):
             code = compile(ast.Expression(node.value), "test_cli.py", "eval")
             configs[node.targets[0].id] = eval(code, {"__builtins__": {}}, dict(configs))
+    return configs
+
+
+def k3_gram() -> list[list[int]]:
+    """The Gram of U^3 (+) E8(-1)^2, in the coordinates of ``lattice.k3_lattice()``."""
+    g = [[0] * 22 for _ in range(22)]
+    for i in (0, 2, 4):
+        g[i][i + 1] = g[i + 1][i] = 1
+    for start in (6, 14):
+        for i in range(8):
+            g[start + i][start + i] = -2
+        for i, j in E8_EDGES:
+            g[start + i][start + j] = g[start + j][start + i] = 1
+    return g
+
+
+def h2_embedding_configs(rng: random.Random) -> list[dict]:
+    """Configs whose NS embedding reaches E8(-1): a quarter isotropic, one with
+    v^2 = 200 and the rest with seeded even v^2 between.
+
+    NS is spanned by a primitive row in each of one or both E8(-1) summands,
+    and maybe by (1, k) in a U summand; the rows have disjoint supports, so
+    the embedding is primitive and NS is orthogonal and nondegenerate. NS is
+    hyperbolic when k > 0 and the reference class is that row; otherwise NS
+    is negative definite and T = <2> carries it.
+    """
+    lam = k3_gram()
+    targets = [0] * (H2_CONFIGS // 4) + [200]
+    targets += [2 * rng.randint(1, 99) for _ in range(H2_CONFIGS - len(targets))]
+    configs = []
+    for target in targets:
+        while True:
+            emb = []
+            if rng.random() < 0.5:
+                row, i = [0] * 22, 2 * rng.randrange(3)
+                row[i], row[i + 1] = 1, rng.choice((-3, -2, -1, 1, 2, 3))
+                emb.append(row)
+            for start in rng.sample((6, 14), rng.randint(1, 2)):
+                part = [0] * 8
+                while not any(part) or gcd(*part) != 1:
+                    part = [rng.choice((0, 0, rng.randint(-2, 2))) for _ in range(8)]
+                emb.append([0] * start + part + [0] * (14 - start))
+            ns = [[sum(x * lam[i][j] * y for i, x in enumerate(a) if x for j, y in enumerate(b) if y)
+                   for b in emb] for a in emb]
+            xi = [rng.randint(-3, 3) for _ in emb]
+            xi2 = sum(x * ns[i][j] * y for i, x in enumerate(xi) for j, y in enumerate(xi))
+            r = rng.randint(1, 3)
+            if (xi2 - target) % (2 * r):
+                continue
+            a = (xi2 - target) // (2 * r)
+            image = [sum(x * row[j] for x, row in zip(xi, emb)) for j in range(22)]
+            if gcd(r, a, *image) == 1:
+                break
+        hyperbolic = ns[0][0] > 0
+        surface = {"ns_gram": ns, "reference_positive": [int(k == 0) for k in range(len(ns))]
+                   if hyperbolic else [0] * len(ns) + [1]}
+        if not hyperbolic:
+            surface["t11_gram"] = [[2]]
+        configs.append({"surface": surface, "mukai": {"r": r, "xi": xi, "a": a}, "embedding": emb})
     return configs
 
 
@@ -71,6 +139,10 @@ def build_cases(tmp: Path) -> list[list[str]]:
         cases += [["exists", "--r", str(r), "--d", str(d), "--g", str(g), "--format", fmt]
                   for d in range(-1, 2 * r + 1) for g in range(cap - 2 * r, cap + 2)
                   for fmt in ("text", "json")]
+    for k, cfg in enumerate(h2_embedding_configs(random.Random(H2_SEED))):
+        path = tmp / f"h2-e8-{k}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        cases += [["h2", "--config", str(path), "--format", fmt] for fmt in ("text", "json")]
     return cases
 
 
