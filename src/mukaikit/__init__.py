@@ -76,6 +76,7 @@ _EXPORTS = {
     "moduli": (
         "EmbeddedMukaiVector",
         "ModuliReport",
+        "NSEmbedding",
         "bundle_existence_check",
         "h2_lattice",
         "irreducibility_oracle",

@@ -3,7 +3,9 @@
 Hosts the concrete lattices of the K3 world: hyperbolic planes U, the
 negative definite E8 lattice, diagonal lattices and direct sums, with
 pairings, saturated orthogonal complements and discriminant groups, all
-in exact arithmetic.
+in exact arithmetic. A lattice reduces its Gram for its signature once and
+keeps the result, so a model's NS is reduced when ``K3Model`` is built and
+every later verdict reads the kept signature.
 """
 
 from __future__ import annotations
@@ -69,7 +71,17 @@ class Lattice:
         return self.vector((0,) * self.rank)
 
     def signature(self) -> tuple[int, int, int]:
-        return rational_signature(self.gram)
+        """(n_plus, n_zero, n_minus) of the Gram, reduced once per instance.
+
+        A lattice is its immutable Gram, so the first call stores the
+        signature on the instance (no field: ``==``, ``hash`` and ``repr``
+        do not see it) and later calls read it.
+        """
+        sig = self.__dict__.get("_signature")
+        if sig is None:
+            sig = rational_signature(self.gram)
+            object.__setattr__(self, "_signature", sig)
+        return sig
 
     def __repr__(self):
         name = self.label or f"rank-{self.rank} lattice"

@@ -6,6 +6,13 @@ complement in the rank-24 Mukai lattice, the projectivity criterion via
 the signature of the algebraic part of v-perp, the transfer isometry
 between v-perp and w-perp, and the existence/irreducibility checker for
 stable bundles on surfaces with cyclic Neron-Severi group.
+
+Each fact is checked once. An NS embedding is an ``NSEmbedding``: the
+public constructor checks a given matrix, and ``standard_ns_embedding``
+builds one that is valid by construction through ``NSEmbedding._trusted``,
+so ``EmbeddedMukaiVector.from_algebraic`` re-checks neither.
+``moduli_report`` checks omega once and then runs the check-free body of
+``walls.walls_through_class``.
 """
 
 from __future__ import annotations
@@ -67,47 +74,98 @@ class EmbeddedMukaiVector:
         return gcd(*self.coords) == 1
 
     @classmethod
-    def from_algebraic(cls, v: MukaiVector, ns_embedding: IntMatrix) -> "EmbeddedMukaiVector":
+    def from_algebraic(cls, v: MukaiVector,
+                       emb: NSEmbedding | IntMatrix) -> "EmbeddedMukaiVector":
+        """(r, -a) in the first U, then the image of xi under ``emb``.
+
+        An ``NSEmbedding`` of v's NS is used as it is; a matrix, or the
+        rows of an embedding of another NS, are checked against v's NS by
+        the public ``NSEmbedding``.
+        """
         if not v.is_integral:
             raise ValidationError("only integral Mukai vectors embed in the integral lattice")
-        emb = int_matrix(ns_embedding)
-        validate_ns_embedding(v.lattice, emb)
-        # NS = 0 has the empty embedding, which has no columns to read.
-        image = exactlin.vec_mat(v.v1.num, emb) if emb else (0,) * k3_lattice().rank
-        # The square needs no check: validate_ns_embedding proved
-        # E G_Lambda E^T = G_NS, so the image has square xi^2, and (r, -a) in
-        # the first U adds -2ra; the total is xi^2 - 2ra = v^2.
+        if not isinstance(emb, NSEmbedding) or emb.ns != v.lattice:
+            emb = NSEmbedding(v.lattice, emb.rows if isinstance(emb, NSEmbedding) else emb)
+        # The image of xi is 0 off the live columns of the embedding.
+        live, sub = emb._live
+        image = [0] * k3_lattice().rank
+        for j, x in zip(live, exactlin.vec_mat(v.v1.num, sub)):
+            image[j] = x
+        # The square needs no check: an NSEmbedding has E G_Lambda E^T = G_NS,
+        # so the image has square xi^2, and (r, -a) in the first U adds -2ra;
+        # the total is xi^2 - 2ra = v^2.
         return cls((int(v.v0), -int(v.v2)) + tuple(image))
 
 
-def validate_ns_embedding(ns: Lattice, emb: IntMatrix) -> None:
-    """Check that emb rows give a primitive isometric embedding NS -> LambdaK3.
+def _live_columns(rows: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """The indices of the nonzero columns of ``rows``, and ``rows`` on them."""
+    live = tuple(j for j, col in enumerate(zip(*rows)) if any(col))
+    return live, tuple(tuple(row[j] for j in live) for row in rows)
 
-    An empty matrix is the 0 x 22 embedding of NS = 0.
+
+@record
+class NSEmbedding:
+    """A primitive isometric embedding of NS into LambdaK3 = U^3 (+) E8(-1)^2.
+
+    Row i of ``rows`` (the matrix E) is the image of the i-th basis class
+    of NS. The public constructor checks the shape, E G_Lambda E^T = G_NS
+    and primitivity, in that order; the empty matrix is the 0 x 22
+    embedding of NS = 0. The indices of E's nonzero columns and E on them
+    are kept (``_live``, no field): the checks and ``from_algebraic`` read
+    those columns only.
     """
-    lam = k3_lattice()
-    rows, cols = exactlin.shape(emb) if emb else (0, lam.rank)
-    if rows != ns.rank or cols != lam.rank:
-        raise ValidationError(
-            f"embedding must be {ns.rank}x{lam.rank}, got {rows}x{cols}"
-        )
-    # Both tests read only the columns where emb is nonzero: E G E^T sees G
-    # on supp(E) x supp(E), and a zero column is a zero row of E^T, which
-    # the Hermite form drops.
-    live = [j for j, col in enumerate(zip(*emb)) if any(col)]
-    sub = [[row[j] for j in live] for row in emb]
-    if exactlin.congruence(sub, exactlin.principal(lam.gram, live)) != ns.gram:
-        raise ValidationError("embedding does not respect the intersection form")
-    # The rows are saturated iff the columns generate Z^rows.
-    if exactlin.hermite_normal_form(exactlin.transpose(sub)) != exactlin.identity(rows):
-        raise ValidationError("embedding is not primitive (image is not saturated)")
+
+    ns: Lattice
+    rows: IntMatrix
+
+    def __post_init__(self):
+        lam = k3_lattice()
+        emb = int_matrix(self.rows)
+        rows, cols = exactlin.shape(emb) if emb else (0, lam.rank)
+        if rows != self.ns.rank or cols != lam.rank:
+            raise ValidationError(
+                f"embedding must be {self.ns.rank}x{lam.rank}, got {rows}x{cols}"
+            )
+        # Both tests read only the live columns: E G E^T sees G on
+        # supp(E) x supp(E), and a zero column is a zero row of E^T, which
+        # the Hermite form drops.
+        live, sub = _live_columns(emb)
+        if exactlin.congruence(sub, exactlin.principal(lam.gram, live)) != self.ns.gram:
+            raise ValidationError("embedding does not respect the intersection form")
+        # The rows are saturated iff the columns generate Z^rows.
+        if exactlin.hermite_normal_form(exactlin.transpose(sub)) != exactlin.identity(rows):
+            raise ValidationError("embedding is not primitive (image is not saturated)")
+        object.__setattr__(self, "rows", emb)
+        object.__setattr__(self, "_live", (live, sub))
+
+    @classmethod
+    def _trusted(cls, ns: Lattice, rows: IntMatrix) -> "NSEmbedding":
+        """The embedding ``rows`` of ``ns``, unchecked: a tuple of int tuples that
+        the caller has proved to be a primitive isometric embedding.
+
+        Stores the same fields and live columns as the public constructor and
+        skips its checks.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_live", _live_columns(rows))
+        return self
 
 
-def standard_ns_embedding(ns: Lattice) -> IntMatrix:
+def standard_ns_embedding(ns: Lattice) -> NSEmbedding:
     """Primitive embedding of a diagonal even NS of rank <= 3 into U^3.
 
     The generator of square 2k goes to e + k f in its own hyperbolic
     plane. Other shapes need a user-supplied embedding matrix.
+
+    The result is proved here, so ``NSEmbedding._trusted`` builds it:
+    - row i is e_i + k_i f_i in the i-th U, of square 2 k_i, which is the
+      i-th diagonal entry of NS;
+    - distinct U's are orthogonal, so rows i != j pair to 0, the
+      off-diagonal entry of NS; so E G_Lambda E^T = G_NS;
+    - column 2i of E is the unit vector e_i of Z^rank, so the columns
+      generate Z^rank and the image is saturated.
     """
     if ns.rank > 3:
         raise ValidationError("standard embeddings cover rank <= 3 only")
@@ -124,7 +182,7 @@ def standard_ns_embedding(ns: Lattice) -> IntMatrix:
         row[2 * i] = 1
         row[2 * i + 1] = entry // 2
         rows.append(tuple(row))
-    return tuple(rows)
+    return NSEmbedding._trusted(ns, tuple(rows))
 
 
 # -- The second cohomology lattice of the moduli space ------------------------
@@ -467,13 +525,15 @@ def moduli_report(m: K3Model, v: MukaiVector, omega: H11Class) -> ModuliReport:
     if not is_polarization(m, omega):
         reasons.append("omega is not a polarization of the model")
     elif rank_ok and v.is_integral and sq >= -2:
-        from .walls import is_generic
+        from .walls import _walls_through
 
-        genericity = is_generic(m, v, omega)
+        # omega passed is_polarization above, so the check-free body runs.
+        genericity = not _walls_through(m, v, omega)
         if not genericity:
             reasons.append("omega lies on a wall of v")
 
-    # The verdict of projectivity_check, which is n_plus(NS) >= 1 as well.
+    # The verdict of projectivity_check, which is n_plus(NS) >= 1 as well;
+    # both read the signature that K3Model stored on NS.
     projective_surface = is_projective_surface(m)
     projective_moduli = projective_surface if rank_ok and v.is_integral and sq >= 0 else None
 

@@ -53,7 +53,10 @@ class TopologicalType:
     c2: int
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _exact_int(self.r))
+        # Integer types become ints, so numpy ints cannot overflow; a float or
+        # a non-integral value raises ValidationError.
+        for name in ("r", "c2"):
+            object.__setattr__(self, name, _exact_int(getattr(self, name)))
         if self.r <= 0:
             raise HypothesisViolation("topological type requires positive rank")
 

@@ -32,7 +32,9 @@ D is a trusted vector, ``LatticeVector._trusted``: the int tuple of the
 search (a zip of ints, or a ``vec_mat`` of a saturated basis) with
 den = 1, primitive by the filter's gcd and of canonical sign by its flip,
 so no coordinate is converted and no denominator cleared. The public
-constructors keep every check.
+constructors keep every check. ``walls_through_class`` is its polarization
+check followed by the check-free ``_walls_through``, which
+``moduli.moduli_report`` runs directly once its own test has passed omega.
 """
 
 from __future__ import annotations
@@ -228,6 +230,12 @@ def walls_through_class(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wal
     defect = polarization_defect(m, omega)
     if defect:
         raise HypothesisViolation(f"walls are computed through polarizations only ({defect})")
+    return _walls_through(m, v, omega)
+
+
+def _walls_through(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wall]:
+    """``walls_through_class`` for an omega that the caller has proved to be a
+    polarization; it checks nothing of omega."""
     bound = wall_bound(v)
     perp = orthogonal_complement(m.ns, omega.ns_part)
     neg = tuple(tuple(-x for x in r) for r in perp.sub.gram)

@@ -49,10 +49,10 @@ from mukaikit.lattice import (
 )
 from mukaikit.moduli import (
     EmbeddedMukaiVector,
+    NSEmbedding,
     _hermite_coordinates,
     h2_lattice,
     standard_ns_embedding,
-    validate_ns_embedding,
 )
 from mukaikit.mukai import MukaiVector, mukai_square
 
@@ -228,7 +228,7 @@ def test_h2_from_embeddings_into_u_and_e8(where, seed):
     lam = k3_lattice().gram
     ns = Lattice(tuple(tuple(sum(x * lam[i][j] * y for i, x in enumerate(a) for j, y in enumerate(b))
                              for b in emb) for a in emb))
-    validate_ns_embedding(ns, emb)
+    NSEmbedding(ns, emb)
     while True:
         xi = [rng.randint(-3, 3) for _ in emb]
         xi2 = sum(x * ns.gram[i][j] * y for i, x in enumerate(xi) for j, y in enumerate(xi))

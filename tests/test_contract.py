@@ -19,8 +19,11 @@ whose classes enter through ``twisted.v_E``. Only ``surface`` reads the
 transcendental Gram ``t11.gram``: H^{1,1} is paired in ``K3Model`` alone.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
-``LatticeVector._trusted`` is read in ``lattice`` and ``walls`` only, and
-``Lattice._trusted`` in ``lattice`` and ``moduli`` only.
+``LatticeVector._trusted`` is read in ``lattice`` and ``walls`` only,
+``Lattice._trusted`` in ``lattice`` and ``moduli`` only, and
+``NSEmbedding._trusted`` in ``moduli`` only; the check-free body of
+``walls_through_class``, ``walls._walls_through``, is read in ``walls``
+and ``moduli`` only.
 The test oracle ``fraction_oracle`` imports no private name, no module and
 none of the exact routines it checks from ``mukaikit``.
 """
@@ -126,6 +129,8 @@ API_ENTRY_POINTS = {
     "mukai.discriminant_from_chern": "acceptance criterion 02",
     "twisted.endo_ch2": "acceptance criterion 03",
     "twisted.twisted_subobject_wall": "acceptance criterion 04",
+    "walls.is_generic": "perfbench's generic stratum calls it; moduli_report runs the "
+                        "check-free body after its own polarization test",
     "walls.destabilizer_wall": "ROADMAP item 2 checks each realised wall by its round trip",
 }
 
@@ -260,14 +265,16 @@ def test_t11_gram_check_sees_attribute_reads_only():
 
 
 # The modules that may read each unchecked constructor, with what proves its input:
-# the wall filter's ints (``walls``) and the exact reductions of validated Grams
-# (``lattice``, ``moduli``); ``lattice`` defines both.
+# the wall filter's ints (``walls``), the exact reductions of validated Grams
+# (``lattice``, ``moduli``) and the construction of the standard NS embedding
+# (``moduli``, which defines ``NSEmbedding``); ``lattice`` defines the other two.
 TRUSTED_READERS = {"LatticeVector": {"lattice.py", "walls.py"},
-                   "Lattice": {"lattice.py", "moduli.py"}}
+                   "Lattice": {"lattice.py", "moduli.py"},
+                   "NSEmbedding": {"moduli.py"}}
 
 
 def _stray_trusted_reads(tree: ast.AST, module: str) -> list[int]:
-    """Line numbers of reads of ``LatticeVector._trusted`` or ``Lattice._trusted``, bare
+    """Line numbers of reads of the ``_trusted`` of a class in ``TRUSTED_READERS``, bare
     class or attribute of a module, that ``module`` may not make."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "_trusted"
@@ -292,6 +299,42 @@ def test_trusted_read_check_flags_calls_and_aliases():
     assert _stray_trusted_reads(tree, "walls.py") == [2]
     assert _stray_trusted_reads(tree, "moduli.py") == [1, 3]
     assert _stray_trusted_reads(tree, "lattice.py") == []
+    tree = ast.parse("emb = NSEmbedding._trusted(ns, rows)\nemb = moduli.NSEmbedding._trusted\n")
+    assert _stray_trusted_reads(tree, "moduli.py") == []
+    assert _stray_trusted_reads(tree, "lattice.py") == [1, 2]
+    assert _stray_trusted_reads(tree, "cli.py") == [1, 2]
+
+
+# The check-free bodies of public functions, with the modules that may read them: the
+# one that defines it, and those that run the skipped check themselves first.
+CHECK_FREE_READERS = {"_walls_through": {"walls.py", "moduli.py"}}
+
+
+def _stray_check_free_reads(tree: ast.AST, module: str) -> list[int]:
+    """Line numbers of the names, attributes and imported names of a check-free body in
+    ``CHECK_FREE_READERS`` that ``module`` may not read."""
+    lines = set()
+    for node in ast.walk(tree):
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or (node.name if isinstance(node, ast.alias) else None))
+        if module not in CHECK_FREE_READERS.get(name, {module}):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_check_free_bodies_are_confined(path):
+    """A check-free body runs only after its caller has made the check it skips."""
+    assert not _stray_check_free_reads(ast.parse(path.read_text(encoding="utf-8")), path.name)
+
+
+def test_check_free_read_check_flags_imports_calls_and_attributes():
+    source = ("from .walls import _walls_through\nfound = _walls_through(m, v, omega)\n"
+              "found = walls._walls_through(m, v, omega)\nf = walls_through_class\n")
+    tree = ast.parse(source)
+    assert _stray_check_free_reads(tree, "cli.py") == [1, 2, 3]
+    assert _stray_check_free_reads(tree, "moduli.py") == []
+    assert _stray_check_free_reads(tree, "walls.py") == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -49,7 +49,7 @@ from mukaikit.exactlin import (
     unimodular_completion,
 )
 from mukaikit.lattice import Lattice, full_mukai_lattice, k3_lattice
-from mukaikit.moduli import standard_ns_embedding, validate_ns_embedding
+from mukaikit.moduli import NSEmbedding, standard_ns_embedding
 from mukaikit.shortvec import _integer_levels, short_vectors_up_to_sign
 
 from conftest import cleared_form, random_unimodular
@@ -516,7 +516,7 @@ def test_kernel_edge_shapes():
     assert integer_kernel_saturated((-5,)) == smith_kernel(((-5,),)) == ()
 
 
-# -- validate_ns_embedding ------------------------------------------------------------
+# -- NSEmbedding ---------------------------------------------------------------------
 
 
 def _induced(emb):
@@ -525,16 +525,16 @@ def _induced(emb):
 
 def test_ns_embedding_primitivity():
     ns = Lattice(((2, 0), (0, -2)))
-    emb = standard_ns_embedding(ns)
-    validate_ns_embedding(ns, emb)
+    emb = standard_ns_embedding(ns).rows
+    NSEmbedding(ns, emb)
     # A primitive embedding whose image is not a coordinate sublattice.
     mixed = ((1, 1, 1, 0) + (0,) * 18, (0, 0, 1, 1) + (0,) * 18)
-    validate_ns_embedding(Lattice(_induced(mixed)), mixed)
+    NSEmbedding(Lattice(_induced(mixed)), mixed)
     doubled = (tuple(2 * x for x in emb[0]), emb[1])
     repeated = (emb[0], emb[0])
     for bad in (doubled, repeated):
         with pytest.raises(ValidationError, match=r"^embedding is not primitive \(image is not saturated\)$"):
-            validate_ns_embedding(Lattice(_induced(bad)), bad)
+            NSEmbedding(Lattice(_induced(bad)), bad)
 
 
 # -- congruence_pivots ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from mukaikit import (
     transfer_multiplier,
 )
 from mukaikit.errors import HypothesisViolation, ValidationError
-from mukaikit.moduli import IrreducibilityVerdict, validate_ns_embedding
+from mukaikit.moduli import IrreducibilityVerdict, NSEmbedding
 from mukaikit.mukai import discriminant_from_chern
 
 from conftest import positive_reference, random_hyperbolic_ns, random_negative_definite_ns
@@ -71,13 +71,13 @@ def projective():
 class TestEmbedding:
     def test_standard_rank1(self, zl):
         emb = standard_ns_embedding(zl)
-        validate_ns_embedding(zl, emb)
-        assert emb[0][:2] == (1, -5)
+        assert NSEmbedding(zl, emb.rows) == emb
+        assert emb.rows[0][:2] == (1, -5)
 
     def test_standard_rank2(self):
         ns = diagonal_lattice([2, -2])
         emb = standard_ns_embedding(ns)
-        validate_ns_embedding(ns, emb)
+        assert NSEmbedding(ns, emb.rows) == emb
 
     def test_rejects_odd(self):
         with pytest.raises(ValidationError):
@@ -95,8 +95,8 @@ class TestEmbedding:
     def test_ns_zero_has_the_empty_embedding(self):
         ns = Lattice(())
         emb = standard_ns_embedding(ns)
-        assert emb == ()
-        validate_ns_embedding(ns, emb)
+        assert emb.rows == ()
+        assert NSEmbedding(ns, ()) == emb
         ev = EmbeddedMukaiVector.from_algebraic(MukaiVector(F(2), ns.zero(), F(-1)), emb)
         assert ev.coords == (2, 1) + (0,) * 22
 

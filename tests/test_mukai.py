@@ -137,6 +137,21 @@ class TestTopologicalType:
         assert tau.r == 2**40 and type(tau.r) is int
         assert TopologicalType(F(2), L, 0) == TopologicalType(2, L, 0)
 
+    @pytest.mark.parametrize("c2", [0.1, 2.5, np.float64(2.0), 1j, F(3, 2)])
+    def test_float_and_non_integral_c2_are_refused(self, L, c2):
+        """0.1 would otherwise be held, and give discriminant_from_chern a binary fraction."""
+        with pytest.raises(ValidationError,
+                           match="^.* is not an int(eger|, a Fraction or a 'p/q' string)$"):
+            TopologicalType(2, L, c2)
+
+    def test_numpy_c2_becomes_an_int(self, L):
+        tau = TopologicalType(2, L, np.int64(2**62))
+        assert tau.c2 == 2**62 and type(tau.c2) is int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tau.c2 * 4 == 2**64
+        assert TopologicalType(2, L, F(-1)) == TopologicalType(2, L, -1)
+
     def test_worked(self, zl, L):
         tau = topological_type(MukaiVector(F(2), L, F(-2)))
         assert (tau.r, tau.c1, tau.c2) == (2, L, -1)

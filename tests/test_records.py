@@ -28,6 +28,7 @@ from mukaikit.moduli import (
     H2LatticeResult,
     IrreducibilityVerdict,
     ModuliReport,
+    NSEmbedding,
     ProjectivityCheck,
 )
 from mukaikit.mukai import MukaiVector, TopologicalType
@@ -78,6 +79,7 @@ def _examples() -> dict:
         "Segment": Segment(omega, omega_prime),
         "WallCrossing": WallCrossing(wall, Fraction(1, 2)),
         "EmbeddedMukaiVector": EmbeddedMukaiVector((2, 0, 1, 1) + (0,) * 20),
+        "NSEmbedding": NSEmbedding(ns, ((1, 1) + (0,) * 20, (0, 0, 1, -1) + (0,) * 18)),
         "H2LatticeResult": H2LatticeResult(
             Lattice(((-2,),), "H2"), (0, 0, 1), (2,), ((1, 0),), False),
         "ProjectivityCheck": ProjectivityCheck(
@@ -139,6 +141,10 @@ REPRS = {
         "projective_surface=True, projective_moduli=True, interpretation_notes=('note',))"
     ),
     "MukaiVector": "(2, (1, 1), 0)",
+    "NSEmbedding": (
+        "NSEmbedding(ns=Lattice(NS), rows=((1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "
+        "0, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)))"
+    ),
     "OrthogonalComplement": "OrthogonalComplement(sub=Lattice(NS-perp), basis=((0, 1),))",
     "ProjectivityCheck": (
         "ProjectivityCheck(projective_moduli=True, surface_projective=True, gram=((Fraction(2, "
@@ -255,5 +261,7 @@ def test_post_init_normalises():
     ref = EXAMPLES["K3Model"].reference_positive
     assert K3Model(ns, ref, curve_classes=[ns.vector((1, 1))]).curve_classes == (ns.vector((1, 1)),)
     assert EmbeddedMukaiVector([1] + [0] * 23).coords == (1,) + (0,) * 23
+    rows = [[1, 1] + [0] * 20, [0, 0, 1, -1] + [0] * 18]
+    assert NSEmbedding(ns, rows).rows == tuple(map(tuple, rows))
     with pytest.raises(HypothesisViolation, match="rank >= 1"):
         TwistData(0, 0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -49,11 +50,20 @@ from mukaikit import (
     walls_crossing_segment,
     walls_through_class,
 )
+from mukaikit import lattice as lattice_module
 from mukaikit import shortvec
+from mukaikit import surface as surface_module
+from mukaikit import walls as walls_module
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from mukaikit.exactlin import bilinear, is_symmetric, mat_vec, vec_mat
 from mukaikit.lattice import full_mukai_lattice, orthogonal_complement
-from mukaikit.moduli import EmbeddedMukaiVector, h2_lattice
+from mukaikit.moduli import (
+    EmbeddedMukaiVector,
+    NSEmbedding,
+    h2_lattice,
+    moduli_report,
+    standard_ns_embedding,
+)
 from mukaikit.surface import polarization_defect
 from mukaikit.walls import Wall, WallCrossing
 
@@ -255,6 +265,119 @@ def test_trusted_h2_lattice_matches_public_constructor(square):
         comp = orthogonal_complement(mukai, mukai.vector(v.coords))
         assert len(comp.basis) == 23
         _assert_trusted_lattice(comp.sub, "Mukai-perp", 23)
+
+
+# -- The trusted NS embedding ---------------------------------------------------------
+
+
+def _diagonal_even_ns(entries: range):
+    """Every diagonal NS of rank 0 to 3 whose entries are the even numbers of ``entries``."""
+    evens = [e for e in entries if e % 2 == 0]
+    for rank in range(4):
+        for diag in product(evens, repeat=rank):
+            yield diagonal_lattice(list(diag))
+
+
+def test_standard_embedding_matches_the_public_constructor():
+    """``standard_ns_embedding`` builds through ``NSEmbedding._trusted``; the public
+    constructor, which checks isometry and primitivity, gives the same record."""
+    count = 0
+    for ns in _diagonal_even_ns(range(-12, 13)):
+        trusted = standard_ns_embedding(ns)
+        public = NSEmbedding(ns, trusted.rows)
+        _assert_twins(trusted, public)
+        assert trusted._live == public._live
+        assert type(trusted.rows) is tuple
+        assert all(type(row) is tuple and all(type(x) is int for x in row)
+                   for row in trusted.rows)
+        count += 1
+    assert count == 1 + 13 + 13 ** 2 + 13 ** 3
+
+
+def test_public_embedding_rejects_one_entry_changed():
+    """Each entry of row i on its own U (e_i, f_i) and on an E8(-1) summand, moved by
+    +-1, breaks the square of row i, a pairing or the saturation; the public
+    constructor refuses it with one of its messages."""
+    messages = {"embedding does not respect the intersection form",
+                "embedding is not primitive (image is not saturated)"}
+    for ns in _diagonal_even_ns(range(-4, 5)):
+        rows = standard_ns_embedding(ns).rows
+        for i, j, step in product(range(ns.rank), range(3), (1, -1)):
+            col = (2 * i, 2 * i + 1, 6 + 8 * (i % 2) + i)[j]
+            bad = [list(row) for row in rows]
+            bad[i][col] += step
+            with pytest.raises(ValidationError) as info:
+                NSEmbedding(ns, bad)
+            assert str(info.value) in messages
+
+
+@pytest.mark.parametrize("other, message", [
+    (diagonal_lattice([-2]), "embedding does not respect the intersection form"),
+    (diagonal_lattice([2, -2]), "embedding must be 1x22, got 2x22"),
+    (Lattice(()), "embedding must be 1x22, got 0x22"),
+])
+def test_from_algebraic_checks_an_embedding_of_another_ns(other, message):
+    """An ``NSEmbedding`` of another Gram is checked against v's NS, with the message
+    that its rows as a bare matrix give."""
+    v = MukaiVector(F(2), diagonal_lattice([-10]).basis_vector(0), F(-3))
+    emb = standard_ns_embedding(other)
+    for given in (emb, emb.rows):
+        with pytest.raises(ValidationError) as info:
+            EmbeddedMukaiVector.from_algebraic(v, given)
+        assert str(info.value) == message
+
+
+def test_from_algebraic_reads_the_live_columns_only():
+    """The image on the live columns equals xi times the whole embedding matrix."""
+    rng = random.Random(3401)
+    for ns in _diagonal_even_ns(range(-6, 7)):
+        emb = standard_ns_embedding(ns)
+        xi = tuple(rng.randint(-4, 4) for _ in range(ns.rank))
+        xi2 = bilinear(ns.gram, xi, xi)
+        v = MukaiVector(F(2), ns.vector(xi), F(rng.randint(-3, 3)))
+        embedded = EmbeddedMukaiVector.from_algebraic(v, emb)
+        whole = vec_mat(xi, emb.rows) if ns.rank else (0,) * 22
+        assert embedded.coords == (2, -int(v.v2)) + whole
+        assert embedded.square() == xi2 - 4 * v.v2
+
+
+# -- Each report fact once ------------------------------------------------------------
+
+
+def _counting(monkeypatch, module, name: str, seen: list) -> None:
+    """Record the first argument of every call of ``module.name``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_report_reduces_ns_once_and_checks_omega_once(monkeypatch):
+    """``K3Model`` reduces NS for its signature and ``moduli_report`` reads the kept
+    one; ``moduli_report`` tests omega once and runs the check-free wall body."""
+    signatures, defects = [], []
+    _counting(monkeypatch, lattice_module, "rational_signature", signatures)
+    for module in (surface_module, walls_module):
+        _counting(monkeypatch, module, "polarization_defect", defects)
+    ns = Lattice(((2, 0), (0, -2)), "NS")  # a fresh instance: nothing kept yet
+    t11 = Lattice(((-2,),), "T")
+    model = K3Model(ns=ns, reference_positive=H11Class(ns.basis_vector(0), t11.zero()), t11=t11)
+    v = MukaiVector(F(2), ns.vector((1, 0)), F(-1))
+    report = moduli_report(model, v, model.h11((3, 1), (1,)))
+    assert report.genericity is not None and report.projective_surface
+    assert [g for g in signatures if g == ns.gram] == [ns.gram]
+    assert defects == [model]
+
+
+def test_kept_signature_is_invisible_to_identity_and_repr():
+    fresh, kept = Lattice(((2, 1), (1, -2)), "L"), Lattice(((2, 1), (1, -2)), "L")
+    assert kept.signature() == (1, 0, 1)
+    assert "_signature" in vars(kept) and "_signature" not in vars(fresh)
+    _assert_twins(kept, fresh)
+    assert kept.signature() == fresh.signature()
 
 
 # -- Primitive hits only --------------------------------------------------------------

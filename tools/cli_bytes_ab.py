@@ -14,7 +14,13 @@ interpreter per tree, with the configs in one shared temporary directory:
 - ``h2`` in text and json on 40 seeded configs with an explicit NS
   embedding that reaches E8(-1) (one or two E8(-1) rows, with or without a
   row in a U summand): 10 with v^2 = 0, one with v^2 = 200 and 29 with
-  seeded even v^2 between.
+  seeded even v^2 between;
+- ``h2`` in text and json on invalid NS embeddings: wrong shapes (rows
+  too short, too few or too many rows, ragged rows), a non-isometric
+  embedding, an isometric one that is not primitive, and the empty 0 x 22
+  embedding on a nonzero NS, each with an integral Mukai vector and with
+  rank 3/2, so that the order of the integrality message and the
+  embedding messages is compared too.
 Each case's (exit code, stdout, stderr) must be equal on the two trees. The
 script prints the cases that differ and exits 1 if there are any.
 Uses the standard library only.
@@ -115,6 +121,33 @@ def h2_embedding_configs(rng: random.Random) -> list[dict]:
     return configs
 
 
+def h2_invalid_embedding_configs() -> list[dict]:
+    """Configs whose embedding the ``h2`` command must refuse, each with an integral
+    Mukai vector and with rank 3/2."""
+    hyperbolic = {"ns_gram": [[2, 0], [0, -2]], "reference_positive": [1, 0]}
+    definite = {"ns_gram": [[-8]], "t11_gram": [[2]], "reference_positive": [0, 1]}
+    u_row = lambda k, plane: [0] * (2 * plane) + [1, k] + [0] * (20 - 2 * plane)
+    root = [0] * 6 + [2] + [0] * 15  # twice a root of E8(-1): square -8, not primitive
+    cases = [
+        (hyperbolic, [row[:21] for row in (u_row(1, 0), u_row(-1, 1))]),  # 2 x 21
+        (hyperbolic, [u_row(1, 0)]),  # 1 x 22
+        (hyperbolic, [u_row(1, 0), u_row(-1, 1), u_row(0, 2)]),  # 3 x 22
+        (hyperbolic, [u_row(1, 0), u_row(-1, 1)[:21]]),  # ragged
+        (hyperbolic, [u_row(2, 0), u_row(-1, 1)]),  # square 4, not 2
+        (hyperbolic, [u_row(1, 0), [0, 1, 1, -1] + [0] * 18]),  # rows pair to 1, not 0
+        (definite, [root]),
+        (hyperbolic, []),  # 0 x 22 on a rank-2 NS
+        (definite, []),
+    ]
+    configs = []
+    for surface, emb in cases:
+        xi, a = ([1, 0], -1) if len(surface["ns_gram"]) == 2 else ([1], -3)
+        for r in (2, "3/2"):
+            configs.append({"surface": surface, "mukai": {"r": r, "xi": xi, "a": a},
+                            "embedding": emb})
+    return configs
+
+
 def build_cases(tmp: Path) -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -141,6 +174,10 @@ def build_cases(tmp: Path) -> list[list[str]]:
                   for fmt in ("text", "json")]
     for k, cfg in enumerate(h2_embedding_configs(random.Random(H2_SEED))):
         path = tmp / f"h2-e8-{k}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        cases += [["h2", "--config", str(path), "--format", fmt] for fmt in ("text", "json")]
+    for k, cfg in enumerate(h2_invalid_embedding_configs()):
+        path = tmp / f"h2-invalid-{k}.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         cases += [["h2", "--config", str(path), "--format", fmt] for fmt in ("text", "json")]
     return cases
