@@ -116,11 +116,6 @@ def is_symmetric(m: Sequence[Sequence]) -> bool:
     return tuple(map(tuple, m)) == tuple(zip(*m))
 
 
-def principal(m: Sequence[Sequence[int]], block: Sequence[int]) -> list[list[int]]:
-    """The principal submatrix of m on the indices ``block``, in their order."""
-    return [[m[i][j] for j in block] for i in block]
-
-
 def unimodular_completion(row: Sequence[int]) -> IntMatrix:
     """A unimodular matrix whose first row is the primitive ``row``.
 

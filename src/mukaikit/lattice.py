@@ -5,7 +5,10 @@ negative definite E8 lattice, diagonal lattices and direct sums, with
 pairings, saturated orthogonal complements and discriminant groups, all
 in exact arithmetic. A lattice reduces its Gram for its signature once and
 keeps the result, so a model's NS is reduced when ``K3Model`` is built and
-every later verdict reads the kept signature.
+every later verdict reads the kept signature. The unchecked constructors
+that ``record`` generates take proved fields only: ``Lattice._trusted`` a Gram
+built from validated ones, and ``LatticeVector._trusted(lattice, num)`` an
+int tuple of the lattice's rank, over the default den = 1.
 """
 
 from __future__ import annotations
@@ -42,18 +45,6 @@ class Lattice:
             raise ValidationError("Gram matrix must be square")
         if not exactlin.is_symmetric(gram):
             raise ValidationError("Gram matrix must be symmetric")
-
-    @classmethod
-    def _trusted(cls, gram: IntMatrix, label: str) -> "Lattice":
-        """The lattice of ``gram``, unchecked: a symmetric tuple of int tuples.
-
-        For a Gram assembled from validated blocks; stores the same fields
-        as the public constructor and skips ``__post_init__``.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "label", label)
-        return self
 
     @property
     def rank(self) -> int:
@@ -137,20 +128,6 @@ class LatticeVector:
             raise ValidationError(
                 f"vector of length {len(num)} in a rank-{self.lattice.rank} lattice"
             )
-
-    @classmethod
-    def _trusted(cls, lattice: Lattice, num: tuple[int, ...]) -> "LatticeVector":
-        """The integral vector ``num`` of ``lattice``, unchecked: a tuple of Python
-        ints of its rank, so den = 1 is lowest terms.
-
-        For a class whose coordinates the caller has proved; stores the same
-        fields as the public constructor and skips ``__post_init__``.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", 1)
-        return self
 
     @property
     def coords(self) -> tuple[Fraction, ...]:

@@ -10,7 +10,10 @@ stable bundles on surfaces with cyclic Neron-Severi group.
 Each fact is checked once. An NS embedding is an ``NSEmbedding``: the
 public constructor checks a given matrix, and ``standard_ns_embedding``
 builds one that is valid by construction through ``NSEmbedding._trusted``,
-so ``EmbeddedMukaiVector.from_algebraic`` re-checks neither.
+the unchecked constructor that ``records.record`` generates, so
+``EmbeddedMukaiVector.from_algebraic`` re-checks neither. The existence
+checker and the irreducibility oracle take integers and exact values only,
+through the converters of ``lattice``.
 ``moduli_report`` checks omega once and then runs the check-free body of
 ``walls.walls_through_class``.
 """
@@ -26,6 +29,8 @@ from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import IntMatrix, int_matrix
 from .lattice import (
     Lattice,
+    _exact,
+    _exact_int,
     coprime_rank_class,
     full_mukai_blocks,
     full_mukai_lattice,
@@ -86,21 +91,12 @@ class EmbeddedMukaiVector:
             raise ValidationError("only integral Mukai vectors embed in the integral lattice")
         if not isinstance(emb, NSEmbedding) or emb.ns != v.lattice:
             emb = NSEmbedding(v.lattice, emb.rows if isinstance(emb, NSEmbedding) else emb)
-        # The image of xi is 0 off the live columns of the embedding.
-        live, sub = emb._live
-        image = [0] * k3_lattice().rank
-        for j, x in zip(live, exactlin.vec_mat(v.v1.num, sub)):
-            image[j] = x
+        # xi E, or 22 zeros for the 0 x 22 embedding of NS = 0.
+        image = exactlin.vec_mat(v.v1.num, emb.rows) if emb.rows else (0,) * k3_lattice().rank
         # The square needs no check: an NSEmbedding has E G_Lambda E^T = G_NS,
         # so the image has square xi^2, and (r, -a) in the first U adds -2ra;
         # the total is xi^2 - 2ra = v^2.
-        return cls((int(v.v0), -int(v.v2)) + tuple(image))
-
-
-def _live_columns(rows: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
-    """The indices of the nonzero columns of ``rows``, and ``rows`` on them."""
-    live = tuple(j for j, col in enumerate(zip(*rows)) if any(col))
-    return live, tuple(tuple(row[j] for j in live) for row in rows)
+        return cls((int(v.v0), -int(v.v2)) + image)
 
 
 @record
@@ -110,9 +106,7 @@ class NSEmbedding:
     Row i of ``rows`` (the matrix E) is the image of the i-th basis class
     of NS. The public constructor checks the shape, E G_Lambda E^T = G_NS
     and primitivity, in that order; the empty matrix is the 0 x 22
-    embedding of NS = 0. The indices of E's nonzero columns and E on them
-    are kept (``_live``, no field): the checks and ``from_algebraic`` read
-    those columns only.
+    embedding of NS = 0.
     """
 
     ns: Lattice
@@ -126,31 +120,13 @@ class NSEmbedding:
             raise ValidationError(
                 f"embedding must be {self.ns.rank}x{lam.rank}, got {rows}x{cols}"
             )
-        # Both tests read only the live columns: E G E^T sees G on
-        # supp(E) x supp(E), and a zero column is a zero row of E^T, which
-        # the Hermite form drops.
-        live, sub = _live_columns(emb)
-        if exactlin.congruence(sub, exactlin.principal(lam.gram, live)) != self.ns.gram:
+        if exactlin.congruence(emb, lam.gram) != self.ns.gram:
             raise ValidationError("embedding does not respect the intersection form")
-        # The rows are saturated iff the columns generate Z^rows.
-        if exactlin.hermite_normal_form(exactlin.transpose(sub)) != exactlin.identity(rows):
+        # The rows are saturated iff the columns generate Z^rows; the Hermite
+        # form drops the zero rows of E^T.
+        if exactlin.hermite_normal_form(exactlin.transpose(emb)) != exactlin.identity(rows):
             raise ValidationError("embedding is not primitive (image is not saturated)")
         object.__setattr__(self, "rows", emb)
-        object.__setattr__(self, "_live", (live, sub))
-
-    @classmethod
-    def _trusted(cls, ns: Lattice, rows: IntMatrix) -> "NSEmbedding":
-        """The embedding ``rows`` of ``ns``, unchecked: a tuple of int tuples that
-        the caller has proved to be a primitive isometric embedding.
-
-        Stores the same fields and live columns as the public constructor and
-        skips its checks.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_live", _live_columns(rows))
-        return self
 
 
 def standard_ns_embedding(ns: Lattice) -> NSEmbedding:
@@ -159,7 +135,8 @@ def standard_ns_embedding(ns: Lattice) -> NSEmbedding:
     The generator of square 2k goes to e + k f in its own hyperbolic
     plane. Other shapes need a user-supplied embedding matrix.
 
-    The result is proved here, so ``NSEmbedding._trusted`` builds it:
+    The result is proved here, so the unchecked ``NSEmbedding._trusted``
+    builds it:
     - row i is e_i + k_i f_i in the i-th U, of square 2 k_i, which is the
       i-th diagonal entry of NS;
     - distinct U's are orthogonal, so rows i != j pair to 0, the
@@ -399,9 +376,13 @@ def irreducibility_oracle(r: int, xi_square, delta) -> IrreducibilityVerdict:
     or -xi_square r1 / (2 r2 r^2): least at (r-1, 0) and (1, 1), with
     value -xi_square / (2 r^2 (r-1)). The least witness is (1, 0) when
     r = 2 and (1, 1) otherwise.
+
+    r goes through ``lattice._exact_int``, and xi_square and delta through
+    ``lattice._exact``, so a float or a non-integral rank raises.
     """
-    xi_square = Fraction(xi_square)
-    delta = Fraction(delta)
+    r = _exact_int(r)
+    xi_square = Fraction(_exact(xi_square))
+    delta = Fraction(_exact(delta))
     if r < 1:
         raise HypothesisViolation("rank must be >= 1")
     if xi_square >= 0:
@@ -435,8 +416,10 @@ def bundle_existence_check(r: int, d: int, g: int) -> ExistenceVerdict:
     g = d/2 (mod r); then NS = Z L with L^2 = 2g-2 carries rank-r sheaves
     with c1 = L, discriminant (d + 2r^2 - 2)/(2r^2), and their moduli
     space has dimension d. The irreducibility oracle confirms there is no
-    destabilizing decomposition.
+    destabilizing decomposition. r, d and g go through ``lattice._exact_int``,
+    so a float or a non-integer raises.
     """
+    r, d, g = map(_exact_int, (r, d, g))
     if r < 1:
         raise HypothesisViolation("rank must be >= 1")
     failures = []

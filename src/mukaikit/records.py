@@ -3,7 +3,10 @@
 ``record`` gives a class one generated ``__init__`` (then ``__post_init__``),
 ``==`` and ``hash`` on the same type and the fields outside ``uncompared``, a
 field ``repr`` unless the class writes one, ``__match_args__``, and
-``FrozenRecordError`` on assigning or deleting a field.
+``FrozenRecordError`` on assigning or deleting a field. The private
+classmethod ``_trusted``, with the parameters and defaults of ``__init__``,
+stores the fields as given and skips ``__post_init__``: it is for fields that
+the caller has proved, and a contract test names the modules that may call it.
 """
 
 from operator import attrgetter
@@ -21,12 +24,13 @@ def record(cls=None, /, *, uncompared=()):
     if cls is None:
         return lambda cls: record(cls, uncompared=uncompared)
     names = tuple(vars(cls).get("__annotations__", ()))
-    namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
+    namespace = {"_set": object.__setattr__, "_new": object.__new__, "__name__": cls.__module__}
     namespace.update((f"_d_{n}", vars(cls)[n]) for n in names if n in vars(cls))
     params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in namespace else f", {n}" for n in names)
     body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
-    body += "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    exec(f"def __init__(self{params}):{body or ' pass'}", namespace)
+    post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self{params}):{body + post or ' pass'}\n"
+         f"def _trusted(cls{params}):\n self = _new(cls){body}\n return self", namespace)
     compared = [n for n in names if n not in uncompared]
     key = attrgetter(*compared)  # the value of one field, the tuple of several
 
@@ -40,8 +44,10 @@ def record(cls=None, /, *, uncompared=()):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
         return f"{self.__class__.__qualname__}({fields})"
 
-    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    for name in ("__init__", "_trusted"):
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
     cls.__init__, cls.__eq__, cls.__hash__ = namespace["__init__"], __eq__, __hash__
+    cls._trusted = classmethod(namespace["_trusted"])
     cls.__setattr__, cls.__delattr__, cls.__match_args__ = _frozen, _frozen, names
     if "__repr__" not in vars(cls):
         cls.__repr__ = __repr__

@@ -25,15 +25,15 @@ Crossings are sorted by an exact integer key (see
 
 Each fact is checked once. The search and the filter prove on ints that
 a returned class is primitive, has canonical sign and satisfies
--bound <= D^2 < 0, so the returned walls are built by the private
-``Wall._trusted``, which skips the checks of ``Wall``; it stores the
-same D, D^2 and bound as ``Wall``, and only for the walls returned. Its
-D is a trusted vector, ``LatticeVector._trusted``: the int tuple of the
-search (a zip of ints, or a ``vec_mat`` of a saturated basis) with
-den = 1, primitive by the filter's gcd and of canonical sign by its flip,
-so no coordinate is converted and no denominator cleared. The public
-constructors keep every check. ``walls_through_class`` is its polarization
-check followed by the check-free ``_walls_through``, which
+-bound <= D^2 < 0, so the returned walls are built by ``Wall._trusted``,
+the unchecked constructor that ``records.record`` generates: it stores
+D, D^2 and bound as given and skips the checks of ``Wall``, and only the
+walls returned are built. Their D is ``LatticeVector._trusted``: the int
+tuple of the search (a zip of ints, or a ``vec_mat`` of a saturated
+basis) with den = 1, primitive by the filter's gcd and of canonical sign
+by its flip, so no coordinate is converted and no denominator cleared.
+The public constructors keep every check. ``walls_through_class`` is its
+polarization check followed by the check-free ``_walls_through``, which
 ``moduli.moduli_report`` runs directly once its own test has passed omega.
 """
 
@@ -47,7 +47,7 @@ from operator import mul, neg
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import bilinear, mat_vec, vec_mat
-from .lattice import Lattice, LatticeVector, orthogonal_complement
+from .lattice import LatticeVector, _exact_int, orthogonal_complement
 from .mukai import MukaiVector, discriminant
 from .records import record
 from .surface import H11Class, K3Model, polarization_defect
@@ -100,20 +100,6 @@ class Wall:
         if sq != d_square:
             raise ValidationError(f"wall square {sq} is not D^2={d_square} for D={d!r}")
 
-    @classmethod
-    def _trusted(cls, ns: Lattice, key: tuple[int, ...], sq: int, bound: Fraction) -> "Wall":
-        """The wall of the primitive canonical ``key`` with square ``sq``, unchecked.
-
-        For classes that ``_in_bound`` has proved to be walls; stores the
-        same fields as the public constructor and skips ``__post_init__``.
-        ``key`` is an int tuple of the search, so D is ``LatticeVector._trusted``.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "d", LatticeVector._trusted(ns, key))
-        object.__setattr__(self, "d_square", Fraction(sq))
-        object.__setattr__(self, "bound", bound)
-        return self
-
 
 def wall_set_is_empty(m: K3Model, v: MukaiVector) -> bool | None:
     """Whether no NS class at all satisfies the wall inequality.
@@ -151,10 +137,11 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
 
     Genuine slope-equal subsheaf data always lands in the closed range
     [-r^4 Delta/2, 0]; anything outside is reported as an inconsistency
-    rather than silently kept.
+    rather than silently kept. s goes through ``lattice._exact_int``, so a
+    float or a non-integral rank raises before the range check.
     """
     bound = wall_bound(v)
-    r = v.v0.numerator
+    r, s = v.v0.numerator, _exact_int(s)
     if not 0 < s < r:
         raise HypothesisViolation(f"subsheaf rank {s} must lie strictly between 0 and {r}")
     d = zeta.scale(r) - v.v1.scale(s)
@@ -242,7 +229,8 @@ def _walls_through(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wall]:
     hits = shortvec.short_vectors_up_to_sign(neg, bound)
     found = _in_bound(m.ns.gram, bound, (vec_mat(x, perp.basis) for x in hits))
     found.sort(key=lambda kv: (-kv[1], kv[0]))
-    return [Wall._trusted(m.ns, key, sq, bound) for key, sq in found]
+    return [Wall._trusted(LatticeVector._trusted(m.ns, key), Fraction(sq), bound)
+            for key, sq in found]
 
 
 @record
@@ -365,7 +353,8 @@ def walls_crossing_segment(m: K3Model, v: MukaiVector, seg: Segment) -> list[Wal
             f"D={m.ns.vector(key)!r} with D^2={-neg_sq}"
         )
     _sort_by_t(crossings)
-    return [WallCrossing(Wall._trusted(m.ns, key, sq, bound), Fraction(p, n))
+    return [WallCrossing(Wall._trusted(LatticeVector._trusted(m.ns, key), Fraction(sq), bound),
+                         Fraction(p, n))
             for p, n, key, sq in crossings]
 
 

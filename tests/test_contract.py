@@ -19,11 +19,13 @@ whose classes enter through ``twisted.v_E``. Only ``surface`` reads the
 transcendental Gram ``t11.gram``: H^{1,1} is paired in ``K3Model`` alone.
 Denominators are cleared where a ``LatticeVector`` is built and in
 ``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
+Every record has the unchecked constructor ``_trusted``, and a read of one is
+allowed only where ``TRUSTED_READERS`` lists its class:
 ``LatticeVector._trusted`` is read in ``lattice`` and ``walls`` only,
-``Lattice._trusted`` in ``lattice`` and ``moduli`` only, and
-``NSEmbedding._trusted`` in ``moduli`` only; the check-free body of
-``walls_through_class``, ``walls._walls_through``, is read in ``walls``
-and ``moduli`` only.
+``Lattice._trusted`` in ``lattice`` and ``moduli`` only, ``Wall._trusted`` in
+``walls`` only, and ``NSEmbedding._trusted`` in ``moduli`` only. The
+check-free body of ``walls_through_class``, ``walls._walls_through``, is read
+in ``walls`` and ``moduli`` only.
 The test oracle ``fraction_oracle`` imports no private name, no module and
 none of the exact routines it checks from ``mukaikit``.
 """
@@ -267,20 +269,23 @@ def test_t11_gram_check_sees_attribute_reads_only():
 # The modules that may read each unchecked constructor, with what proves its input:
 # the wall filter's ints (``walls``), the exact reductions of validated Grams
 # (``lattice``, ``moduli``) and the construction of the standard NS embedding
-# (``moduli``, which defines ``NSEmbedding``); ``lattice`` defines the other two.
+# (``moduli``). ``record`` gives every record a ``_trusted``; a class that is not
+# listed here may have its own read nowhere, and only ``records`` assigns one.
 TRUSTED_READERS = {"LatticeVector": {"lattice.py", "walls.py"},
                    "Lattice": {"lattice.py", "moduli.py"},
+                   "Wall": {"walls.py"},
                    "NSEmbedding": {"moduli.py"}}
 
 
 def _stray_trusted_reads(tree: ast.AST, module: str) -> list[int]:
-    """Line numbers of reads of the ``_trusted`` of a class in ``TRUSTED_READERS``, bare
-    class or attribute of a module, that ``module`` may not make."""
+    """Line numbers of the reads of a ``_trusted``, on a bare class or on an attribute
+    of a module, that ``TRUSTED_READERS`` does not allow ``module`` to make, and of
+    its assignments outside ``records``."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "_trusted"
-                  and module not in TRUSTED_READERS.get(
+                  and module not in (TRUSTED_READERS.get(
                       getattr(node.value, "id", None) or getattr(node.value, "attr", None),
-                      {module}))
+                      ()) if isinstance(node.ctx, ast.Load) else {"records.py"}))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -292,13 +297,18 @@ def test_trusted_constructors_are_confined(path):
 
 def test_trusted_read_check_flags_calls_and_aliases():
     source = ("d = LatticeVector._trusted(ns, key)\nsub = lattice.Lattice._trusted(g, 'x')\n"
-              "make = LatticeVector._trusted\nw = Wall._trusted(ns, key, sq, b)\n"
-              "self = cls._trusted(g, '')\n")
+              "make = LatticeVector._trusted\nw = Wall._trusted(d, sq, b)\n"
+              "self = cls._trusted(g, '')\ncfg = Config._trusted(m, v, w, w2, None, None, None)\n")
     tree = ast.parse(source)
-    assert _stray_trusted_reads(tree, "config.py") == [1, 2, 3]
-    assert _stray_trusted_reads(tree, "walls.py") == [2]
-    assert _stray_trusted_reads(tree, "moduli.py") == [1, 3]
-    assert _stray_trusted_reads(tree, "lattice.py") == []
+    # Unlisted: ``Config`` and ``cls`` are flagged in every module.
+    assert _stray_trusted_reads(tree, "config.py") == [1, 2, 3, 4, 5, 6]
+    assert _stray_trusted_reads(tree, "cli.py") == [1, 2, 3, 4, 5, 6]
+    assert _stray_trusted_reads(tree, "walls.py") == [2, 5, 6]
+    assert _stray_trusted_reads(tree, "moduli.py") == [1, 3, 4, 5, 6]
+    assert _stray_trusted_reads(tree, "lattice.py") == [4, 5, 6]
+    tree = ast.parse("cls._trusted = classmethod(make)\ndel Wall._trusted\n")
+    assert _stray_trusted_reads(tree, "records.py") == []
+    assert _stray_trusted_reads(tree, "walls.py") == [1, 2]
     tree = ast.parse("emb = NSEmbedding._trusted(ns, rows)\nemb = moduli.NSEmbedding._trusted\n")
     assert _stray_trusted_reads(tree, "moduli.py") == []
     assert _stray_trusted_reads(tree, "lattice.py") == [1, 2]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,6 +283,17 @@ class TestIrreducibilityOracle:
         assert verdict.witness == (1, 1)
         assert verdict.min_lower_bound == F(10, 2 * 10**24 * (10**12 - 1))
 
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, -2, 0), "^2.5 is not an int"),
+        ((F(5, 2), -2, 0), "^5/2 is not an integer$"),
+        ((2, -2.0, 0), "^-2.0 is not an int"),
+        ((2, -2, 0.5), "^0.5 is not an int"),
+    ])
+    def test_refuses_a_float_and_a_non_integral_rank(self, args, message):
+        """No float reaches the verdict: 2.5 gave a float ``min_lower_bound``."""
+        with pytest.raises(ValidationError, match=message):
+            irreducibility_oracle(*args)
+
     def test_closed_form_matches_the_loop(self):
         for r in range(2, 201):
             for xi2 in (-2, -6, -10, -58, -122, -2 * r * r):
@@ -313,6 +325,23 @@ class TestExistence:
         verdict = bundle_existence_check(2, 4, -4)
         assert not verdict.accepted
         assert any("[0, 2]" in f for f in verdict.failures)
+
+    @pytest.mark.parametrize("args, message", [
+        ((F(5, 2), 0, -30), "^5/2 is not an integer$"),
+        ((2.0, 0, -3), "^2.0 is not an int"),
+        ((2, F(1, 2), -4), "^1/2 is not an integer$"),
+        ((2, 0, -4.0), "^-4.0 is not an int"),
+    ])
+    def test_refuses_a_float_and_a_non_integer(self, args, message):
+        """r = 5/2 was accepted with the Mukai vector (5/2, (1), -12), and r = 2.0
+        printed "modulo 2.0"."""
+        with pytest.raises(ValidationError, match=message):
+            bundle_existence_check(*args)
+
+    def test_accepts_other_integer_types(self):
+        verdict = bundle_existence_check(F(2), np.int64(0), F(-4))
+        assert verdict == bundle_existence_check(2, 0, -4)
+        assert (type(verdict.r), type(verdict.d), type(verdict.g)) == (int, int, int)
 
     def test_accepted_family_consistency(self):
         # Valid inputs across ranks: induced invariants satisfy both

@@ -7,7 +7,10 @@ it is covered. For every example: equality is strict on type, equal
 records hash alike and the hash is the hash of the tuple of compared
 fields (every field but ``Lattice.label``), fields cannot be assigned or
 deleted, positional, keyword and default construction agree,
-``__post_init__`` normalises, and ``repr`` reads as it always has.
+``__post_init__`` normalises, and ``repr`` reads as it always has. Every
+record has the generated unchecked constructor ``_trusted``: it takes the
+parameters and defaults of ``__init__``, stores each field as given, runs no
+``__post_init__``, and on valid fields equals the public record.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import pytest
 
 import mukaikit
 from mukaikit.config import Config
-from mukaikit.errors import HypothesisViolation
+from mukaikit.errors import HypothesisViolation, ValidationError
 from mukaikit.lattice import Lattice, LatticeVector, OrthogonalComplement
 from mukaikit.moduli import (
     EmbeddedMukaiVector,
@@ -265,3 +268,53 @@ def test_post_init_normalises():
     assert NSEmbedding(ns, rows).rows == tuple(map(tuple, rows))
     with pytest.raises(HypothesisViolation, match="rank >= 1"):
         TwistData(0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_trusted_stores_the_fields_as_given(name):
+    x = EXAMPLES[name]
+    cls = type(x)
+    for trusted in (cls._trusted(*_fields(x)),
+                    cls._trusted(**{f: getattr(x, f) for f in cls.__match_args__})):
+        assert type(trusted) is cls and trusted is not x
+        assert all(a is b for a, b in zip(_fields(trusted), _fields(x), strict=True))
+        assert trusted == x and hash(trusted) == hash(x) and repr(trusted) == repr(x)
+    with pytest.raises(TypeError, match=rf"^{name}\._trusted\(\)"):
+        cls._trusted(*_fields(x), None)
+
+
+def test_every_record_has_the_generated_trusted_constructor():
+    """No class writes its own: ``_trusted`` is the one ``record`` generates, also on
+    records that no library code builds unchecked, such as ``Segment``."""
+    for name, cls in RECORDS.items():
+        made = vars(cls)["_trusted"].__func__
+        assert made.__qualname__ == f"{name}._trusted"
+        assert made.__code__.co_filename == "<string>"
+    omega, omega_prime = EXAMPLES["Segment"].start, EXAMPLES["Segment"].end
+    assert Segment._trusted(omega, omega_prime) == Segment(omega, omega_prime)
+
+
+def test_trusted_applies_the_defaults():
+    ns = EXAMPLES["Lattice"]
+    ref = EXAMPLES["K3Model"].reference_positive
+    assert LatticeVector._trusted(ns, (1, 2)).den == 1
+    assert LatticeVector._trusted(ns, (1, 2)) == LatticeVector(ns, (1, 2))
+    assert Lattice._trusted(ns.gram).label == ""
+    assert K3Model._trusted(ns, ref).t11 is K3Model.t11
+    assert K3Model._trusted(ns, ref).curve_classes == ()
+    verdict = ExistenceVerdict._trusted(False, ("no",), 2, 0, -4)
+    assert verdict == ExistenceVerdict(False, ("no",), 2, 0, -4)
+    assert TwistData._trusted(1, 0).b_field is None
+
+
+def test_trusted_runs_no_post_init():
+    """``MukaiVector`` refuses a float; ``_trusted`` keeps one, and a list, as given."""
+    xi = EXAMPLES["LatticeVector"]
+    with pytest.raises(ValidationError):
+        MukaiVector(0.5, xi, 0)
+    v = MukaiVector._trusted(0.5, xi, 0)
+    assert type(v.v0) is float and type(v.v2) is int
+    ns = EXAMPLES["Lattice"]
+    rows = [[1, 1] + [0] * 20, [0, 0, 1, -1] + [0] * 18]
+    assert type(NSEmbedding._trusted(ns, rows).rows) is list
+    assert type(NSEmbedding(ns, rows).rows) is tuple

@@ -177,6 +177,20 @@ class TestDestabilizer:
                            match=f"^subsheaf rank {s} must lie strictly between 0 and 2$"):
             destabilizer_wall(v, s, rank2_model.ns.zero())
 
+    @pytest.mark.parametrize("s, message", [
+        (1.5, "^1.5 is not an int, a Fraction or a 'p/q' string$"),
+        (F(3, 2), "^3/2 is not an integer$"),
+        (0.1, "^0.1 is not an int, a Fraction or a 'p/q' string$"),
+    ])
+    def test_subsheaf_rank_must_be_an_integer(self, rank2_model, s, message):
+        """A subsheaf rank is an integer: 3/2, as a float or a Fraction, gives no wall
+        D = (-3/2, 3), and 0.1 is refused for its type, not for its square."""
+        v = MukaiVector(F(3), rank2_model.ns.vector((1, 0)), F(-1))
+        with pytest.raises(ValidationError, match=message):
+            destabilizer_wall(v, s, rank2_model.ns.vector((0, 1)))
+        assert destabilizer_wall(v, np.int64(1), rank2_model.ns.vector((0, 1))) \
+            == destabilizer_wall(v, 1, rank2_model.ns.vector((0, 1)))
+
 
 class TestWallsThroughClass:
     def test_generic_class_sees_no_walls(self, rank2_model):
