@@ -281,11 +281,15 @@ def _stray_trusted_reads(tree: ast.AST, module: str) -> list[int]:
     """Line numbers of the reads of a ``_trusted``, on a bare class or on an attribute
     of a module, that ``TRUSTED_READERS`` does not allow ``module`` to make, and of
     its assignments outside ``records``."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "_trusted"
-                  and module not in (TRUSTED_READERS.get(
-                      getattr(node.value, "id", None) or getattr(node.value, "attr", None),
-                      ()) if isinstance(node.ctx, ast.Load) else {"records.py"}))
+    stray = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            allowed = (TRUSTED_READERS.get(owner, ()) if isinstance(node.ctx, ast.Load)
+                       else {"records.py"})
+            if module not in allowed:
+                stray.append(node.lineno)
+    return sorted(stray)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
