@@ -13,6 +13,7 @@ int tuple of the lattice's rank, over the default den = 1.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -24,6 +25,7 @@ from . import exactlin
 from .errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from .exactlin import IntMatrix, int_matrix, rational_signature
 from .records import record
+from .serialize import _RATIONAL
 
 
 @record(uncompared=("label",))
@@ -82,11 +84,15 @@ class Lattice:
 def _exact(x) -> int | Fraction:
     """A value-class entry as a Python int or a Fraction. Ints and Fractions pass
     as they are, other integer types (numpy's too) go through ``operator.index``,
-    and a 'p/q' string through ``Fraction``; a float or a complex raises."""
+    and a string through ``Fraction`` when it is 'p' or 'p/q' with q != 0, by the
+    CLI's rule ``serialize._RATIONAL``; a float, a complex or another string raises."""
     if type(x) is int or type(x) is Fraction:
         return x
-    if isinstance(x, (Fraction, str)):
+    if isinstance(x, Fraction):
         return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        with suppress(ValueError, ZeroDivisionError):  # q = 0, or over the digit limit
+            return Fraction(x)
     try:
         return index(x)
     except TypeError:
@@ -157,7 +163,7 @@ class LatticeVector:
         return LatticeVector(self.lattice, tuple(-a for a in self.num), self.den)
 
     def scale(self, k) -> "LatticeVector":
-        n, d = Fraction(k).as_integer_ratio()
+        n, d = _exact(k).as_integer_ratio()
         return LatticeVector(self.lattice, tuple(n * a for a in self.num), d * self.den)
 
     def __repr__(self):

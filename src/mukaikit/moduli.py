@@ -14,8 +14,8 @@ the unchecked constructor that ``records.record`` generates, so
 ``EmbeddedMukaiVector.from_algebraic`` re-checks neither. The existence
 checker and the irreducibility oracle take integers and exact values only,
 through the converters of ``lattice``.
-``moduli_report`` checks omega once and then runs the check-free body of
-``walls.walls_through_class``.
+``moduli_report`` checks omega once and then runs the check-free wall core
+``walls._walls_through`` on NS, the bound of v and the NS part of omega.
 """
 
 from __future__ import annotations
@@ -508,10 +508,11 @@ def moduli_report(m: K3Model, v: MukaiVector, omega: H11Class) -> ModuliReport:
     if not is_polarization(m, omega):
         reasons.append("omega is not a polarization of the model")
     elif rank_ok and v.is_integral and sq >= -2:
-        from .walls import _walls_through
+        from .walls import _walls_through, wall_bound
 
-        # omega passed is_polarization above, so the check-free body runs.
-        genericity = not _walls_through(m, v, omega)
+        # omega passed is_polarization above, so the check-free core on (NS, bound)
+        # runs; every wall it returns has passed the filter walls._in_bound.
+        genericity = not _walls_through(m.ns, wall_bound(v), omega.ns_part)
         if not genericity:
             reasons.append("omega lies on a wall of v")
 

@@ -23,18 +23,18 @@ and sign tests work on int tuples.
 Crossings are sorted by an exact integer key (see
 ``walls_crossing_segment``).
 
-Each fact is checked once. The search and the filter prove on ints that
-a returned class is primitive, has canonical sign and satisfies
--bound <= D^2 < 0, so the returned walls are built by ``Wall._trusted``,
-the unchecked constructor that ``records.record`` generates: it stores
-D, D^2 and bound as given and skips the checks of ``Wall``, and only the
-walls returned are built. Their D is ``LatticeVector._trusted``: the int
-tuple of the search (a zip of ints, or a ``vec_mat`` of a saturated
-basis) with den = 1, primitive by the filter's gcd and of canonical sign
-by its flip, so no coordinate is converted and no denominator cleared.
-The public constructors keep every check. ``walls_through_class`` is its
-polarization check followed by the check-free ``_walls_through``, which
-``moduli.moduli_report`` runs directly once its own test has passed omega.
+Each fact is checked once. Every wall returned passes the one filter
+``_in_bound``, which proves on ints that its class is primitive, has
+canonical sign and satisfies -bound <= D^2 < 0, so it is built by the
+unchecked ``Wall._trusted`` that ``records.record`` generates, on a
+``LatticeVector._trusted`` D with den = 1: an int tuple of the search (a
+zip of ints, or a ``vec_mat`` of a saturated basis) or a destabilizer's
+class over its gcd, so no coordinate is converted and no denominator
+cleared. The public constructors keep every check. One check-free core
+searches through a class, ``_walls_through(ns, bound, x)``:
+``walls_through_class`` runs it after its polarization check,
+``moduli.moduli_report`` once its own test has passed omega, and
+``wall_set_is_empty`` with x = 0 on a negative definite NS.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from operator import mul, neg
 from . import shortvec
 from .errors import HypothesisViolation, InternalError, ValidationError
 from .exactlin import bilinear, mat_vec, vec_mat
-from .lattice import LatticeVector, _exact_int, orthogonal_complement
+from .lattice import Lattice, LatticeVector, _exact_int, orthogonal_complement
 from .mukai import MukaiVector, discriminant
 from .records import record
 from .surface import H11Class, K3Model, polarization_defect
@@ -114,10 +114,9 @@ def wall_set_is_empty(m: K3Model, v: MukaiVector) -> bool | None:
     n_plus, _, _ = m.ns.signature()
     if n_plus > 0:
         return None
-    # NS is nondegenerate with no positive direction, so every nonzero
-    # class has negative square.
-    neg = tuple(tuple(-x for x in row) for row in m.ns.gram)
-    return not shortvec.short_vectors_up_to_sign(neg, bound)
+    # NS is nondegenerate with no positive direction, so 0-perp, all of NS,
+    # is negative definite and every wall is orthogonal to 0.
+    return not _walls_through(m.ns, bound, m.ns.zero())
 
 
 @record
@@ -158,18 +157,13 @@ def destabilizer_wall(v: MukaiVector, s: int, zeta: LatticeVector) -> Destabiliz
             "out_of_range", d, sq, bound, None,
             f"square {sq} below the wall bound {-bound}",
         )
-    key = _primitive_canonical(d.num)
-    key_sq = Fraction(bilinear(d.lattice.gram, key, key))
-    wall = Wall(d.lattice.vector(key), key_sq, bound)
+    g = gcd(*d.num)  # D / g is primitive, and below -bound for some non-integral D
+    found = _in_bound(d.lattice.gram, bound, (tuple(c // g for c in d.num),))
+    if not found:
+        raise ValidationError("wall square out of range")
+    (key, key_sq), = found
+    wall = Wall._trusted(LatticeVector._trusted(d.lattice, key), Fraction(key_sq), bound)
     return DestabilizerVerdict("wall", d, sq, bound, wall, "in range")
-
-
-def _primitive_canonical(coords: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive vector on the line of nonzero ``coords``, first nonzero entry positive."""
-    g = gcd(*coords)
-    if next(c for c in coords if c) < 0:
-        g = -g
-    return coords if g == 1 else tuple(c // g for c in coords)
 
 
 def _in_bound(gram, bound: Fraction, hits) -> list[tuple[tuple[int, ...], int]]:
@@ -177,14 +171,14 @@ def _in_bound(gram, bound: Fraction, hits) -> list[tuple[tuple[int, ...], int]]:
 
     A non-primitive hit is skipped, not reduced, and no wall is lost. Each
     search keeps the x with q(x) <= B for a quadratic form q (the negated
-    form on omega-perp, or the majorant), and the segment search also
+    form on x-perp, or the majorant), and the segment search also
     needs (p.x)(r.x) <= 0 for two linear forms p, r. If x = k y with
     k >= 2 is a hit, then q(y) = q(x) / k^2 <= B and
     (p.y)(r.y) = (p.x)(r.x) / k^2 <= 0, so y or -y, whichever of the pair
     the search keeps, is a hit too; the primitive class that reducing x
-    would give is reached directly. ``walls_through_class`` searches in
-    the coordinates of a saturated basis of omega-perp and hands over the
-    NS vectors; saturation makes a vector primitive in NS exactly when its
+    would give is reached directly. ``_walls_through`` searches in the
+    coordinates of a saturated basis of x-perp and hands over the NS
+    vectors; saturation makes a vector primitive in NS exactly when its
     coordinates are primitive, so the argument carries over. The search
     returns distinct vectors, one of each pair +-x, so every primitive
     class comes once and nothing is deduplicated.
@@ -217,19 +211,22 @@ def walls_through_class(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wal
     defect = polarization_defect(m, omega)
     if defect:
         raise HypothesisViolation(f"walls are computed through polarizations only ({defect})")
-    return _walls_through(m, v, omega)
+    return _walls_through(m.ns, wall_bound(v), omega.ns_part)
 
 
-def _walls_through(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wall]:
-    """``walls_through_class`` for an omega that the caller has proved to be a
-    polarization; it checks nothing of omega."""
-    bound = wall_bound(v)
-    perp = orthogonal_complement(m.ns, omega.ns_part)
-    neg = tuple(tuple(-x for x in r) for r in perp.sub.gram)
+def _walls_through(ns: Lattice, bound: Fraction, x: LatticeVector) -> list[Wall]:
+    """The walls D with -bound <= D^2 < 0 and D.x = 0, sorted by (-D^2, D); no check.
+
+    The caller proves that x-perp in NS is negative definite. It is for the NS
+    part x of a polarization omega (on a hyperbolic NS, T < 0 gives
+    x^2 >= omega^2 > 0) and for every x, 0 included, on a negative definite NS.
+    """
+    perp = orthogonal_complement(ns, x)
+    neg = tuple(tuple(-c for c in r) for r in perp.sub.gram)
     hits = shortvec.short_vectors_up_to_sign(neg, bound)
-    found = _in_bound(m.ns.gram, bound, (vec_mat(x, perp.basis) for x in hits))
+    found = _in_bound(ns.gram, bound, (vec_mat(h, perp.basis) for h in hits))
     found.sort(key=lambda kv: (-kv[1], kv[0]))
-    return [Wall._trusted(LatticeVector._trusted(m.ns, key), Fraction(sq), bound)
+    return [Wall._trusted(LatticeVector._trusted(ns, key), Fraction(sq), bound)
             for key, sq in found]
 
 

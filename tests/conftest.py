@@ -9,14 +9,12 @@ from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mukaikit import (
     H11Class,
     K3Model,
     Lattice,
     MukaiVector,
-    diagonal_lattice,
     wall_bound,
 )
 from mukaikit.exactlin import rational_signature
@@ -27,35 +25,6 @@ from mukaikit.shortvec import short_vectors_up_to_sign
 # from the environment.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
-
-
-@pytest.fixture
-def rng():
-    return random.Random(20260809)
-
-
-@pytest.fixture
-def ns_rank2():
-    """NS = <2> (+) <-2>, the standard projective rank-2 playground."""
-    return diagonal_lattice([2, -2], "NS")
-
-
-@pytest.fixture
-def model_rank2(ns_rank2):
-    h = ns_rank2.basis_vector(0)
-    return K3Model(ns=ns_rank2, reference_positive=H11Class(h, Lattice(()).zero()))
-
-
-@pytest.fixture
-def ns_neg10():
-    return diagonal_lattice([-10], "ZL")
-
-
-@pytest.fixture
-def model_nonprojective(ns_neg10):
-    t11 = diagonal_lattice([2], "T")
-    ref = H11Class(ns_neg10.zero(), t11.vector((1,)))
-    return K3Model(ns=ns_neg10, t11=t11, reference_positive=ref)
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mukaikit import (
     Lattice,
+    MukaiVector,
     diagonal_lattice,
     direct_sum,
     discriminant_group,
@@ -313,5 +314,35 @@ class TestNormalForm:
         assert x == ns.vector((Fraction(1, 2), 3)) == ns.vector(["1/2", "3"])
         assert LatticeVector(ns, (True, "-4/6")) == ns.vector((1, Fraction(-2, 3)))
         assert LatticeVector(ns, ("1/3", 1), 5).coords == (Fraction(1, 15), Fraction(1, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"^'x' is not an int, a Fraction or a 'p/q' string$"):
             LatticeVector(ns, ("x", 1))
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", " 1/2 ", "1_000", "abc", "1/0", "-3/00",
+                                      "1e1000000", "1/-2", "",
+                                      pytest.param("1" * 5000, id="5000-digits")])
+    def test_only_p_q_strings_are_read(self, text):
+        """A string entry is read only when it is 'p' or 'p/q' with q != 0, the CLI's
+        rule: decimals, exponents, blanks, underscores and a zero denominator raise
+        ``ValidationError``, never a bare ``ValueError`` or ``ZeroDivisionError``, and
+        an exponent is refused before ``Fraction`` expands it."""
+        ns = diagonal_lattice([2, -2])
+        message = r" is not an int, a Fraction or a 'p/q' string$"
+        with pytest.raises(ValidationError, match=message):
+            ns.vector((text, 0))
+        with pytest.raises(ValidationError, match=message):
+            MukaiVector(text, ns.zero(), 0)
+        with pytest.raises(ValidationError, match=message):
+            ns.vector((1, 0)).scale(text)
+
+    @pytest.mark.parametrize("k", [0.1, 1e-300, 2.0, np.float64(2), complex(2, 0)])
+    def test_scale_refuses_a_float(self, k):
+        """A scale factor goes through the entry converter, so a float raises instead
+        of scaling by its binary expansion (0.1 would give a 2^55 denominator)."""
+        with pytest.raises(ValidationError, match=r" is not an int, a Fraction or a 'p/q' string$"):
+            diagonal_lattice([2, -2]).vector((1, 0)).scale(k)
+
+    def test_scale_takes_exact_factors(self):
+        x = diagonal_lattice([2, -2]).vector((1, Fraction(1, 3)))
+        want = x.lattice.vector((Fraction(3, 2), Fraction(1, 2)))
+        assert x.scale(Fraction(3, 2)) == x.scale("3/2") == want
+        assert x.scale(np.int64(3)) == x.scale(3) == x.lattice.vector((3, 1))

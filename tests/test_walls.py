@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -28,14 +29,17 @@ from mukaikit import (
     walls_through_class,
 )
 from mukaikit.errors import HypothesisViolation, InternalError, ValidationError
+from mukaikit.walls import _walls_through
 
 from conftest import (
     box_vectors,
     oracle_crossings,
+    oracle_wall_set,
     oracle_walls_through,
     positive_reference,
     random_hyperbolic_ns,
     random_integral_vector,
+    random_negative_definite_ns,
     short_vectors,
 )
 from fraction_oracle import coordinate_radii
@@ -141,6 +145,19 @@ class TestDestabilizer:
         assert got.reason == ("nonnegative square is impossible for a class orthogonal"
                               " to a polarization")
 
+    def test_non_integral_class_is_made_primitive(self, rank2_model):
+        """The wall of a non-integral D is the primitive class on its line, which can
+        fall below the bound even when D does not: then the wall check raises."""
+        ns = rank2_model.ns
+        v = MukaiVector(F(2), ns.basis_vector(0), F(0))  # bound 10
+        # D = 2 (0, 3/4) - (1, 0) = (-1, 3/2), D^2 = -5/2; its wall is (2, -3), square -10.
+        got = destabilizer_wall(v, 1, ns.vector((0, F(3, 4))))
+        assert (got.kind, got.d_square) == ("wall", F(-5, 2))
+        assert got.wall == Wall(ns.vector((2, -3)), F(-10), F(10))
+        # D = (-1/2, 3/2) has D^2 = -4, but (1, -3) has square -16 < -10.
+        with pytest.raises(ValidationError, match="^wall square out of range$"):
+            destabilizer_wall(v, 1, ns.vector((F(1, 4), F(3, 4))))
+
     def test_wall_is_a_searched_wall(self, rank2_model):
         """The wall of a destabilizer is returned by the search through a
         polarization on its hyperplane: the reference projected onto D-perp."""
@@ -240,6 +257,68 @@ class TestWallsThroughClass:
         omega = rank2_model.h11((1, 0))
         found = walls_through_class(rank2_model, v, omega)
         assert [w.d.coords for w in found] == [(0, 1)]
+
+
+def _box_for(q, bound) -> int:
+    """The least box that holds every x with x^T q x <= bound, for a positive definite q."""
+    return max(isqrt(max(0, r2.numerator // r2.denominator)) for r2 in coordinate_radii(q, bound))
+
+
+class TestWallCore:
+    """The one through-search ``_walls_through(ns, bound, x)`` against box oracles."""
+
+    def test_zero_class_on_negative_definite_ns_gives_the_whole_wall_set(self):
+        """With x = 0 on a negative definite NS the core lists every wall of v, in
+        (-D^2, D) order, and ``wall_set_is_empty`` is its emptiness."""
+        rng = random.Random(38)
+        t11 = diagonal_lattice([2], "T")
+        sizes = []
+        for _ in range(150):
+            ns = random_negative_definite_ns(rng, rng.randint(1, 3))
+            m = K3Model(ns=ns, t11=t11, reference_positive=H11Class(ns.zero(), t11.vector((1,))))
+            xi = random_integral_vector(rng, ns, span=2)
+            v = MukaiVector(rng.randint(1, 4), xi, rng.randint(-6, 2))
+            bound = wall_bound(v)
+            got = _walls_through(ns, bound, ns.zero())
+            neg = tuple(tuple(-c for c in row) for row in ns.gram)
+            want = oracle_wall_set(m, v, box=_box_for(neg, bound))
+            squares = {d: sum(a * g * b for a, row in zip(d, ns.gram) for g, b in zip(row, d))
+                       for d in want}
+            assert [(w.d.num, w.d_square) for w in got] \
+                == sorted(squares.items(), key=lambda kv: (-kv[1], kv[0]))
+            assert all(w == Wall(w.d, w.d_square, bound) for w in got)
+            assert wall_set_is_empty(m, v) is (not want)
+            sizes.append(len(want))
+        assert sizes.count(0) >= 60 and sum(n >= 5 for n in sizes) >= 20
+
+    def test_polarization_on_hyperbolic_ns_at_bound_2_gives_its_roots(self):
+        """At bound 2 on an even NS, the core through the NS part x of a polarization
+        lists the D with D^2 = -2 and D.x = 0, the roots on x-perp."""
+        rng = random.Random(8)
+        counts = []
+        for _ in range(120):
+            ns = random_hyperbolic_ns(rng, rng.choice((2, 3)))
+            ref = positive_reference(ns, rng)
+            m = K3Model(ns=ns, reference_positive=H11Class(ref, Lattice(()).zero()))
+            x = ref
+            d = random_integral_vector(rng, ns, span=2)
+            if d.square() == -2:  # x on d-perp, on ref's side: x^2 = ref^2 + (ref.d)^2 / 2
+                x = ref + d.scale(pairing(ref, d) / 2)
+            assert is_polarization(m, H11Class(x, Lattice(()).zero()))
+            got = _walls_through(ns, F(2), x)
+            # Every root D on x-perp has majorant 2 (D.x)^2 / x^2 - D^2 = 2.
+            w = [sum(g * c for g, c in zip(row, x.num)) for row in ns.gram]  # G x, times den
+            majorant = [[2 * wi * wj / (x.den ** 2 * x.square()) - g for wj, g in zip(w, row)]
+                        for wi, row in zip(w, ns.gram)]
+            pts = box_vectors(ns.rank, _box_for(majorant, 2))
+            sq = np.einsum("ij,jk,ik->i", pts, np.array(ns.gram), pts)
+            pts = pts[(sq == -2) & (pts @ np.array(w) == 0)]
+            want = sorted({d for d in map(tuple, pts.tolist())
+                           if gcd(*d) == 1 and d > (0,) * ns.rank})
+            assert [w.d.num for w in got] == want
+            assert all(w.d_square == -2 and w.bound == 2 for w in got)
+            counts.append(len(want))
+        assert counts.count(0) >= 60 and sum(n >= 1 for n in counts) >= 30 and max(counts) >= 2
 
 
 class TestCrossings:

@@ -20,7 +20,14 @@ interpreter per tree, with the configs in one shared temporary directory:
   embedding, an isometric one that is not primitive, and the empty 0 x 22
   embedding on a nonzero NS, each with an integral Mukai vector and with
   rank 3/2, so that the order of the integrality message and the
-  embedding messages is compared too.
+  embedding messages is compared too;
+- ``generic``, ``walls`` and ``report`` in text and json on 48 seeded
+  configs with T = <2> on a negative definite NS, where ``generic`` decides
+  ``wall_set_is_empty`` by the one wall search: rank 2 and 3, each with a
+  diagonal Gram and a congruent, non-diagonal one, and for each of the four
+  a third of the configs with an empty wall set (bound < 2 on an even NS),
+  a third with a nonempty one (a basis vector is a wall) and a third with a
+  bound between, where only the search decides.
 Each case's (exit code, stdout, stderr) must be equal on the two trees. The
 script prints the cases that differ and exits 1 if there are any.
 Uses the standard library only.
@@ -42,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RANK_VARIANTS = (0, 1, 3, "3/2")
 H2_SEED, H2_CONFIGS = 33, 40
+NEG_DEF_SEED, NEG_DEF_PER_KIND = 38, 4
 # The Gram of E8(-1) has -2 on its diagonal and 1 at each edge of the Dynkin diagram.
 E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
 
@@ -148,6 +156,50 @@ def h2_invalid_embedding_configs() -> list[dict]:
     return configs
 
 
+def negative_definite_configs(rng: random.Random) -> list[dict]:
+    """Configs on a negative definite even NS of rank 2 or 3, T = <2>.
+
+    For each rank, a diagonal Gram and a congruent one P^T D P (P a product
+    of elementary integer row operations, the result not diagonal), and for
+    each a wall bound r^2 (v^2 + 2 r^2) / 4 below 2 (no wall: every D^2 is
+    even and negative), at least the least -e_i^2 (the basis vector e_i is a
+    wall) or between the two. omega has a small integral NS part, maybe 0.
+    """
+    configs = []
+    for rank, congruent, kind in ((n, c, k) for n in (2, 3) for c in (False, True)
+                                  for k in ("empty", "between", "basis wall")):
+        for _ in range(NEG_DEF_PER_KIND):
+            while True:
+                diag = [-2 * rng.randint(1, 4) for _ in range(rank)]
+                p = [[int(i == j) for j in range(rank)] for i in range(rank)]
+                for _ in range(rng.randint(1, 4) if congruent else 0):
+                    i, j = rng.sample(range(rank), 2)
+                    q = rng.choice((-2, -1, 1, 2))
+                    p[i] = [a + q * b for a, b in zip(p[i], p[j])]
+                gram = [[sum(p[k][i] * diag[k] * p[k][j] for k in range(rank)) for j in range(rank)]
+                        for i in range(rank)]
+                r, xi = rng.randint(1, 4), [rng.randint(-2, 2) for _ in range(rank)]
+                xi2 = sum(x * g * y for x, row in zip(xi, gram) for g, y in zip(row, xi))
+                a = rng.randint(-8, 8)
+                bound4 = r * r * (xi2 - 2 * r * a + 2 * r * r)  # 4 * bound
+                least = min(-row[i] for i, row in enumerate(gram))
+                got = ("empty" if bound4 < 8 else "basis wall" if bound4 >= 4 * least
+                       else "between")
+                off = any(row[j] for i, row in enumerate(gram) for j in range(rank) if i != j)
+                if got == kind and off == congruent and bound4 <= 4 * 300:
+                    break
+            ns = [rng.randint(-1, 1) for _ in range(rank)]
+            ns2 = sum(x * g * y for x, row in zip(ns, gram) for g, y in zip(row, ns))
+            t = rng.randint(1, 3)
+            while ns2 + 2 * t * t <= 0:
+                t += 1
+            configs.append({"surface": {"ns_gram": gram, "t11_gram": [[2]],
+                                        "reference_positive": [0] * rank + [1]},
+                            "mukai": {"r": r, "xi": xi, "a": a},
+                            "omega": {"ns": ns, "t": [t]}})
+    return configs
+
+
 def build_cases(tmp: Path) -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -180,6 +232,11 @@ def build_cases(tmp: Path) -> list[list[str]]:
         path = tmp / f"h2-invalid-{k}.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         cases += [["h2", "--config", str(path), "--format", fmt] for fmt in ("text", "json")]
+    for k, cfg in enumerate(negative_definite_configs(random.Random(NEG_DEF_SEED))):
+        path = tmp / f"neg-def-{k}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        cases += [[sub, "--config", str(path), "--format", fmt]
+                  for sub in ("generic", "walls", "report") for fmt in ("text", "json")]
     return cases
 
 
