@@ -307,14 +307,14 @@ class TestWallCore:
             assert is_polarization(m, H11Class(x, Lattice(()).zero()))
             got = _walls_through(ns, F(2), x)
             # Every root D on x-perp has majorant 2 (D.x)^2 / x^2 - D^2 = 2.
-            w = [sum(g * c for g, c in zip(row, x.num)) for row in ns.gram]  # G x, times den
-            majorant = [[2 * wi * wj / (x.den ** 2 * x.square()) - g for wj, g in zip(w, row)]
-                        for wi, row in zip(w, ns.gram)]
+            gx = [sum(g * c for g, c in zip(row, x.num)) for row in ns.gram]  # G x, times den
+            majorant = [[2 * a * b / (x.den ** 2 * x.square()) - g for b, g in zip(gx, row)]
+                        for a, row in zip(gx, ns.gram)]
             pts = box_vectors(ns.rank, _box_for(majorant, 2))
             sq = np.einsum("ij,jk,ik->i", pts, np.array(ns.gram), pts)
-            pts = pts[(sq == -2) & (pts @ np.array(w) == 0)]
-            want = sorted({d for d in map(tuple, pts.tolist())
-                           if gcd(*d) == 1 and d > (0,) * ns.rank})
+            pts = pts[(sq == -2) & (pts @ np.array(gx) == 0)]
+            want = sorted({y for y in map(tuple, pts.tolist())
+                           if gcd(*y) == 1 and y > (0,) * ns.rank})
             assert [w.d.num for w in got] == want
             assert all(w.d_square == -2 and w.bound == 2 for w in got)
             counts.append(len(want))

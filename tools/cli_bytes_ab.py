@@ -163,7 +163,8 @@ def negative_definite_configs(rng: random.Random) -> list[dict]:
     of elementary integer row operations, the result not diagonal), and for
     each a wall bound r^2 (v^2 + 2 r^2) / 4 below 2 (no wall: every D^2 is
     even and negative), at least the least -e_i^2 (the basis vector e_i is a
-    wall) or between the two. omega has a small integral NS part, maybe 0.
+    wall) or between the two, and at most 300 so that each search stays
+    small. omega has a small integral NS part, maybe 0.
     """
     configs = []
     for rank, congruent, kind in ((n, c, k) for n in (2, 3) for c in (False, True)
