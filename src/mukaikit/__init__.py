@@ -39,6 +39,7 @@ _EXPORTS = {
     "mukai": (
         "MukaiVector",
         "TopologicalType",
+        "algebraic_mukai_lattice",
         "discriminant",
         "exp_class",
         "mukai_pairing",
@@ -76,6 +77,7 @@ _EXPORTS = {
     "moduli": (
         "EmbeddedMukaiVector",
         "ModuliReport",
+        "algebraic_h2",
         "NSEmbedding",
         "bundle_existence_check",
         "h2_lattice",

@@ -214,6 +214,21 @@ def _cmd_h2(cfg: Config, args) -> dict[str, Any]:
     }
 
 
+def _cmd_algebraic(cfg: Config, args) -> dict[str, Any]:
+    from .moduli import algebraic_h2
+
+    v = _require(cfg.mukai, "mukai")
+    res = algebraic_h2(cfg.model, v)
+    return {
+        "rank": res.lattice.rank,
+        "signature": list(res.signature),
+        "discriminant_group": list(res.discriminant),
+        "quotient_by_v": res.quotient_by_v,
+        "projective": res.projective,
+        "gram": matrix_to_json(res.lattice.gram),
+    }
+
+
 def _cmd_projective(cfg: Config, args) -> dict[str, Any]:
     from .moduli import projectivity_check
 
@@ -282,6 +297,7 @@ _COMMANDS: dict[str, tuple[Callable, bool]] = {
     "twist": (_cmd_twist, True),
     "report": (_cmd_report, True),
     "h2": (_cmd_h2, True),
+    "algebraic": (_cmd_algebraic, True),
     "projective": (_cmd_projective, True),
     "exists": (_cmd_exists, False),
 }

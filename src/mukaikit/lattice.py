@@ -13,7 +13,6 @@ int tuple of the lattice's rank, over the default den = 1.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -25,7 +24,7 @@ from . import exactlin
 from .errors import HypothesisViolation, LatticeMismatchError, ValidationError
 from .exactlin import IntMatrix, int_matrix, rational_signature
 from .records import record
-from .serialize import _RATIONAL
+from .serialize import read_p_q
 
 
 @record(uncompared=("label",))
@@ -85,14 +84,15 @@ def _exact(x) -> int | Fraction:
     """A value-class entry as a Python int or a Fraction. Ints and Fractions pass
     as they are, other integer types (numpy's too) go through ``operator.index``,
     and a string through ``Fraction`` when it is 'p' or 'p/q' with q != 0, by the
-    CLI's rule ``serialize._RATIONAL``; a float, a complex or another string raises."""
+    CLI's rule ``serialize.read_p_q``; a float, a complex or another string raises."""
     if type(x) is int or type(x) is Fraction:
         return x
     if isinstance(x, Fraction):
         return Fraction(x)
-    if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        with suppress(ValueError, ZeroDivisionError):  # q = 0, or over the digit limit
-            return Fraction(x)
+    if isinstance(x, str):
+        q = read_p_q(x)
+        if q is not None:
+            return q
     try:
         return index(x)
     except TypeError:

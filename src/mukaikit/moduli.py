@@ -2,10 +2,18 @@
 
 Everything here is lattice arithmetic: dimensions and deformation classes
 from the Mukai square, the second-cohomology lattice as an orthogonal
-complement in the rank-24 Mukai lattice, the projectivity criterion via
-the signature of the algebraic part of v-perp, the transfer isometry
+complement in the rank-24 Mukai lattice, the algebraic part of v-perp as
+the orthogonal complement in U (+) NS (``algebraic_h2``), the projectivity
+criterion via the signature of its rational span, the transfer isometry
 between v-perp and w-perp, and the existence/irreducibility checker for
 stable bundles on surfaces with cyclic Neron-Severi group.
+
+An algebraic class enters the lattices through one map,
+``mukai._algebraic_coords``, to its coordinates (r, -a, xi) in
+``mukai.algebraic_mukai_lattice``: ``EmbeddedMukaiVector.from_algebraic``
+sends them by the identity on U and the NS embedding, and ``algebraic_h2``
+takes their complement there. ``h2_lattice`` and ``algebraic_h2`` run the
+one complement and radical reduction, ``_perp``.
 
 Each fact is checked once. An NS embedding is an ``NSEmbedding``: the
 public constructor checks a given matrix, and ``standard_ns_embedding``
@@ -16,6 +24,7 @@ checker and the irreducibility oracle take integers and exact values only,
 through the converters of ``lattice``.
 ``moduli_report`` checks omega once and then runs the check-free wall core
 ``walls._walls_through`` on NS, the bound of v and the NS part of omega.
+``surface.check_over_ns`` is the one check that v lives over the model's NS.
 """
 
 from __future__ import annotations
@@ -32,13 +41,22 @@ from .lattice import (
     _exact,
     _exact_int,
     coprime_rank_class,
+    discriminant_group,
     full_mukai_blocks,
     full_mukai_lattice,
     k3_lattice,
 )
-from .mukai import MukaiVector, exp_class, mukai_pairing, mukai_product, mukai_square
+from .mukai import (
+    MukaiVector,
+    _algebraic_coords,
+    algebraic_mukai_lattice,
+    exp_class,
+    mukai_pairing,
+    mukai_product,
+    mukai_square,
+)
 from .records import record
-from .surface import H11Class, K3Model, is_polarization, is_projective_surface
+from .surface import H11Class, K3Model, check_over_ns, is_polarization, is_projective_surface
 
 COPRIMALITY_NOTE = (
     "coprimality of the rank and the first Chern class is read as "
@@ -87,16 +105,22 @@ class EmbeddedMukaiVector:
         rows of an embedding of another NS, are checked against v's NS by
         the public ``NSEmbedding``.
         """
-        if not v.is_integral:
-            raise ValidationError("only integral Mukai vectors embed in the integral lattice")
+        c = _integral_coords(v)
         if not isinstance(emb, NSEmbedding) or emb.ns != v.lattice:
             emb = NSEmbedding(v.lattice, emb.rows if isinstance(emb, NSEmbedding) else emb)
         # xi E, or 22 zeros for the 0 x 22 embedding of NS = 0.
-        image = exactlin.vec_mat(v.v1.num, emb.rows) if emb.rows else (0,) * k3_lattice().rank
-        # The square needs no check: an NSEmbedding has E G_Lambda E^T = G_NS,
-        # so the image has square xi^2, and (r, -a) in the first U adds -2ra;
-        # the total is xi^2 - 2ra = v^2.
-        return cls((int(v.v0), -int(v.v2)) + image)
+        image = exactlin.vec_mat(c[2:], emb.rows) if emb.rows else (0,) * k3_lattice().rank
+        # The square needs no check: the map is the identity on U (+) the
+        # isometry E, as an NSEmbedding has E G_Lambda E^T = G_NS.
+        return cls(c[:2] + image)
+
+
+def _integral_coords(v: MukaiVector) -> tuple[int, ...]:
+    """The coordinates (r, -a, xi) of v in ``algebraic_mukai_lattice``; v must be integral."""
+    c, d = _algebraic_coords(v)
+    if d != 1:
+        raise ValidationError("only integral Mukai vectors embed in the integral lattice")
+    return c
 
 
 @record
@@ -196,7 +220,8 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     The work runs on the prefix S = [0, n) of U^4 (+) E8(-1)^2, where n is
     the first summand end (``full_mukai_blocks``) after which v is 0. On
     S, with G_S the Gram there, the complement (the saturated kernel of
-    the one row G_S v), its Gram and the radical reduction run on ints.
+    the one row G_S v), its Gram and the radical reduction run on ints, in
+    ``_perp``, which ``algebraic_h2`` runs on U (+) NS as well.
     The summands after S lie in v-perp and are orthogonal to S, so v-perp
     is (v-perp in S) (+) Z^T, T = [n, 24), and T comes in as a constant:
     every pivot on T comes after every pivot on S, so the Hermite basis is
@@ -215,21 +240,8 @@ def h2_lattice(v: EmbeddedMukaiVector) -> H2LatticeResult:
     gram_s, units, rest_gram = _prefix_split(
         next(end for end in full_mukai_blocks() if not any(coords[end:])))
     v_part = coords[:len(gram_s)]
-    sq = exactlin.bilinear(gram_s, v_part, v_part)
-    if sq < 0:
-        raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
-    basis = exactlin.integer_kernel_saturated(exactlin.mat_vec(gram_s, v_part))
-    gram, quotient = exactlin.congruence(basis, gram_s), sq == 0
-    if quotient:
-        # The radical of v-perp is spanned by v itself; quotient it out
-        # through a unimodular change of basis that puts v first.
-        to_new = exactlin.unimodular_completion(_hermite_coordinates(basis, v_part))
-        # First row of to_new spans the radical; congruent Gram has zero
-        # first row and column.
-        new_gram = exactlin.congruence(to_new, gram)
-        if any(new_gram[0]):
-            raise InternalError("radical reduction failed")
-        gram = tuple(row[1:] for row in new_gram[1:])
+    sq, basis, gram = _perp(gram_s, v_part)
+    quotient = sq == 0
     pad, lead = (0,) * len(units), (0,) * len(gram)
     gram = tuple(row + pad for row in gram) + tuple(lead + row for row in rest_gram)
     return H2LatticeResult(Lattice._trusted(gram, "v-perp mod v" if quotient else "v-perp"),
@@ -246,13 +258,36 @@ def _prefix_split(n: int):
             tuple(row[n:] for row in gram[n:]))
 
 
+def _perp(gram: IntMatrix, v: tuple[int, ...]) -> tuple[int, IntMatrix, IntMatrix]:
+    """v^2, the Hermite basis of v-perp in the lattice of ``gram``, and the Gram
+    of v-perp, or of v-perp / Zv when v^2 = 0; v^2 < 0 raises.
+
+    v is primitive and the lattice nondegenerate, so for v^2 = 0 the radical
+    of v-perp is the saturation of Zv, which is Zv. It is quotiented out
+    through a unimodular change of basis that puts v first: the congruent
+    Gram has a zero first row and column, which are dropped.
+    """
+    sq = exactlin.bilinear(gram, v, v)
+    if sq < 0:
+        raise HypothesisViolation("negative Mukai square has no moduli interpretation here")
+    basis = exactlin.integer_kernel_saturated(exactlin.mat_vec(gram, v))
+    gram = exactlin.congruence(basis, gram)
+    if sq:
+        return sq, basis, gram
+    to_new = exactlin.unimodular_completion(_hermite_coordinates(basis, v))
+    new_gram = exactlin.congruence(to_new, gram)
+    if any(new_gram[0]):
+        raise InternalError("radical reduction failed")
+    return sq, basis, tuple(row[1:] for row in new_gram[1:])
+
+
 def _hermite_coordinates(basis: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
     """The c with c @ basis = +-v, first nonzero entry positive.
 
     ``basis`` is in Hermite form, so at the pivot column of row k every
     later row is 0, and forward substitution over the pivots fixes c_k
     from c_0, ..., c_{k-1}. Raises ``InternalError`` if v is not in the
-    span. For the v of ``h2_lattice`` this is the Hermite form of the
+    span. For the isotropic v of ``_perp`` this is the Hermite form of the
     radical of v-perp, the one-row kernel of its Gram.
     """
     c: list[int] = []
@@ -293,8 +328,7 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
     entry: the extra class squares to (2r xi)^2 - 2 (2r^2)(xi^2 + v^2)
     = -4 r^2 v^2 for every input.
     """
-    if v.lattice != m.ns:
-        raise ValidationError("Mukai vector must live over the model's NS lattice")
+    check_over_ns(m, v)
     sq = mukai_square(v)
     if sq < 0:
         raise HypothesisViolation("projectivity criterion requires v^2 >= 0")
@@ -310,6 +344,51 @@ def projectivity_check(m: K3Model, v: MukaiVector) -> ProjectivityCheck:
         projective_moduli=n_plus >= 1, surface_projective=n_plus >= 1, gram=gram,
         signature=sig, isotropy_identity=(q, q),
     )
+
+
+# -- The algebraic part of v-perp -----------------------------------------------
+
+
+@record
+class AlgebraicH2Result:
+    lattice: Lattice
+    signature: tuple[int, int, int]
+    discriminant: tuple[int, ...]
+    perp_basis: IntMatrix
+    quotient_by_v: bool
+    projective: bool
+
+
+def algebraic_h2(m: K3Model, v: MukaiVector) -> AlgebraicH2Result:
+    """The algebraic part of v-perp: v-perp in U (+) NS, mod v when v^2 = 0.
+
+    The lattice is the saturated kernel of the row G c in
+    ``algebraic_mukai_lattice(m.ns)``, where c are the coordinates
+    (r, -a, xi) of v and G the Gram there, with the Gram of that kernel;
+    for v^2 = 0 it is the quotient by the radical Zv, as in ``h2_lattice``
+    and by the same reduction. ``perp_basis`` rows are coordinates in
+    U (+) NS, of v-perp before any quotient. Under an NS embedding E the
+    map I_2 (+) E sends the lattice into ``h2_lattice``'s v-perp.
+
+    If the isometry v-perp = H^2(M, Z) respects Hodge structures, as it
+    does in the projective case (Mukai 1987; Yoshioka 2001), this lattice
+    is NS(M); that is not checked here. ``projective`` is n_plus >= 1: the
+    lattice represents a positive square, which happens iff NS does.
+
+    Its Gram is a congruence of a direct sum of validated Grams, so its
+    ``Lattice`` comes from ``Lattice._trusted``; the signature and the
+    discriminant group are computed on it. v must be integral, primitive
+    and of square >= 0, as for ``h2_lattice``.
+    """
+    check_over_ns(m, v)
+    c = _integral_coords(v)
+    if gcd(*c) != 1:
+        raise HypothesisViolation("the second-cohomology lattice needs a primitive class")
+    sq, basis, gram = _perp(algebraic_mukai_lattice(m.ns).gram, c)
+    lattice = Lattice._trusted(gram, "algebraic v-perp mod v" if sq == 0 else "algebraic v-perp")
+    sig = lattice.signature()
+    return AlgebraicH2Result(lattice, sig, discriminant_group(lattice), basis, sq == 0,
+                             sig[0] >= 1)
 
 
 # -- Transfer isometry ----------------------------------------------------------
@@ -475,8 +554,7 @@ def moduli_report(m: K3Model, v: MukaiVector, omega: H11Class) -> ModuliReport:
     Hypothesis violations are enumerated in ``reasons`` instead of raised,
     so a single run reports every defect of the input at once.
     """
-    if v.lattice != m.ns:
-        raise ValidationError("Mukai vector must live over the model's NS lattice")
+    check_over_ns(m, v)
     reasons: list[str] = []
     notes: list[str] = [COPRIMALITY_NOTE, RATIONAL_GENERICITY_NOTE]
 

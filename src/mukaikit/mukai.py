@@ -4,15 +4,33 @@ A Mukai vector (v0, v1, v2) has rational rank and degree-4 components and
 an NS-valued middle part; the pairing is v1.w1 - v0*w2 - v2*w0. Rational
 components are first class citizens because twisted characters demand
 them; integrality is a checked property, not a type constraint.
+
+The pairing is written once, as a lattice: ``algebraic_mukai_lattice(ns)``
+is U (+) NS, cached per NS, and ``_algebraic_coords`` maps (r, xi, a) to the
+int coordinates (r, -a, xi) there over one denominator. ``mukai_pairing``,
+``mukai_square`` and ``discriminant`` read the Gram on those ints, and
+``moduli`` reads the same map to embed v and to cut out the algebraic part
+of v-perp, so no other module places (r, -a) by hand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from .errors import HypothesisViolation
-from .exactlin import bilinear, clear_denominators
-from .lattice import Lattice, LatticeVector, _exact, _exact_int, pairing
+from .exactlin import bilinear
+from .lattice import (
+    Lattice,
+    LatticeVector,
+    _check_same_lattice,
+    _exact,
+    _exact_int,
+    direct_sum,
+    pairing,
+    u_lattice,
+)
 from .records import record
 
 
@@ -61,8 +79,39 @@ class TopologicalType:
             raise HypothesisViolation("topological type requires positive rank")
 
 
+@cache
+def algebraic_mukai_lattice(ns: Lattice) -> Lattice:
+    """U (+) NS, the algebraic Mukai lattice, in the basis of ``_algebraic_coords``.
+
+    (r, xi, a) has the coordinates (r, -a, xi), so U pairs (r, -a) with
+    (r', -a') to -r a' - a r' and NS pairs xi with xi': the Gram pairs two
+    classes to xi.xi' - r a' - a r', the Mukai pairing.
+    """
+    return direct_sum((u_lattice(), ns))
+
+
+def _algebraic_coords(v: MukaiVector) -> tuple[tuple[int, ...], int]:
+    """(c, d) with v = c / d in ``algebraic_mukai_lattice``: c = (r, -a, xi) times
+    d = lcm(den r, den a, den xi) as ints, so d = 1 exactly when v is integral.
+
+    The one map from a Mukai vector to its coordinates, and the one place
+    where (r, -a) is put in U.
+    """
+    r, a, xi = v.v0, v.v2, v.v1
+    d = lcm(r.denominator, a.denominator, xi.den)
+    if d == 1:  # integral v, the common case: nothing to scale
+        return (r.numerator, -a.numerator) + xi.num, 1
+    k = d // xi.den
+    return (r.numerator * (d // r.denominator), -a.numerator * (d // a.denominator),
+            *(k * x for x in xi.num)), d
+
+
 def mukai_pairing(x: MukaiVector, y: MukaiVector) -> Fraction:
-    return pairing(x.v1, y.v1) - x.v0 * y.v2 - x.v2 * y.v0
+    """v1.w1 - v0 w2 - v2 w0: the Gram of ``algebraic_mukai_lattice`` on the int
+    coordinates of x and y, one Fraction over the product of their denominators."""
+    _check_same_lattice(x.v1, y.v1)
+    (c, d), (e, k) = _algebraic_coords(x), _algebraic_coords(y)
+    return Fraction(bilinear(algebraic_mukai_lattice(x.lattice).gram, c, e), d * k)
 
 
 def mukai_square(x: MukaiVector) -> Fraction:
@@ -72,15 +121,16 @@ def mukai_square(x: MukaiVector) -> Fraction:
 def discriminant(v: MukaiVector) -> Fraction:
     """v^2 / (2 v0^2) + 1; the Bogomolov-inequality quantity.
 
-    Delta has degree 0 in v. Scaled by the denominator of v1 and cleared
-    of denominators together, k v = (r, x, a) with integers, so
-    v^2 = (x^2 - 2 r a) / k^2 and v0^2 = r^2 / k^2. The k^2 cancels:
-    Delta = (x^2 - 2 r a + 2 r^2) / (2 r^2), one Fraction built from ints.
+    Delta has degree 0 in v. With v = c / d as ``_algebraic_coords`` gives
+    it, v^2 = (c G c) / d^2 and v0^2 = c0^2 / d^2 for the Gram G of
+    ``algebraic_mukai_lattice``. The d^2 cancels:
+    Delta = (c G c + 2 c0^2) / (2 c0^2), one Fraction built from ints.
     """
     if v.v0 == 0:
         raise HypothesisViolation("discriminant requires nonzero rank")
-    (r, a, *x), _ = clear_denominators((v.v0 * v.v1.den, v.v2 * v.v1.den) + v.v1.num)
-    return Fraction(bilinear(v.lattice.gram, x, x) - 2 * r * a + 2 * r * r, 2 * r * r)
+    c, _ = _algebraic_coords(v)
+    r2 = 2 * c[0] * c[0]
+    return Fraction(bilinear(algebraic_mukai_lattice(v.lattice).gram, c, c) + r2, r2)
 
 
 def discriminant_from_chern(tau: TopologicalType) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from numbers import Real
 from typing import TYPE_CHECKING, Any
@@ -41,19 +42,25 @@ def digit_limit_error() -> ValidationError:
     )
 
 
+def read_p_q(text: str) -> Fraction | None:
+    """``text`` as a Fraction when it is 'p' or 'p/q' with q != 0, the CLI's rule;
+    None otherwise. Fraction alone would also take decimals and exponents, and
+    "1e10000000" takes seconds to build."""
+    if _RATIONAL.fullmatch(text):
+        with suppress(ValueError, ZeroDivisionError):  # q = 0, or over the digit limit
+            return Fraction(text)
+    return None
+
+
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise ValidationError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Only "p" or "p/q": Fraction alone would also take decimals and
-        # exponents, and "1e10000000" takes seconds to build.
-        if _RATIONAL.fullmatch(value):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                pass
+        x = read_p_q(value)
+        if x is not None:
+            return x
         raise ValidationError(f"{where}: {value!r} is not a rational 'p/q' string")
     if isinstance(value, Real):  # json.loads reads every non-integer number as a float
         raise ValidationError(f"{where}: floats are not accepted; use 'p/q' strings")

@@ -11,11 +11,15 @@ is signature-level, so desk-scale models suffice.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import LatticeMismatchError, ValidationError
 from .exactlin import bilinear
 from .lattice import Lattice, LatticeVector
 from .records import record
+
+if TYPE_CHECKING:
+    from .mukai import MukaiVector
 
 
 @record
@@ -89,6 +93,12 @@ def is_projective_surface(m: K3Model) -> bool:
     """True iff NS represents a positive square, i.e. n_plus(NS) >= 1."""
     n_plus, _, _ = m.ns.signature()
     return n_plus >= 1
+
+
+def check_over_ns(m: K3Model, v: MukaiVector) -> None:
+    """Raise unless the Mukai vector v lives over the model's NS lattice."""
+    if v.lattice != m.ns:
+        raise ValidationError("Mukai vector must live over the model's NS lattice")
 
 
 def polarization_defect(m: K3Model, omega: H11Class, name: str = "omega") -> str | None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolation, IntegralityWarning, ValidationError
 from .lattice import LatticeVector, _exact, _exact_int
-from .mukai import MukaiVector, discriminant, exp_class, mukai_product, mukai_square
+from .mukai import MukaiVector, discriminant, exp_class, mukai_product
 from .records import record
 
 
@@ -126,23 +126,19 @@ def twisted_subobject_wall(
 ) -> SubobjectWall:
     """Wall class D = r xi'/s - r' xi/s of a subsheaf, with its K-invariant.
 
-    K is the defect of additivity of v^2/rank across the exact sequence
-    0 -> F' -> F -> F'' -> 0 defined by the subobject. The identity
-    D^2 = -r r' r'' K holds for every input, so it is not checked: the terms
-    of v_E^2/r linear in (r, a) cancel across the sequence, which leaves
+    K is the defect of additivity of v_E^2/rank across the exact sequence
+    0 -> F' -> F -> F'' -> 0 defined by the subobject,
+    K = v_E(F)^2/r - v_E(F')^2/r' - v_E(F'')^2/r''. The terms of v_E^2/r
+    linear in (r, a) cancel across the sequence, which leaves
     -K = (xi'^2/r' + xi''^2/r'' - xi^2/r)/s^2 = (r'' xi' - r' xi'')^2/(r r' r'' s^2),
-    and D = (r'' xi' - r' xi'')/s.
+    and D = (r'' xi' - r' xi'')/s. So K = -D^2/(r r' r'') for every input,
+    and K is read off D^2.
     """
     if not 0 < sub.r < f.r:
         raise HypothesisViolation(
             f"subobject rank {sub.r} must lie strictly between 0 and {f.r}"
         )
     s = Fraction(e.s)
-    quot = TwistedSheafData(f.r - sub.r, f.xi - sub.xi, f.a - sub.a)
     d = sub.xi.scale(Fraction(f.r) / s) - f.xi.scale(Fraction(sub.r) / s)
-    k = (
-        mukai_square(v_E(f, e)) / f.r
-        - mukai_square(v_E(sub, e)) / sub.r
-        - mukai_square(v_E(quot, e)) / quot.r
-    )
-    return SubobjectWall(d, k, d.square())
+    d_square = d.square()
+    return SubobjectWall(d, -d_square / (f.r * sub.r * (f.r - sub.r)), d_square)

@@ -1,6 +1,8 @@
 """Walls and chambers for polarizations.
 
-The wall functions take a Mukai vector v of integral positive rank r.
+The wall functions take a Mukai vector v of integral positive rank r
+over the model's NS, which ``surface.check_over_ns`` checks after
+``wall_bound`` has checked the rank.
 With discriminant Delta of v, the wall classes are the D in NS with
 -r^4 Delta / 2 <= D^2 < 0; a polarization is generic when no wall class
 is orthogonal to it. A twisted class enters through its twisted Mukai
@@ -50,7 +52,7 @@ from .exactlin import bilinear, mat_vec, vec_mat
 from .lattice import Lattice, LatticeVector, _exact_int, orthogonal_complement
 from .mukai import MukaiVector, discriminant
 from .records import record
-from .surface import H11Class, K3Model, polarization_defect
+from .surface import H11Class, K3Model, check_over_ns, polarization_defect
 
 
 def wall_bound(v: MukaiVector) -> Fraction:
@@ -109,6 +111,7 @@ def wall_set_is_empty(m: K3Model, v: MukaiVector) -> bool | None:
     answer would need representation theory, so None is returned.
     """
     bound = wall_bound(v)
+    check_over_ns(m, v)
     if bound < 0:
         return True
     n_plus, _, _ = m.ns.signature()
@@ -211,7 +214,9 @@ def walls_through_class(m: K3Model, v: MukaiVector, omega: H11Class) -> list[Wal
     defect = polarization_defect(m, omega)
     if defect:
         raise HypothesisViolation(f"walls are computed through polarizations only ({defect})")
-    return _walls_through(m.ns, wall_bound(v), omega.ns_part)
+    bound = wall_bound(v)
+    check_over_ns(m, v)
+    return _walls_through(m.ns, bound, omega.ns_part)
 
 
 def _walls_through(ns: Lattice, bound: Fraction, x: LatticeVector) -> list[Wall]:
@@ -330,6 +335,7 @@ def walls_crossing_segment(m: K3Model, v: MukaiVector, seg: Segment) -> list[Wal
         raise InternalError(f"endpoints lie in different positive-cone components "
                             f"(omega.omega'={Fraction(b, kl)})")
     bound = wall_bound(v)
+    check_over_ns(m, v)
     maj, an = _majorant(gram, w, do * do * a, k2)  # do^2 omega^2
     hits = shortvec.short_vectors_up_to_sign(maj, _majorant_bound(bound, a, b, c, an),
                                              (w, w_prime))

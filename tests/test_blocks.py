@@ -51,11 +51,14 @@ from mukaikit.moduli import (
     EmbeddedMukaiVector,
     NSEmbedding,
     _hermite_coordinates,
+    algebraic_h2,
     h2_lattice,
     standard_ns_embedding,
 )
 from mukaikit.mukai import MukaiVector, mukai_square
+from mukaikit.surface import H11Class, K3Model
 
+from conftest import positive_reference
 from fraction_oracle import (
     full_kernel_saturated,
     full_unimodular_completion,
@@ -257,6 +260,68 @@ def test_h2_from_embeddings_into_u_and_e8(where, seed):
     negated = EmbeddedMukaiVector(tuple(-c for c in embedded.coords))
     assert h2_lattice(negated) == res
     assert _full_matrix_h2(negated.coords) == (basis, gram)
+
+
+def _embedded_ns(rng: random.Random, where):
+    """(NS, E): a diagonal even NS of rank 1 to 3 with its standard embedding, or
+    the NS that rows of ``_summand_row`` span, with those rows."""
+    if where == "standard":
+        entries = [rng.choice((2, 4, -2, -4, -6))]
+        entries += [-2 * rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+        ns = diagonal_lattice(entries)
+        return ns, standard_ns_embedding(ns).rows
+    emb = tuple(_summand_row(rng, w) for w in where)
+    lam = k3_lattice().gram
+    return Lattice(tuple(tuple(sum(x * lam[i][j] * y for i, x in enumerate(a) for j, y in enumerate(b))
+                               for b in emb) for a in emb)), emb
+
+
+def _model(rng: random.Random, ns: Lattice) -> K3Model:
+    """A model on ns: T = 0 on a hyperbolic NS, T = <2> on a negative definite one."""
+    if ns.signature()[0]:
+        ref = positive_reference(ns, rng)
+        return K3Model(ns=ns, reference_positive=H11Class(ref, Lattice(()).zero()))
+    t = diagonal_lattice([2])
+    return K3Model(ns=ns, t11=t, reference_positive=H11Class(ns.zero(), t.vector((1,))))
+
+
+@pytest.mark.parametrize("where", ["standard", ("U3",), ("E8",), ("U3", "E8")])
+@given(seed=SEEDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_algebraic_part_maps_into_h2_by_identity_on_u_and_e(where, seed):
+    """``from_algebraic`` is (r, -a) then xi E, and I_2 (+) E maps the basis of the
+    algebraic part of v-perp into ``h2_lattice``'s v-perp as a saturated sublattice."""
+    rng = random.Random(seed)
+    ns, emb = _embedded_ns(rng, where)
+    while True:
+        xi = [rng.randint(-3, 3) for _ in range(ns.rank)]
+        xi2 = ns.vector(xi).square().numerator
+        r = rng.randint(1, 3)
+        a = xi2 // (2 * r) if xi2 % (2 * r) == 0 and rng.random() < 0.5 else rng.randint(-6, 6)
+        v = MukaiVector(Fraction(r), ns.vector(xi), Fraction(a))
+        if mukai_square(v) >= 0 and gcd(r, a, *xi) == 1:
+            break
+
+    def image(u, w, *c):  # (u, w) in the first U, then c E
+        return (u, w) + tuple(sum(x * row[j] for x, row in zip(c, emb)) for j in range(22))
+
+    embedded = EmbeddedMukaiVector.from_algebraic(v, emb)
+    assert embedded.coords == image(r, -a, *xi)
+    res, h2 = algebraic_h2(_model(rng, ns), v), h2_lattice(embedded)
+    assert res.quotient_by_v == h2.quotient_by_v == (mukai_square(v) == 0)
+    mapped = [image(*row) for row in res.perp_basis]
+    assert len(mapped) == ns.rank + 1
+    assert all(_square_pair(m, embedded.coords) == 0 for m in mapped)
+    # h2's basis with the mapped rows added spans a saturated lattice of the same
+    # rank, so it is h2's v-perp; the mapped rows alone are saturated too.
+    perp = list(h2.perp_basis)
+    assert [d for d in reference_smith(perp + mapped)[0] if d] == [1] * len(perp)
+    assert reference_smith(mapped)[0] == (1,) * len(mapped)
+
+
+def _square_pair(x, y):
+    gram = full_mukai_lattice().gram
+    return sum(a * gram[i][j] * b for i, a in enumerate(x) if a for j, b in enumerate(y) if b)
 
 
 # The summands U, U, U, U, E8(-1), E8(-1) of the Mukai lattice.

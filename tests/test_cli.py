@@ -70,8 +70,8 @@ ZERO_NS_OMEGA_CONFIG = {
 
 USAGE = (
     "usage: mukaikit <subcommand> [--config PATH] [--format {text,json}]\n"
-    "subcommands: chamber, crossings, exists, generic, h2, pairing, projective, report, twist,"
-    " type, walls\n"
+    "subcommands: algebraic, chamber, crossings, exists, generic, h2, pairing, projective, report,"
+    " twist, type, walls\n"
 )
 WALLS_USAGE = "usage: mukaikit walls [-h] [--config CONFIG] [--format {text,json}]"
 
@@ -265,6 +265,29 @@ class TestSubcommands:
                result["quotient_by_v"])
         assert got == expected
         assert result["square"] == str(-2 * r * a)
+
+    def test_algebraic(self, nonprojective_cfg, projective_cfg):
+        code, out, err = invoke(["algebraic", "--config", nonprojective_cfg, "--format", "json"])
+        assert code == 0, err
+        assert json.loads(out)["result"] == {
+            "rank": 2, "signature": [0, 0, 2], "discriminant_group": [2, 10],
+            "quotient_by_v": False, "projective": False, "gram": [[-2, 0], [0, -10]]}
+        code, out, err = invoke(["algebraic", "--config", projective_cfg, "--format", "json"])
+        assert code == 0, err
+        assert json.loads(out)["result"]["projective"] is True
+
+    @pytest.mark.parametrize("mukai, code, message", [
+        ({"r": "3/2", "xi": [1], "a": -3}, 2, "invalid input: only integral Mukai vectors"),
+        ({"r": 2, "xi": [2], "a": -4}, 3, "hypothesis violated: the second-cohomology lattice"),
+        ({"r": 2, "xi": [1], "a": 3}, 3, "hypothesis violated: negative Mukai square"),
+    ])
+    def test_algebraic_refuses_what_h2_refuses(self, tmp_path, mukai, code, message):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps({**NONPROJECTIVE_CONFIG, "mukai": mukai}))
+        for command in ("algebraic", "h2"):
+            got, out, err = invoke([command, "--config", str(path)])
+            assert (got, out) == (code, "")
+            assert err.startswith(f"mukaikit {command}: {message}")
 
     def test_projective_witness(self, nonprojective_cfg):
         code, out, _ = invoke(["projective", "--config", nonprojective_cfg, "--format", "json"])
@@ -634,10 +657,12 @@ class TestDispatchImports:
         ("walls", {"moduli", "twisted"}),
         ("crossings", {"moduli", "twisted"}),
         ("h2", {"walls", "shortvec"}),
+        ("algebraic", {"walls", "shortvec", "twisted"}),
         ("projective", {"walls", "shortvec"}),
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, command, absent):
-        cfg = NONPROJECTIVE_CONFIG if command in ("pairing", "type", "h2", "projective") \
+        cfg = NONPROJECTIVE_CONFIG if command in ("pairing", "type", "h2", "algebraic",
+                                                  "projective") \
             else WALLS_CONFIG
         code, loaded = _loaded_by_child([command, "--config", _write(tmp_path, command, cfg)])
         assert code == 0
@@ -665,7 +690,7 @@ def _subcommand_config(command: str) -> dict:
 CHILD_CASES = {
     f"{command}-{fmt}": (0, [command, "--format", fmt], _subcommand_config(command))
     for command in ("pairing", "type", "walls", "generic", "chamber", "crossings", "twist",
-                    "report", "h2", "projective", "exists")
+                    "report", "h2", "algebraic", "projective", "exists")
     for fmt in ("text", "json")
 }
 CHILD_CASES.update({
@@ -701,7 +726,7 @@ def test_child_matches_in_process(tmp_path, case):
 # -- valid-model fuzz: every subcommand on configs that pass validation -------------
 
 ALL_COMMANDS = ("pairing", "type", "walls", "generic", "chamber", "crossings", "twist",
-                "report", "h2", "projective", "exists")
+                "report", "h2", "algebraic", "projective", "exists")
 _SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 

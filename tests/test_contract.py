@@ -17,8 +17,9 @@ does not use, and none imports ``dataclasses``. The wall layer takes one
 argument type, a Mukai vector: ``walls`` imports nothing from ``twisted``,
 whose classes enter through ``twisted.v_E``. Only ``surface`` reads the
 transcendental Gram ``t11.gram``: H^{1,1} is paired in ``K3Model`` alone.
-Denominators are cleared where a ``LatticeVector`` is built and in
-``mukai.discriminant`` only; every other module reads ``num`` and ``den``.
+Denominators are cleared where a ``LatticeVector`` is built and, for a whole
+Mukai vector, in ``mukai._algebraic_coords`` only; every other module reads
+``num`` and ``den`` or that map.
 Every record has the unchecked constructor ``_trusted``, and a read of one is
 allowed only where ``TRUSTED_READERS`` lists its class:
 ``LatticeVector._trusted`` is read in ``lattice`` and ``walls`` only,
@@ -125,8 +126,6 @@ INTERNAL_MODULES = ("exactlin", "shortvec")
 # The public names that no library code calls, each with the reason it stays.
 API_ENTRY_POINTS = {
     "lattice.diagonal_lattice": "perfbench builds every model with it",
-    "lattice.discriminant_group": "ROADMAP item 11 (the integral algebraic part of v-perp) "
-                                  "gives it a caller",
     "moduli.transfer_isometry": "acceptance criterion 11",
     "mukai.discriminant_from_chern": "acceptance criterion 02",
     "twisted.endo_ch2": "acceptance criterion 03",
@@ -380,10 +379,17 @@ def _calls_of(tree: ast.AST, name: str) -> list[int]:
 
 def test_denominators_are_cleared_once_in_lattice_and_mukai():
     """A ``LatticeVector`` is integer numerators over one denominator, decided
-    in its constructor; ``mukai.discriminant`` clears a whole Mukai vector."""
+    in its constructor; a whole Mukai vector is cleared in one map,
+    ``mukai._algebraic_coords``, which takes the lcm of its three denominators.
+    ``exactlin`` and ``shortvec`` clear the int rows of their own arithmetic."""
     sites = [path.name for path in SOURCES
-             for _ in _calls_of(ast.parse(path.read_text(encoding="utf-8")), "clear_denominators")]
-    assert sorted(sites) == ["lattice.py", "mukai.py"]
+             for _ in _calls_of(LIBRARY[path.name], "clear_denominators")]
+    assert sites == ["lattice.py"]
+    lcm_sites = [f"{path.stem}.{node.name}" for path in SOURCES
+                 if path.stem not in INTERNAL_MODULES
+                 for node in ast.walk(LIBRARY[path.name])
+                 if isinstance(node, ast.FunctionDef) and _calls_of(node, "lcm")]
+    assert lcm_sites == ["mukai._algebraic_coords"]
 
 
 def test_call_check_sees_bare_and_attribute_calls():

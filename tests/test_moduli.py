@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mukaikit import (
     EmbeddedMukaiVector,
+    Segment,
     H11Class,
     K3Model,
     Lattice,
@@ -19,6 +21,7 @@ from mukaikit import (
     h2_lattice,
     irreducibility_oracle,
     moduli_report,
+    algebraic_h2,
     mukai_pairing,
     mukai_product,
     mukai_square,
@@ -28,6 +31,9 @@ from mukaikit import (
     transfer_image_of_v,
     transfer_isometry,
     transfer_multiplier,
+    wall_set_is_empty,
+    walls_crossing_segment,
+    walls_through_class,
 )
 from mukaikit.errors import HypothesisViolation, ValidationError
 from mukaikit.moduli import IrreducibilityVerdict, NSEmbedding
@@ -220,6 +226,109 @@ class TestProjectivityCheck:
     def test_requires_nonnegative_square(self, nonprojective, zl):
         with pytest.raises(HypothesisViolation):
             projectivity_check(nonprojective, MukaiVector(F(2), zl.basis_vector(0), F(-2)))
+
+
+class TestAlgebraicH2:
+    """The algebraic part of v-perp, v-perp in U (+) NS (mod v when v^2 = 0)."""
+
+    def test_nonprojective_fixture(self, nonprojective, zl):
+        res = algebraic_h2(nonprojective, MukaiVector(F(2), zl.basis_vector(0), F(-3)))
+        assert (res.signature, res.discriminant) == ((0, 0, 2), (2, 10))
+        assert res.lattice.gram == ((-2, 0), (0, -10))
+        assert not res.quotient_by_v and not res.projective
+
+    def test_projective_positive_square(self, projective):
+        ns = projective.ns
+        res = algebraic_h2(projective, MukaiVector(F(2), ns.vector((1, 0)), F(0)))
+        assert (res.signature, res.discriminant) == ((1, 0, 2), (2,))
+        assert not res.quotient_by_v and res.projective
+
+    def test_isotropic_v_is_quotiented_out(self, projective):
+        ns = projective.ns
+        res = algebraic_h2(projective, MukaiVector(F(2), ns.vector((1, 1)), F(0)))
+        assert res.lattice.rank == 2 and res.quotient_by_v and res.projective
+        assert (res.signature, res.discriminant) == ((1, 0, 1), ())
+        assert len(res.perp_basis) == 3
+
+    def test_ns_zero(self):
+        ns, t = Lattice(()), diagonal_lattice([2], "T")
+        model = K3Model(ns=ns, t11=t, reference_positive=H11Class(ns.zero(), t.vector((1,))))
+        iso = algebraic_h2(model, MukaiVector(F(1), ns.zero(), F(0)))
+        assert (iso.lattice.rank, iso.signature, iso.discriminant) == (0, (0, 0, 0), ())
+        pos = algebraic_h2(model, MukaiVector(F(1), ns.zero(), F(-1)))
+        assert (pos.lattice.gram, pos.discriminant, pos.projective) == (((-2,),), (2,), False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_projectivity_check(self, seed):
+        """Same signature as the rational Gram NS (+) <-4 r^2 v^2>, less its zero
+        direction when v^2 = 0; for v^2 > 0 the two determinants differ by the
+        square of an integer."""
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(60):
+            rank = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                ns, t = random_hyperbolic_ns(rng, rank), Lattice(())
+                ref = H11Class(positive_reference(ns, rng), t.zero())
+            else:
+                ns, t = random_negative_definite_ns(rng, rank), diagonal_lattice([2])
+                ref = H11Class(ns.zero(), t.vector((1,)))
+            model = K3Model(ns=ns, t11=t, reference_positive=ref)
+            v = _primitive_mukai(rng, ns)
+            res, check = algebraic_h2(model, v), projectivity_check(model, v)
+            n_plus, n_zero, n_minus = check.signature
+            sq = mukai_square(v)
+            assert res.signature == (n_plus, n_zero - (sq == 0), n_minus)
+            assert res.projective == check.projective_moduli
+            assert res.lattice.rank == ns.rank + (sq > 0)
+            if sq > 0:
+                ratio = _det(check.gram) / _det(res.lattice.gram)
+                assert ratio.denominator == 1 and ratio > 0
+                assert isqrt(ratio.numerator) ** 2 == ratio.numerator
+            seen.add((sq == 0, res.projective))
+        assert len(seen) >= 3
+
+    def test_input_checks_follow_h2(self, projective):
+        ns = projective.ns
+        with pytest.raises(ValidationError, match="^only integral Mukai vectors embed"):
+            algebraic_h2(projective, MukaiVector(F(3, 2), ns.vector((1, 0)), F(0)))
+        with pytest.raises(HypothesisViolation, match="^the second-cohomology lattice needs"):
+            algebraic_h2(projective, MukaiVector(F(2), ns.vector((2, 0)), F(0)))
+        with pytest.raises(HypothesisViolation, match="^negative Mukai square"):
+            algebraic_h2(projective, MukaiVector(F(2), ns.vector((0, 1)), F(1)))
+
+
+def _primitive_mukai(rng: random.Random, ns: Lattice) -> MukaiVector:
+    """An integral primitive Mukai vector of rank >= 2 and square >= 0 over ns,
+    isotropic a third of the time when one is found."""
+    while True:
+        r = rng.randint(2, 4)
+        xi = ns.vector(tuple(rng.randint(-3, 3) for _ in range(ns.rank)))
+        xi2 = xi.square().numerator
+        if rng.random() < 1 / 3 and xi2 % (2 * r) == 0:
+            a = xi2 // (2 * r)
+        else:
+            a = rng.randint(-6, 6)
+        v = MukaiVector(F(r), xi, F(a))
+        if mukai_square(v) >= 0 and gcd(r, a, *xi.num) == 1:
+            return v
+
+
+def _det(gram) -> F:
+    """Determinant by Fraction elimination."""
+    m = [[F(x) for x in row] for row in gram]
+    det = F(1)
+    for i in range(len(m)):
+        p = next((k for k in range(i, len(m)) if m[k][i]), None)
+        if p is None:
+            return F(0)
+        if p != i:
+            m[i], m[p], det = m[p], m[i], -det
+        det *= m[i][i]
+        for k in range(i + 1, len(m)):
+            f = m[k][i] / m[i][i]
+            m[k] = [a - f * b for a, b in zip(m[k], m[i])]
+    return det
 
 
 class TestTransfer:
@@ -464,6 +573,9 @@ _NS = diagonal_lattice([2, -2], "NS")
 _ZL = diagonal_lattice([-10], "ZL")
 _MODEL = K3Model(ns=_NS, reference_positive=H11Class(_NS.basis_vector(0), Lattice(()).zero()))
 _V_OVER_ZL = MukaiVector(F(2), _ZL.basis_vector(0), F(-3))
+# Over <2> (+) <-2> (+) <-4>: the wall search on the model's NS would find walls
+# at its bound 6, and the wall set on an indefinite NS would be undecided.
+_V_OVER_RANK3 = MukaiVector(F(2), diagonal_lattice([2, -2, -4]).vector((1, 0, 1)), F(0))
 _OTHER_NS = "Mukai vector must live over the model's NS lattice"
 
 
@@ -479,12 +591,21 @@ _OTHER_NS = "Mukai vector must live over the model's NS lattice"
     (lambda: EmbeddedMukaiVector((0,) * 25), ValidationError, "embedded vector must have length 24"),
     (lambda: projectivity_check(_MODEL, _V_OVER_ZL), ValidationError, _OTHER_NS),
     (lambda: moduli_report(_MODEL, _V_OVER_ZL, _MODEL.h11((1, 0))), ValidationError, _OTHER_NS),
+    (lambda: algebraic_h2(_MODEL, _V_OVER_ZL), ValidationError, _OTHER_NS),
+    (lambda: walls_through_class(_MODEL, _V_OVER_RANK3, _MODEL.h11((1, 0))),
+     ValidationError, _OTHER_NS),
+    (lambda: wall_set_is_empty(_MODEL, _V_OVER_RANK3), ValidationError, _OTHER_NS),
+    (lambda: walls_crossing_segment(
+        _MODEL, _V_OVER_RANK3, Segment(_MODEL.h11((1, F(1, 3))), _MODEL.h11((1, F(-1, 3))))),
+     ValidationError, _OTHER_NS),
     (lambda: transfer_multiplier(MukaiVector(F(0), _ZL.basis_vector(0), F(0))),
      HypothesisViolation, "transfer multiplier requires rank >= 1"),
     (lambda: irreducibility_oracle(0, -10, F(1)), HypothesisViolation, "rank must be >= 1"),
     (lambda: bundle_existence_check(0, 0, -4), HypothesisViolation, "rank must be >= 1"),
 ], ids=["standard-embedding-rank-4", "from-algebraic-non-integral", "from-algebraic-1x21",
         "length-23", "length-25", "projectivity-other-ns", "report-other-ns",
+        "algebraic-h2-other-ns", "walls-through-other-ns", "wall-set-other-ns",
+        "crossings-other-ns",
         "transfer-rank-0", "irreducibility-rank-0", "existence-rank-0"])
 def test_input_check(call, error, message):
     with pytest.raises(error) as info:

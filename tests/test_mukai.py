@@ -4,10 +4,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mukaikit import (
+    Lattice,
     MukaiVector,
     TopologicalType,
+    algebraic_mukai_lattice,
     diagonal_lattice,
     discriminant,
     exp_class,
@@ -17,7 +21,8 @@ from mukaikit import (
     topological_type,
 )
 from mukaikit.errors import HypothesisViolation, LatticeMismatchError, ValidationError
-from mukaikit.mukai import discriminant_from_chern
+from mukaikit.lattice import LatticeVector, pairing
+from mukaikit.mukai import _algebraic_coords, discriminant_from_chern
 
 from conftest import random_mukai, random_integral_vector, random_hyperbolic_ns
 from fraction_oracle import mukai_unit as unit
@@ -101,6 +106,58 @@ class TestPairing:
             mukai_pairing(w, MukaiVector(F(1), L, F(0)))
         with pytest.raises(LatticeMismatchError, match="^vectors live in different lattices$"):
             mukai_product(MukaiVector(F(1), L, F(0)), w)
+
+
+_Q = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _ns_and_two_vectors(draw):
+    """A symmetric integer Gram of rank 0 to 3 (any signature) and two rational
+    Mukai vectors over it."""
+    rank = draw(st.integers(0, 3))
+    upper = {(i, j): draw(st.integers(-8, 8)) for i in range(rank) for j in range(i, rank)}
+    ns = Lattice(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(rank))
+                       for i in range(rank)))
+
+    def vector():
+        return MukaiVector(draw(_Q), ns.vector([draw(_Q) for _ in range(rank)]), draw(_Q))
+
+    return ns, vector(), vector()
+
+
+class TestOneGram:
+    """``mukai_pairing``, ``mukai_square`` and ``discriminant`` read one Gram, that of
+    U (+) NS, on the coordinates (r, -a, xi); the formulas here are written out."""
+
+    @given(_ns_and_two_vectors())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_against_the_written_formulas(self, drawn):
+        ns, v, w = drawn
+
+        def form(x, y):
+            return sum(a * g * b for a, row in zip(x, ns.gram) for g, b in zip(row, y))
+
+        v1, w1 = v.v1.coords, w.v1.coords
+        assert mukai_pairing(v, w) == form(v1, w1) - v.v0 * w.v2 - v.v2 * w.v0
+        square = form(v1, v1) - 2 * v.v0 * v.v2
+        assert mukai_square(v) == square
+        if v.v0:
+            assert discriminant(v) == (square + 2 * v.v0 ** 2) / (2 * v.v0 ** 2)
+        else:
+            with pytest.raises(HypothesisViolation, match="discriminant requires nonzero rank"):
+                discriminant(v)
+        # The same numbers as vectors of the lattice: pairing of the coordinates.
+        alg = algebraic_mukai_lattice(ns)
+        (c, d), (e, k) = _algebraic_coords(v), _algebraic_coords(w)
+        assert alg.vector(tuple(F(x, d) for x in c)).coords == (v.v0, -v.v2, *v1)
+        assert pairing(LatticeVector(alg, c, d), LatticeVector(alg, e, k)) == mukai_pairing(v, w)
+        assert (d == 1) == v.is_integral
+
+    def test_coordinates_are_r_minus_a_then_xi(self, zl, L):
+        assert algebraic_mukai_lattice(zl).gram == ((0, 1, 0), (1, 0, 0), (0, 0, -10))
+        assert _algebraic_coords(MukaiVector(F(2), L, F(-3))) == ((2, 3, 1), 1)
+        assert _algebraic_coords(MukaiVector(F(1, 2), L.scale(F(1, 3)), F(5, 4))) == ((6, -15, 4), 12)
 
 
 class TestDiscriminant:

@@ -26,6 +26,7 @@ from mukaikit.config import Config
 from mukaikit.errors import HypothesisViolation, ValidationError
 from mukaikit.lattice import Lattice, LatticeVector, OrthogonalComplement
 from mukaikit.moduli import (
+    AlgebraicH2Result,
     EmbeddedMukaiVector,
     ExistenceVerdict,
     H2LatticeResult,
@@ -83,6 +84,8 @@ def _examples() -> dict:
         "WallCrossing": WallCrossing(wall, Fraction(1, 2)),
         "EmbeddedMukaiVector": EmbeddedMukaiVector((2, 0, 1, 1) + (0,) * 20),
         "NSEmbedding": NSEmbedding(ns, ((1, 1) + (0,) * 20, (0, 0, 1, -1) + (0,) * 18)),
+        "AlgebraicH2Result": AlgebraicH2Result(
+            Lattice(((-2,),), "A"), (0, 0, 1), (2,), ((1, 1),), False, False),
         "H2LatticeResult": H2LatticeResult(
             Lattice(((-2,),), "H2"), (0, 0, 1), (2,), ((1, 0),), False),
         "ProjectivityCheck": ProjectivityCheck(
@@ -124,6 +127,10 @@ REPRS = {
         "8), witness=(1, 0)))"
     ),
     "H11Class": "((1, 1/4); ())",
+    "AlgebraicH2Result": (
+        "AlgebraicH2Result(lattice=Lattice(A), signature=(0, 0, 1), discriminant=(2,), "
+        "perp_basis=((1, 1),), quotient_by_v=False, projective=False)"
+    ),
     "H2LatticeResult": (
         "H2LatticeResult(lattice=Lattice(H2), signature=(0, 0, 1), discriminant=(2,), "
         "perp_basis=((1, 0),), quotient_by_v=False)"

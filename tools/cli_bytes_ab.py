@@ -30,6 +30,10 @@ interpreter per tree, with the configs in one shared temporary directory:
   bound between, where only the search decides.
 Each case's (exit code, stdout, stderr) must be equal on the two trees. The
 script prints the cases that differ and exits 1 if there are any.
+The subcommands are those of perfbench's pool, so ``algebraic`` is not
+compared: a tree from before it was added has no such subcommand. Between
+such a tree and a later one, the exit-64 cases differ on stderr only, as the
+later tree's subcommand list names ``algebraic``.
 Uses the standard library only.
 """
 
