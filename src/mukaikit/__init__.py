@@ -77,8 +77,8 @@ _EXPORTS = {
     "moduli": (
         "EmbeddedMukaiVector",
         "ModuliReport",
-        "algebraic_h2",
         "NSEmbedding",
+        "algebraic_h2",
         "bundle_existence_check",
         "h2_lattice",
         "irreducibility_oracle",

@@ -8,7 +8,7 @@ interpreter per tree, with the configs in one shared temporary directory:
   (all items of every stratum; the module is imported, not changed);
 - every config of that pool, and every module-level ``*_CONFIG`` of
   ``tests/test_cli.py`` as it is and, if it has a ``mukai`` object, with
-  Mukai rank 0, 1, 3 and 3/2, under all 11 subcommands in text and json;
+  Mukai rank 0, 1, 3 and 3/2, under the 11 subcommands of that pool in text and json;
 - ``exists --r --d --g`` for r in 1..8, every d in -1..2r and every g from
   2r below the cap g <= -(r^2 - 1)(r - 1) to 1 above it;
 - ``h2`` in text and json on 40 seeded configs with an explicit NS
