@@ -657,8 +657,8 @@ class TestDispatchImports:
         ("walls", {"moduli", "twisted"}),
         ("crossings", {"moduli", "twisted"}),
         ("h2", {"walls", "shortvec"}),
-        ("algebraic", {"walls", "shortvec", "twisted"}),
         ("projective", {"walls", "shortvec"}),
+        ("algebraic", {"walls", "shortvec", "twisted"}),
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, command, absent):
         cfg = NONPROJECTIVE_CONFIG if command in ("pairing", "type", "h2", "algebraic",
