@@ -6,7 +6,7 @@ components are first class citizens because twisted characters demand
 them; integrality is a checked property, not a type constraint.
 
 The pairing is written once, as a lattice: ``algebraic_mukai_lattice(ns)``
-is U (+) NS, cached per NS, and ``_algebraic_coords`` maps (r, xi, a) to the
+is U (+) NS, stored on the NS instance, and ``_algebraic_coords`` maps (r, xi, a) to the
 int coordinates (r, -a, xi) there over one denominator. ``mukai_pairing``,
 ``mukai_square`` and ``discriminant`` read the Gram on those ints, and
 ``moduli`` reads the same map to embed v and to cut out the algebraic part
@@ -16,7 +16,6 @@ of v-perp, so no other module places (r, -a) by hand.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 from .errors import HypothesisViolation
@@ -79,15 +78,22 @@ class TopologicalType:
             raise HypothesisViolation("topological type requires positive rank")
 
 
-@cache
 def algebraic_mukai_lattice(ns: Lattice) -> Lattice:
     """U (+) NS, the algebraic Mukai lattice, in the basis of ``_algebraic_coords``.
 
     (r, xi, a) has the coordinates (r, -a, xi), so U pairs (r, -a) with
     (r', -a') to -r a' - a r' and NS pairs xi with xi': the Gram pairs two
     classes to xi.xi' - r a' - a r', the Mukai pairing.
+
+    Built once per NS instance and stored on it, as ``Lattice.signature`` is
+    (no field: ``==``, ``hash`` and ``repr`` do not see it), so it is freed
+    with the NS and a lookup hashes no Gram.
     """
-    return direct_sum((u_lattice(), ns))
+    alg = ns.__dict__.get("_algebraic_mukai")
+    if alg is None:
+        alg = direct_sum((u_lattice(), ns))
+        object.__setattr__(ns, "_algebraic_mukai", alg)
+    return alg
 
 
 def _algebraic_coords(v: MukaiVector) -> tuple[tuple[int, ...], int]:
@@ -99,8 +105,6 @@ def _algebraic_coords(v: MukaiVector) -> tuple[tuple[int, ...], int]:
     """
     r, a, xi = v.v0, v.v2, v.v1
     d = lcm(r.denominator, a.denominator, xi.den)
-    if d == 1:  # integral v, the common case: nothing to scale
-        return (r.numerator, -a.numerator) + xi.num, 1
     k = d // xi.den
     return (r.numerator * (d // r.denominator), -a.numerator * (d // a.denominator),
             *(k * x for x in xi.num)), d
