@@ -159,6 +159,15 @@ class TestOneGram:
         assert _algebraic_coords(MukaiVector(F(2), L, F(-3))) == ((2, 3, 1), 1)
         assert _algebraic_coords(MukaiVector(F(1, 2), L.scale(F(1, 3)), F(5, 4))) == ((6, -15, 4), 12)
 
+    def test_lattice_is_kept_on_the_ns_instance(self):
+        ns = Lattice(((2, 1), (1, -2)), label="N")
+        before = (hash(ns), repr(ns))
+        alg = algebraic_mukai_lattice(ns)
+        assert algebraic_mukai_lattice(ns) is alg
+        assert (hash(ns), repr(ns)) == before and ns == Lattice(ns.gram)
+        # An equal NS built apart gets an equal lattice of its own.
+        assert algebraic_mukai_lattice(Lattice(ns.gram)) == alg
+
 
 class TestDiscriminant:
     def test_worked(self, zl, L):
